@@ -3,17 +3,21 @@
 Input files are header-bearing delimited text with columns x, y and
 optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i").
 Reports are JSON (default) or TSV.  Exit codes: 0 success, 1 usage or I/O
-trouble, 2 no unique solution.
+trouble, a snapshot that does not match the command line, or an arithmetic
+failure such as float overflow, 2 no unique solution.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 import time
 
 from . import incremental, oracle, regress
@@ -149,16 +153,43 @@ def cmd_fit(args, out=None):
     return EXIT_OK
 
 
+def _read_snapshot(path, degrees, exact):
+    """The state saved at `path`, or None if there is none yet; a state saved
+    under other degrees or another mode is refused."""
+    try:
+        with open(path) as handle:
+            state = incremental.RegressionState.from_dict(json.load(handle))
+    except FileNotFoundError:
+        return None
+    saved = (list(state.d), "exact" if state.exact else "float")
+    asked = (list(degrees), "exact" if exact else "float")
+    if saved != asked:
+        raise ValueError(
+            f"snapshot {path} holds degrees {saved[0]} in {saved[1]} mode; "
+            f"this run asks for degrees {asked[0]} in {asked[1]} mode"
+        )
+    return state
+
+
+def _write_snapshot(path, state):
+    """Write the state through a temporary file in the same directory, so a
+    failed write never leaves a truncated snapshot behind."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(state.to_dict(), handle, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_stream(args, out=None):
     out = out if out is not None else sys.stdout
     degrees = _parse_degrees(args)
-    state = None
-    if args.snapshot:
-        try:
-            with open(args.snapshot) as handle:
-                state = incremental.RegressionState.from_dict(json.load(handle))
-        except FileNotFoundError:
-            state = None
+    state = _read_snapshot(args.snapshot, degrees, args.exact) if args.snapshot else None
     if state is None:
         state = incremental.init_state(degrees, exact=args.exact)
 
@@ -182,8 +213,7 @@ def cmd_stream(args, out=None):
             )
 
     if args.snapshot:
-        with open(args.snapshot, "w") as handle:
-            json.dump(state.to_dict(), handle, sort_keys=True)
+        _write_snapshot(args.snapshot, state)
     if state.a is None:
         print("error: stream ended without a unique solution", file=sys.stderr)
         return EXIT_NON_UNIQUE
@@ -202,16 +232,26 @@ def fit_loglog_slope(sizes, seconds):
 
 
 def run_bench(degrees, sizes, repetitions=1, noise=0.01, seed=0):
-    """Time float-mode fits over a size range; returns per-size results."""
+    """Time float-mode fits over a size range; returns per-size results.
+
+    One untimed fit runs first, and the garbage collector is paused inside
+    each timed fit, so neither the first call's warm-up nor a collection
+    lands in one size's timing and bends the log-log slope.
+    """
+    regress.fit(degrees, quartic_example(m=min(sizes), noise=noise, seed=seed, exact=False))
     results = []
     for m in sizes:
         data = quartic_example(m=m, noise=noise, seed=seed, exact=False)
         best = None
         result = None
         for _ in range(repetitions):
-            start = time.perf_counter()
-            result = regress.fit(degrees, data)
-            elapsed = time.perf_counter() - start
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                result = regress.fit(degrees, data)
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
             best = elapsed if best is None else min(best, elapsed)
         results.append({"m": m, "seconds": best, "evaluations": result.evaluations})
     return results
@@ -313,6 +353,9 @@ def main(argv=None):
         return EXIT_NON_UNIQUE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

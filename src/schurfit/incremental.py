@@ -5,28 +5,35 @@ minor-sum matrix S, the moment sums T, the signed numerators N, and the
 denominator D.  Appending a point then only needs the subset sums that
 involve the new point -- C(m, n-2) Schur products for the S increment R and
 C(m, n-1) terms for the D increment -- dropping the per-point cost from
-O(m^n) to O(m^(n-1)).  Points can only be appended; removal is unsupported.
+O(m^n) to O(m^(n-1)).  Both increments, and the new B columns, come from the
+subset kernel in `regress` with the new point joined to every subset.  Points
+can only be appended; removal is unsupported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import sqrt
 
 from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar, scalar_pow
-from .partitions import Exponents, lambda_drop, lambda_from_degrees
+from .partitions import Exponents
 from .regress import (
     BMatrix,
     DataSet,
     NonUniqueSolutionError,
+    _aggregates,
+    _append_b_columns,
     _denominator_sum,
+    _drops,
     _minor_matrix,
-    _moment_sums,
-    _signed_numerators,
+    _subset_columns,
     _zero_denominator,
 )
-from .symfunc import schur, vandermonde
+
+# Unused here: every subset sum runs through the regress kernel.  The names
+# stay bound because perfbench/tracing.py wraps incremental.schur and
+# incremental.vandermonde by name.
+from .symfunc import schur, vandermonde  # noqa: F401
 
 
 class UnsupportedOperationError(RuntimeError):
@@ -107,20 +114,10 @@ class RegressionState:
         )
 
 
-def _coefficients_or_none(state_d, x, exact, n_vec, denom):
-    lam = lambda_from_degrees(state_d)
-    probe = _ThresholdProbe(x, exact)
-    if _zero_denominator(denom, state_d, probe, lam):
+def _coefficients_or_none(d, x, n_vec, denom):
+    if _zero_denominator(denom, d, x):
         return None
     return [ni / denom for ni in n_vec]
-
-
-class _ThresholdProbe:
-    """Minimal DataSet-alike for the float degeneracy threshold."""
-
-    def __init__(self, x, exact):
-        self.x = x
-        self.exact = exact
 
 
 def init_state(d, data=None, *, exact=True):
@@ -144,10 +141,7 @@ def init_state(d, data=None, *, exact=True):
             denom=zero,
             a=None,
         )
-    s, evals_s = _minor_matrix(d, data)
-    t = _moment_sums(d, data)
-    n_vec = _signed_numerators(s, t)
-    denom, evals_d = _denominator_sum(d, data)
+    denom, s, t, n_vec, evaluations = _aggregates(d, data)
     return RegressionState(
         d=d,
         exact=data.exact,
@@ -158,49 +152,9 @@ def init_state(d, data=None, *, exact=True):
         t=t,
         n_vec=n_vec,
         denom=denom,
-        a=_coefficients_or_none(d, data.x, data.exact, n_vec, denom),
-        evaluations=evals_s + evals_d,
+        a=_coefficients_or_none(d, data.x, n_vec, denom),
+        evaluations=evaluations,
     )
-
-
-def _increment_sums(state, x_new, w_new):
-    """R (the S increment over (n-2)-subsets joined with the new point), the
-    D increment over (n-1)-subsets, and the evaluation count."""
-    d = state.d
-    n = len(d)
-    mode = state.exact
-    m = state.m
-    lam = lambda_from_degrees(d)
-    drops = [lambda_drop(d, i) for i in range(1, n + 1)]
-    wsq_new = w_new.mag_sq() if w_new is not None else Scalar.one(mode)
-
-    r = [[Scalar.zero(mode) for _ in range(n)] for _ in range(n)]
-    evals = 0
-    if n >= 2:
-        for subset in combinations(range(m), n - 2):
-            pts = tuple(state.x[k] for k in subset) + (x_new,)
-            vsq = vandermonde(pts, mode).mag_sq() * wsq_new
-            if state.w is not None:
-                for k in subset:
-                    vsq = vsq * state.w[k].mag_sq()
-            vals = [schur(drops[i], pts, mode) for i in range(n)]
-            conj_vals = [v.conj() for v in vals]
-            for i in range(n):
-                vi = vals[i] * vsq
-                for j in range(n):
-                    r[i][j] = r[i][j] + vi * conj_vals[j]
-            evals += n * n
-
-    d_inc = Scalar.zero(mode)
-    for subset in combinations(range(m), n - 1):
-        pts = tuple(state.x[k] for k in subset) + (x_new,)
-        term = (schur(lam, pts, mode) * vandermonde(pts, mode)).mag_sq() * wsq_new
-        if state.w is not None:
-            for k in subset:
-                term = term * state.w[k].mag_sq()
-        d_inc = d_inc + term
-        evals += 1
-    return r, d_inc, evals
 
 
 def update(state, x_new, y_new, w_new=None):
@@ -220,7 +174,9 @@ def update(state, x_new, y_new, w_new=None):
     d = state.d
     n = len(d)
     mode = state.exact
-    r, d_inc, evals = _increment_sums(state, x_new, w_new)
+    # R and the D increment: the subset sums over subsets holding the new point
+    r, evals_r = _minor_matrix(d, state, (x_new, w_new))
+    d_inc, evals_d = _denominator_sum(d, state, (x_new, w_new))
 
     wsq_new = w_new.mag_sq() if w_new is not None else Scalar.one(mode)
     xbar = x_new.conj()
@@ -251,8 +207,8 @@ def update(state, x_new, y_new, w_new=None):
         t=new_t,
         n_vec=new_n,
         denom=new_d,
-        a=_coefficients_or_none(d, new_x, mode, new_n, new_d),
-        evaluations=state.evaluations + evals,
+        a=_coefficients_or_none(d, new_x, new_n, new_d),
+        evaluations=state.evaluations + evals_r + evals_d,
     )
 
 
@@ -270,39 +226,16 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
     if len(prior_b.columns) and prior_b.columns[-1][-1] > m:
         raise ValueError("prior B matrix does not match the state's point count")
 
-    _, d_inc, _ = _increment_sums(state, x_new, w_new)
-    new_d = state.denom + d_inc
-
-    drops = [lambda_drop(d, i) for i in range(1, n + 1)]
-    root = None if mode else Scalar.from_float(sqrt(float(new_d.re)))
-    rescale = None
-    if not mode:
-        old_root = sqrt(float(prior_b.denominator_root_sq.re))
-        rescale = Scalar.from_float(old_root / float(root.re))
-
-    columns = list(prior_b.columns)
+    new_d = state.denom + _denominator_sum(d, state, (x_new, w_new))[0]
     entries = [list(row) for row in prior_b.entries]
-    if rescale is not None:
+    if not mode:
+        rescale = Scalar.from_float(prior_b.denominator_root / sqrt(float(new_d.re)))
         entries = [[v * rescale for v in row] for row in entries]
-
-    for subset in combinations(range(m), n - 2) if n >= 2 else []:
-        pts = tuple(state.x[k] for k in subset) + (x_new,)
-        v = vandermonde(pts, mode)
-        wfac = Scalar.one(mode)
-        if state.w is not None:
-            for k in subset:
-                wfac = wfac * state.w[k]
-        if w_new is not None:
-            wfac = wfac * w_new
-        columns.append(tuple(k + 1 for k in subset) + (m + 1,))
-        for i in range(n):
-            e = schur(drops[i], pts, mode) * v * wfac
-            if (i + 1) % 2 == 1:
-                e = -e
-            entries[i].append(e if mode else e / root)
-    return BMatrix(
+    b = BMatrix(
         entries=entries,
-        columns=columns,
+        columns=list(prior_b.columns),
         denominator_root_sq=new_d,
         normalized=not mode,
     )
+    _append_b_columns(b, _subset_columns(state, _drops(d), n - 2, (x_new, w_new)), (m + 1,))
+    return b

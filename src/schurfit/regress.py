@@ -4,9 +4,14 @@ The coefficients come out of subset sums of Schur and Vandermonde values:
 numerators N_i as signed combinations of the minor sums S_{i,j} with the
 moment sums T_j, and a shared real denominator D.  All aggregates are
 division-free; the only division is the final a_i = N_i / D, so exact mode
-never rounds.  The same sums yield the wide B matrix, the pseudoinverse
-B B* A*, and the projection onto the model column space.  Weights enter as
-|w|^2 factors on every subset term, per the weighted normal equation.
+never rounds.  Weights enter as w_l factors on every subset term, per the
+weighted normal equation.
+
+Every subset sum -- D, S, the B matrix and the streaming increments in
+`incremental` -- runs through one kernel: `_subset_columns` yields the vector
+u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l in lexicographic order, and
+`_hermitian_sum` adds up u u*.  B's columns are the signed u vectors; the
+pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import combinations
 from math import sqrt
 
 from .numeric import Scalar, ScalarModeError, scalar_pow
-from .partitions import Exponents, enumerate_subsets, lambda_drop, lambda_from_degrees
+from .partitions import Exponents, lambda_drop, lambda_from_degrees
 from .symfunc import schur, vandermonde
 
 
@@ -129,57 +134,83 @@ def gram(d, data):
     return g
 
 
-def _weight_sq_subset(data, subset):
-    wsq = Scalar.one(data.exact)
-    if data.w is not None:
-        for k in subset:
-            wsq = wsq * data.w[k].mag_sq()
-    return wsq
+def _require_points(n, data):
+    if data.m < n:
+        raise InsufficientDataError(
+            f"need at least {n} points for {n} model terms, got {data.m}"
+        )
 
 
-def _denominator_sum(d, data, lam=None):
-    """D = sum over n-subsets of |w_k s_lam(x_k) V(x_k)|^2 and its term count."""
-    n = len(d)
-    mode = data.exact
-    if lam is None:
-        lam = lambda_from_degrees(d)
-    total = Scalar.zero(mode)
+def _drops(d):
+    return [lambda_drop(d, i) for i in range(1, len(d) + 1)]
+
+
+def _subset_columns(points, lams, r, extra=None):
+    """Yield (subset, u) for each r-subset of `points` in lexicographic order,
+    with u_i = w_l * s_{lams[i]}(x_l) * V(x_l) over the subset's points x_l.
+
+    `points` is anything with x, w and exact (a DataSet or a streaming state).
+    `extra` = (x, w or None) joins every subset as one more point; `subset`
+    holds only the 0-based indices into `points`.  No subsets when r < 0.
+    """
+    if r < 0:
+        return
+    mode = points.exact
+    x, w = points.x, points.w
+    tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[1])
+    for subset in combinations(range(len(x)), r):
+        pts = tuple(x[k] for k in subset) + tail
+        v = vandermonde(pts, mode)
+        if w is not None:
+            for k in subset:
+                v = v * w[k]
+        if w_tail is not None:
+            v = v * w_tail
+        yield subset, [schur(lam, pts, mode) * v for lam in lams]
+
+
+def _hermitian_sum(columns, n, mode):
+    """Sum of u u* over the (subset, u) columns, and the count n^2 * #columns.
+
+    Only the upper triangle is multiplied out: the diagonal is |u_i|^2 and the
+    lower triangle is the conjugate of the upper one.
+    """
+    zero = Scalar.zero(mode)
+    acc = [[zero] * n for _ in range(n)]
     count = 0
-    for subset in combinations(range(data.m), n):
-        pts = tuple(data.x[k] for k in subset)
-        term = (schur(lam, pts) * vandermonde(pts)).mag_sq()
-        if data.w is not None:
-            term = term * _weight_sq_subset(data, subset)
-        total = total + term
+    for _, u in columns:
+        for i in range(n):
+            row, ui = acc[i], u[i]
+            row[i] = row[i] + ui.mag_sq()
+            for j in range(i + 1, n):
+                row[j] = row[j] + ui * u[j].conj()
         count += 1
-    return total, count
+    for i in range(1, n):
+        for j in range(i):
+            acc[i][j] = acc[j][i].conj()
+    return acc, count * n * n
 
 
-def _minor_matrix(d, data, drops=None):
+def _denominator_sum(d, points, extra=None):
+    """D = sum over n-subsets of |w_l s_lam(x_l) V(x_l)|^2 and its term count;
+    with `extra`, only the n-subsets made of n-1 points plus that point."""
+    r = len(d) - (extra is not None)
+    total, count = _hermitian_sum(
+        _subset_columns(points, [lambda_from_degrees(d)], r, extra), 1, points.exact
+    )
+    return total[0][0], count
+
+
+def _minor_matrix(d, points, extra=None):
     """All minor sums S_{i,j} at once, plus the number of summand evaluations.
 
     Each (n-1)-subset contributes the n^2 products
     s_{lam[i]}(x_l) * conj(s_{lam[j]}(x_l)) * |V(x_l)|^2 (weighted by |w_l|^2).
+    With `extra`, only the (n-1)-subsets that end in that point count.
     """
     n = len(d)
-    mode = data.exact
-    if drops is None:
-        drops = [lambda_drop(d, i) for i in range(1, n + 1)]
-    s = [[Scalar.zero(mode) for _ in range(n)] for _ in range(n)]
-    count = 0
-    for subset in combinations(range(data.m), n - 1):
-        pts = tuple(data.x[k] for k in subset)
-        vsq = vandermonde(pts, mode).mag_sq()
-        if data.w is not None:
-            vsq = vsq * _weight_sq_subset(data, subset)
-        vals = [schur(drops[i], pts, mode) for i in range(n)]
-        conj_vals = [v.conj() for v in vals]
-        for i in range(n):
-            vi = vals[i] * vsq
-            for j in range(n):
-                s[i][j] = s[i][j] + vi * conj_vals[j]
-        count += n * n
-    return s, count
+    r = n - 1 - (extra is not None)
+    return _hermitian_sum(_subset_columns(points, _drops(d), r, extra), n, points.exact)
 
 
 def _moment_sums(d, data):
@@ -209,24 +240,29 @@ def _signed_numerators(s, t):
     return out
 
 
-def _zero_denominator(dvalue, d, data, lam):
+def _aggregates(d, data):
+    """D, S, T, the signed numerators N and the evaluation count of a batch."""
+    dvalue, evals_d = _denominator_sum(d, data)
+    s, evals_s = _minor_matrix(d, data)
+    t = _moment_sums(d, data)
+    return dvalue, s, t, _signed_numerators(s, t), evals_d + evals_s
+
+
+def _zero_denominator(dvalue, d, x):
     """Degeneracy test: exact zero, or float |D| below a scale-aware floor."""
-    if data.exact:
+    if dvalue.exact:
         return dvalue.is_zero()
-    scale = max((abs(xk) for xk in data.x), default=1.0)
+    scale = max((abs(xk) for xk in x), default=1.0)
     if scale == 0.0:
         scale = 1.0
     n = len(d)
-    floor = 1e-12 * scale ** (2 * lam.weight + n * (n - 1))
+    floor = 1e-12 * scale ** (2 * lambda_from_degrees(d).weight + n * (n - 1))
     return abs(float(dvalue.re)) <= floor
 
 
 def denominator(d, data):
     """The real non-negative denominator D = det((WA)*WA) as a subset sum."""
-    if data.m < len(d):
-        raise InsufficientDataError(
-            f"need at least {len(d)} points for {len(d)} model terms, got {data.m}"
-        )
+    _require_points(len(d), data)
     total, _ = _denominator_sum(d, data)
     return total
 
@@ -241,18 +277,8 @@ def minor_sum(d, data, i, j):
         raise InsufficientDataError(
             f"need at least {n - 1} points for the minor sums, got {data.m}"
         )
-    mode = data.exact
-    lam_i = lambda_drop(d, i)
-    lam_j = lambda_drop(d, j)
-    total = Scalar.zero(mode)
-    for subset in combinations(range(data.m), n - 1):
-        pts = tuple(data.x[k] for k in subset)
-        term = schur(lam_i, pts, mode) * schur(lam_j, pts, mode).conj()
-        term = term * vandermonde(pts, mode).mag_sq()
-        if data.w is not None:
-            term = term * _weight_sq_subset(data, subset)
-        total = total + term
-    return total
+    s, _ = _minor_matrix(d, data)
+    return s[i - 1][j - 1]
 
 
 def fit(d, data):
@@ -262,21 +288,14 @@ def fit(d, data):
     data set when present.
     """
     n = len(d)
-    if data.m < n:
-        raise InsufficientDataError(
-            f"need at least {n} points for {n} model terms, got {data.m}"
-        )
-    lam = lambda_from_degrees(d)
-    dvalue, evals_d = _denominator_sum(d, data, lam)
-    if _zero_denominator(dvalue, d, data, lam):
+    _require_points(n, data)
+    dvalue, _, t, numerators, evaluations = _aggregates(d, data)
+    if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError(
             "denominator vanishes: the model matrix is rank deficient "
             f"(need at least {n} distinct positive real x values, or more "
             "generally an injective design matrix)"
         )
-    s, evals_s = _minor_matrix(d, data)
-    t = _moment_sums(d, data)
-    numerators = _signed_numerators(s, t)
     a = [ni / dvalue for ni in numerators]
     residual_sq = _residual_sq(data, t, a)
     return FitResult(
@@ -284,7 +303,7 @@ def fit(d, data):
         denominator=dvalue,
         numerators=numerators,
         residual_sq=residual_sq,
-        evaluations=evals_d + evals_s,
+        evaluations=evaluations,
     )
 
 
@@ -307,6 +326,26 @@ def _residual_sq(data, t, a):
     return (ysq - inner).real_part()
 
 
+def _checked_denominator(d, data):
+    _require_points(len(d), data)
+    dvalue, _ = _denominator_sum(d, data)
+    if _zero_denominator(dvalue, d, data.x):
+        raise NonUniqueSolutionError("denominator vanishes: B is undefined")
+    return dvalue
+
+
+def _append_b_columns(b, columns, tail):
+    """Append the column (-1)^(i+1) u_i (1-based i) for each (subset, u) in
+    `columns`, labelled by the 1-based subset followed by `tail`; float mode
+    divides by sqrt(D)."""
+    root = Scalar.from_float(b.denominator_root) if b.normalized else None
+    for subset, u in columns:
+        b.columns.append(tuple(k + 1 for k in subset) + tail)
+        for i, row in enumerate(b.entries):
+            e = -u[i] if i % 2 == 0 else u[i]
+            row.append(e if root is None else e / root)
+
+
 def b_matrix(d, data):
     """The wide matrix B of Eq-(5)-style columns over (n-1)-subsets.
 
@@ -315,79 +354,32 @@ def b_matrix(d, data):
     float mode divides through by sqrt(D).
     """
     n = len(d)
-    if data.m < n:
-        raise InsufficientDataError(
-            f"need at least {n} points for {n} model terms, got {data.m}"
-        )
-    mode = data.exact
-    lam = lambda_from_degrees(d)
-    dvalue, _ = _denominator_sum(d, data, lam)
-    if _zero_denominator(dvalue, d, data, lam):
-        raise NonUniqueSolutionError("denominator vanishes: B is undefined")
-    drops = [lambda_drop(d, i) for i in range(1, n + 1)]
-    columns = list(enumerate_subsets(data.m, n - 1))
-    entries = [[None] * len(columns) for _ in range(n)]
-    root = None if mode else Scalar.from_float(sqrt(float(dvalue.re)))
-    for c, col in enumerate(columns):
-        subset = tuple(k - 1 for k in col)
-        pts = tuple(data.x[k] for k in subset)
-        v = vandermonde(pts, mode)
-        wfac = Scalar.one(mode)
-        if data.w is not None:
-            for k in subset:
-                wfac = wfac * data.w[k]
-        for i in range(n):
-            e = schur(drops[i], pts, mode) * v * wfac
-            if (i + 1) % 2 == 1:
-                e = -e
-            entries[i][c] = e if mode else e / root
-    return BMatrix(
-        entries=entries,
-        columns=columns,
+    dvalue = _checked_denominator(d, data)
+    b = BMatrix(
+        entries=[[] for _ in range(n)],
+        columns=[],
         denominator_root_sq=dvalue,
-        normalized=not mode,
+        normalized=not data.exact,
     )
-
-
-def _bbstar(b):
-    """B B*: the n x n Hermitian product of B with its conjugate transpose.
-
-    For raw exact entries this is D * (A*A)^(-1); normalized float entries
-    give (A*A)^(-1) directly.
-    """
-    n = len(b.entries)
-    mode = b.entries[0][0].exact if b.entries and b.entries[0] else True
-    g = [[Scalar.zero(mode) for _ in range(n)] for _ in range(n)]
-    for c in range(len(b.columns)):
-        col = [b.entries[i][c] for i in range(n)]
-        conj_col = [v.conj() for v in col]
-        for i in range(n):
-            for j in range(n):
-                g[i][j] = g[i][j] + col[i] * conj_col[j]
-    return g
+    _append_b_columns(b, _subset_columns(data, _drops(d), n - 1), ())
+    return b
 
 
 def pseudoinverse(d, data):
     """The solution operator B B* A* (times W*W when weighted) as n x m.
 
-    Exact mode combines the two 1/sqrt(D) factors into a single final
-    division by D, so no square root ever appears.
+    B B* = (-1)^(i+j) S_{i,j} / D, so B itself is never built: each entry is
+    a signed minor-sum combination with one final division by D, and no
+    square root ever appears.
     """
-    b = b_matrix(d, data)
-    n = len(d)
-    mode = data.exact
-    a_mat = design_matrix(d, data.x)
-    g = _bbstar(b)
-    out = [[Scalar.zero(mode) for _ in range(data.m)] for _ in range(n)]
-    for i in range(n):
-        for k in range(data.m):
-            acc = Scalar.zero(mode)
-            for j in range(n):
-                acc = acc + g[i][j] * a_mat[k][j].conj()
-            acc = acc * data.weight_sq(k)
-            if mode:
-                acc = acc / b.denominator_root_sq
-            out[i][k] = acc
+    dvalue = _checked_denominator(d, data)
+    s, _ = _minor_matrix(d, data)
+    out = [[None] * data.m for _ in range(len(d))]
+    for k, row in enumerate(design_matrix(d, data.x)):
+        col = _signed_numerators(s, [v.conj() for v in row])
+        wsq = data.weight_sq(k)
+        for i, ci in enumerate(col):
+            out[i][k] = ci * wsq / dvalue
     return out
 
 

@@ -70,6 +70,15 @@ def test_fit_rank_deficient_exit_2(tmp_path, capsys):
     assert "distinct" in err
 
 
+def test_fit_float_overflow_exit_1(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1000,1\n1500,2\n2000,3\n")
+    code, out, err = run(capsys, "fit", "--degrees", "40,20,0", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+
 def test_fit_malformed_input_exit_1(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n1,zzz\n2,3\n")
@@ -158,6 +167,42 @@ def test_stream_underdetermined_exit_2_persists_state(tmp_path, capsys):
     assert code == EXIT_NON_UNIQUE
     assert snap.exists()
     assert json.loads(snap.read_text())["m"] == 2
+
+
+def test_stream_snapshot_refuses_other_degrees(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,2\n3,5\n")
+    snap = tmp_path / "state.json"
+    code, _, _ = run(
+        capsys, "stream", "--degrees", "2,1,0", "--exact", "--snapshot", str(snap), str(path)
+    )
+    assert code == EXIT_OK
+    saved = snap.read_text()
+    code, out, err = run(
+        capsys, "stream", "--degrees", "3,0", "--exact", "--snapshot", str(snap), str(path)
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degrees" in err
+    assert snap.read_text() == saved
+
+
+def test_stream_snapshot_refuses_other_mode(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,2\n3,5\n")
+    snap = tmp_path / "state.json"
+    code, _, _ = run(
+        capsys, "stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path)
+    )
+    assert code == EXIT_OK
+    code, out, err = run(capsys, "stream", "--degrees", "1,0", "--snapshot", str(snap), str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "mode" in err
+    assert json.loads(snap.read_text())["mode"] == "exact"
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
 def test_stream_skips_malformed_rows(tmp_path, capsys):

@@ -192,20 +192,21 @@ def test_single_term_running_sums():
 def test_extend_b_matrix_exact():
     rng = random.Random(58)
     d = Exponents((2, 1, 0))
-    data = random_dataset(rng, 6)
-    state = init_state(d, take(data, 5))
-    prior = b_matrix(d, take(data, 5))
-    extended = extend_b_matrix(state, prior, data.x[5])
-    assert len(extended.columns) == comb(6, 2)
-    assert len(prior.columns) + comb(5, 1) == len(extended.columns)
-    fresh = b_matrix(d, take(data, 6))
-    assert extended.denominator_root_sq == fresh.denominator_root_sq
-    # same entries per column subset, in appended order
-    fresh_by_col = {col: c for c, col in enumerate(fresh.columns)}
-    for c, col in enumerate(extended.columns):
-        fc = fresh_by_col[col]
-        for i in range(3):
-            assert extended.entries[i][c] == fresh.entries[i][fc]
+    for data in (random_dataset(rng, 6), random_dataset(rng, 6, complex_=True, weighted=True)):
+        state = init_state(d, take(data, 5))
+        prior = b_matrix(d, take(data, 5))
+        w_new = data.w[5] if data.w else None
+        extended = extend_b_matrix(state, prior, data.x[5], w_new)
+        assert len(extended.columns) == comb(6, 2)
+        assert len(prior.columns) + comb(5, 1) == len(extended.columns)
+        fresh = b_matrix(d, take(data, 6))
+        assert extended.denominator_root_sq == fresh.denominator_root_sq
+        # same entries per column subset, in appended order
+        fresh_by_col = {col: c for c, col in enumerate(fresh.columns)}
+        for c, col in enumerate(extended.columns):
+            fc = fresh_by_col[col]
+            for i in range(3):
+                assert extended.entries[i][c] == fresh.entries[i][fc]
 
 
 def test_extend_b_matrix_float_rescales():

@@ -336,6 +336,23 @@ def test_b_matrix_float_normalization():
             assert abs(lhs - sign * float(raw.re)) < 1e-9
 
 
+def test_b_matrix_times_adjoint_is_signed_minor_sums():
+    # B B* = (-1)^(i+j) S_ij exactly: the identity pseudoinverse builds on
+    rng = random.Random(37)
+    for _ in range(8):
+        n = rng.randint(1, 4)
+        d = random_exponents(rng, n)
+        data = random_dataset(rng, rng.randint(n, 7), complex_=True, weighted=True)
+        b = b_matrix(d, data)
+        for i in range(n):
+            for j in range(n):
+                acc = Scalar.zero(True)
+                for c in range(len(b.columns)):
+                    acc = acc + b.entries[i][c] * b.entries[j][c].conj()
+                s_ij = minor_sum(d, data, i + 1, j + 1)
+                assert acc == (s_ij if (i + j) % 2 == 0 else -s_ij)
+
+
 def test_pseudoinverse_identities():
     rng = random.Random(32)
     for _ in range(15):
