@@ -205,6 +205,7 @@ def cmd_stream(args, out=None):
         if state.a is not None:
             _emit(
                 {
+                    "degrees": list(degrees),
                     "m": state.m,
                     "coefficients": [format_scalar(a) for a in state.a],
                 },

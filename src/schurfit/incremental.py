@@ -13,7 +13,7 @@ can only be appended; removal is unsupported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 
 from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar, scalar_pow
 from .partitions import Exponents
@@ -223,8 +223,11 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
     n = len(d)
     m = state.m
     mode = state.exact
-    if len(prior_b.columns) and prior_b.columns[-1][-1] > m:
-        raise ValueError("prior B matrix does not match the state's point count")
+    if len(prior_b.columns) != comb(m, n - 1):
+        raise ValueError(
+            f"prior B matrix has {len(prior_b.columns)} columns; the state's "
+            f"{m} points give C({m}, {n - 1}) = {comb(m, n - 1)}"
+        )
 
     new_d = state.denom + _denominator_sum(d, state, (x_new, w_new))[0]
     entries = [list(row) for row in prior_b.entries]

@@ -1,10 +1,22 @@
 """Point evaluation of symmetric functions over Scalar tuples.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
-elementary symmetric polynomials (a lam1 x lam1 determinant after expanding
-one linear factor at a time).  The bialternant ratio and the semistandard
-tableaux sum are retained as independent cross-checks; the tableaux route is
-deliberately brute force and guarded to desk-scale inputs.
+elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
+with the e_k expanded one linear factor at a time.  Its entries vanish for
+k > r, the number of variables, so the matrix is banded and `det` eliminates
+inside the band only: O(lam1 * l(lam) * (r + l(lam))) work instead of
+O(lam1^3), which makes high sparse exponents such as (40, 20, 0) cheap.
+
+Float mode stays on this e-form although the h-form determinant (h_{lam_i -
+i + j}) is only l(lam) x l(lam): the h-form cancels.  For lam = (38, 19) on
+three points its 2 x 2 value h_38 h_19 - h_39 h_18 had relative error 1.0
+against s_lam(|x|) on points in (0, 2) and 1.6e8 on mixed-sign points, where
+the e-form elimination stayed below 4e-15 (see Demmel and Koev, "Accurate and
+efficient evaluation of Schur and Jack functions", Math. Comp. 2006).
+
+The bialternant ratio and the semistandard tableaux sum are retained as
+independent cross-checks; the tableaux route is deliberately brute force and
+guarded to desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -55,10 +67,17 @@ def vandermonde(z, exact=None):
 
 
 def det(rows, exact):
-    """Determinant of a square Scalar matrix.
+    """Determinant of a square Scalar matrix by Gaussian elimination that
+    skips zeros.
 
-    Exact mode runs fraction-free Bareiss elimination (no intermediate
-    blowup on integer input); float mode runs LU with partial pivoting.
+    Step k touches only the rows below the pivot with a nonzero entry in
+    column k and only the columns where the pivot row is nonzero, so a banded
+    matrix such as the dual Jacobi-Trudi one, whose entries e_k vanish for
+    k > r, costs O(width * band^2) instead of O(width^3).  Float mode pivots
+    on the first row of largest |a_ik|^2 (partial pivoting); a skipped update
+    is a - 0*b, so finite results are bit-identical to dense LU.  Exact mode
+    pivots on the first nonzero row; its Fractions are canonical, so the
+    value equals any other exact method's.
     """
     n = len(rows)
     if n == 0:
@@ -68,46 +87,23 @@ def det(rows, exact):
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     a = [list(r) for r in rows]
-    if exact:
-        return _det_bareiss(a, exact)
-    return _det_lu(a)
-
-
-def _det_bareiss(a, exact):
-    n = len(a)
-    sign = 1
-    prev = Scalar.one(exact)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Scalar.zero(exact)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def _det_lu(a):
-    n = len(a)
     sign = 1
     for k in range(n):
-        pivot = max(range(k, n), key=lambda r: float(a[r][k].mag_sq().re))
-        if a[pivot][k].is_zero():
-            return Scalar.zero(False)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
+        live = [i for i in range(k, n) if not a[i][k].is_zero()]
+        if not live:
+            return Scalar.zero(exact)
+        p = live[0] if exact else max(live, key=lambda i: float(a[i][k].mag_sq().re))
+        others = [a[i] for i in live if i != p]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - f * a[k][j]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        cols = [j for j in range(k + 1, n) if not pivot_row[j].is_zero()]
+        for row in others:
+            f = row[k] / pivot
+            for j in cols:
+                row[j] = row[j] - f * pivot_row[j]
     d = a[0][0]
     for k in range(1, n):
         d = d * a[k][k]

@@ -132,6 +132,15 @@ def test_stream_matches_batch(tmp_path, capsys):
     assert lines[-1]["coefficients"] == [format_scalar(a) for a in batch.coefficients]
 
 
+def test_stream_rows_name_their_degrees(tmp_path, capsys):
+    path, _ = write_quartic(tmp_path)
+    code, out, _ = run(capsys, "stream", "--degrees", "4,2,0", "--exact", str(path))
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(rows) == 9
+    assert all(row["degrees"] == [4, 2, 0] for row in rows)
+
+
 def test_stream_snapshot_resume(tmp_path, capsys):
     path, data = write_quartic(tmp_path)
     half = tmp_path / "head.csv"

@@ -209,6 +209,24 @@ def test_extend_b_matrix_exact():
                 assert extended.entries[i][c] == fresh.entries[i][fc]
 
 
+def test_extend_b_matrix_one_term_model():
+    # n = 1: B has the single column () and gains none
+    d = Exponents((2,))
+    x, y = ex(1, 2, 3), ex(1, 4, 10)
+    state = init_state(d, DataSet(x[:2], y[:2]))
+    extended = extend_b_matrix(state, b_matrix(d, DataSet(x[:2], y[:2])), x[2])
+    assert extended == b_matrix(d, DataSet(x, y))
+
+
+def test_extend_b_matrix_refuses_prior_from_fewer_points():
+    rng = random.Random(59)
+    d = Exponents((2, 1, 0))
+    data = random_dataset(rng, 5)
+    state = init_state(d, take(data, 4))
+    with pytest.raises(ValueError, match="C\\(4, 2\\) = 6"):
+        extend_b_matrix(state, b_matrix(d, take(data, 3)), data.x[4])
+
+
 def test_extend_b_matrix_float_rescales():
     d = Exponents((1, 0))
     x = [Scalar.from_float(v) for v in (1.0, 2.0, 4.0)]

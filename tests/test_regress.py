@@ -477,3 +477,14 @@ def test_fit_evaluation_count():
             continue
         m = data.m
         assert result.evaluations == comb(m, n) + n * n * comb(m, n - 1)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_sparse_high_degree_exact_fit_matches_oracle(m):
+    # (40,20,0): the Schur values are 38x38 and 39x39 banded determinants;
+    # the |x| are distinct because every term is even in x
+    d = Exponents((40, 20, 0))
+    x = ex(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(-7, 5))[:m]
+    y = ex(1, Fraction(-2, 3), 5, Fraction(1, 9))[:m]
+    data = DataSet(x, y)
+    assert scalars_equal(fit(d, data).coefficients, oracle.solve_normal(d, data))

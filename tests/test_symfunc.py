@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -198,3 +199,105 @@ def test_det_float_matches_exact():
         exact_val = det(rows, True)
         float_val = det([[v.to_float() for v in row] for row in rows], False)
         assert abs(float_val - exact_val.to_float()) < 1e-9 * max(1.0, abs(exact_val))
+
+
+def leibniz(rows, exact):
+    """Determinant as the signed sum over permutations, the reference for det."""
+    n = len(rows)
+    total = Scalar.zero(exact)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Scalar.one(exact)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_det_exact_matches_leibniz_on_sparse_matrices():
+    rng = random.Random(15)
+    zero = Scalar.zero(True)
+    for n in range(1, 7):
+        for trial in range(8):
+            density = (0.3, 0.6, 1.0)[trial % 3]
+            if trial % 2:
+                entry = lambda: exact_scalar(rng, complex_=True)
+            else:
+                entry = lambda: Scalar.from_exact(rng.randint(-4, 4))
+            rows = [[entry() if rng.random() < density else zero for _ in range(n)] for _ in range(n)]
+            assert det(rows, True) == leibniz(rows, True)
+
+
+def test_det_exact_singular_and_row_swaps():
+    rng = random.Random(16)
+    zero = Scalar.zero(True)
+
+    def nonzero():
+        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        return Scalar.from_exact(re, Fraction(rng.randint(-9, 9), 4))
+
+    for n in range(3, 7):
+        base = [[nonzero() for _ in range(n)] for _ in range(n)]
+        k = Scalar.from_exact(3, -1)
+        combined = base[:-1] + [[u + k * v for u, v in zip(base[0], base[1])]]
+        zero_column = [row[:1] + [zero] + row[2:] for row in base]
+        for singular in (combined, zero_column):
+            assert det(singular, True) == zero == leibniz(singular, True)
+        # zero pivots on the diagonal force row swaps
+        anti = [[base[i][j] if i + j == n - 1 else zero for j in range(n)] for i in range(n)]
+        hollow = [[zero if i == j else base[i][j] for j in range(n)] for i in range(n)]
+        assert not det(anti, True).is_zero()
+        for swapped in (anti, hollow):
+            assert det(swapped, True) == leibniz(swapped, True)
+
+
+def test_det_float_banded_matches_exact_lift():
+    # entries k/8 are exact in binary64, so the lift to Fractions is lossless;
+    # the tolerance is relative to Hadamard's bound prod ||row||
+    rng = random.Random(17)
+    for n in range(3, 13):
+        for complex_ in (False, True):
+            lo, hi = -rng.randint(1, 3), rng.randint(1, 4)
+
+            def entry(i, j):
+                if not lo <= j - i <= hi:
+                    return Scalar.from_exact(0)
+                im = Fraction(rng.randint(-16, 16), 8) if complex_ else 0
+                return Scalar.from_exact(Fraction(rng.randint(-16, 16), 8), im)
+
+            rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+            exact_val = det(rows, True)
+            float_val = det([[v.to_float() for v in row] for row in rows], False)
+            hadamard = 1.0
+            for row in rows:
+                hadamard *= max(sum(abs(v) ** 2 for v in row) ** 0.5, 1e-300)
+            assert abs(float_val - exact_val.to_float()) <= 1e-12 * hadamard
+
+
+HEADLINE_SHAPES = [(38, 19), (39, 20), (39,), (19,)]
+
+
+@pytest.mark.parametrize("parts", HEADLINE_SHAPES, ids=str)
+def test_jacobi_trudi_matches_bialternant_on_high_degree_shapes(parts):
+    # the (40,20,0) model's shapes: 38x38 and 39x39 banded determinants
+    lam = Partition(parts)
+    for z in (ex(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)), ex(2, Fraction(1, 7), -1)):
+        assert schur(lam, z) == schur_bialternant(lam, z)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [(Fraction(1, 16), Fraction(3, 32), Fraction(19, 16)), (Fraction(-3, 32), Fraction(3, 32), Fraction(7, 4))],
+    ids=["positive", "mixed_sign"],
+)
+def test_float_schur_accuracy_on_high_degree_shapes(points):
+    # On these points the h-form 2x2 determinant h_a h_b - h_(a+1) h_(b-1)
+    # loses every digit (relative error 1.0 on the positive points, 1.6e8 on
+    # the mixed-sign ones); the e-form elimination stays below 4e-15.
+    exact_z = ex(*points)
+    abs_z = ex(*(abs(v) for v in points))
+    float_z = tuple(v.to_float() for v in exact_z)
+    for parts in HEADLINE_SHAPES[:2]:
+        lam = Partition(parts)
+        scale = abs(schur(lam, abs_z))
+        assert abs(schur(lam, float_z) - schur(lam, exact_z).to_float()) <= 1e-10 * scale
