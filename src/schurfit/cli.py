@@ -237,15 +237,16 @@ def run_bench(degrees, sizes, repetitions=1, noise=0.01, seed=0):
 
     One untimed fit runs first, and the garbage collector is paused inside
     each timed fit, so neither the first call's warm-up nor a collection
-    lands in one size's timing and bends the log-log slope.
+    lands in one size's timing and bends the log-log slope.  The repetitions
+    go round-robin over the sizes and each size keeps its fastest time, so a
+    slow phase of a shared host slows one repetition of every size instead of
+    every repetition of one size.
     """
     regress.fit(degrees, quartic_example(m=min(sizes), noise=noise, seed=seed, exact=False))
-    results = []
-    for m in sizes:
-        data = quartic_example(m=m, noise=noise, seed=seed, exact=False)
-        best = None
-        result = None
-        for _ in range(repetitions):
+    datasets = [quartic_example(m=m, noise=noise, seed=seed, exact=False) for m in sizes]
+    rows = [{"m": m, "seconds": math.inf, "evaluations": None} for m in sizes]
+    for _ in range(repetitions):
+        for row, data in zip(rows, datasets):
             gc.disable()
             try:
                 start = time.perf_counter()
@@ -253,9 +254,9 @@ def run_bench(degrees, sizes, repetitions=1, noise=0.01, seed=0):
                 elapsed = time.perf_counter() - start
             finally:
                 gc.enable()
-            best = elapsed if best is None else min(best, elapsed)
-        results.append({"m": m, "seconds": best, "evaluations": result.evaluations})
-    return results
+            row["seconds"] = min(row["seconds"], elapsed)
+            row["evaluations"] = result.evaluations
+    return rows
 
 
 def cmd_bench(args, out=None):
@@ -264,6 +265,8 @@ def cmd_bench(args, out=None):
     sizes = [int(v) for v in args.sizes.split(",")]
     if len(sizes) < 4:
         raise ValueError("bench needs at least 4 sizes to estimate a slope")
+    if args.repetitions < 1:
+        raise ValueError("bench needs at least 1 repetition")
     rows = run_bench(degrees, sizes, args.repetitions, args.noise, args.seed)
     slope = fit_loglog_slope([r["m"] for r in rows], [r["seconds"] for r in rows])
     if args.output == "tsv":

@@ -26,7 +26,6 @@ from .regress import (
     _denominator_sum,
     _drops,
     _minor_matrix,
-    _subset_columns,
     _zero_denominator,
 )
 
@@ -240,5 +239,5 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
         denominator_root_sq=new_d,
         normalized=not mode,
     )
-    _append_b_columns(b, _subset_columns(state, _drops(d), n - 2, (x_new, w_new)), (m + 1,))
+    _append_b_columns(b, state, _drops(d), n - 2, (x_new, w_new), (m + 1,))
     return b

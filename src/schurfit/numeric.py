@@ -1,10 +1,12 @@
 """Complex scalar arithmetic in two modes: exact Gaussian-rational and binary64.
 
-Every other module computes over ``Scalar`` values.  Exact mode keeps the real
-and imaginary parts as arbitrary-precision ``Fraction``s, so sums and products
-never round; division is exact and only legal by a nonzero scalar.  Float mode
-keeps binary64 components.  Mixing the two modes in one expression is a bug in
-the caller and raises ``ScalarModeError`` instead of silently promoting.
+Every public value is a ``Scalar``; only the subset kernel in `regress`
+computes on plain float, complex or Fraction values and wraps its sums.  Exact
+mode keeps the real and imaginary parts as arbitrary-precision ``Fraction``s,
+so sums and products never round; division is exact and only legal by a
+nonzero scalar.  Float mode keeps binary64 components.  Mixing the two modes
+in one expression is a bug in the caller and raises ``ScalarModeError``
+instead of silently promoting.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class Scalar:
     def conj(self):
         return Scalar(self.re, -self.im, self.exact)
 
+    conjugate = conj  # the name float, complex and Fraction use
+
     def mag_sq(self):
         """conj(self) * self, always real and non-negative."""
         return Scalar(self.re * self.re + self.im * self.im, self.re * 0, self.exact)
@@ -107,6 +111,9 @@ class Scalar:
 
     def is_zero(self):
         return self.re == 0 and self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):

@@ -12,6 +12,12 @@ Every subset sum -- D, S, the B matrix and the streaming increments in
 u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l in lexicographic order, and
 `_hermitian_sum` adds up u u*.  B's columns are the signed u vectors; the
 pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
+
+The kernel computes on plain numbers: `_lift` converts points and weights
+once per call to float, complex or Fraction (Gaussian rationals stay Scalar)
+and `_wrap` turns each sum or B entry back into a Scalar; the rest of the
+module works on Scalars.  The kernel calls `schur` and `vandermonde` by the
+names bound here, where a tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import sqrt
+from operator import attrgetter
 
 from .numeric import Scalar, ScalarModeError, scalar_pow
 from .partitions import Exponents, lambda_drop, lambda_from_degrees
-from .symfunc import schur, vandermonde
+from .symfunc import NATIVE, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -78,7 +85,7 @@ class FitResult:
 
     `numerators` and `denominator` are the raw aggregates N_i and D with
     a_i = N_i / D, retained so a fit can seed the incremental updater.
-    `residual_sq` is the exact squared minimal distance.
+    `residual_sq` is the squared minimal distance, exact in exact mode.
     """
 
     coefficients: list
@@ -145,19 +152,52 @@ def _drops(d):
     return [lambda_drop(d, i) for i in range(1, len(d) + 1)]
 
 
-def _subset_columns(points, lams, r, extra=None):
-    """Yield (subset, u) for each r-subset of `points` in lexicographic order,
-    with u_i = w_l * s_{lams[i]}(x_l) * V(x_l) over the subset's points x_l.
+def _lift(points, extra=None):
+    """x and w of `points` (a DataSet or a streaming state) and the optional
+    `extra` = (x, w or None), lifted together to one number type.
 
-    `points` is anything with x, w and exact (a DataSet or a streaming state).
-    `extra` = (x, w or None) joins every subset as one more point; `subset`
-    holds only the 0-based indices into `points`.  No subsets when r < 0.
+    Real float data becomes float, complex float data complex and real exact
+    data Fraction; Gaussian-rational exact data stays Scalar.  Returns
+    (x, w, tail, w_tail, mode): tail is () or the extra x as a 1-tuple, and
+    mode, the `exact` the kernel passes to `symfunc`, is NATIVE for the
+    native types, so that an empty point gives the int 1, and True for
+    Scalars.
+    """
+    mode = points.exact
+    tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[1])
+    scalars = [*points.x, *(points.w or ()), *tail, *(() if w_tail is None else (w_tail,))]
+    if any(s.exact is not mode for s in scalars):
+        raise ScalarModeError("point does not match the data's numeric mode")
+    if any(s.im for s in scalars):
+        if mode:
+            return points.x, points.w, tail, w_tail, True
+        lift = complex
+    else:
+        lift = attrgetter("re")
+    w = None if points.w is None else [lift(v) for v in points.w]
+    w_tail = None if w_tail is None else lift(w_tail)
+    return [lift(v) for v in points.x], w, tuple(lift(v) for v in tail), w_tail, NATIVE
+
+
+def _wrap(v, exact):
+    """A kernel value as a Scalar of the data's mode."""
+    if isinstance(v, Scalar):
+        return v
+    return (Scalar.from_exact if exact else Scalar.from_float)(v.real, v.imag)
+
+
+def _subset_columns(lifted, lams, r):
+    """Yield (subset, u) for each r-subset of the lifted points in
+    lexicographic order, with u_i = w_l * s_{lams[i]}(x_l) * V(x_l) over the
+    subset's points x_l, in the lifted number type.
+
+    `lifted` comes from `_lift`; its extra point joins every subset, and
+    `subset` holds only the 0-based indices into the other points.  No
+    subsets when r < 0.
     """
     if r < 0:
         return
-    mode = points.exact
-    x, w = points.x, points.w
-    tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[1])
+    x, w, tail, w_tail, mode = lifted
     for subset in combinations(range(len(x)), r):
         pts = tuple(x[k] for k in subset) + tail
         v = vandermonde(pts, mode)
@@ -169,35 +209,38 @@ def _subset_columns(points, lams, r, extra=None):
         yield subset, [schur(lam, pts, mode) * v for lam in lams]
 
 
-def _hermitian_sum(columns, n, mode):
-    """Sum of u u* over the (subset, u) columns, and the count n^2 * #columns.
+def _hermitian_sum(points, lams, r, extra=None):
+    """Sum of u u* over the kernel's r-subset columns of `points` (see
+    `_lift` for `extra`) as an n x n Scalar matrix, n = len(lams), and the
+    count n^2 * #columns.
 
-    Only the upper triangle is multiplied out: the diagonal is |u_i|^2 and the
-    lower triangle is the conjugate of the upper one.
+    The sum runs in the lifted type and each entry is wrapped once.  Only the
+    upper triangle is multiplied out; the lower one is its conjugate.
     """
-    zero = Scalar.zero(mode)
+    lifted = _lift(points, extra)
+    n = len(lams)
+    zero = 0 if lifted[-1] is NATIVE else Scalar.zero(True)  # 0 + v == v in native types
     acc = [[zero] * n for _ in range(n)]
     count = 0
-    for _, u in columns:
+    for _, u in _subset_columns(lifted, lams, r):
+        u_conj = [v.conjugate() for v in u]
         for i in range(n):
             row, ui = acc[i], u[i]
-            row[i] = row[i] + ui.mag_sq()
-            for j in range(i + 1, n):
-                row[j] = row[j] + ui * u[j].conj()
+            for j in range(i, n):
+                row[j] = row[j] + ui * u_conj[j]
         count += 1
+    out = [[_wrap(v, points.exact) for v in row] for row in acc]
     for i in range(1, n):
         for j in range(i):
-            acc[i][j] = acc[j][i].conj()
-    return acc, count * n * n
+            out[i][j] = out[j][i].conj()
+    return out, count * n * n
 
 
 def _denominator_sum(d, points, extra=None):
     """D = sum over n-subsets of |w_l s_lam(x_l) V(x_l)|^2 and its term count;
     with `extra`, only the n-subsets made of n-1 points plus that point."""
     r = len(d) - (extra is not None)
-    total, count = _hermitian_sum(
-        _subset_columns(points, [lambda_from_degrees(d)], r, extra), 1, points.exact
-    )
+    total, count = _hermitian_sum(points, [lambda_from_degrees(d)], r, extra)
     return total[0][0], count
 
 
@@ -210,7 +253,7 @@ def _minor_matrix(d, points, extra=None):
     """
     n = len(d)
     r = n - 1 - (extra is not None)
-    return _hermitian_sum(_subset_columns(points, _drops(d), r, extra), n, points.exact)
+    return _hermitian_sum(points, _drops(d), r, extra)
 
 
 def _moment_sums(d, data):
@@ -289,7 +332,7 @@ def fit(d, data):
     """
     n = len(d)
     _require_points(n, data)
-    dvalue, _, t, numerators, evaluations = _aggregates(d, data)
+    dvalue, _, _, numerators, evaluations = _aggregates(d, data)
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError(
             "denominator vanishes: the model matrix is rank deficient "
@@ -297,7 +340,7 @@ def fit(d, data):
             "generally an injective design matrix)"
         )
     a = [ni / dvalue for ni in numerators]
-    residual_sq = _residual_sq(data, t, a)
+    residual_sq = _residual_sq(d, data, a)
     return FitResult(
         coefficients=a,
         denominator=dvalue,
@@ -314,16 +357,21 @@ def fit_weighted(d, data):
     return fit(d, data)
 
 
-def _residual_sq(data, t, a):
-    """||y||_W^2 - Re<(WA)* W y | a>, the squared minimal distance."""
-    mode = data.exact
-    ysq = Scalar.zero(mode)
-    for k in range(data.m):
-        ysq = ysq + data.y[k].mag_sq() * data.weight_sq(k)
-    inner = Scalar.zero(mode)
-    for tj, aj in zip(t, a):
-        inner = inner + tj.conj() * aj
-    return (ysq - inner).real_part()
+def _residual_sq(d, data, a):
+    """The squared minimal distance ||y - A a||_W^2, summed directly as
+    sum_k |w_k|^2 |y_k - sum_j a_j x_k^{d_j}|^2.
+
+    The shorter identity ||y||_W^2 - Re<(WA)* W y | a> is a difference of two
+    nearly equal numbers; in binary64 it can leave pure rounding noise, even a
+    negative value, where the fit is exact.
+    """
+    total = Scalar.zero(data.exact)
+    for k, row in enumerate(design_matrix(d, data.x)):
+        r = data.y[k]
+        for aj, pj in zip(a, row):
+            r = r - aj * pj
+        total = total + r.mag_sq() * data.weight_sq(k)
+    return total
 
 
 def _checked_denominator(d, data):
@@ -334,16 +382,16 @@ def _checked_denominator(d, data):
     return dvalue
 
 
-def _append_b_columns(b, columns, tail):
-    """Append the column (-1)^(i+1) u_i (1-based i) for each (subset, u) in
-    `columns`, labelled by the 1-based subset followed by `tail`; float mode
-    divides by sqrt(D)."""
-    root = Scalar.from_float(b.denominator_root) if b.normalized else None
-    for subset, u in columns:
+def _append_b_columns(b, points, lams, r, extra, tail):
+    """Append the column (-1)^(i+1) u_i (1-based i) for each kernel column of
+    `points` (see `_subset_columns`), labelled by the 1-based subset followed
+    by `tail`; float mode divides by sqrt(D) before wrapping."""
+    root = b.denominator_root if b.normalized else None
+    for subset, u in _subset_columns(_lift(points, extra), lams, r):
         b.columns.append(tuple(k + 1 for k in subset) + tail)
         for i, row in enumerate(b.entries):
             e = -u[i] if i % 2 == 0 else u[i]
-            row.append(e if root is None else e / root)
+            row.append(_wrap(e if root is None else e / root, points.exact))
 
 
 def b_matrix(d, data):
@@ -361,7 +409,7 @@ def b_matrix(d, data):
         denominator_root_sq=dvalue,
         normalized=not data.exact,
     )
-    _append_b_columns(b, _subset_columns(data, _drops(d), n - 1), ())
+    _append_b_columns(b, data, _drops(d), n - 1, None, ())
     return b
 
 

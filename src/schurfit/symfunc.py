@@ -1,4 +1,10 @@
-"""Point evaluation of symmetric functions over Scalar tuples.
+"""Point evaluation of symmetric functions.
+
+`elem_sym_all`, `vandermonde`, `det` and `schur` take points of Scalars, which
+give Scalars, or of native float, complex or Fraction values, which compute
+in their own type; the subset kernel in `regress` uses the latter.  They need
+only + - * /, a zero test (bool) and, for float pivoting, |a|^2.  An empty
+point gives the Scalar 0 and 1, or with exact=NATIVE the ints 0 and 1.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -28,6 +34,9 @@ from .partitions import Partition, conjugate
 
 SSYT_MAX_WEIGHT = 12
 SSYT_MAX_VARS = 6
+# `exact` value with which an empty point gives the ints 0 and 1 instead of
+# Scalars; the native subset kernel in `regress` passes it for its points
+NATIVE = "native"
 
 
 def _mode_of(z, exact=None):
@@ -41,14 +50,35 @@ def _mode_of(z, exact=None):
     return mode
 
 
+def _kind(z, exact=None):
+    """(exact, zero, one) for the number type of point z.
+
+    Scalar points, and an empty point unless exact is NATIVE, get the Scalar
+    zero and one.  Native points, exact unless float or complex, and an empty
+    point with exact=NATIVE get the ints 0 and 1, exact identities in every
+    type.
+    """
+    if z and not isinstance(z[0], Scalar):
+        return not isinstance(z[0], (float, complex)), 0, 1
+    if exact is NATIVE:
+        return NATIVE, 0, 1
+    mode = _mode_of(z, exact)
+    return mode, Scalar.zero(mode), Scalar.one(mode)
+
+
+def _abs_sq(a):
+    """|a|^2 in binary64, the pivot size of float elimination."""
+    a = complex(a)
+    return a.real * a.real + a.imag * a.imag
+
+
 def elem_sym_all(z, exact=None):
     """All elementary symmetric values (e_0, ..., e_r) of z, e_0 = 1.
 
     Expands prod(X - z_j) one factor at a time: the j-th factor costs j-1
     extra multiplications, n(n-1) flops in total.
     """
-    mode = _mode_of(z, exact)
-    e = [Scalar.one(mode)]
+    e = [_kind(z, exact)[2]]
     for j, zj in enumerate(z):
         e.append(e[j] * zj)
         for k in range(j, 0, -1):
@@ -58,8 +88,7 @@ def elem_sym_all(z, exact=None):
 
 def vandermonde(z, exact=None):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    mode = _mode_of(z, exact)
-    v = Scalar.one(mode)
+    v = _kind(z, exact)[2]
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
             v = v * (z[i] - z[j])
@@ -67,17 +96,18 @@ def vandermonde(z, exact=None):
 
 
 def det(rows, exact):
-    """Determinant of a square Scalar matrix by Gaussian elimination that
-    skips zeros.
+    """Determinant of a square matrix by Gaussian elimination that skips
+    zeros.
 
-    Step k touches only the rows below the pivot with a nonzero entry in
-    column k and only the columns where the pivot row is nonzero, so a banded
-    matrix such as the dual Jacobi-Trudi one, whose entries e_k vanish for
-    k > r, costs O(width * band^2) instead of O(width^3).  Float mode pivots
-    on the first row of largest |a_ik|^2 (partial pivoting); a skipped update
-    is a - 0*b, so finite results are bit-identical to dense LU.  Exact mode
-    pivots on the first nonzero row; its Fractions are canonical, so the
-    value equals any other exact method's.
+    The entries are Scalars or native numbers of one type; `exact` selects
+    the pivot rule.  Step k touches only the rows below the pivot with a
+    nonzero entry in column k and only the columns where the pivot row is
+    nonzero, so a banded matrix such as the dual Jacobi-Trudi one, whose
+    entries e_k vanish for k > r, costs O(width * band^2) instead of
+    O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
+    (partial pivoting); a skipped update is a - 0*b, so finite results are
+    bit-identical to dense LU.  Exact mode pivots on the first nonzero row;
+    its Fractions are canonical, so the value equals any other exact method's.
     """
     n = len(rows)
     if n == 0:
@@ -89,17 +119,17 @@ def det(rows, exact):
     a = [list(r) for r in rows]
     sign = 1
     for k in range(n):
-        live = [i for i in range(k, n) if not a[i][k].is_zero()]
+        live = [i for i in range(k, n) if a[i][k]]
         if not live:
-            return Scalar.zero(exact)
-        p = live[0] if exact else max(live, key=lambda i: float(a[i][k].mag_sq().re))
+            return Scalar.zero(exact) if isinstance(a[k][k], Scalar) else 0
+        p = live[0] if exact else max(live, key=lambda i: _abs_sq(a[i][k]))
         others = [a[i] for i in live if i != p]
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot_row = a[k]
         pivot = pivot_row[k]
-        cols = [j for j in range(k + 1, n) if not pivot_row[j].is_zero()]
+        cols = [j for j in range(k + 1, n) if pivot_row[j]]
         for row in others:
             f = row[k] / pivot
             for j in cols:
@@ -142,15 +172,14 @@ def schur(lam, z, exact=None):
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
     """
-    mode = _mode_of(z, exact)
+    mode, zero, one = _kind(z, exact)
     parts = lam.normalized()
     if not parts:
-        return Scalar.one(mode)
+        return one
     r = len(z)
     if len(parts) > r:
-        return Scalar.zero(mode)
+        return zero
     e = elem_sym_all(z, mode)
-    zero = Scalar.zero(mode)
     idx = _jacobi_trudi_indices(parts, r)
     if len(idx) == 1:
         return e[idx[0][0]] if idx[0][0] is not None else zero

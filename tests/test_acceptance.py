@@ -278,7 +278,7 @@ def test_criterion_10_complexity_slope_and_counter():
     with criterion(10, "cubic scaling and evaluation counts"):
         d = Exponents((4, 2, 0))
         sizes = [40, 80, 120, 160, 200]
-        rows = run_bench(d, sizes, repetitions=1, noise=0.01, seed=10)
+        rows = run_bench(d, sizes, repetitions=3, noise=0.01, seed=10)
         slope = fit_loglog_slope(sizes, [r["seconds"] for r in rows])
         assert 2.7 <= slope <= 3.3, f"slope {slope:.3f} outside [2.7, 3.3]"
         for m, row in zip(sizes, rows):

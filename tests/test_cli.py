@@ -293,6 +293,12 @@ def test_bench_smoke(capsys):
     assert len(report["timings"]) == 4
 
 
+def test_bench_refuses_zero_repetitions(capsys):
+    code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", "8,12,16,20", "--repetitions", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_degrees_is_usage_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,0\n1,1\n")

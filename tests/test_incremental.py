@@ -278,6 +278,13 @@ def test_removal_and_mode_errors():
         update(state, Scalar.from_float(1.0), Scalar.from_float(1.0))
     with pytest.raises(ValueError):
         update(state, Scalar.from_exact(3), Scalar.from_exact(3), Scalar.from_exact(1))
+    # the subset kernel lifts every value to one number type, so a float weight
+    # or point must not slip into exact sums
+    with pytest.raises(ScalarModeError):
+        extend_b_matrix(state, b_matrix(d, DataSet(ex(1, 2), ex(1, 2))), Scalar.from_float(3.0))
+    weighted = init_state(d, DataSet(ex(1, 2), ex(1, 2), ex(1, 1)))
+    with pytest.raises(ScalarModeError):
+        update(weighted, Scalar.from_exact(3), Scalar.from_exact(3), Scalar.from_float(1.0))
 
 
 def test_degenerate_stream_recovers():

@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
 import pytest
 
-from schurfit import oracle
+from schurfit import oracle, regress
 from schurfit.numeric import Scalar, scalar_pow
-from schurfit.partitions import Exponents, lambda_drop, lambda_from_degrees
+from schurfit.partitions import Exponents, Partition, lambda_drop, lambda_from_degrees
 from schurfit.regress import (
     DataSet,
     InsufficientDataError,
@@ -488,3 +489,124 @@ def test_sparse_high_degree_exact_fit_matches_oracle(m):
     y = ex(1, Fraction(-2, 3), 5, Fraction(1, 9))[:m]
     data = DataSet(x, y)
     assert scalars_equal(fit(d, data).coefficients, oracle.solve_normal(d, data))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, Fraction(3, 10)), (Fraction(3, 2), Fraction(-6, 5)), (2, Fraction(5, 2))],
+        [
+            (1 + Fraction(3, 256), Fraction(11, 10)),
+            (2 + Fraction(5, 256), Fraction(-7, 10)),
+            (3 + Fraction(1, 256), Fraction(2, 5)),
+        ],
+    ],
+)
+def test_float_residual_of_an_interpolation_is_rounding_small(points):
+    # three points, three terms: the fit interpolates, so the residual is 0
+    # up to rounding; ||y||^2 - Re<T, a> cancelled to 2e-10 and -1.5e-11 here
+    d = Exponents((40, 20, 0))
+    data = DataSet(
+        [Scalar.from_float(x) for x, _ in points], [Scalar.from_float(y) for _, y in points]
+    )
+    residual_sq = float(fit(d, data).residual_sq.re)
+    ysq = sum(float(y) ** 2 for _, y in points)
+    assert 0.0 <= residual_sq <= 1e-15 * ysq
+
+
+def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
+    # a traced benchmark run counts subsets by wrapping regress.schur and
+    # regress.vandermonde, so the kernel must call exactly those names
+    calls = Counter()
+
+    def counting(name, fn, point_arg):
+        def wrapper(*args, **kwargs):
+            calls[name, len(args[point_arg])] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(regress, "schur", counting("schur", regress.schur, 1))
+    monkeypatch.setattr(regress, "vandermonde", counting("vandermonde", regress.vandermonde, 0))
+    fit(Exponents((4, 2, 0)), well_conditioned_dataset(random.Random(43), 12))
+    assert calls == {
+        ("vandermonde", 3): comb(12, 3),
+        ("vandermonde", 2): comb(12, 2),
+        ("schur", 3): comb(12, 3),
+        ("schur", 2): 3 * comb(12, 2),
+    }
+
+
+def _lift_cases():
+    """(number type the kernel lifts to, exact, data set) for each lift,
+    including real x with Gaussian weights, which must lift x and w together."""
+    rng = random.Random(44)
+
+    def q():
+        return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+
+    def points(gaussian):
+        seen, out = set(), []
+        while len(out) < 6:
+            v = (q(), q() if gaussian else 0)
+            if v not in seen:
+                seen.add(v)
+                out.append(Scalar.from_exact(*v))
+        return out
+
+    def weights(gaussian):
+        return [
+            Scalar.from_exact(rng.randint(1, 4), rng.randint(1, 3) if gaussian else 0)
+            for _ in range(6)
+        ]
+
+    cases = []
+    for lifted, exact, gaussian_x, gaussian_w in [
+        (float, False, False, False),
+        (complex, False, True, False),
+        (complex, False, False, True),
+        (Fraction, True, False, False),
+        (Scalar, True, True, False),
+        (Scalar, True, True, True),
+        (Scalar, True, False, True),
+    ]:
+        x, y, w = points(gaussian_x), points(True), weights(gaussian_w)
+        if not exact:
+            x, y, w = ([v.to_float() for v in vs] for vs in (x, y, w))
+        cases.append((lifted, exact, DataSet(x, y, w)))
+    return cases
+
+
+@pytest.mark.parametrize("lifted,exact,data", _lift_cases())
+def test_every_lifted_number_type_matches_gram_and_oracle(lifted, exact, data):
+    d = Exponents((3, 1, 0))
+    x, w = regress._lift(data)[:2]
+    assert all(type(v) is lifted for v in x + w)
+    dvalue = denominator(d, data)
+    coefficients = fit(d, data).coefficients
+    if exact:
+        assert dvalue == det(gram(d, data), True)
+        assert scalars_equal(coefficients, oracle.solve_normal(d, data))
+    else:
+        assert max_rel_diff([dvalue], [det(gram(d, data), False)]) <= 1e-10
+        assert max_rel_diff(coefficients, oracle.solve_normal(d, data)) <= 1e-10
+
+
+@pytest.mark.parametrize("lifted,exact,data", _lift_cases())
+def test_symfunc_on_native_points_matches_scalar_points(lifted, exact, data):
+    native = regress._lift(data)[0]
+
+    def same(value, reference):
+        if exact:
+            return regress._wrap(value, True) == reference
+        return max_rel_diff([regress._wrap(value, False)], [reference]) <= 1e-13
+
+    for k in range(3, 6):
+        pts, scalar_pts = tuple(native[:k]), tuple(data.x[:k])
+        assert same(vandermonde(pts), vandermonde(scalar_pts))
+        for parts in [(2, 1), (3,), (3, 2), (4, 1, 1)]:
+            lam = Partition(parts)
+            assert same(schur(lam, pts), schur(lam, scalar_pts))
+        rows = [[pts[(i + j) % k] * pts[j] for j in range(k)] for i in range(k)]
+        scalar_rows = [[scalar_pts[(i + j) % k] * scalar_pts[j] for j in range(k)] for i in range(k)]
+        assert same(det(rows, exact), det(scalar_rows, exact))

@@ -7,6 +7,7 @@ import pytest
 from schurfit.numeric import Scalar
 from schurfit.partitions import Partition, staircase
 from schurfit.symfunc import (
+    NATIVE,
     alternating,
     det,
     elem_sym_all,
@@ -44,6 +45,32 @@ def test_vandermonde_examples():
     assert vandermonde(ex(3, 1)) == Scalar.from_exact(2)
     assert vandermonde(ex(1, 2, 3)) == Scalar.from_exact(-2)
     assert vandermonde((), exact=True) == Scalar.one(True)
+    # native points compute in their own type
+    assert vandermonde((Fraction(3), Fraction(1))) == Fraction(2)
+    assert vandermonde((1.5, 0.5, -0.5)) == 2.0
+
+
+def test_empty_point_gives_scalars_unless_native():
+    one, zero = Scalar.one(True), Scalar.zero(True)
+    lam = Partition((2, 1))
+    for got, want in [
+        (vandermonde(()), one),
+        (elem_sym_all(()), [one]),
+        (schur(Partition(()), ()), one),
+        (schur(lam, ()), zero),
+        (schur(lam, (), exact=False), Scalar.zero(False)),
+    ]:
+        assert got == want
+        assert all(isinstance(v, Scalar) for v in (got if isinstance(got, list) else [got]))
+    assert schur(lam, ()).is_zero()
+    for got, want in [
+        (vandermonde((), NATIVE), 1),
+        (elem_sym_all((), NATIVE), [1]),
+        (schur(Partition(()), (), NATIVE), 1),
+        (schur(lam, (), NATIVE), 0),
+    ]:
+        assert got == want
+        assert not isinstance(got, Scalar)
 
 
 def test_alternating_staircase_is_vandermonde():
