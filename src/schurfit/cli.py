@@ -3,8 +3,8 @@
 Input files are header-bearing delimited text with columns x, y and
 optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i").
 Reports are JSON (default) or TSV.  Exit codes: 0 success, 1 usage or I/O
-trouble, a snapshot that does not match the command line, or an arithmetic
-failure such as float overflow, 2 no unique solution.
+trouble, a malformed snapshot or one that does not match the command line, or
+an arithmetic failure such as float overflow, 2 no unique solution.
 """
 
 from __future__ import annotations

@@ -2,31 +2,31 @@
 
 A ``RegressionState`` caches the aggregates behind the solution formula: the
 minor-sum matrix S, the moment sums T, the signed numerators N, and the
-denominator D.  Appending a point then only needs the subset sums that
-involve the new point -- C(m, n-2) Schur products for the S increment R and
-C(m, n-1) terms for the D increment -- dropping the per-point cost from
-O(m^n) to O(m^(n-1)).  Both increments, and the new B columns, come from the
-subset kernel in `regress` with the new point joined to every subset.  Points
-can only be appended; removal is unsupported.
+denominator D.  Appending a point adds to D and S only the subset terms that
+contain it -- C(m, n-2) Schur products for the S increment R and C(m, n-1)
+terms for the D increment -- dropping the per-point cost from O(m^n) to
+O(m^(n-1)).  Those increments and the point's own moments come from
+`regress._aggregates`, the path a batch fit takes; N is then re-derived from
+the updated S and T.  Points can only be appended; removal is unsupported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, sqrt
+from types import SimpleNamespace
 
-from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar, scalar_pow
+from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar
 from .partitions import Exponents
 from .regress import (
     BMatrix,
-    DataSet,
     NonUniqueSolutionError,
     _aggregates,
     _append_b_columns,
     _denominator_sum,
-    _drops,
-    _minor_matrix,
-    _zero_denominator,
+    _lift,
+    _quotients,
+    _signed_numerators,
 )
 
 # Unused here: every subset sum runs through the regress kernel.  The names
@@ -96,10 +96,25 @@ class RegressionState:
 
     @staticmethod
     def from_dict(payload):
+        """The state `to_dict` saved; ValueError if the payload is not an
+        object, lacks a key, or has a length that disagrees with degrees and m."""
+        if not isinstance(payload, dict):
+            raise ValueError("snapshot is not a JSON object")
+        missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
+        if missing:
+            raise ValueError(f"snapshot lacks {', '.join(sorted(missing))}")
+        d, m, s = Exponents(payload["degrees"]), payload["m"], payload["S"]
+        sizes = {"x": m, "y": m, "w": m, "S": len(d), "T": len(d), "N": len(d), "a": len(d)}
+        rows = [("S", row) for row in s] if isinstance(s, list) else []
+        for key, value in [(k, payload.get(k)) for k in sizes] + rows:
+            if (value is not None or key not in ("w", "a")) and not (
+                isinstance(value, list) and len(value) == sizes[key]
+            ):
+                raise ValueError(f"snapshot {key} does not fit degrees {list(d)} and m = {m}")
         exact = payload["mode"] == "exact"
         p = lambda text: parse_scalar(text, exact)
         return RegressionState(
-            d=Exponents(payload["degrees"]),
+            d=d,
             exact=exact,
             x=[p(v) for v in payload["x"]],
             y=[p(v) for v in payload["y"]],
@@ -113,55 +128,32 @@ class RegressionState:
         )
 
 
-def _coefficients_or_none(d, x, n_vec, denom):
-    if _zero_denominator(denom, d, x):
-        return None
-    return [ni / denom for ni in n_vec]
+def _state(d, exact, x, y, w, denom, s, t, evaluations):
+    """The state of these points and aggregates, with N and a derived."""
+    n_vec = _signed_numerators(s, t)
+    a = _quotients(d, x, n_vec, denom)
+    return RegressionState(d, exact, x, y, w, s, t, n_vec, denom, a, evaluations)
 
 
 def init_state(d, data=None, *, exact=True):
-    """Build a state from an initial batch (or an empty stream).
+    """Build a state from an initial batch, or from no points at all.
 
-    With no data every aggregate is zero and coefficient queries error until
-    enough points arrive.
+    The empty stream is the aggregate of zero points, so D and T are zero,
+    and so is S except for one-term models, where the empty (n-1)-subset
+    gives S = 1.  Coefficient queries error until enough points arrive.
     """
-    if data is None:
-        n = len(d)
-        zero = Scalar.zero(exact)
-        return RegressionState(
-            d=d,
-            exact=exact,
-            x=[],
-            y=[],
-            w=None,
-            s=[[zero for _ in range(n)] for _ in range(n)],
-            t=[zero for _ in range(n)],
-            n_vec=[zero for _ in range(n)],
-            denom=zero,
-            a=None,
-        )
-    denom, s, t, n_vec, evaluations = _aggregates(d, data)
-    return RegressionState(
-        d=d,
-        exact=data.exact,
-        x=list(data.x),
-        y=list(data.y),
-        w=list(data.w) if data.w is not None else None,
-        s=s,
-        t=t,
-        n_vec=n_vec,
-        denom=denom,
-        a=_coefficients_or_none(d, data.x, n_vec, denom),
-        evaluations=evaluations,
-    )
+    points = data if data is not None else SimpleNamespace(x=[], y=[], w=None, exact=exact)
+    w = list(points.w) if points.w is not None else None
+    denom, s, t, evaluations = _aggregates(d, points)
+    return _state(d, points.exact, list(points.x), list(points.y), w, denom, s, t, evaluations)
 
 
 def update(state, x_new, y_new, w_new=None):
     """Append one data point and return the refreshed state.
 
-    The numerators are advanced division-free: N'_i adds the signed terms
-    (S + R)_{i,j} * dT_j + R_{i,j} * T_j with dT_j the new point's moment
-    contribution; coefficients are re-derived as N'_i / D' at the end.
+    D, S and T each grow by the new point's increments from
+    `regress._aggregates`; N' is re-derived from S' and T', and the
+    coefficients are N'_i / D'.
     """
     if x_new.exact is not state.exact or y_new.exact is not state.exact:
         raise ScalarModeError("new point does not match the state's numeric mode")
@@ -170,45 +162,13 @@ def update(state, x_new, y_new, w_new=None):
     if w_new is not None and w_new.is_zero():
         raise ValueError("weights must be nonzero")
 
-    d = state.d
-    n = len(d)
-    mode = state.exact
-    # R and the D increment: the subset sums over subsets holding the new point
-    r, evals_r = _minor_matrix(d, state, (x_new, w_new))
-    d_inc, evals_d = _denominator_sum(d, state, (x_new, w_new))
-
-    wsq_new = w_new.mag_sq() if w_new is not None else Scalar.one(mode)
-    xbar = x_new.conj()
-    dt = [scalar_pow(xbar, dj) * wsq_new * y_new for dj in d]
-
-    new_s = [[state.s[i][j] + r[i][j] for j in range(n)] for i in range(n)]
-    new_t = [state.t[j] + dt[j] for j in range(n)]
-    new_n = []
-    for i in range(n):
-        acc = state.n_vec[i]
-        for j in range(n):
-            term = new_s[i][j] * dt[j] + r[i][j] * state.t[j]
-            acc = acc + term if (i + j) % 2 == 0 else acc - term
-        new_n.append(acc)
-    new_d = state.denom + d_inc
-
-    new_x = state.x + [x_new]
-    new_w = None
-    if state.w is not None or w_new is not None:
-        new_w = (state.w or []) + [w_new]
-    return RegressionState(
-        d=d,
-        exact=mode,
-        x=new_x,
-        y=state.y + [y_new],
-        w=new_w,
-        s=new_s,
-        t=new_t,
-        n_vec=new_n,
-        denom=new_d,
-        a=_coefficients_or_none(d, new_x, new_n, new_d),
-        evaluations=state.evaluations + evals_r + evals_d,
-    )
+    d_inc, r, dt, evals = _aggregates(state.d, state, (x_new, y_new, w_new))
+    s = [[sij + rij for sij, rij in zip(srow, rrow)] for srow, rrow in zip(state.s, r)]
+    t = [tj + dtj for tj, dtj in zip(state.t, dt)]
+    x, y = state.x + [x_new], state.y + [y_new]
+    w = None if w_new is None else (state.w or []) + [w_new]
+    denom, evaluations = state.denom + d_inc, state.evaluations + evals
+    return _state(state.d, state.exact, x, y, w, denom, s, t, evaluations)
 
 
 def extend_b_matrix(state, prior_b, x_new, w_new=None):
@@ -218,26 +178,24 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
     columns are appended after the existing ones; the shared normalizer moves
     to the enlarged denominator.
     """
-    d = state.d
-    n = len(d)
-    m = state.m
-    mode = state.exact
+    d, n, m = state.d, len(state.d), state.m
     if len(prior_b.columns) != comb(m, n - 1):
         raise ValueError(
             f"prior B matrix has {len(prior_b.columns)} columns; the state's "
             f"{m} points give C({m}, {n - 1}) = {comb(m, n - 1)}"
         )
 
-    new_d = state.denom + _denominator_sum(d, state, (x_new, w_new))[0]
+    lifted = _lift(state, (x_new, None, w_new))
+    new_d = state.denom + _denominator_sum(d, lifted)[0]
     entries = [list(row) for row in prior_b.entries]
-    if not mode:
+    if not state.exact:
         rescale = Scalar.from_float(prior_b.denominator_root / sqrt(float(new_d.re)))
         entries = [[v * rescale for v in row] for row in entries]
     b = BMatrix(
         entries=entries,
         columns=list(prior_b.columns),
         denominator_root_sq=new_d,
-        normalized=not mode,
+        normalized=not state.exact,
     )
-    _append_b_columns(b, state, _drops(d), n - 2, (x_new, w_new), (m + 1,))
+    _append_b_columns(b, d, lifted)
     return b

@@ -4,9 +4,9 @@ Every public value is a ``Scalar``; only the subset kernel in `regress`
 computes on plain float, complex or Fraction values and wraps its sums.  Exact
 mode keeps the real and imaginary parts as arbitrary-precision ``Fraction``s,
 so sums and products never round; division is exact and only legal by a
-nonzero scalar.  Float mode keeps binary64 components.  Mixing the two modes
-in one expression is a bug in the caller and raises ``ScalarModeError``
-instead of silently promoting.
+nonzero scalar.  Float mode keeps binary64 components and divides as Python
+``complex`` does.  Mixing the two modes in one expression is a bug in the
+caller and raises ``ScalarModeError`` instead of silently promoting.
 """
 
 from __future__ import annotations
@@ -86,9 +86,14 @@ class Scalar:
 
     def __truediv__(self, other):
         self._check(other)
-        q = other.re * other.re + other.im * other.im
-        if q == 0:
+        if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
+        if not self.exact:
+            # complex division scales by the larger part of the divisor, so
+            # unlike |other|^2 it does not overflow for |other| above 1e154
+            q = complex(self.re, self.im) / complex(other.re, other.im)
+            return Scalar(q.real, q.imag, False)
+        q = other.re * other.re + other.im * other.im
         return Scalar(
             (self.re * other.re + self.im * other.im) / q,
             (self.im * other.re - self.re * other.im) / q,

@@ -7,28 +7,31 @@ division-free; the only division is the final a_i = N_i / D, so exact mode
 never rounds.  Weights enter as w_l factors on every subset term, per the
 weighted normal equation.
 
-Every subset sum -- D, S, the B matrix and the streaming increments in
-`incremental` -- runs through one kernel: `_subset_columns` yields the vector
+`_aggregates` gives D, S and T of a batch, or, for a point appended to a
+stream in `incremental`, their increments: the same sums restricted to the
+subsets that hold the new point.  Every subset sum -- D, S and the B matrix --
+runs through one kernel: `_subset_columns` yields the vector
 u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l in lexicographic order, and
 `_hermitian_sum` adds up u u*.  B's columns are the signed u vectors; the
 pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
 
 The kernel computes on plain numbers: `_lift` converts points and weights
-once per call to float, complex or Fraction (Gaussian rationals stay Scalar)
-and `_wrap` turns each sum or B entry back into a Scalar; the rest of the
-module works on Scalars.  The kernel calls `schur` and `vandermonde` by the
-names bound here, where a tracer can wrap them.
+once per public call to float, complex or Fraction (Gaussian rationals stay
+Scalar) and `_wrap` turns each sum or B entry back into a Scalar; the rest of
+the module works on Scalars.  The kernel calls `schur` and `vandermonde` by
+the names bound here, where a tracer can wrap them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from collections import namedtuple
+from dataclasses import dataclass
+from itertools import combinations, repeat
 from math import sqrt
 from operator import attrgetter
 
 from .numeric import Scalar, ScalarModeError, scalar_pow
-from .partitions import Exponents, lambda_drop, lambda_from_degrees
+from .partitions import lambda_drop, lambda_from_degrees
 from .symfunc import NATIVE, schur, vandermonde
 
 
@@ -152,31 +155,35 @@ def _drops(d):
     return [lambda_drop(d, i) for i in range(1, len(d) + 1)]
 
 
+# points and weights in the kernel's number type; see `_lift`
+_Lifted = namedtuple("_Lifted", "x w tail w_tail mode exact")
+
+
 def _lift(points, extra=None):
-    """x and w of `points` (a DataSet or a streaming state) and the optional
-    `extra` = (x, w or None), lifted together to one number type.
+    """x and w of `points` (a DataSet or a streaming state) and of the
+    optional appended point `extra` = (x, y, w or None), lifted together to
+    one number type; y is not lifted.
 
     Real float data becomes float, complex float data complex and real exact
-    data Fraction; Gaussian-rational exact data stays Scalar.  Returns
-    (x, w, tail, w_tail, mode): tail is () or the extra x as a 1-tuple, and
-    mode, the `exact` the kernel passes to `symfunc`, is NATIVE for the
-    native types, so that an empty point gives the int 1, and True for
-    Scalars.
+    data Fraction; Gaussian-rational exact data stays Scalar.  In the record,
+    tail is () or the appended x as a 1-tuple, and mode, the `exact` the
+    kernel passes to `symfunc`, is NATIVE for the native types, so that an
+    empty point gives the int 1, and True for Scalars.
     """
-    mode = points.exact
-    tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[1])
+    exact = points.exact
+    tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[2])
     scalars = [*points.x, *(points.w or ()), *tail, *(() if w_tail is None else (w_tail,))]
-    if any(s.exact is not mode for s in scalars):
+    if any(s.exact is not exact for s in scalars):
         raise ScalarModeError("point does not match the data's numeric mode")
     if any(s.im for s in scalars):
-        if mode:
-            return points.x, points.w, tail, w_tail, True
+        if exact:
+            return _Lifted(points.x, points.w, tail, w_tail, True, True)
         lift = complex
     else:
         lift = attrgetter("re")
     w = None if points.w is None else [lift(v) for v in points.w]
     w_tail = None if w_tail is None else lift(w_tail)
-    return [lift(v) for v in points.x], w, tuple(lift(v) for v in tail), w_tail, NATIVE
+    return _Lifted([lift(v) for v in points.x], w, tuple(map(lift, tail)), w_tail, NATIVE, exact)
 
 
 def _wrap(v, exact):
@@ -186,18 +193,18 @@ def _wrap(v, exact):
     return (Scalar.from_exact if exact else Scalar.from_float)(v.real, v.imag)
 
 
-def _subset_columns(lifted, lams, r):
-    """Yield (subset, u) for each r-subset of the lifted points in
+def _subset_columns(lifted, lams, size):
+    """Yield (subset, u) for each subset of `size` lifted points in
     lexicographic order, with u_i = w_l * s_{lams[i]}(x_l) * V(x_l) over the
     subset's points x_l, in the lifted number type.
 
-    `lifted` comes from `_lift`; its extra point joins every subset, and
-    `subset` holds only the 0-based indices into the other points.  No
-    subsets when r < 0.
+    When the record carries an appended point, only the subsets that hold it
+    count, and `subset` holds only the 0-based indices of the other points.
     """
+    x, w, tail, w_tail, mode, _ = lifted
+    r = size - len(tail)
     if r < 0:
         return
-    x, w, tail, w_tail, mode = lifted
     for subset in combinations(range(len(x)), r):
         pts = tuple(x[k] for k in subset) + tail
         v = vandermonde(pts, mode)
@@ -209,61 +216,52 @@ def _subset_columns(lifted, lams, r):
         yield subset, [schur(lam, pts, mode) * v for lam in lams]
 
 
-def _hermitian_sum(points, lams, r, extra=None):
-    """Sum of u u* over the kernel's r-subset columns of `points` (see
-    `_lift` for `extra`) as an n x n Scalar matrix, n = len(lams), and the
-    count n^2 * #columns.
+def _hermitian_sum(lifted, lams, size):
+    """Sum of u u* over the kernel's columns of `size`-point subsets as an
+    n x n Scalar matrix, n = len(lams), and the count n^2 * #columns.
 
     The sum runs in the lifted type and each entry is wrapped once.  Only the
     upper triangle is multiplied out; the lower one is its conjugate.
     """
-    lifted = _lift(points, extra)
     n = len(lams)
-    zero = 0 if lifted[-1] is NATIVE else Scalar.zero(True)  # 0 + v == v in native types
+    zero = 0 if lifted.mode is NATIVE else Scalar.zero(True)  # 0 + v == v in native types
     acc = [[zero] * n for _ in range(n)]
     count = 0
-    for _, u in _subset_columns(lifted, lams, r):
+    for _, u in _subset_columns(lifted, lams, size):
         u_conj = [v.conjugate() for v in u]
         for i in range(n):
             row, ui = acc[i], u[i]
             for j in range(i, n):
                 row[j] = row[j] + ui * u_conj[j]
         count += 1
-    out = [[_wrap(v, points.exact) for v in row] for row in acc]
+    out = [[_wrap(v, lifted.exact) for v in row] for row in acc]
     for i in range(1, n):
         for j in range(i):
             out[i][j] = out[j][i].conj()
     return out, count * n * n
 
 
-def _denominator_sum(d, points, extra=None):
-    """D = sum over n-subsets of |w_l s_lam(x_l) V(x_l)|^2 and its term count;
-    with `extra`, only the n-subsets made of n-1 points plus that point."""
-    r = len(d) - (extra is not None)
-    total, count = _hermitian_sum(points, [lambda_from_degrees(d)], r, extra)
+def _denominator_sum(d, lifted):
+    """D = sum over n-subsets of |w_l s_lam(x_l) V(x_l)|^2 and its term count."""
+    total, count = _hermitian_sum(lifted, [lambda_from_degrees(d)], len(d))
     return total[0][0], count
 
 
-def _minor_matrix(d, points, extra=None):
+def _minor_matrix(d, lifted):
     """All minor sums S_{i,j} at once, plus the number of summand evaluations.
 
     Each (n-1)-subset contributes the n^2 products
     s_{lam[i]}(x_l) * conj(s_{lam[j]}(x_l)) * |V(x_l)|^2 (weighted by |w_l|^2).
-    With `extra`, only the (n-1)-subsets that end in that point count.
     """
-    n = len(d)
-    r = n - 1 - (extra is not None)
-    return _hermitian_sum(points, _drops(d), r, extra)
+    return _hermitian_sum(lifted, _drops(d), len(d) - 1)
 
 
-def _moment_sums(d, data):
-    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k."""
-    n = len(d)
-    mode = data.exact
-    t = [Scalar.zero(mode) for _ in range(n)]
-    for k in range(data.m):
-        xbar = data.x[k].conj()
-        wy = data.weight_sq(k) * data.y[k]
+def _moment_sums(d, points, exact):
+    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over (x, y, w or None) triples."""
+    t = [Scalar.zero(exact) for _ in d]
+    for xk, yk, wk in points:
+        xbar = xk.conj()
+        wy = yk if wk is None else wk.mag_sq() * yk
         for j, dj in enumerate(d):
             t[j] = t[j] + scalar_pow(xbar, dj) * wy
     return t
@@ -272,10 +270,9 @@ def _moment_sums(d, data):
 def _signed_numerators(s, t):
     """N_i = sum_j (-1)^(i+j) S_{i,j} T_j (1-based signs)."""
     n = len(t)
-    mode = t[0].exact if n else True
     out = []
     for i in range(n):
-        acc = Scalar.zero(mode)
+        acc = Scalar.zero(t[0].exact)
         for j in range(n):
             term = s[i][j] * t[j]
             acc = acc + term if (i + j) % 2 == 0 else acc - term
@@ -283,12 +280,24 @@ def _signed_numerators(s, t):
     return out
 
 
-def _aggregates(d, data):
-    """D, S, T, the signed numerators N and the evaluation count of a batch."""
-    dvalue, evals_d = _denominator_sum(d, data)
-    s, evals_s = _minor_matrix(d, data)
-    t = _moment_sums(d, data)
-    return dvalue, s, t, _signed_numerators(s, t), evals_d + evals_s
+def _aggregates(d, points, extra=None):
+    """D, S, T and the evaluation count of `points` (a DataSet or a stream
+    state), from one lift.  With `extra` = (x, y, w or None), the increments
+    from appending that point instead: D and S summed over the subsets that
+    hold it, and T of that point alone.
+    """
+    lifted = _lift(points, extra)
+    dvalue, evals_d = _denominator_sum(d, lifted)
+    s, evals_s = _minor_matrix(d, lifted)
+    triples = [extra] if extra is not None else zip(points.x, points.y, points.w or repeat(None))
+    return dvalue, s, _moment_sums(d, triples, points.exact), evals_d + evals_s
+
+
+def _quotients(d, x, numerators, dvalue):
+    """a_i = N_i / D, or None when D vanishes (see `_zero_denominator`)."""
+    if _zero_denominator(dvalue, d, x):
+        return None
+    return [ni / dvalue for ni in numerators]
 
 
 def _zero_denominator(dvalue, d, x):
@@ -306,7 +315,7 @@ def _zero_denominator(dvalue, d, x):
 def denominator(d, data):
     """The real non-negative denominator D = det((WA)*WA) as a subset sum."""
     _require_points(len(d), data)
-    total, _ = _denominator_sum(d, data)
+    total, _ = _denominator_sum(d, _lift(data))
     return total
 
 
@@ -320,7 +329,7 @@ def minor_sum(d, data, i, j):
         raise InsufficientDataError(
             f"need at least {n - 1} points for the minor sums, got {data.m}"
         )
-    s, _ = _minor_matrix(d, data)
+    s, _ = _minor_matrix(d, _lift(data))
     return s[i - 1][j - 1]
 
 
@@ -332,14 +341,15 @@ def fit(d, data):
     """
     n = len(d)
     _require_points(n, data)
-    dvalue, _, _, numerators, evaluations = _aggregates(d, data)
-    if _zero_denominator(dvalue, d, data.x):
+    dvalue, s, t, evaluations = _aggregates(d, data)
+    numerators = _signed_numerators(s, t)
+    a = _quotients(d, data.x, numerators, dvalue)
+    if a is None:
         raise NonUniqueSolutionError(
             "denominator vanishes: the model matrix is rank deficient "
             f"(need at least {n} distinct positive real x values, or more "
             "generally an injective design matrix)"
         )
-    a = [ni / dvalue for ni in numerators]
     residual_sq = _residual_sq(d, data, a)
     return FitResult(
         coefficients=a,
@@ -375,23 +385,26 @@ def _residual_sq(d, data, a):
 
 
 def _checked_denominator(d, data):
+    """D of a batch and its lifted points; raises when D vanishes."""
     _require_points(len(d), data)
-    dvalue, _ = _denominator_sum(d, data)
+    lifted = _lift(data)
+    dvalue, _ = _denominator_sum(d, lifted)
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError("denominator vanishes: B is undefined")
-    return dvalue
+    return dvalue, lifted
 
 
-def _append_b_columns(b, points, lams, r, extra, tail):
+def _append_b_columns(b, d, lifted):
     """Append the column (-1)^(i+1) u_i (1-based i) for each kernel column of
-    `points` (see `_subset_columns`), labelled by the 1-based subset followed
-    by `tail`; float mode divides by sqrt(D) before wrapping."""
+    (n-1)-subsets (see `_subset_columns`), labelled by its 1-based points, the
+    appended one numbered m+1; float mode divides by sqrt(D) before wrapping."""
     root = b.denominator_root if b.normalized else None
-    for subset, u in _subset_columns(_lift(points, extra), lams, r):
+    tail = (len(lifted.x) + 1,) if lifted.tail else ()
+    for subset, u in _subset_columns(lifted, _drops(d), len(d) - 1):
         b.columns.append(tuple(k + 1 for k in subset) + tail)
         for i, row in enumerate(b.entries):
             e = -u[i] if i % 2 == 0 else u[i]
-            row.append(_wrap(e if root is None else e / root, points.exact))
+            row.append(_wrap(e if root is None else e / root, lifted.exact))
 
 
 def b_matrix(d, data):
@@ -401,15 +414,14 @@ def b_matrix(d, data):
     numerator entries (the square root of D is irrational in general);
     float mode divides through by sqrt(D).
     """
-    n = len(d)
-    dvalue = _checked_denominator(d, data)
+    dvalue, lifted = _checked_denominator(d, data)
     b = BMatrix(
-        entries=[[] for _ in range(n)],
+        entries=[[] for _ in d],
         columns=[],
         denominator_root_sq=dvalue,
         normalized=not data.exact,
     )
-    _append_b_columns(b, data, _drops(d), n - 1, None, ())
+    _append_b_columns(b, d, lifted)
     return b
 
 
@@ -420,8 +432,8 @@ def pseudoinverse(d, data):
     a signed minor-sum combination with one final division by D, and no
     square root ever appears.
     """
-    dvalue = _checked_denominator(d, data)
-    s, _ = _minor_matrix(d, data)
+    dvalue, lifted = _checked_denominator(d, data)
+    s, _ = _minor_matrix(d, lifted)
     out = [[None] * data.m for _ in range(len(d))]
     for k, row in enumerate(design_matrix(d, data.x)):
         col = _signed_numerators(s, [v.conj() for v in row])

@@ -77,5 +77,6 @@ def max_rel_diff(a, b):
     for u, v in zip(a, b):
         diff = abs(u - v)
         scale = max(abs(u), abs(v), 1e-300)
-        worst = max(worst, diff / scale)
+        ratio = diff / scale
+        worst = max(worst, ratio) if ratio == ratio else float("inf")  # NaN fails
     return worst

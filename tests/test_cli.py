@@ -214,6 +214,38 @@ def test_stream_snapshot_refuses_other_mode(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
+def test_stream_one_term_model_matches_fit(tmp_path, capsys):
+    # y = 2 x^2; the empty stream's S is 1, the sum over the empty subset
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,2\n2,8\n3,18\n")
+    code, out, _ = run(capsys, "stream", "--degrees", "2", "--exact", str(path))
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(row["m"], row["coefficients"]) for row in rows] == [(1, ["2"]), (2, ["2"]), (3, ["2"])]
+    code, out, _ = run(capsys, "fit", "--degrees", "2", "--exact", str(path))
+    assert json.loads(out)["coefficients"] == ["2"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda saved: {}, lambda saved: [1, 2], lambda saved: {**saved, "S": [saved["S"][0][:1]]}],
+    ids=["empty-object", "list", "1x1-S"],
+)
+def test_stream_refuses_malformed_snapshot(tmp_path, capsys, corrupt):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,2\n3,5\n")
+    snap = tmp_path / "state.json"
+    argv = ["stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path)]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    snap.write_text(json.dumps(corrupt(json.loads(snap.read_text()))))
+    saved = snap.read_text()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: snapshot ") and err.count("\n") == 1
+    assert snap.read_text() == saved
+
+
 def test_stream_skips_malformed_rows(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,0\nbad,row\n1,1\n2,2\n")

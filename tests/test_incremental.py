@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from schurfit import incremental, regress
 from schurfit.incremental import (
     RegressionState,
     UnsupportedOperationError,
@@ -41,6 +42,10 @@ def test_empty_state():
     assert all(v.is_zero() for row in state.s for v in row)
     with pytest.raises(NonUniqueSolutionError):
         state.coefficients
+    # one term: S sums over the (n-1)-subsets, and the empty subset gives 1
+    one_term = init_state(Exponents((2,)), exact=True)
+    assert one_term.s == [[Scalar.one(True)]]
+    assert one_term.evaluations == 1
 
 
 def test_init_matches_batch_aggregates():
@@ -70,19 +75,28 @@ def test_square_init_interpolates():
 
 
 def test_update_equals_batch():
+    # each stream starts once from its first n points and once from the empty
+    # state, which is where a one-term model's S = 1 comes from
     rng = random.Random(51)
     for _ in range(25):
         n = rng.randint(1, 4)
         d = random_exponents(rng, n)
         total = rng.randint(n + 1, n + 5)
         data = random_dataset(rng, total, complex_=rng.random() < 0.3)
-        state = init_state(d, take(data, n))
-        for m in range(n, total):
-            state = update(state, data.x[m], data.y[m])
-            batch = fit(d, take(data, m + 1))
-            assert scalars_equal(state.a, batch.coefficients)
-            assert state.denom == batch.denominator
-            assert scalars_equal(state.n_vec, batch.numerators)
+        for state in (init_state(d, take(data, n)), init_state(d, exact=True)):
+            for m in range(state.m, total):
+                state = update(state, data.x[m], data.y[m])
+                if m + 1 < n:
+                    continue
+                try:
+                    batch = fit(d, take(data, m + 1))
+                except NonUniqueSolutionError:  # e.g. the single point x = 0
+                    assert state.a is None
+                    continue
+                assert scalars_equal(state.a, batch.coefficients)
+                assert state.denom == batch.denominator
+                assert scalars_equal(state.n_vec, batch.numerators)
+                assert state.evaluations == batch.evaluations
 
 
 def test_update_weighted_equals_batch():
@@ -285,6 +299,36 @@ def test_removal_and_mode_errors():
     weighted = init_state(d, DataSet(ex(1, 2), ex(1, 2), ex(1, 1)))
     with pytest.raises(ScalarModeError):
         update(weighted, Scalar.from_exact(3), Scalar.from_exact(3), Scalar.from_float(1.0))
+
+
+def test_each_public_call_lifts_its_points_once(monkeypatch):
+    # batch fits and stream appends share one aggregate path that lifts x and
+    # w to the kernel's number type once per call
+    lift = regress._lift
+    lifts = []
+
+    def counting(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(regress, "_lift", counting)
+    monkeypatch.setattr(incremental, "_lift", counting)
+    d = Exponents((2, 1, 0))
+    data = random_dataset(random.Random(60), 5, weighted=True)
+    head = take(data, 4)
+    state, prior = init_state(d, head), b_matrix(d, head)
+    for call in (
+        lambda: fit(d, data),
+        lambda: regress.pseudoinverse(d, data),
+        lambda: b_matrix(d, data),
+        lambda: init_state(d, data),
+        lambda: init_state(d, exact=True),
+        lambda: update(state, data.x[4], data.y[4], data.w[4]),
+        lambda: extend_b_matrix(state, prior, data.x[4], data.w[4]),
+    ):
+        lifts.clear()
+        call()
+        assert len(lifts) == 1
 
 
 def test_degenerate_stream_recovers():

@@ -75,6 +75,14 @@ def test_division_by_zero():
         Scalar.from_float(1.0) / Scalar.zero(False)
 
 
+def test_float_division_where_the_divisor_squared_leaves_the_range():
+    # |b|^2 overflows above about 1e154 and underflows below about 1e-162,
+    # while the quotient itself is representable
+    for a, b in [(3 + 1j, 2e200 - 1e199j), (3 + 1j, 1e-170 + 2e-171j), (1e160 + 0j, 3e155 + 0j)]:
+        q = Scalar.from_float(a.real, a.imag) / Scalar.from_float(b.real, b.imag)
+        assert complex(q) == a / b
+
+
 def test_mode_mixing_is_an_error():
     a = Scalar.from_exact(1)
     b = Scalar.from_float(1.0)

@@ -7,6 +7,7 @@ from math import comb, sqrt
 import pytest
 
 from schurfit import oracle, regress
+from schurfit.incremental import init_state, update
 from schurfit.numeric import Scalar, scalar_pow
 from schurfit.partitions import Exponents, Partition, lambda_drop, lambda_from_degrees
 from schurfit.regress import (
@@ -512,6 +513,26 @@ def test_float_residual_of_an_interpolation_is_rounding_small(points):
     residual_sq = float(fit(d, data).residual_sq.re)
     ysq = sum(float(y) ** 2 for _, y in points)
     assert 0.0 <= residual_sq <= 1e-15 * ysq
+
+
+def test_float_fit_with_a_denominator_past_1e154():
+    # D is about 1e156 here, so the |D|^2 that float Scalar division used to
+    # form overflowed, and fit, the pseudoinverse and the stream all returned
+    # [0, -0, nan] without an error
+    d = Exponents((4, 2, 0))
+    xs = [1e13 * (1 + k / 10) for k in range(6)]
+    data = DataSet(
+        [Scalar.from_float(x) for x in xs],
+        [Scalar.from_float(3 * (x / 1e13) ** 4 - 2 * (x / 1e13) ** 2 + 1) for x in xs],
+    )
+    state = init_state(d, exact=False)
+    for xk, yk in zip(data.x, data.y):
+        state = update(state, xk, yk)
+    zero = Scalar.zero(False)
+    applied = [sum((p * y for p, y in zip(row, data.y)), zero) for row in pseudoinverse(d, data)]
+    reference = oracle.solve_normal(d, data)
+    for coefficients in (fit(d, data).coefficients, applied, state.coefficients):
+        assert max_rel_diff(coefficients, reference) <= 1e-9
 
 
 def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
