@@ -1,10 +1,11 @@
 """Command-line front end: fit, stream, bench, and compare subcommands.
 
 Input files are header-bearing delimited text with columns x, y and
-optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i").
-Reports are JSON (default) or TSV.  Exit codes: 0 success, 1 usage or I/O
-trouble, a malformed snapshot or one that does not match the command line, or
-an arithmetic failure such as float overflow, 2 no unique solution.
+optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i"),
+and in float mode must be finite.  Reports are JSON (default) or TSV.  Exit
+codes: 0 success, 1 usage or I/O trouble, a malformed snapshot or one that
+does not match the command line, an arithmetic failure such as float overflow,
+or values of mixed exact and float modes, 2 no unique solution.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import tempfile
 import time
 
 from . import incremental, oracle, regress
-from .numeric import Scalar, format_scalar, parse_scalar
+from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar
 from .partitions import Exponents
 
 EXIT_OK = 0
@@ -89,12 +90,13 @@ def write_dataset(handle, data):
         handle.write(",".join(row) + "\n")
 
 
-def quartic_example(m=101, noise=0.0, seed=0, exact=True, half_range=500):
-    """Sample the reference quartic x^4 - 2.5e5 x^2 on a symmetric grid,
-    optionally with seeded uniform noise scaled to the signal peak."""
+def quartic_example(m=101, noise=0.0, seed=0, exact=True):
+    """Sample the reference quartic x^4 - 2.5e5 x^2 on the grid of m points
+    over [-500, 500], optionally with seeded uniform noise scaled to the
+    signal peak."""
     xs, ys = [], []
     for i in range(m):
-        xv = -half_range + 2 * half_range * i / (m - 1) if m > 1 else 0.0
+        xv = -500 + 1000 * i / (m - 1) if m > 1 else 0.0
         xs.append(xv)
         ys.append(xv**4 - 2.5e5 * xv**2)
     if noise:
@@ -107,7 +109,7 @@ def quartic_example(m=101, noise=0.0, seed=0, exact=True, half_range=500):
         # the noiseless grid values are exact rationals
         from fractions import Fraction
 
-        xs_f = [Fraction(-half_range) + Fraction(2 * half_range * i, m - 1) for i in range(m)]
+        xs_f = [Fraction(-500) + Fraction(1000 * i, m - 1) for i in range(m)]
         return regress.DataSet(
             [Scalar.from_exact(v) for v in xs_f],
             [Scalar.from_exact(v**4 - Fraction(5, 2) * 10**5 * v**2) for v in xs_f],
@@ -131,25 +133,24 @@ def _report_fit(result, degrees, exact, m, seconds):
     }
 
 
-def _emit(report, fmt, out):
+def _emit(report, fmt):
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
         for key in sorted(report):
             value = report[key]
             if isinstance(value, list):
                 value = ",".join(str(v) for v in value)
-            out.write(f"{key}\t{value}\n")
+            sys.stdout.write(f"{key}\t{value}\n")
 
 
-def cmd_fit(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_fit(args):
     degrees = _parse_degrees(args)
     data = read_dataset(args.input, args.exact, args.weights)
     start = time.perf_counter()
     result = regress.fit(degrees, data)
     seconds = time.perf_counter() - start
-    _emit(_report_fit(result, degrees, args.exact, data.m, seconds), args.output, out)
+    _emit(_report_fit(result, degrees, args.exact, data.m, seconds), args.output)
     return EXIT_OK
 
 
@@ -186,8 +187,7 @@ def _write_snapshot(path, state):
         raise
 
 
-def cmd_stream(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_stream(args):
     degrees = _parse_degrees(args)
     state = _read_snapshot(args.snapshot, degrees, args.exact) if args.snapshot else None
     if state is None:
@@ -210,7 +210,6 @@ def cmd_stream(args, out=None):
                     "coefficients": [format_scalar(a) for a in state.a],
                 },
                 args.output,
-                out,
             )
 
     if args.snapshot:
@@ -259,8 +258,7 @@ def run_bench(degrees, sizes, repetitions=1, noise=0.01, seed=0):
     return rows
 
 
-def cmd_bench(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_bench(args):
     degrees = _parse_degrees(args)
     sizes = [int(v) for v in args.sizes.split(",")]
     if len(sizes) < 4:
@@ -270,20 +268,16 @@ def cmd_bench(args, out=None):
     rows = run_bench(degrees, sizes, args.repetitions, args.noise, args.seed)
     slope = fit_loglog_slope([r["m"] for r in rows], [r["seconds"] for r in rows])
     if args.output == "tsv":
-        out.write("m\tseconds\tevaluations\n")
+        sys.stdout.write("m\tseconds\tevaluations\n")
         for r in rows:
-            out.write(f"{r['m']}\t{r['seconds']:.6f}\t{r['evaluations']}\n")
-        out.write(f"# slope\t{slope:.4f}\n")
+            sys.stdout.write(f"{r['m']}\t{r['seconds']:.6f}\t{r['evaluations']}\n")
+        sys.stdout.write(f"# slope\t{slope:.4f}\n")
     else:
-        out.write(
-            json.dumps({"degrees": list(degrees), "slope": slope, "timings": rows}, sort_keys=True)
-            + "\n"
-        )
+        _emit({"degrees": list(degrees), "slope": slope, "timings": rows}, "json")
     return EXIT_OK
 
 
-def cmd_compare(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_compare(args):
     degrees = _parse_degrees(args)
     data = read_dataset(args.input, args.exact, args.weights)
     result = regress.fit(degrees, data)
@@ -302,7 +296,6 @@ def cmd_compare(args, out=None):
             "agree": worst <= tolerance,
         },
         args.output,
-        out,
     )
     return EXIT_OK if worst <= tolerance else EXIT_USAGE
 
@@ -355,7 +348,7 @@ def main(argv=None):
     except (regress.NonUniqueSolutionError, regress.InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_UNIQUE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ScalarModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

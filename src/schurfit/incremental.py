@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, sqrt
 from types import SimpleNamespace
 
-from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar
+from .numeric import Scalar, format_scalar, parse_scalar
 from .partitions import Exponents
 from .regress import (
     BMatrix,
@@ -97,35 +97,42 @@ class RegressionState:
     @staticmethod
     def from_dict(payload):
         """The state `to_dict` saved; ValueError if the payload is not an
-        object, lacks a key, or has a length that disagrees with degrees and m."""
+        object, lacks a key, names another mode than "exact" or "float", holds
+        a value of the wrong type, or has a length that disagrees with degrees
+        and m."""
         if not isinstance(payload, dict):
             raise ValueError("snapshot is not a JSON object")
         missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
         if missing:
             raise ValueError(f"snapshot lacks {', '.join(sorted(missing))}")
-        d, m, s = Exponents(payload["degrees"]), payload["m"], payload["S"]
-        sizes = {"x": m, "y": m, "w": m, "S": len(d), "T": len(d), "N": len(d), "a": len(d)}
-        rows = [("S", row) for row in s] if isinstance(s, list) else []
-        for key, value in [(k, payload.get(k)) for k in sizes] + rows:
-            if (value is not None or key not in ("w", "a")) and not (
-                isinstance(value, list) and len(value) == sizes[key]
-            ):
-                raise ValueError(f"snapshot {key} does not fit degrees {list(d)} and m = {m}")
-        exact = payload["mode"] == "exact"
-        p = lambda text: parse_scalar(text, exact)
-        return RegressionState(
-            d=d,
-            exact=exact,
-            x=[p(v) for v in payload["x"]],
-            y=[p(v) for v in payload["y"]],
-            w=[p(v) for v in payload["w"]] if payload.get("w") is not None else None,
-            s=[[p(v) for v in row] for row in payload["S"]],
-            t=[p(v) for v in payload["T"]],
-            n_vec=[p(v) for v in payload["N"]],
-            denom=p(payload["D"]),
-            a=[p(v) for v in payload["a"]] if payload.get("a") is not None else None,
-            evaluations=int(payload.get("evaluations", 0)),
-        )
+        if payload["mode"] not in ("exact", "float"):
+            raise ValueError(f"snapshot mode {payload['mode']!r} is neither exact nor float")
+        try:
+            d, m, s = Exponents(payload["degrees"]), payload["m"], payload["S"]
+            sizes = {"x": m, "y": m, "w": m, "S": len(d), "T": len(d), "N": len(d), "a": len(d)}
+            rows = [("S", row) for row in s] if isinstance(s, list) else []
+            for key, value in [(k, payload.get(k)) for k in sizes] + rows:
+                if (value is not None or key not in ("w", "a")) and not (
+                    isinstance(value, list) and len(value) == sizes[key]
+                ):
+                    raise ValueError(f"snapshot {key} does not fit degrees {list(d)} and m = {m}")
+            exact = payload["mode"] == "exact"
+            p = lambda text: parse_scalar(text, exact)
+            return RegressionState(
+                d=d,
+                exact=exact,
+                x=[p(v) for v in payload["x"]],
+                y=[p(v) for v in payload["y"]],
+                w=[p(v) for v in payload["w"]] if payload.get("w") is not None else None,
+                s=[[p(v) for v in row] for row in payload["S"]],
+                t=[p(v) for v in payload["T"]],
+                n_vec=[p(v) for v in payload["N"]],
+                denom=p(payload["D"]),
+                a=[p(v) for v in payload["a"]] if payload.get("a") is not None else None,
+                evaluations=int(payload.get("evaluations", 0)),
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"snapshot holds a value of the wrong type: {exc}") from exc
 
 
 def _state(d, exact, x, y, w, denom, s, t, evaluations):
@@ -152,11 +159,9 @@ def update(state, x_new, y_new, w_new=None):
     """Append one data point and return the refreshed state.
 
     D, S and T each grow by the new point's increments from
-    `regress._aggregates`; N' is re-derived from S' and T', and the
-    coefficients are N'_i / D'.
+    `regress._aggregates`, whose lift refuses a point of the wrong mode; N'
+    is re-derived from S' and T', and the coefficients are N'_i / D'.
     """
-    if x_new.exact is not state.exact or y_new.exact is not state.exact:
-        raise ScalarModeError("new point does not match the state's numeric mode")
     if (state.w is not None) != (w_new is not None) and state.m > 0:
         raise ValueError("weighted and unweighted points cannot be mixed")
     if w_new is not None and w_new.is_zero():

@@ -109,9 +109,6 @@ class Scalar:
         """conj(self) * self, always real and non-negative."""
         return Scalar(self.re * self.re + self.im * self.im, self.re * 0, self.exact)
 
-    def real_part(self):
-        return Scalar(self.re, self.re * 0, self.exact)
-
     # -- predicates / comparison --------------------------------------
 
     def is_zero(self):
@@ -162,6 +159,7 @@ def magnitude_sq(s):
 # Accepted literal forms: "3", "-7/4", "1.5", "2e3", "2+3i", "1/2-1/3i",
 # "i", "-i", "4i".  Exact parsing keeps rationals and decimal strings
 # lossless (Fraction handles both); printing round-trips exact values.
+# Float parsing refuses a part that is not finite ("nan", "inf", "1e999").
 
 def parse_scalar(text, exact):
     """Parse a real or complex literal into a Scalar of the given mode."""
@@ -193,8 +191,12 @@ def parse_scalar(text, exact):
 def _to_float(text):
     if "/" in text:
         num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
+        value = float(num) / float(den)
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def _format_real(v):

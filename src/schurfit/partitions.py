@@ -2,9 +2,10 @@
 
 The model signature d = (d1 > d2 > ... > dn >= 0) determines the partition
 lam = d - staircase(n) and, for each dropped exponent, the smaller partition
-lam[i] = drop(d, i) - staircase(n-1).  Column indexing of the wide solution
-matrix and all float-mode summations use the lexicographic subset order
-produced by ``enumerate_subsets``.
+lam[i] = drop(d, i) - staircase(n-1).  ``enumerate_subsets`` lists subsets in
+lexicographic order; the subset kernel in `regress` does not call it but
+iterates ``itertools.combinations`` over 0-based point indices, which gives
+the same order, so B's columns and the float summation order follow it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 from itertools import combinations
 
 
-class Exponents:
+class Exponents(tuple):
     """Strictly decreasing tuple of non-negative integer exponents."""
 
-    __slots__ = ("d",)
+    __slots__ = ()
 
-    def __init__(self, degrees):
+    def __new__(cls, degrees):
         d = tuple(int(v) for v in degrees)
         if not d:
             raise ValueError("need at least one exponent")
@@ -25,65 +26,48 @@ class Exponents:
             raise ValueError("exponents must be non-negative")
         if any(a <= b for a, b in zip(d, d[1:])):
             raise ValueError(f"exponents must be strictly decreasing: {d}")
-        self.d = d
-
-    def __len__(self):
-        return len(self.d)
-
-    def __iter__(self):
-        return iter(self.d)
-
-    def __getitem__(self, i):
-        return self.d[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Exponents) and self.d == other.d
-
-    def __hash__(self):
-        return hash(self.d)
+        return super().__new__(cls, d)
 
     def __repr__(self):
         return f"Exponents{self.d}"
 
     @property
+    def d(self):
+        return tuple(self)
+
+    @property
     def total(self):
-        return sum(self.d)
+        return sum(self)
 
     def drop(self, i):
         """The (n-1)-tuple with the i-th exponent removed (i is 1-based)."""
-        if not 1 <= i <= len(self.d):
+        if not 1 <= i <= len(self):
             raise IndexError(f"index {i} out of range for {self!r}")
-        return self.d[: i - 1] + self.d[i:]
+        return self[: i - 1] + self[i:]
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing tuple of non-negative integers.
 
     Trailing zeros are kept as given but ignored by equality and hashing,
     since partitions of different nominal lengths must interoperate.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         p = tuple(int(v) for v in parts)
         if p and p[-1] < 0:
             raise ValueError("parts must be non-negative")
         if any(a < b for a, b in zip(p, p[1:])):
             raise ValueError(f"parts must be weakly decreasing: {p}")
-        self.parts = p
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+        return super().__new__(cls, p)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.normalized() == other.normalized()
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
         return hash(self.normalized())
@@ -92,16 +76,19 @@ class Partition:
         return f"Partition{self.parts}"
 
     @property
+    def parts(self):
+        return tuple(self)
+
+    @property
     def weight(self):
-        return sum(self.parts)
+        return sum(self)
 
     def normalized(self):
-        """Parts with trailing zeros stripped."""
-        p = self.parts
-        k = len(p)
-        while k and p[k - 1] == 0:
+        """Parts with trailing zeros stripped, as a plain tuple."""
+        k = len(self)
+        while k and self[k - 1] == 0:
             k -= 1
-        return p[:k]
+        return self[:k]
 
 
 def staircase(n):
@@ -134,8 +121,8 @@ def conjugate(lam):
 def enumerate_subsets(m, r):
     """All r-element subsets of {1, ..., m} as 1-based tuples, lexicographic.
 
-    This order is the column-index contract for the wide solution matrix and
-    the deterministic float-mode summation order.
+    The subset kernel in `regress` walks the same order over 0-based indices
+    with ``itertools.combinations``; B's column labels are these tuples.
     """
     if r < 0 or r > m:
         raise ValueError(f"cannot choose {r} elements from [{m}]")

@@ -161,8 +161,8 @@ _Lifted = namedtuple("_Lifted", "x w tail w_tail mode exact")
 
 def _lift(points, extra=None):
     """x and w of `points` (a DataSet or a streaming state) and of the
-    optional appended point `extra` = (x, y, w or None), lifted together to
-    one number type; y is not lifted.
+    optional appended point `extra` = (x, y or None, w or None), lifted
+    together to one number type; the appended y is only checked for mode.
 
     Real float data becomes float, complex float data complex and real exact
     data Fraction; Gaussian-rational exact data stays Scalar.  In the record,
@@ -173,7 +173,7 @@ def _lift(points, extra=None):
     exact = points.exact
     tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[2])
     scalars = [*points.x, *(points.w or ()), *tail, *(() if w_tail is None else (w_tail,))]
-    if any(s.exact is not exact for s in scalars):
+    if any(s is not None and s.exact is not exact for s in scalars + [*(extra or ())]):
         raise ScalarModeError("point does not match the data's numeric mode")
     if any(s.im for s in scalars):
         if exact:
@@ -445,7 +445,7 @@ def pseudoinverse(d, data):
 
 def projection_residual(d, data):
     """Projection P = A B (AB)* onto the model column space, and the squared
-    minimal distance <y | (1 - P) y> (weighted inner product when weighted)."""
+    minimal distance ||y - A a||_W^2 of a = A^+ y, summed as `fit` sums it."""
     aplus = pseudoinverse(d, data)
     n = len(d)
     m = data.m
@@ -458,10 +458,8 @@ def projection_residual(d, data):
             for j in range(n):
                 acc = acc + a_mat[r][j] * aplus[j][c]
             p[r][c] = acc
-    resid = Scalar.zero(mode)
-    for k in range(m):
-        pk = Scalar.zero(mode)
+    a = [Scalar.zero(mode) for _ in range(n)]
+    for j in range(n):
         for c in range(m):
-            pk = pk + p[k][c] * data.y[c]
-        resid = resid + data.y[k].conj() * (data.y[k] - pk) * data.weight_sq(k)
-    return p, resid.real_part()
+            a[j] = a[j] + aplus[j][c] * data.y[c]
+    return p, _residual_sq(d, data, a)

@@ -181,8 +181,6 @@ def schur(lam, z, exact=None):
         return zero
     e = elem_sym_all(z, mode)
     idx = _jacobi_trudi_indices(parts, r)
-    if len(idx) == 1:
-        return e[idx[0][0]] if idx[0][0] is not None else zero
     rows = [[e[k] if k is not None else zero for k in row] for row in idx]
     return det(rows, mode)
 

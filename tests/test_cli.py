@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from schurfit import cli
 from schurfit.cli import (
     EXIT_NON_UNIQUE,
     EXIT_OK,
@@ -12,7 +13,7 @@ from schurfit.cli import (
     read_dataset,
     write_dataset,
 )
-from schurfit.numeric import format_scalar
+from schurfit.numeric import ScalarModeError, format_scalar
 from schurfit.partitions import Exponents
 from schurfit.regress import DataSet, fit
 
@@ -85,6 +86,33 @@ def test_fit_malformed_input_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--degrees", "1,0", "--exact", str(path))
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_fit_non_finite_float_exit_1(tmp_path, capsys):
+    # a non-finite value makes NaN coefficients, and a bare NaN is not JSON
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,nan\n3,5\n4,4\n")
+    code, out, err = run(capsys, "fit", "--degrees", "1,0", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "stream", "--degrees", "1,0", "--on-error", "skip", str(path))
+    assert code == EXIT_OK
+    assert "skipping" in err
+    assert [json.loads(line)["m"] for line in out.strip().splitlines()] == [2, 3]
+
+
+def test_scalar_mode_error_exit_1(monkeypatch, tmp_path, capsys):
+    def mixed_modes(args):
+        raise ScalarModeError("cannot mix exact and float scalars")
+
+    monkeypatch.setattr(cli, "cmd_fit", mixed_modes)
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,2\n")
+    code, out, err = run(capsys, "fit", "--degrees", "1,0", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: cannot mix exact and float scalars\n"
 
 
 def test_degree_sugar_expands_to_staircase(tmp_path, capsys):
@@ -227,15 +255,32 @@ def test_stream_one_term_model_matches_fit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [lambda saved: {}, lambda saved: [1, 2], lambda saved: {**saved, "S": [saved["S"][0][:1]]}],
-    ids=["empty-object", "list", "1x1-S"],
+    "corrupt, mode",
+    [
+        (lambda saved: {}, ["--exact"]),
+        (lambda saved: [1, 2], ["--exact"]),
+        (lambda saved: {**saved, "S": [saved["S"][0][:1]]}, ["--exact"]),
+        (lambda saved: {**saved, "x": [1, 2, 3]}, ["--exact"]),
+        (lambda saved: {**saved, "degrees": 5}, ["--exact"]),
+        (lambda saved: {**saved, "evaluations": [1]}, ["--exact"]),
+        # needs a float run: a misspelt mode must not load as float
+        (lambda saved: {**saved, "mode": "EXACT"}, []),
+    ],
+    ids=[
+        "empty-object",
+        "list",
+        "1x1-S",
+        "number-x",
+        "number-degrees",
+        "list-evaluations",
+        "mode-EXACT",
+    ],
 )
-def test_stream_refuses_malformed_snapshot(tmp_path, capsys, corrupt):
+def test_stream_refuses_malformed_snapshot(tmp_path, capsys, corrupt, mode):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n1,1\n2,2\n3,5\n")
     snap = tmp_path / "state.json"
-    argv = ["stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path)]
+    argv = ["stream", "--degrees", "1,0", *mode, "--snapshot", str(snap), str(path)]
     assert run(capsys, *argv)[0] == EXIT_OK
     snap.write_text(json.dumps(corrupt(json.loads(snap.read_text()))))
     saved = snap.read_text()

@@ -290,6 +290,8 @@ def test_removal_and_mode_errors():
         state.remove_point(0)
     with pytest.raises(ScalarModeError):
         update(state, Scalar.from_float(1.0), Scalar.from_float(1.0))
+    with pytest.raises(ScalarModeError):
+        update(state, Scalar.from_exact(3), Scalar.from_float(3.0))
     with pytest.raises(ValueError):
         update(state, Scalar.from_exact(3), Scalar.from_exact(3), Scalar.from_exact(1))
     # the subset kernel lifts every value to one number type, so a float weight

@@ -127,6 +127,15 @@ def test_parse_rejects_malformed(text):
         parse_scalar(text, exact=True)
 
 
+@pytest.mark.parametrize(
+    "text", ["nan", "inf", "-Infinity", "1e999", "2+nani", "1-infi", "1e308/1e-10"]
+)
+def test_parse_rejects_non_finite_floats(text):
+    # exact mode refuses nan and inf too, and reads 1e999 as the exact 10**999
+    with pytest.raises(ValueError):
+        parse_scalar(text, exact=False)
+
+
 def test_float_round_trip():
     s = Scalar.from_float(0.1, -2.5e-7)
     assert parse_scalar(format_scalar(s), exact=False) == s

@@ -14,7 +14,9 @@ from schurfit.partitions import (
 
 
 def test_exponents_validation():
-    Exponents((4, 2, 0))
+    # a tuple subclass: it equals and hashes like the plain tuple of its degrees
+    assert Exponents((4, 2, 0)) == (4, 2, 0)
+    assert hash(Exponents((4, 2, 0))) == hash((4, 2, 0))
     with pytest.raises(ValueError):
         Exponents((2, 2, 0))
     with pytest.raises(ValueError):
@@ -29,6 +31,9 @@ def test_partition_validation_and_normalization():
     with pytest.raises(ValueError):
         Partition((1, 2))
     assert Partition((2, 1, 0)) == Partition((2, 1))
+    assert not (Partition((2, 1, 0)) != Partition((2, 1)))
+    assert Partition((2, 1)) != Partition((2, 2))
+    assert hash(Partition((2, 1, 0))) == hash(Partition((2, 1)))
     assert Partition((2, 1, 0)).weight == 3
     assert Partition(()).weight == 0
 

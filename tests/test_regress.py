@@ -7,6 +7,7 @@ from math import comb, sqrt
 import pytest
 
 from schurfit import oracle, regress
+from schurfit.cli import quartic_example
 from schurfit.incremental import init_state, update
 from schurfit.numeric import Scalar, scalar_pow
 from schurfit.partitions import Exponents, Partition, lambda_drop, lambda_from_degrees
@@ -510,9 +511,16 @@ def test_float_residual_of_an_interpolation_is_rounding_small(points):
     data = DataSet(
         [Scalar.from_float(x) for x, _ in points], [Scalar.from_float(y) for _, y in points]
     )
-    residual_sq = float(fit(d, data).residual_sq.re)
     ysq = sum(float(y) ** 2 for _, y in points)
-    assert 0.0 <= residual_sq <= 1e-15 * ysq
+    for residual_sq in (fit(d, data).residual_sq, projection_residual(d, data)[1]):
+        assert 0.0 <= float(residual_sq.re) <= 1e-15 * ysq
+
+
+def test_float_projection_residual_of_the_noiseless_quartic():
+    # the quartic lies in the model's span, so the residual is 0 up to
+    # rounding; the shorter <y | (1 - P) y> cancels to about 3.7e6 here
+    data = quartic_example(m=9, exact=False)
+    assert 0.0 <= float(projection_residual(Exponents((4, 2, 0)), data)[1].re) <= 1e-6
 
 
 def test_float_fit_with_a_denominator_past_1e154():
