@@ -3,9 +3,10 @@
 Input files are header-bearing delimited text with columns x, y and
 optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i"),
 and in float mode must be finite.  Reports are JSON (default) or TSV.  Exit
-codes: 0 success, 1 usage or I/O trouble, a malformed snapshot or one that
-does not match the command line, an arithmetic failure such as float overflow,
-or values of mixed exact and float modes, 2 no unique solution.
+codes: 0 success, 1 usage or I/O trouble (an unknown option or a missing
+argument included), a malformed snapshot or one that does not match the
+command line, an arithmetic failure such as float overflow, or values of mixed
+exact and float modes, 2 no unique solution.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -222,13 +224,8 @@ def cmd_stream(args):
 
 def fit_loglog_slope(sizes, seconds):
     """Least-squares slope of log(seconds) against log(size)."""
-    lx = [math.log(s) for s in sizes]
-    ly = [math.log(t) for t in seconds]
-    k = len(lx)
-    mx, my = sum(lx) / k, sum(ly) / k
-    num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    den = sum((a - mx) ** 2 for a in lx)
-    return num / den
+    logs = [math.log(s) for s in sizes], [math.log(t) for t in seconds]
+    return statistics.linear_regression(*logs).slope
 
 
 def run_bench(degrees, sizes, repetitions=1, noise=0.01, seed=0):
@@ -300,21 +297,28 @@ def cmd_compare(args):
     return EXIT_OK if worst <= tolerance else EXIT_USAGE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that `main`
+    reports them as exit 1 with one `error:` line; --help still exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurfit",
         description="Closed-form polynomial regression via symmetric functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, reads_data=True):
         p.add_argument("--degrees", help="comma-separated exponents, e.g. 4,2,0")
         p.add_argument("--degree", type=int, help="shorthand for k,k-1,...,0")
-        p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-        p.add_argument("--weights", action="store_true", help="input has a w column")
         p.add_argument("--output", choices=("json", "tsv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        if needs_input:
+        if reads_data:
+            p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+            p.add_argument("--weights", action="store_true", help="input has a w column")
             p.add_argument("input", help="data file path, or - for stdin")
 
     p_fit = sub.add_parser("fit", help="batch fit")
@@ -328,10 +332,11 @@ def build_parser():
     p_stream.set_defaults(func=cmd_stream)
 
     p_bench = sub.add_parser("bench", help="timing sweep with log-log slope")
-    common(p_bench, needs_input=False)
+    common(p_bench, reads_data=False)
     p_bench.add_argument("--sizes", default="40,80,120,160,200")
     p_bench.add_argument("--repetitions", type=int, default=1)
     p_bench.add_argument("--noise", type=float, default=0.01)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)
 
     p_cmp = sub.add_parser("compare", help="closed form vs normal-equation oracle")
@@ -341,9 +346,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (regress.NonUniqueSolutionError, regress.InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,9 +5,12 @@ minor-sum matrix S, the moment sums T, the signed numerators N, and the
 denominator D.  Appending a point adds to D and S only the subset terms that
 contain it -- C(m, n-2) Schur products for the S increment R and C(m, n-1)
 terms for the D increment -- dropping the per-point cost from O(m^n) to
-O(m^(n-1)).  Those increments and the point's own moments come from
-`regress._aggregates`, the path a batch fit takes; N is then re-derived from
-the updated S and T.  Points can only be appended; removal is unsupported.
+O(m^(n-1)).  An append is a batch: the state's points with the new one last,
+which `regress._aggregates` sums over the subsets that hold that last point,
+giving the increments and the point's own moments; N is then re-derived from
+the updated S and T.  `update` and `extend_b_matrix` build that point set
+through one helper, which refuses a zero weight and a mix of weighted and
+unweighted points.  Points can only be appended; removal is unsupported.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import comb, sqrt
 from types import SimpleNamespace
 
 from .numeric import Scalar, format_scalar, parse_scalar
-from .partitions import Exponents
+from .partitions import Exponents, as_int
 from .regress import (
     BMatrix,
     NonUniqueSolutionError,
@@ -44,11 +47,11 @@ class RegressionState:
     """Cached aggregates for a data stream under a fixed model signature.
 
     Invariants: S is Hermitian, N_i is the signed combination of row i of S
-    with T, and a_i * D = N_i whenever D is nonzero.
+    with T, and a_i * D = N_i whenever D is nonzero.  `exact` reads the mode
+    off D.
     """
 
     d: Exponents
-    exact: bool
     x: list
     y: list
     w: list | None
@@ -62,6 +65,10 @@ class RegressionState:
     @property
     def m(self):
         return len(self.x)
+
+    @property
+    def exact(self):
+        return self.denom.exact
 
     @property
     def coefficients(self):
@@ -98,8 +105,8 @@ class RegressionState:
     def from_dict(payload):
         """The state `to_dict` saved; ValueError if the payload is not an
         object, lacks a key, names another mode than "exact" or "float", holds
-        a value of the wrong type, or has a length that disagrees with degrees
-        and m."""
+        a value of the wrong type or a non-integral degree or evaluation
+        count, or has a length that disagrees with degrees and m."""
         if not isinstance(payload, dict):
             raise ValueError("snapshot is not a JSON object")
         missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
@@ -120,7 +127,6 @@ class RegressionState:
             p = lambda text: parse_scalar(text, exact)
             return RegressionState(
                 d=d,
-                exact=exact,
                 x=[p(v) for v in payload["x"]],
                 y=[p(v) for v in payload["y"]],
                 w=[p(v) for v in payload["w"]] if payload.get("w") is not None else None,
@@ -129,17 +135,18 @@ class RegressionState:
                 n_vec=[p(v) for v in payload["N"]],
                 denom=p(payload["D"]),
                 a=[p(v) for v in payload["a"]] if payload.get("a") is not None else None,
-                evaluations=int(payload.get("evaluations", 0)),
+                evaluations=as_int(payload.get("evaluations", 0)),
             )
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"snapshot holds a value of the wrong type: {exc}") from exc
 
 
-def _state(d, exact, x, y, w, denom, s, t, evaluations):
+def _state(d, points, denom, s, t, evaluations):
     """The state of these points and aggregates, with N and a derived."""
     n_vec = _signed_numerators(s, t)
-    a = _quotients(d, x, n_vec, denom)
-    return RegressionState(d, exact, x, y, w, s, t, n_vec, denom, a, evaluations)
+    a = _quotients(d, points.x, n_vec, denom)
+    w = list(points.w) if points.w is not None else None
+    return RegressionState(d, list(points.x), list(points.y), w, s, t, n_vec, denom, a, evaluations)
 
 
 def init_state(d, data=None, *, exact=True):
@@ -150,30 +157,34 @@ def init_state(d, data=None, *, exact=True):
     gives S = 1.  Coefficient queries error until enough points arrive.
     """
     points = data if data is not None else SimpleNamespace(x=[], y=[], w=None, exact=exact)
-    w = list(points.w) if points.w is not None else None
     denom, s, t, evaluations = _aggregates(d, points)
-    return _state(d, points.exact, list(points.x), list(points.y), w, denom, s, t, evaluations)
+    return _state(d, points, denom, s, t, evaluations)
+
+
+def _appended(state, x_new, y_new, w_new):
+    """The state's points with (x_new, y_new, w_new) last; ValueError for a
+    zero weight or for a weighted point on an unweighted stream or the
+    reverse.  The lift in `regress` refuses an x or w of the wrong mode."""
+    if (state.w is not None) != (w_new is not None) and state.m > 0:
+        raise ValueError("weighted and unweighted points cannot be mixed")
+    if w_new is not None and w_new.is_zero():
+        raise ValueError("weights must be nonzero")
+    w = None if w_new is None else (state.w or []) + [w_new]
+    return SimpleNamespace(x=state.x + [x_new], y=state.y + [y_new], w=w, exact=state.exact)
 
 
 def update(state, x_new, y_new, w_new=None):
     """Append one data point and return the refreshed state.
 
     D, S and T each grow by the new point's increments from
-    `regress._aggregates`, whose lift refuses a point of the wrong mode; N'
-    is re-derived from S' and T', and the coefficients are N'_i / D'.
+    `regress._aggregates`; N' is re-derived from S' and T', and the
+    coefficients are N'_i / D'.
     """
-    if (state.w is not None) != (w_new is not None) and state.m > 0:
-        raise ValueError("weighted and unweighted points cannot be mixed")
-    if w_new is not None and w_new.is_zero():
-        raise ValueError("weights must be nonzero")
-
-    d_inc, r, dt, evals = _aggregates(state.d, state, (x_new, y_new, w_new))
+    points = _appended(state, x_new, y_new, w_new)
+    d_inc, r, dt, evals = _aggregates(state.d, points, 1)
     s = [[sij + rij for sij, rij in zip(srow, rrow)] for srow, rrow in zip(state.s, r)]
     t = [tj + dtj for tj, dtj in zip(state.t, dt)]
-    x, y = state.x + [x_new], state.y + [y_new]
-    w = None if w_new is None else (state.w or []) + [w_new]
-    denom, evaluations = state.denom + d_inc, state.evaluations + evals
-    return _state(state.d, state.exact, x, y, w, denom, s, t, evaluations)
+    return _state(state.d, points, state.denom + d_inc, s, t, state.evaluations + evals)
 
 
 def extend_b_matrix(state, prior_b, x_new, w_new=None):
@@ -181,7 +192,9 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
 
     `prior_b` must have been built from the state's current m points.  New
     columns are appended after the existing ones; the shared normalizer moves
-    to the enlarged denominator.
+    to the enlarged denominator.  The point is refused as `update` refuses
+    it: a zero weight, or a weight on an unweighted stream or the reverse,
+    raises ValueError.
     """
     d, n, m = state.d, len(state.d), state.m
     if len(prior_b.columns) != comb(m, n - 1):
@@ -190,17 +203,12 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
             f"{m} points give C({m}, {n - 1}) = {comb(m, n - 1)}"
         )
 
-    lifted = _lift(state, (x_new, None, w_new))
+    lifted = _lift(_appended(state, x_new, None, w_new), 1)
     new_d = state.denom + _denominator_sum(d, lifted)[0]
     entries = [list(row) for row in prior_b.entries]
     if not state.exact:
         rescale = Scalar.from_float(prior_b.denominator_root / sqrt(float(new_d.re)))
         entries = [[v * rescale for v in row] for row in entries]
-    b = BMatrix(
-        entries=entries,
-        columns=list(prior_b.columns),
-        denominator_root_sq=new_d,
-        normalized=not state.exact,
-    )
+    b = BMatrix(entries=entries, columns=list(prior_b.columns), denominator_root_sq=new_d)
     _append_b_columns(b, d, lifted)
     return b

@@ -13,13 +13,21 @@ from __future__ import annotations
 from itertools import combinations
 
 
+def as_int(v):
+    """int(v); ValueError for a v that int() would truncate, such as 3.7."""
+    k = int(v)
+    if k != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return k
+
+
 class Exponents(tuple):
     """Strictly decreasing tuple of non-negative integer exponents."""
 
     __slots__ = ()
 
     def __new__(cls, degrees):
-        d = tuple(int(v) for v in degrees)
+        d = tuple(map(as_int, degrees))
         if not d:
             raise ValueError("need at least one exponent")
         if d[-1] < 0:
@@ -56,7 +64,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts):
-        p = tuple(int(v) for v in parts)
+        p = tuple(map(as_int, parts))
         if p and p[-1] < 0:
             raise ValueError("parts must be non-negative")
         if any(a < b for a, b in zip(p, p[1:])):

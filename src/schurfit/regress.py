@@ -7,13 +7,14 @@ division-free; the only division is the final a_i = N_i / D, so exact mode
 never rounds.  Weights enter as w_l factors on every subset term, per the
 weighted normal equation.
 
-`_aggregates` gives D, S and T of a batch, or, for a point appended to a
-stream in `incremental`, their increments: the same sums restricted to the
-subsets that hold the new point.  Every subset sum -- D, S and the B matrix --
-runs through one kernel: `_subset_columns` yields the vector
-u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l in lexicographic order, and
-`_hermitian_sum` adds up u u*.  B's columns are the signed u vectors; the
-pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
+`_aggregates` gives D, S and T of a batch.  A point appended to a stream in
+`incremental` is a batch too: the stream's points with the new one last, of
+which every subset must hold that last point, so the same call gives the
+increments.  Every subset sum -- D, S and the B matrix -- runs through one
+kernel: `_subset_columns` yields the vector u_i = w_l s_{lam_i}(x_l) V(x_l)
+for each subset l in lexicographic order, and `_hermitian_sum` adds up u u*.
+B's columns are the signed u vectors; the pseudoinverse B B* A* uses
+B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
 
 The kernel computes on plain numbers: `_lift` converts points and weights
 once per public call to float, complex or Fraction (Gaussian rationals stay
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from math import sqrt
 from operator import attrgetter
 
@@ -87,8 +88,8 @@ class FitResult:
     """Solution of one least-squares fit.
 
     `numerators` and `denominator` are the raw aggregates N_i and D with
-    a_i = N_i / D, retained so a fit can seed the incremental updater.
-    `residual_sq` is the squared minimal distance, exact in exact mode.
+    a_i = N_i / D.  `residual_sq` is the squared minimal distance, exact in
+    exact mode.
     """
 
     coefficients: list
@@ -110,13 +111,16 @@ class BMatrix:
     s_{lam[i+1]}(x_l) * V(x_l) for column subset l = columns[c].  Float mode
     stores normalized entries (denominator_root = sqrt(D)); exact mode keeps
     the raw numerators and defers the irrational root, exposing
-    denominator_root_sq = D instead.
+    denominator_root_sq = D instead.  `normalized` reads the mode off D.
     """
 
     entries: list
     columns: list
     denominator_root_sq: Scalar
-    normalized: bool
+
+    @property
+    def normalized(self):
+        return not self.denominator_root_sq.exact
 
     @property
     def denominator_root(self):
@@ -156,34 +160,32 @@ def _drops(d):
 
 
 # points and weights in the kernel's number type; see `_lift`
-_Lifted = namedtuple("_Lifted", "x w tail w_tail mode exact")
+_Lifted = namedtuple("_Lifted", "x w fixed mode exact")
 
 
-def _lift(points, extra=None):
-    """x and w of `points` (a DataSet or a streaming state) and of the
-    optional appended point `extra` = (x, y or None, w or None), lifted
-    together to one number type; the appended y is only checked for mode.
+def _lift(points, fixed=0):
+    """x and w of `points` (a DataSet or a stream's points), lifted to one
+    number type; y is left to the Scalar arithmetic of `_moment_sums`.
 
     Real float data becomes float, complex float data complex and real exact
     data Fraction; Gaussian-rational exact data stays Scalar.  In the record,
-    tail is () or the appended x as a 1-tuple, and mode, the `exact` the
-    kernel passes to `symfunc`, is NATIVE for the native types, so that an
-    empty point gives the int 1, and True for Scalars.
+    fixed (0 or 1) counts the trailing points that every subset must hold,
+    and mode, the `exact` the kernel passes to `symfunc`, is NATIVE for the
+    native types, so that an empty point gives the int 1, and True for
+    Scalars.
     """
     exact = points.exact
-    tail, w_tail = ((), None) if extra is None else ((extra[0],), extra[2])
-    scalars = [*points.x, *(points.w or ()), *tail, *(() if w_tail is None else (w_tail,))]
-    if any(s is not None and s.exact is not exact for s in scalars + [*(extra or ())]):
+    scalars = [*points.x, *(points.w or ())]
+    if any(s.exact is not exact for s in scalars):
         raise ScalarModeError("point does not match the data's numeric mode")
     if any(s.im for s in scalars):
         if exact:
-            return _Lifted(points.x, points.w, tail, w_tail, True, True)
+            return _Lifted(points.x, points.w, fixed, True, True)
         lift = complex
     else:
         lift = attrgetter("re")
     w = None if points.w is None else [lift(v) for v in points.w]
-    w_tail = None if w_tail is None else lift(w_tail)
-    return _Lifted([lift(v) for v in points.x], w, tuple(map(lift, tail)), w_tail, NATIVE, exact)
+    return _Lifted([lift(v) for v in points.x], w, fixed, NATIVE, exact)
 
 
 def _wrap(v, exact):
@@ -198,21 +200,21 @@ def _subset_columns(lifted, lams, size):
     lexicographic order, with u_i = w_l * s_{lams[i]}(x_l) * V(x_l) over the
     subset's points x_l, in the lifted number type.
 
-    When the record carries an appended point, only the subsets that hold it
-    count, and `subset` holds only the 0-based indices of the other points.
+    Only the subsets that hold the last `lifted.fixed` points count; `subset`
+    lists 0-based indices, those fixed points last.
     """
-    x, w, tail, w_tail, mode, _ = lifted
-    r = size - len(tail)
-    if r < 0:
+    x, w, fixed, mode, _ = lifted
+    if size < fixed:
         return
-    for subset in combinations(range(len(x)), r):
-        pts = tuple(x[k] for k in subset) + tail
+    m = len(x) - fixed
+    tail = tuple(range(m, len(x)))
+    for head in combinations(range(m), size - fixed):
+        subset = head + tail
+        pts = tuple(x[k] for k in subset)
         v = vandermonde(pts, mode)
         if w is not None:
             for k in subset:
                 v = v * w[k]
-        if w_tail is not None:
-            v = v * w_tail
         yield subset, [schur(lam, pts, mode) * v for lam in lams]
 
 
@@ -256,12 +258,13 @@ def _minor_matrix(d, lifted):
     return _hermitian_sum(lifted, _drops(d), len(d) - 1)
 
 
-def _moment_sums(d, points, exact):
-    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over (x, y, w or None) triples."""
-    t = [Scalar.zero(exact) for _ in d]
-    for xk, yk, wk in points:
-        xbar = xk.conj()
-        wy = yk if wk is None else wk.mag_sq() * yk
+def _moment_sums(d, points, start):
+    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the points from the
+    0-based index `start` on."""
+    t = [Scalar.zero(points.exact) for _ in d]
+    for k in range(start, len(points.x)):
+        xbar, yk = points.x[k].conj(), points.y[k]
+        wy = yk if points.w is None else points.w[k].mag_sq() * yk
         for j, dj in enumerate(d):
             t[j] = t[j] + scalar_pow(xbar, dj) * wy
     return t
@@ -280,17 +283,17 @@ def _signed_numerators(s, t):
     return out
 
 
-def _aggregates(d, points, extra=None):
-    """D, S, T and the evaluation count of `points` (a DataSet or a stream
-    state), from one lift.  With `extra` = (x, y, w or None), the increments
-    from appending that point instead: D and S summed over the subsets that
-    hold it, and T of that point alone.
+def _aggregates(d, points, fixed=0):
+    """D, S, T and the evaluation count of `points` (a DataSet or a stream's
+    points), from one lift.  With fixed=1, the increments from appending the
+    last point instead: D and S summed over the subsets that hold it, and T
+    of that point alone.
     """
-    lifted = _lift(points, extra)
+    lifted = _lift(points, fixed)
     dvalue, evals_d = _denominator_sum(d, lifted)
     s, evals_s = _minor_matrix(d, lifted)
-    triples = [extra] if extra is not None else zip(points.x, points.y, points.w or repeat(None))
-    return dvalue, s, _moment_sums(d, triples, points.exact), evals_d + evals_s
+    t = _moment_sums(d, points, len(points.x) - 1 if fixed else 0)
+    return dvalue, s, t, evals_d + evals_s
 
 
 def _quotients(d, x, numerators, dvalue):
@@ -396,12 +399,11 @@ def _checked_denominator(d, data):
 
 def _append_b_columns(b, d, lifted):
     """Append the column (-1)^(i+1) u_i (1-based i) for each kernel column of
-    (n-1)-subsets (see `_subset_columns`), labelled by its 1-based points, the
-    appended one numbered m+1; float mode divides by sqrt(D) before wrapping."""
+    (n-1)-subsets (see `_subset_columns`), labelled by its 1-based points;
+    float mode divides by sqrt(D) before wrapping."""
     root = b.denominator_root if b.normalized else None
-    tail = (len(lifted.x) + 1,) if lifted.tail else ()
     for subset, u in _subset_columns(lifted, _drops(d), len(d) - 1):
-        b.columns.append(tuple(k + 1 for k in subset) + tail)
+        b.columns.append(tuple(k + 1 for k in subset))
         for i, row in enumerate(b.entries):
             e = -u[i] if i % 2 == 0 else u[i]
             row.append(_wrap(e if root is None else e / root, lifted.exact))
@@ -415,12 +417,7 @@ def b_matrix(d, data):
     float mode divides through by sqrt(D).
     """
     dvalue, lifted = _checked_denominator(d, data)
-    b = BMatrix(
-        entries=[[] for _ in d],
-        columns=[],
-        denominator_root_sq=dvalue,
-        normalized=not data.exact,
-    )
+    b = BMatrix(entries=[[] for _ in d], columns=[], denominator_root_sq=dvalue)
     _append_b_columns(b, d, lifted)
     return b
 

@@ -291,6 +291,27 @@ def test_stream_refuses_malformed_snapshot(tmp_path, capsys, corrupt, mode):
     assert snap.read_text() == saved
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [{"degrees": [1.9, 0.2]}, {"evaluations": 7.9}],
+    ids=["fractional-degrees", "fractional-evaluations"],
+)
+def test_stream_refuses_non_integral_snapshot_numbers(tmp_path, capsys, edit):
+    # truncating 1.9, 0.2 to the asked-for degrees (1, 0) would let this load
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,2\n3,5\n")
+    snap = tmp_path / "state.json"
+    argv = ["stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path)]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    snap.write_text(json.dumps({**json.loads(snap.read_text()), **edit}))
+    saved = snap.read_text()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "is not an integer" in err and err.count("\n") == 1
+    assert snap.read_text() == saved
+
+
 def test_stream_skips_malformed_rows(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,0\nbad,row\n1,1\n2,2\n")
@@ -326,7 +347,7 @@ def test_output_determinism(tmp_path, capsys):
     path, _ = write_quartic(tmp_path, m=9, noise=0.01, seed=42, exact=False)
     reports = []
     for _ in range(2):
-        code, out, _ = run(capsys, "fit", "--degrees", "4,2,0", "--seed", "42", str(path))
+        code, out, _ = run(capsys, "fit", "--degrees", "4,2,0", str(path))
         assert code == EXIT_OK
         report = json.loads(out)
         report.pop("seconds")  # wall time is the only nondeterministic field
@@ -374,6 +395,47 @@ def test_bench_refuses_zero_repetitions(capsys):
     code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", "8,12,16,20", "--repetitions", "0")
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--degrees", "1,0", "--bogus", "DATA"], "unrecognized arguments: --bogus"),
+        (["fit", "--degrees", "1,0"], "the following arguments are required: input"),
+        (["fit"], "the following arguments are required: input"),
+        # each option exists only where it is read: bench fits float
+        # quartics, and only bench draws noise from a seed
+        (["bench", "--degrees", "2,0", "--exact"], "unrecognized arguments: --exact"),
+        (["bench", "--degrees", "2,0", "--weights"], "unrecognized arguments: --weights"),
+        (["fit", "--degrees", "1,0", "--seed", "42", "DATA"], "unrecognized arguments: --seed"),
+        (["stream", "--degrees", "1,0", "--seed", "42", "DATA"], "unrecognized arguments: --seed"),
+        (["compare", "--degrees", "1,0", "--seed", "42", "DATA"], "unrecognized arguments: --seed"),
+    ],
+    ids=[
+        "unknown-flag",
+        "missing-input",
+        "fit-alone",
+        "bench-exact",
+        "bench-weights",
+        "fit-seed",
+        "stream-seed",
+        "compare-seed",
+    ],
+)
+def test_argument_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0,0\n1,1\n")
+    code, out, err = run(capsys, *[str(path) if a == "DATA" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "--exact" in capsys.readouterr().out
 
 
 def test_missing_degrees_is_usage_error(tmp_path, capsys):

@@ -265,6 +265,45 @@ def test_extend_b_matrix_float_rescales():
     assert abs(extended.entries[1][c] - Scalar.from_float(float(x_new.re) / root)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "weights, w_new",
+    [((1, 1), None), (None, 1), ((1, 1), 0)],
+    ids=["unweighted-point-on-weighted-state", "weighted-point-on-unweighted-state", "zero-weight"],
+)
+def test_extend_b_matrix_refuses_what_update_refuses(weights, w_new):
+    # each of these points gives a B that fits no data set
+    d = Exponents((1, 0))
+    data = DataSet(ex(1, 2), ex(1, 2), None if weights is None else ex(*weights))
+    state, prior = init_state(d, data), b_matrix(d, data)
+    w = None if w_new is None else Scalar.from_exact(w_new)
+    with pytest.raises(ValueError):
+        update(state, Scalar.from_exact(3), Scalar.from_exact(3), w)
+    with pytest.raises(ValueError):
+        extend_b_matrix(state, prior, Scalar.from_exact(3), w)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_mode_is_read_off_the_values(exact):
+    d = Exponents((1, 0))
+    make = Scalar.from_exact if exact else Scalar.from_float
+    data = DataSet([make(v) for v in (1, 2)], [make(v) for v in (1, 3)])
+    empty = init_state(d, exact=exact)
+    state = update(init_state(d, data), make(4), make(5))
+    for s in (empty, init_state(d, data), state, RegressionState.from_dict(state.to_dict())):
+        assert s.exact is exact
+        assert s.to_dict()["mode"] == ("exact" if exact else "float")
+    for b in (b_matrix(d, data), extend_b_matrix(init_state(d, data), b_matrix(d, data), make(4))):
+        assert b.normalized is not exact
+
+
+def test_snapshot_refuses_non_integral_numbers():
+    payload = init_state(Exponents((1, 0)), DataSet(ex(1, 2), ex(1, 2))).to_dict()
+    for key, value in (("evaluations", 7.9), ("degrees", [1.9, 0.2])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            RegressionState.from_dict({**payload, key: value})
+    assert RegressionState.from_dict({**payload, "evaluations": 7.0}).evaluations == 7
+
+
 def test_snapshot_round_trip():
     rng = random.Random(59)
     d = Exponents((2, 1, 0))

@@ -27,6 +27,14 @@ def test_exponents_validation():
         Exponents(())
 
 
+@pytest.mark.parametrize("make", [Exponents, Partition])
+def test_non_integral_numbers_are_refused(make):
+    # int() would truncate 3.7 to 3; integral floats still count as integers
+    with pytest.raises(ValueError, match="3.7 is not an integer"):
+        make((3.7, 1.2, 0))
+    assert make((3.0, 1, 0)) == make((3, 1, 0))
+
+
 def test_partition_validation_and_normalization():
     with pytest.raises(ValueError):
         Partition((1, 2))
