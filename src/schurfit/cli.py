@@ -262,6 +262,8 @@ def cmd_bench(args):
         raise ValueError("bench needs at least 4 sizes to estimate a slope")
     if args.repetitions < 1:
         raise ValueError("bench needs at least 1 repetition")
+    if min(sizes) < len(degrees):
+        raise ValueError(f"bench sizes must be at least {len(degrees)}, the number of model terms")
     rows = run_bench(degrees, sizes, args.repetitions, args.noise, args.seed)
     slope = fit_loglog_slope([r["m"] for r in rows], [r["seconds"] for r in rows])
     if args.output == "tsv":

@@ -192,9 +192,12 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
 
     `prior_b` must have been built from the state's current m points.  New
     columns are appended after the existing ones; the shared normalizer moves
-    to the enlarged denominator.  The point is refused as `update` refuses
-    it: a zero weight, or a weight on an unweighted stream or the reverse,
-    raises ValueError.
+    to the enlarged denominator.  A prior B with another column count raises
+    ValueError, and so, in exact mode, does one whose D differs from the
+    state's; a float stream's D differs from a batch D by rounding, so float
+    mode checks the column count only.  The point is refused as `update`
+    refuses it: a zero weight, or a weight on an unweighted stream or the
+    reverse, raises ValueError.
     """
     d, n, m = state.d, len(state.d), state.m
     if len(prior_b.columns) != comb(m, n - 1):
@@ -202,6 +205,8 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
             f"prior B matrix has {len(prior_b.columns)} columns; the state's "
             f"{m} points give C({m}, {n - 1}) = {comb(m, n - 1)}"
         )
+    if state.exact and prior_b.denominator_root_sq != state.denom:
+        raise ValueError("prior B matrix was built from other points than the state's")
 
     lifted = _lift(_appended(state, x_new, None, w_new), 1)
     new_d = state.denom + _denominator_sum(d, lifted)[0]

@@ -1,12 +1,13 @@
 """Complex scalar arithmetic in two modes: exact Gaussian-rational and binary64.
 
 Every public value is a ``Scalar``; only the subset kernel in `regress`
-computes on plain float, complex or Fraction values and wraps its sums.  Exact
-mode keeps the real and imaginary parts as arbitrary-precision ``Fraction``s,
-so sums and products never round; division is exact and only legal by a
-nonzero scalar.  Float mode keeps binary64 components and divides as Python
-``complex`` does.  Mixing the two modes in one expression is a bug in the
-caller and raises ``ScalarModeError`` instead of silently promoting.
+computes on plain float or complex values, or on exact data scaled to ints or
+``_Gaussian`` int pairs, and wraps its sums.  Exact mode keeps the real and
+imaginary parts as arbitrary-precision ``Fraction``s, so sums and products
+never round; division is exact and only legal by a nonzero scalar.  Float
+mode keeps binary64 components and divides as Python ``complex`` does.
+Mixing the two modes in one expression is a bug in the caller and raises
+``ScalarModeError`` instead of silently promoting.
 """
 
 from __future__ import annotations
@@ -103,8 +104,6 @@ class Scalar:
     def conj(self):
         return Scalar(self.re, -self.im, self.exact)
 
-    conjugate = conj  # the name float, complex and Fraction use
-
     def mag_sq(self):
         """conj(self) * self, always real and non-negative."""
         return Scalar(self.re * self.re + self.im * self.im, self.re * 0, self.exact)
@@ -133,6 +132,55 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r}, exact={self.exact})"
+
+
+class _Gaussian:
+    """The Gaussian number real + imag*i with int parts, or Fraction parts
+    after a division: the subset kernel's number type for Gaussian exact data.
+
+    It mixes with ints, whose .real and .imag it reads, since `symfunc` starts
+    its sums and products at the ints 0 and 1.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other):
+        return _Gaussian(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Gaussian(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return _Gaussian(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _Gaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        q = Fraction(c * c + d * d)
+        return _Gaussian((a * c + b * d) / q, (b * c - a * d) / q)
+
+    def __rtruediv__(self, other):
+        return _Gaussian(other.real, other.imag) / self
+
+    def __neg__(self):
+        return _Gaussian(-self.real, -self.imag)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def conjugate(self):
+        return _Gaussian(self.real, -self.imag)
 
 
 def scalar_pow(s, e):

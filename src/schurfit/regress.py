@@ -17,10 +17,11 @@ B's columns are the signed u vectors; the pseudoinverse B B* A* uses
 B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
 
 The kernel computes on plain numbers: `_lift` converts points and weights
-once per public call to float, complex or Fraction (Gaussian rationals stay
-Scalar) and `_wrap` turns each sum or B entry back into a Scalar; the rest of
-the module works on Scalars.  The kernel calls `schur` and `vandermonde` by
-the names bound here, where a tracer can wrap them.
+once per public call to float or complex, or scales exact ones to int or
+Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a Scalar,
+undoing that scaling with one exact division; the rest of the module works on
+Scalars.  The kernel calls `schur` and `vandermonde` by the names bound here,
+where a tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
+from fractions import Fraction
+from math import lcm, sqrt
 from operator import attrgetter
 
-from .numeric import Scalar, ScalarModeError, scalar_pow
+from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_drop, lambda_from_degrees
 from .symfunc import NATIVE, schur, vandermonde
 
@@ -159,40 +161,58 @@ def _drops(d):
     return [lambda_drop(d, i) for i in range(1, len(d) + 1)]
 
 
-# points and weights in the kernel's number type; see `_lift`
-_Lifted = namedtuple("_Lifted", "x w fixed mode exact")
+# points and weights in the kernel's number type, and the factors by which
+# exact points and weights were scaled to integers; see `_lift`
+_Lifted = namedtuple("_Lifted", "x w fixed exact xscale wscale")
 
 
 def _lift(points, fixed=0):
     """x and w of `points` (a DataSet or a stream's points), lifted to one
     number type; y is left to the Scalar arithmetic of `_moment_sums`.
 
-    Real float data becomes float, complex float data complex and real exact
-    data Fraction; Gaussian-rational exact data stays Scalar.  In the record,
-    fixed (0 or 1) counts the trailing points that every subset must hold,
-    and mode, the `exact` the kernel passes to `symfunc`, is NATIVE for the
-    native types, so that an empty point gives the int 1, and True for
-    Scalars.
+    Real float data becomes float and complex float data complex.  Exact x
+    is scaled by xscale, the lcm of the denominators of its real and
+    imaginary parts, and exact w by wscale, the same lcm over the weights, so
+    real exact data becomes int and Gaussian exact data `_Gaussian` with int
+    parts; float data keeps the scales 1.  In the record, fixed (0 or 1)
+    counts the trailing points that every subset must hold.
     """
     exact = points.exact
     scalars = [*points.x, *(points.w or ())]
     if any(s.exact is not exact for s in scalars):
         raise ScalarModeError("point does not match the data's numeric mode")
-    if any(s.im for s in scalars):
-        if exact:
-            return _Lifted(points.x, points.w, fixed, True, True)
-        lift = complex
-    else:
-        lift = attrgetter("re")
-    w = None if points.w is None else [lift(v) for v in points.w]
-    return _Lifted([lift(v) for v in points.x], w, fixed, NATIVE, exact)
+    gaussian = any(s.im for s in scalars)
+    if not exact:
+        lift = complex if gaussian else attrgetter("re")
+        w = None if points.w is None else [lift(v) for v in points.w]
+        return _Lifted([lift(v) for v in points.x], w, fixed, False, 1, 1)
+    x, xscale = _scaled(points.x, gaussian)
+    w, wscale = (None, 1) if points.w is None else _scaled(points.w, gaussian)
+    return _Lifted(x, w, fixed, True, xscale, wscale)
 
 
-def _wrap(v, exact):
-    """A kernel value as a Scalar of the data's mode."""
-    if isinstance(v, Scalar):
-        return v
-    return (Scalar.from_exact if exact else Scalar.from_float)(v.real, v.imag)
+def _scaled(values, gaussian):
+    """Exact `values` times the lcm of the denominators of their parts, as
+    ints or, if `gaussian`, `_Gaussian`s, and that lcm."""
+    scale = lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    if gaussian:
+        return [_Gaussian(int(v.re * scale), int(v.im * scale)) for v in values], scale
+    return [int(v.re * scale) for v in values], scale
+
+
+def _lift_factor(lifted, lam, size):
+    """The factor by which the lift scales u = w_l s_lam(x_l) V(x_l) on
+    `size`-point subsets: u is homogeneous of degree |lam| + C(size, 2) in x
+    and of degree size in w."""
+    return lifted.xscale ** (lam.weight + size * (size - 1) // 2) * lifted.wscale**size
+
+
+def _wrap(v, exact, scale=1):
+    """A kernel value as a Scalar of the data's mode; exact values are
+    divided by `scale` to undo the lift."""
+    if exact:
+        return Scalar(Fraction(v.real, scale), Fraction(v.imag, scale), True)
+    return Scalar.from_float(v.real, v.imag)
 
 
 def _subset_columns(lifted, lams, size):
@@ -203,7 +223,7 @@ def _subset_columns(lifted, lams, size):
     Only the subsets that hold the last `lifted.fixed` points count; `subset`
     lists 0-based indices, those fixed points last.
     """
-    x, w, fixed, mode, _ = lifted
+    x, w, fixed = lifted[:3]
     if size < fixed:
         return
     m = len(x) - fixed
@@ -211,23 +231,23 @@ def _subset_columns(lifted, lams, size):
     for head in combinations(range(m), size - fixed):
         subset = head + tail
         pts = tuple(x[k] for k in subset)
-        v = vandermonde(pts, mode)
+        v = vandermonde(pts, NATIVE)
         if w is not None:
             for k in subset:
                 v = v * w[k]
-        yield subset, [schur(lam, pts, mode) * v for lam in lams]
+        yield subset, [schur(lam, pts, NATIVE) * v for lam in lams]
 
 
 def _hermitian_sum(lifted, lams, size):
     """Sum of u u* over the kernel's columns of `size`-point subsets as an
     n x n Scalar matrix, n = len(lams), and the count n^2 * #columns.
 
-    The sum runs in the lifted type and each entry is wrapped once.  Only the
-    upper triangle is multiplied out; the lower one is its conjugate.
+    The sum runs in the lifted type and each entry (i, j) is wrapped once,
+    divided by the lift's scaling of u_i conj(u_j).  Only the upper triangle
+    is multiplied out; the lower one is its conjugate.
     """
     n = len(lams)
-    zero = 0 if lifted.mode is NATIVE else Scalar.zero(True)  # 0 + v == v in native types
-    acc = [[zero] * n for _ in range(n)]
+    acc = [[0] * n for _ in range(n)]
     count = 0
     for _, u in _subset_columns(lifted, lams, size):
         u_conj = [v.conjugate() for v in u]
@@ -236,7 +256,11 @@ def _hermitian_sum(lifted, lams, size):
             for j in range(i, n):
                 row[j] = row[j] + ui * u_conj[j]
         count += 1
-    out = [[_wrap(v, lifted.exact) for v in row] for row in acc]
+    scales = [_lift_factor(lifted, lam, size) for lam in lams]
+    out = [
+        [_wrap(v, lifted.exact, scales[i] * scales[j]) for j, v in enumerate(row)]
+        for i, row in enumerate(acc)
+    ]
     for i in range(1, n):
         for j in range(i):
             out[i][j] = out[j][i].conj()
@@ -400,13 +424,16 @@ def _checked_denominator(d, data):
 def _append_b_columns(b, d, lifted):
     """Append the column (-1)^(i+1) u_i (1-based i) for each kernel column of
     (n-1)-subsets (see `_subset_columns`), labelled by its 1-based points;
-    float mode divides by sqrt(D) before wrapping."""
+    float mode divides by sqrt(D) before wrapping, exact mode by the lift's
+    scaling of u_i."""
     root = b.denominator_root if b.normalized else None
-    for subset, u in _subset_columns(lifted, _drops(d), len(d) - 1):
+    lams, size = _drops(d), len(d) - 1
+    scales = [_lift_factor(lifted, lam, size) for lam in lams]
+    for subset, u in _subset_columns(lifted, lams, size):
         b.columns.append(tuple(k + 1 for k in subset))
         for i, row in enumerate(b.entries):
             e = -u[i] if i % 2 == 0 else u[i]
-            row.append(_wrap(e if root is None else e / root, lifted.exact))
+            row.append(_wrap(e if root is None else e / root, lifted.exact, scales[i]))
 
 
 def b_matrix(d, data):

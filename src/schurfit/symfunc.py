@@ -1,10 +1,11 @@
 """Point evaluation of symmetric functions.
 
 `elem_sym_all`, `vandermonde`, `det` and `schur` take points of Scalars, which
-give Scalars, or of native float, complex or Fraction values, which compute
-in their own type; the subset kernel in `regress` uses the latter.  They need
-only + - * /, a zero test (bool) and, for float pivoting, |a|^2.  An empty
-point gives the Scalar 0 and 1, or with exact=NATIVE the ints 0 and 1.
+give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
+values, which compute in their own type; the subset kernel in `regress` uses
+the latter.  They need only + - * /, a zero test (bool) and, for float
+pivoting, |a|^2; `det` divides ints exactly, as Fractions.  An empty point
+gives the Scalar 0 and 1, or with exact=NATIVE the ints 0 and 1.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -27,6 +28,7 @@ guarded to desk-scale inputs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .numeric import Scalar, ScalarModeError, scalar_pow
@@ -106,8 +108,9 @@ def det(rows, exact):
     entries e_k vanish for k > r, costs O(width * band^2) instead of
     O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
     (partial pivoting); a skipped update is a - 0*b, so finite results are
-    bit-identical to dense LU.  Exact mode pivots on the first nonzero row;
-    its Fractions are canonical, so the value equals any other exact method's.
+    bit-identical to dense LU.  Exact mode pivots on the first nonzero row
+    and lifts an int pivot to Fraction, so that int entries divide exactly;
+    Fractions are canonical, so the value equals any other exact method's.
     """
     n = len(rows)
     if n == 0:
@@ -129,6 +132,8 @@ def det(rows, exact):
             sign = -sign
         pivot_row = a[k]
         pivot = pivot_row[k]
+        if exact and type(pivot) is int:  # int / int would round to a float
+            pivot = Fraction(pivot)
         cols = [j for j in range(k + 1, n) if pivot_row[j]]
         for row in others:
             f = row[k] / pivot

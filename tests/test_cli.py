@@ -397,6 +397,12 @@ def test_bench_refuses_zero_repetitions(capsys):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_bench_refuses_sizes_below_the_term_count(capsys):
+    code, out, err = run(capsys, "bench", "--degrees", "4,2,0", "--sizes", "1,2,3,4")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: bench sizes must be at least 3") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

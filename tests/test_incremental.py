@@ -241,6 +241,17 @@ def test_extend_b_matrix_refuses_prior_from_fewer_points():
         extend_b_matrix(state, b_matrix(d, take(data, 3)), data.x[4])
 
 
+def test_extend_b_matrix_refuses_prior_from_other_points():
+    # same column count, but a D that is not the state's: the B it would
+    # give fits no data set
+    d = Exponents((1, 0))
+    state = init_state(d, DataSet(ex(1, 2), ex(1, 2)))
+    with pytest.raises(ValueError, match="other points"):
+        extend_b_matrix(state, b_matrix(d, DataSet(ex(5, 9), ex(1, 2))), Scalar.from_exact(3))
+    extended = extend_b_matrix(state, b_matrix(d, DataSet(ex(1, 2), ex(1, 2))), Scalar.from_exact(3))
+    assert extended == b_matrix(d, DataSet(ex(1, 2, 3), ex(1, 2, 0)))
+
+
 def test_extend_b_matrix_float_rescales():
     d = Exponents((1, 0))
     x = [Scalar.from_float(v) for v in (1.0, 2.0, 4.0)]

@@ -8,8 +8,8 @@ import pytest
 
 from schurfit import oracle, regress
 from schurfit.cli import quartic_example
-from schurfit.incremental import init_state, update
-from schurfit.numeric import Scalar, scalar_pow
+from schurfit.incremental import extend_b_matrix, init_state, update
+from schurfit.numeric import Scalar, _Gaussian, scalar_pow
 from schurfit.partitions import Exponents, Partition, lambda_drop, lambda_from_degrees
 from schurfit.regress import (
     DataSet,
@@ -594,10 +594,10 @@ def _lift_cases():
         (float, False, False, False),
         (complex, False, True, False),
         (complex, False, False, True),
-        (Fraction, True, False, False),
-        (Scalar, True, True, False),
-        (Scalar, True, True, True),
-        (Scalar, True, False, True),
+        (int, True, False, False),
+        (_Gaussian, True, True, False),
+        (_Gaussian, True, True, True),
+        (_Gaussian, True, False, True),
     ]:
         x, y, w = points(gaussian_x), points(True), weights(gaussian_w)
         if not exact:
@@ -623,7 +623,9 @@ def test_every_lifted_number_type_matches_gram_and_oracle(lifted, exact, data):
 
 @pytest.mark.parametrize("lifted,exact,data", _lift_cases())
 def test_symfunc_on_native_points_matches_scalar_points(lifted, exact, data):
-    native = regress._lift(data)[0]
+    # the lift scales exact x by xscale, so the reference points are scaled too
+    native, xscale = regress._lift(data).x, regress._lift(data).xscale
+    scale = Scalar.from_int(xscale, exact)
 
     def same(value, reference):
         if exact:
@@ -631,7 +633,7 @@ def test_symfunc_on_native_points_matches_scalar_points(lifted, exact, data):
         return max_rel_diff([regress._wrap(value, False)], [reference]) <= 1e-13
 
     for k in range(3, 6):
-        pts, scalar_pts = tuple(native[:k]), tuple(data.x[:k])
+        pts, scalar_pts = tuple(native[:k]), tuple(scale * v for v in data.x[:k])
         assert same(vandermonde(pts), vandermonde(scalar_pts))
         for parts in [(2, 1), (3,), (3, 2), (4, 1, 1)]:
             lam = Partition(parts)
@@ -639,3 +641,59 @@ def test_symfunc_on_native_points_matches_scalar_points(lifted, exact, data):
         rows = [[pts[(i + j) % k] * pts[j] for j in range(k)] for i in range(k)]
         scalar_rows = [[scalar_pts[(i + j) % k] * scalar_pts[j] for j in range(k)] for i in range(k)]
         assert same(det(rows, exact), det(scalar_rows, exact))
+
+
+def _coprime_dataset(gaussian_x, gaussian_w):
+    """Seven exact points whose parts have the coprime denominators 3, 7 and
+    11, and weights whose parts have the denominators 5 and 13, so the lift
+    scales x by 231 and w by 65."""
+    x, y, w = [], [], []
+    for k in range(7):
+        im = Fraction(k, (7, 11, 3)[k % 3]) if gaussian_x else 0
+        x.append(Scalar.from_exact(Fraction((-1) ** k * (k + 1), (3, 7, 11)[k % 3]), im))
+        y.append(Scalar.from_exact(Fraction(k * k - 3, 2), Fraction(k, 3)))
+        im = Fraction(1, (13, 5)[k % 2]) if gaussian_w else 0
+        w.append(Scalar.from_exact(Fraction(k + 2, (5, 13)[k % 2]), im))
+    return DataSet(x, y, w)
+
+
+@pytest.mark.parametrize("gaussian_x", [False, True], ids=["real-x", "gaussian-x"])
+@pytest.mark.parametrize("gaussian_w", [False, True], ids=["real-w", "gaussian-w"])
+def test_integer_lift_is_undone_exactly(gaussian_x, gaussian_w):
+    # the kernel sums on x and w scaled to integers; every aggregate it
+    # returns must equal the unscaled one, compared with ==
+    data, d, n = _coprime_dataset(gaussian_x, gaussian_w), Exponents((4, 2, 0)), 3
+    lifted = regress._lift(data)
+    assert (lifted.xscale, lifted.wscale) == (231, 65)
+    reference = oracle.solve_normal(d, data)
+    assert scalars_equal(fit(d, data).coefficients, reference)
+    zero = Scalar.zero(True)
+    applied = [sum((p * y for p, y in zip(row, data.y)), zero) for row in pseudoinverse(d, data)]
+    assert scalars_equal(applied, reference)
+
+    b = b_matrix(d, data)
+    assert b.denominator_root_sq == det(gram(d, data), True)
+    for c, col in enumerate(b.columns):
+        pts = tuple(data.x[k - 1] for k in col)
+        v = vandermonde(pts)
+        for k in col:
+            v = v * data.w[k - 1]
+        for i in range(n):
+            u = schur(lambda_drop(d, i + 1), pts) * v
+            assert b.entries[i][c] == (-u if i % 2 == 0 else u)
+
+    head = DataSet(data.x[:n], data.y[:n], data.w[:n])
+    state, chained = init_state(d, head), b_matrix(d, head)
+    for k in range(n, data.m):
+        chained = extend_b_matrix(state, chained, data.x[k], data.w[k])
+        state = update(state, data.x[k], data.y[k], data.w[k])
+    assert chained.denominator_root_sq == b.denominator_root_sq
+    by_column = lambda bm: dict(zip(bm.columns, zip(*bm.entries)))
+    assert by_column(chained) == by_column(b)
+
+    stream = init_state(d, exact=True)
+    for k in range(data.m):
+        stream = update(stream, data.x[k], data.y[k], data.w[k])
+    for s in (state, stream):
+        assert s.denom == b.denominator_root_sq
+        assert scalars_equal(s.coefficients, reference)

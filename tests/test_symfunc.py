@@ -328,3 +328,16 @@ def test_float_schur_accuracy_on_high_degree_shapes(points):
         lam = Partition(parts)
         scale = abs(schur(lam, abs_z))
         assert abs(schur(lam, float_z) - schur(lam, exact_z).to_float()) <= 1e-10 * scale
+
+
+def test_schur_on_int_points_is_exact():
+    # the dual Jacobi-Trudi determinants of (3,) and (3, 2) are 3 x 3, so
+    # `det` divides; int / int would round to a float
+    pts = (3, -7, 11)
+    for parts in [(3,), (3, 2)]:
+        lam = Partition(parts)
+        for k in (2, 3):
+            value = schur(lam, pts[:k])
+            assert isinstance(value, (int, Fraction))
+            reference = schur(lam, tuple(Scalar.from_exact(v) for v in pts[:k]))
+            assert Scalar.from_exact(value) == reference
