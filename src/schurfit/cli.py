@@ -5,8 +5,9 @@ optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i"),
 and in float mode must be finite.  Reports are JSON (default) or TSV.  Exit
 codes: 0 success, 1 usage or I/O trouble (an unknown option or a missing
 argument included), a malformed snapshot or one that does not match the
-command line, an arithmetic failure such as float overflow, or values of mixed
-exact and float modes, 2 no unique solution.
+command line, an arithmetic failure such as float overflow, values of mixed
+exact and float modes, or a `compare` whose closed form and oracle disagree
+beyond the tolerance, 2 no unique solution.
 """
 
 from __future__ import annotations

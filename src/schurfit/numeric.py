@@ -1,13 +1,14 @@
 """Complex scalar arithmetic in two modes: exact Gaussian-rational and binary64.
 
-Every public value is a ``Scalar``; only the subset kernel in `regress`
-computes on plain float or complex values, or on exact data scaled to ints or
-``_Gaussian`` int pairs, and wraps its sums.  Exact mode keeps the real and
-imaginary parts as arbitrary-precision ``Fraction``s, so sums and products
-never round; division is exact and only legal by a nonzero scalar.  Float
-mode keeps binary64 components and divides as Python ``complex`` does.
-Mixing the two modes in one expression is a bug in the caller and raises
-``ScalarModeError`` instead of silently promoting.
+A ``Scalar`` is one native number tagged with its mode.  In exact mode the
+number is a ``Fraction``, or a ``_Gaussian`` with ``Fraction`` parts when it is
+complex, so sums and products never round and division is exact; in float
+mode it is a ``float`` or a ``complex`` and divides as Python ``complex``
+does.  The arithmetic is the number's own; the Scalar only checks that both
+operands share a mode.  Mixing the two modes in one expression is a bug in
+the caller and raises ``ScalarModeError`` instead of silently promoting.  The
+subset kernel in `regress` computes on the bare numbers, with exact data
+scaled to ints or ``_Gaussian`` int pairs, and wraps its sums.
 """
 
 from __future__ import annotations
@@ -21,24 +22,29 @@ class ScalarModeError(TypeError):
 
 
 class Scalar:
-    """A complex number with an explicit arithmetic mode."""
+    """A complex number with an explicit arithmetic mode.
 
-    __slots__ = ("re", "im", "exact")
+    `value` is a Fraction or `_Gaussian` when `exact`, else a float or
+    complex; `re` and `im` read its parts.
+    """
 
-    def __init__(self, re, im, exact):
-        self.re = re
-        self.im = im
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value, exact):
+        self.value = value
         self.exact = exact
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_exact(re, im=0):
-        return Scalar(Fraction(re), Fraction(im), True)
+        re, im = Fraction(re), Fraction(im)
+        return Scalar(_Gaussian(re, im) if im else re, True)
 
     @staticmethod
     def from_float(re, im=0.0):
-        return Scalar(float(re), float(im), False)
+        re, im = float(re), float(im)
+        return Scalar(complex(re, im) if im else re, False)
 
     @staticmethod
     def from_int(k, exact):
@@ -52,6 +58,9 @@ class Scalar:
     def one(exact):
         return Scalar.from_int(1, exact)
 
+    re = property(lambda self: self.value.real)
+    im = property(lambda self: self.value.imag)
+
     # -- mode handling ------------------------------------------------
 
     def _check(self, other):
@@ -62,59 +71,46 @@ class Scalar:
 
     def to_float(self):
         """Convert to float mode (lossy for general rationals)."""
-        return Scalar(float(self.re), float(self.im), False)
+        return Scalar.from_float(self.re, self.im)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        return Scalar(self.re + other.re, self.im + other.im, self.exact)
+        return Scalar(self.value + other.value, self.exact)
 
     def __sub__(self, other):
         self._check(other)
-        return Scalar(self.re - other.re, self.im - other.im, self.exact)
+        return Scalar(self.value - other.value, self.exact)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im, self.exact)
+        return Scalar(-self.value, self.exact)
 
     def __mul__(self, other):
         self._check(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.exact,
-        )
+        return Scalar(self.value * other.value, self.exact)
 
     def __truediv__(self, other):
+        # a zero divisor raises ZeroDivisionError in every value type; float
+        # complex division scales by the larger part of the divisor, so unlike
+        # |other|^2 it does not overflow for |other| above 1e154
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        if not self.exact:
-            # complex division scales by the larger part of the divisor, so
-            # unlike |other|^2 it does not overflow for |other| above 1e154
-            q = complex(self.re, self.im) / complex(other.re, other.im)
-            return Scalar(q.real, q.imag, False)
-        q = other.re * other.re + other.im * other.im
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / q,
-            (self.im * other.re - self.re * other.im) / q,
-            self.exact,
-        )
+        return Scalar(self.value / other.value, self.exact)
 
     def conj(self):
-        return Scalar(self.re, -self.im, self.exact)
+        return Scalar(self.value.conjugate(), self.exact)
 
     def mag_sq(self):
         """conj(self) * self, always real and non-negative."""
-        return Scalar(self.re * self.re + self.im * self.im, self.re * 0, self.exact)
+        return Scalar(self.re * self.re + self.im * self.im, self.exact)
 
     # -- predicates / comparison --------------------------------------
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.value
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -135,11 +131,14 @@ class Scalar:
 
 
 class _Gaussian:
-    """The Gaussian number real + imag*i with int parts, or Fraction parts
-    after a division: the subset kernel's number type for Gaussian exact data.
+    """The Gaussian number real + imag*i, the one exact complex type: the
+    value of an exact complex Scalar, with Fraction parts, and the subset
+    kernel's number for Gaussian exact data, with int parts, or Fraction parts
+    after a division.
 
-    It mixes with ints, whose .real and .imag it reads, since `symfunc` starts
-    its sums and products at the ints 0 and 1.
+    It mixes with ints and Fractions on either side, reading their .real and
+    .imag, since `symfunc` starts its sums and products at the ints 0 and 1
+    and a complex Scalar meets real ones.
     """
 
     __slots__ = ("real", "imag")
@@ -217,7 +216,7 @@ def parse_scalar(text, exact):
     conv = Fraction if exact else _to_float
     try:
         if not s.endswith(("i", "I")):
-            return Scalar(conv(s), conv("0"), exact)
+            return Scalar(conv(s), exact)
         body = s[:-1]
         # split real and imaginary parts at the last sign that is not a
         # leading sign and not part of an exponent like "2e-3"
@@ -231,7 +230,10 @@ def parse_scalar(text, exact):
             im_part = "1"
         elif im_part == "-":
             im_part = "-1"
-        return Scalar(conv(re_part) if re_part else conv("0"), conv(im_part), exact)
+        re, im = conv(re_part) if re_part else conv("0"), conv(im_part)
+        if not im:
+            return Scalar(re, exact)
+        return Scalar(_Gaussian(re, im) if exact else complex(re, im), exact)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed scalar literal: {text!r}") from exc
 
@@ -247,19 +249,19 @@ def _to_float(text):
     return value
 
 
-def _format_real(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(v)
-
-
 def format_scalar(s):
-    """Print a scalar so that parse_scalar round-trips it (lossless when exact)."""
-    if s.im == 0:
-        return _format_real(s.re)
-    im = _format_real(s.im)
-    if not im.startswith("-"):
-        im = "+" + im
-    if s.re == 0:
-        return im.lstrip("+") + "i" if not im.startswith("-") else im + "i"
-    return _format_real(s.re) + im + "i"
+    """Print a scalar so that parse_scalar round-trips it (lossless when exact).
+
+    str of a float is its shortest round-tripping repr, and str of a Fraction
+    is "p/q" or "p".
+    """
+    v = s.value
+    if not isinstance(v, (complex, _Gaussian)):
+        return str(v)
+    re, im = v.real, v.imag
+    if im == 0:
+        return str(re)
+    im = str(im) + "i"
+    if re == 0:
+        return im
+    return str(re) + ("" if im.startswith("-") else "+") + im

@@ -211,7 +211,7 @@ def _wrap(v, exact, scale=1):
     """A kernel value as a Scalar of the data's mode; exact values are
     divided by `scale` to undo the lift."""
     if exact:
-        return Scalar(Fraction(v.real, scale), Fraction(v.imag, scale), True)
+        return Scalar.from_exact(Fraction(v.real, scale), Fraction(v.imag, scale))
     return Scalar.from_float(v.real, v.imag)
 
 

@@ -3,9 +3,10 @@
 `elem_sym_all`, `vandermonde`, `det` and `schur` take points of Scalars, which
 give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
 values, which compute in their own type; the subset kernel in `regress` uses
-the latter.  They need only + - * /, a zero test (bool) and, for float
-pivoting, |a|^2; `det` divides ints exactly, as Fractions.  An empty point
-gives the Scalar 0 and 1, or with exact=NATIVE the ints 0 and 1.
+the latter.  They need only + - * /, a zero test (bool), == 1 for exact
+pivoting and |a|^2 for float pivoting; `det` divides ints exactly, as
+Fractions.  An empty point gives the Scalar 0 and 1, or with exact=NATIVE
+the ints 0 and 1.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -108,9 +109,11 @@ def det(rows, exact):
     entries e_k vanish for k > r, costs O(width * band^2) instead of
     O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
     (partial pivoting); a skipped update is a - 0*b, so finite results are
-    bit-identical to dense LU.  Exact mode pivots on the first nonzero row
-    and lifts an int pivot to Fraction, so that int entries divide exactly;
-    Fractions are canonical, so the value equals any other exact method's.
+    bit-identical to dense LU.  Exact mode pivots on the first row holding
+    the unit 1, which needs no division and so keeps int entries ints, else
+    on the first nonzero row, and lifts an int pivot to Fraction, so that int
+    entries divide exactly; Fractions are canonical, so the value equals any
+    other exact method's.
     """
     n = len(rows)
     if n == 0:
@@ -125,18 +128,22 @@ def det(rows, exact):
         live = [i for i in range(k, n) if a[i][k]]
         if not live:
             return Scalar.zero(exact) if isinstance(a[k][k], Scalar) else 0
-        p = live[0] if exact else max(live, key=lambda i: _abs_sq(a[i][k]))
+        if exact:
+            p = next((i for i in live if a[i][k] == 1), live[0])
+        else:
+            p = max(live, key=lambda i: _abs_sq(a[i][k]))
         others = [a[i] for i in live if i != p]
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot_row = a[k]
         pivot = pivot_row[k]
-        if exact and type(pivot) is int:  # int / int would round to a float
+        unit = exact and pivot == 1
+        if exact and not unit and type(pivot) is int:  # int / int would round to a float
             pivot = Fraction(pivot)
         cols = [j for j in range(k + 1, n) if pivot_row[j]]
         for row in others:
-            f = row[k] / pivot
+            f = row[k] if unit else row[k] / pivot
             for j in cols:
                 row[j] = row[j] - f * pivot_row[j]
     d = a[0][0]

@@ -194,6 +194,28 @@ def test_stream_snapshot_resume(tmp_path, capsys):
     assert final["coefficients"] == [format_scalar(a) for a in batch.coefficients]
 
 
+def test_failed_snapshot_write_keeps_the_old_snapshot(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,4\n3,9\n")
+    snap = tmp_path / "state.json"
+    code, _, _ = run(capsys, "stream", "--degrees", "2,0", "--exact", "--snapshot", str(snap), str(path))
+    assert code == EXIT_OK
+    saved = snap.read_bytes()
+
+    def half_dump(obj, handle, **kwargs):
+        handle.write(json.dumps(obj, **kwargs)[:20])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", half_dump)
+    more = tmp_path / "more.csv"
+    more.write_text("x,y\n4,16\n")
+    code, _, err = run(capsys, "stream", "--degrees", "2,0", "--exact", "--snapshot", str(snap), str(more))
+    assert code == EXIT_USAGE
+    assert err == "error: no space left on device\n"
+    assert snap.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "more.csv", "state.json"]
+
+
 def test_stream_underdetermined_exit_2_persists_state(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n1,1\n2,2\n")
@@ -435,6 +457,33 @@ def test_argument_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y\n", "input contains no data rows"),
+        ("", "missing header row"),
+        ("u,y\n1,2\n", "header must name columns x, y"),
+        ("x,v\n1,2\n", "header must name columns x, y"),
+        ("x,y\n1,2\n3\n", "row 3 is missing columns"),
+    ],
+    ids=["no-rows", "no-header", "no-x", "no-y", "short-row"],
+)
+def test_input_errors_exit_1_with_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "fit", "--degrees", "1,0", "--exact", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bench_refuses_fewer_than_four_sizes(capsys):
+    code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", "8,12,16")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: bench needs at least 4 sizes to estimate a slope\n"
 
 
 def test_help_exits_0(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from schurfit.numeric import (
     Scalar,
     ScalarModeError,
+    _Gaussian,
     format_scalar,
     magnitude_sq,
     parse_scalar,
@@ -139,3 +141,118 @@ def test_parse_rejects_non_finite_floats(text):
 def test_float_round_trip():
     s = Scalar.from_float(0.1, -2.5e-7)
     assert parse_scalar(format_scalar(s), exact=False) == s
+
+
+# -- _Gaussian against references written here ---------------------------
+
+
+def _parts(v):
+    """(real, imag) of an int, Fraction, complex or _Gaussian as Fractions."""
+    return Fraction(v.real), Fraction(v.imag)
+
+
+def _mul_ref(a, b, c, d):
+    return a * c - b * d, a * d + b * c
+
+
+def _div_ref(a, b, c, d):
+    q = c * c + d * d
+    return (a * c + b * d) / q, (b * c - a * d) / q
+
+
+def test_gaussian_matches_complex_on_small_ints():
+    # sums and products of ints below 2**20 are exact in binary64
+    rng = random.Random(12)
+    for _ in range(300):
+        a, b, c, d = (rng.randint(-(2**20), 2**20) for _ in range(4))
+        g, h = _Gaussian(a, b), _Gaussian(c, d)
+        z, w = complex(a, b), complex(c, d)
+        assert _parts(g + h) == _parts(z + w)
+        assert _parts(g - h) == _parts(z - w)
+        assert _parts(g * h) == _parts(z * w)
+        assert _parts(-g) == _parts(-z)
+        assert _parts(g.conjugate()) == _parts(z.conjugate())
+        assert bool(g) == bool(z)
+
+
+def test_gaussian_matches_the_fraction_formulas():
+    rng = random.Random(13)
+    for _ in range(300):
+        a, b, c, d = (Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4))
+        g, h = _Gaussian(a, b), _Gaussian(c, d)
+        assert _parts(g + h) == (a + c, b + d)
+        assert _parts(g - h) == (a - c, b - d)
+        assert _parts(g * h) == _mul_ref(a, b, c, d)
+        if c or d:
+            assert _parts(g / h) == _div_ref(a, b, c, d)
+        assert _parts(-g) == (-a, -b)
+        assert _parts(g.conjugate()) == (a, -b)
+
+
+@pytest.mark.parametrize("real", [3, -2, Fraction(5, 7), Fraction(-9, 4)], ids=repr)
+def test_gaussian_mixes_with_ints_and_fractions_on_both_sides(real):
+    a, b = Fraction(2, 3), Fraction(-5, 2)
+    g = _Gaussian(a, b)
+    r = Fraction(real)
+    assert _parts(g + real) == _parts(real + g) == (a + r, b)
+    assert _parts(g - real) == (a - r, b)
+    assert _parts(real - g) == (r - a, -b)
+    assert _parts(g * real) == _parts(real * g) == _mul_ref(a, b, r, 0)
+    assert _parts(g / real) == _div_ref(a, b, r, 0)
+    assert _parts(real / g) == _div_ref(r, 0, a, b)
+
+
+def test_gaussian_division_by_zero():
+    for divisor in (_Gaussian(0, 0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            _Gaussian(1, 2) / divisor
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1) / _Gaussian(0, 0)
+
+
+# -- Scalars across value types ---------------------------------------------
+
+
+def test_scalar_values_are_native_numbers():
+    assert type(Scalar.from_exact(2).value) is Fraction
+    assert type(Scalar.from_exact(1, 1).value) is _Gaussian
+    assert type(Scalar.from_float(2).value) is float
+    assert type(Scalar.from_float(1, 1).value) is complex
+    assert type(parse_scalar("3/4", True).value) is Fraction
+    assert type(parse_scalar("1+2i", True).value) is _Gaussian
+    assert type(parse_scalar("0.5", False).value) is float
+    assert type(parse_scalar("0.5-i", False).value) is complex
+    # real exact arithmetic stays on Fraction
+    a, b = Scalar.from_exact(Fraction(1, 3)), Scalar.from_exact(Fraction(-2, 5))
+    for v in (a + b, a - b, a * b, a / b, -a, a.conj(), a.mag_sq()):
+        assert type(v.value) is Fraction
+
+
+def test_cancelled_gaussian_equals_hashes_and_prints_like_the_real_value():
+    two = Scalar.from_exact(1, 1) * Scalar.from_exact(1, -1)
+    assert type(two.value) is _Gaussian
+    assert two == Scalar.from_exact(2) and Scalar.from_exact(2) == two
+    assert hash(two) == hash(Scalar.from_exact(2))
+    assert format_scalar(two) == format_scalar(Scalar.from_exact(2)) == "2"
+    assert len({two, Scalar.from_exact(2)}) == 1
+    assert two.im == 0 and two.re == 2
+    assert two + Scalar.from_exact(1) == Scalar.from_exact(3)
+
+
+def test_float_complex_with_zero_imaginary_part_prints_like_the_float():
+    z = Scalar.from_float(1.5, 2.0) * Scalar.from_float(1.5, -2.0)
+    assert type(z.value) is complex and z.value.imag == 0
+    assert z == Scalar.from_float(6.25) and hash(z) == hash(Scalar.from_float(6.25))
+    assert format_scalar(z) == format_scalar(Scalar.from_float(6.25)) == "6.25"
+
+
+def test_mixed_representations_agree_with_complex_arithmetic():
+    # a complex Scalar meets a real one on either side, in both modes
+    rng = random.Random(14)
+    for _ in range(200):
+        a, b, c = (rng.randint(-99, 99) for _ in range(3))
+        for make in (Scalar.from_exact, Scalar.from_float):
+            z, r = make(a, b), make(c)
+            for op in (operator.add, operator.sub, operator.mul):
+                assert complex(op(z, r)) == op(complex(a, b), c)
+                assert complex(op(r, z)) == op(c, complex(a, b))

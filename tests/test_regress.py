@@ -9,7 +9,7 @@ import pytest
 from schurfit import oracle, regress
 from schurfit.cli import quartic_example
 from schurfit.incremental import extend_b_matrix, init_state, update
-from schurfit.numeric import Scalar, _Gaussian, scalar_pow
+from schurfit.numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from schurfit.partitions import Exponents, Partition, lambda_drop, lambda_from_degrees
 from schurfit.regress import (
     DataSet,
@@ -177,6 +177,47 @@ def test_fit_rank_deficiency_errors():
     yf = [Scalar.from_float(v) for v in (1.0, 2.0, 3.0)]
     with pytest.raises(NonUniqueSolutionError):
         fit(d, DataSet(xf, yf))
+
+
+def test_data_set_refusals():
+    with pytest.raises(ValueError, match="at least one data point"):
+        DataSet([], [])
+    with pytest.raises(ValueError, match="x and y must have equal length"):
+        DataSet(ex(1, 2), ex(1))
+    with pytest.raises(ValueError, match="w must match x in length"):
+        DataSet(ex(1, 2), ex(1, 2), ex(1))
+    for x, y, w in [
+        (ex(1, 2), [Scalar.from_exact(1), Scalar.from_float(2.0)], None),
+        ([Scalar.from_exact(1), Scalar.from_float(2.0)], ex(1, 2), None),
+        (ex(1, 2), ex(1, 2), [Scalar.from_exact(1), Scalar.from_float(2.0)]),
+    ]:
+        with pytest.raises(ScalarModeError, match="mixes exact and float"):
+            DataSet(x, y, w)
+    with pytest.raises(ValueError, match="weight 2 is zero"):
+        DataSet(ex(1, 2), ex(1, 2), ex(1, 0))
+    with pytest.raises(ValueError, match="weight 1 is zero"):
+        DataSet(ex(1, 2), ex(1, 2), [Scalar.from_exact(0, 0), Scalar.from_exact(1, 1)])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_b_matrix_and_pseudoinverse_refuse_a_repeated_x(exact):
+    d = Exponents((2, 1, 0))
+    data = DataSet(ex(1, 1, 2), ex(1, 2, 3))
+    if not exact:
+        data = DataSet([v.to_float() for v in data.x], [v.to_float() for v in data.y])
+    for build in (b_matrix, pseudoinverse):
+        with pytest.raises(NonUniqueSolutionError, match="denominator vanishes"):
+            build(d, data)
+
+
+def test_minor_sum_refusals():
+    d = Exponents((4, 2, 0))
+    data = DataSet(ex(1, 2, 3), ex(1, 4, 9))
+    for i, j in [(0, 1), (1, 0), (4, 1), (1, 4)]:
+        with pytest.raises(IndexError, match="minor indices out of range"):
+            minor_sum(d, data, i, j)
+    with pytest.raises(InsufficientDataError, match="need at least 2 points"):
+        minor_sum(d, DataSet(ex(1), ex(1)), 1, 1)
 
 
 def test_permutation_equivariance():

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from schurfit.numeric import Scalar
+from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
 from schurfit.symfunc import (
     NATIVE,
@@ -341,3 +341,30 @@ def test_schur_on_int_points_is_exact():
             assert isinstance(value, (int, Fraction))
             reference = schur(lam, tuple(Scalar.from_exact(v) for v in pts[:k]))
             assert Scalar.from_exact(value) == reference
+
+
+@pytest.mark.parametrize("parts", [(3,), (3, 2)], ids=str)
+def test_exact_det_pivots_on_the_unit_and_stays_integral(parts):
+    # the dual Jacobi-Trudi matrix of (3,) on two points is
+    # [[e1, e2, 0], [1, e1, e2], [0, 1, e1]]: pivoting on the unit e0 = 1
+    # instead of on e1 needs no division, so int points give an int and
+    # Gaussian-int points a Gaussian with int parts
+    lam = Partition(parts)
+    value = schur(lam, (2, 5), NATIVE)
+    assert type(value) is int
+    assert Scalar.from_exact(value) == schur(lam, ex(2, 5))
+    gauss = schur(lam, (_Gaussian(2, 1), _Gaussian(5, -3)), NATIVE)
+    assert type(gauss.real) is int and type(gauss.imag) is int
+    scalar_points = (Scalar.from_exact(2, 1), Scalar.from_exact(5, -3))
+    assert Scalar.from_exact(gauss.real, gauss.imag) == schur(lam, scalar_points)
+
+
+def test_points_that_mix_exact_and_float_scalars_are_refused():
+    mixed = (Scalar.from_exact(1), Scalar.from_float(2.0))
+    for call in (
+        lambda: schur(Partition((2, 1)), mixed),
+        lambda: alternating((1, 0), mixed),
+        lambda: schur_tableaux(Partition((1,)), mixed),
+    ):
+        with pytest.raises(ScalarModeError, match="point mixes exact and float scalars"):
+            call()
