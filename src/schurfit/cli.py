@@ -123,10 +123,10 @@ def quartic_example(m=101, noise=0.0, seed=0, exact=True):
     )
 
 
-def _report_fit(result, degrees, exact, m, seconds):
+def _report_fit(result, degrees, m, seconds):
     return {
         "degrees": list(degrees),
-        "mode": "exact" if exact else "float",
+        "mode": "exact" if result.denominator.exact else "float",
         "m": m,
         "coefficients": [format_scalar(a) for a in result.coefficients],
         "denominator": format_scalar(result.denominator),
@@ -153,7 +153,7 @@ def cmd_fit(args):
     start = time.perf_counter()
     result = regress.fit(degrees, data)
     seconds = time.perf_counter() - start
-    _emit(_report_fit(result, degrees, args.exact, data.m, seconds), args.output)
+    _emit(_report_fit(result, degrees, data.m, seconds), args.output)
     return EXIT_OK
 
 
@@ -196,6 +196,7 @@ def cmd_stream(args):
     if state is None:
         state = incremental.init_state(degrees, exact=args.exact)
 
+    a = state.a
     for row in _read_rows(args.input, args.weights):
         try:
             point = [parse_scalar(v, args.exact) for v in row]
@@ -205,19 +206,20 @@ def cmd_stream(args):
                 continue
             raise
         state = incremental.update(state, *point)
-        if state.a is not None:
+        a = state.a
+        if a is not None:
             _emit(
                 {
                     "degrees": list(degrees),
                     "m": state.m,
-                    "coefficients": [format_scalar(a) for a in state.a],
+                    "coefficients": [format_scalar(v) for v in a],
                 },
                 args.output,
             )
 
     if args.snapshot:
         _write_snapshot(args.snapshot, state)
-    if state.a is None:
+    if a is None:
         print("error: stream ended without a unique solution", file=sys.stderr)
         return EXIT_NON_UNIQUE
     return EXIT_OK
@@ -284,8 +286,15 @@ def cmd_compare(args):
     reference = oracle.solve_normal(degrees, data)
     # compare relative to the solution vector as a whole; a per-coefficient
     # ratio is meaningless when a true coefficient is zero
-    scale = max([abs(v) for v in result.coefficients + reference] + [1e-300])
-    worst = max(abs(a - b) / scale for a, b in zip(result.coefficients, reference))
+    if args.exact:
+        # exact magnitudes, which may lie beyond the float range: only the
+        # squared ratio, at most 4, becomes a float
+        scale_sq = max(v.mag_sq().re for v in result.coefficients + reference)
+        worst_sq = max((a - b).mag_sq().re for a, b in zip(result.coefficients, reference))
+        worst = math.sqrt(worst_sq / scale_sq) if worst_sq else 0.0
+    else:
+        scale = max([abs(v) for v in result.coefficients + reference] + [1e-300])
+        worst = max(abs(a - b) / scale for a, b in zip(result.coefficients, reference))
     tolerance = 0.0 if args.exact else 1e-9
     _emit(
         {
@@ -316,8 +325,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, reads_data=True):
-        p.add_argument("--degrees", help="comma-separated exponents, e.g. 4,2,0")
-        p.add_argument("--degree", type=int, help="shorthand for k,k-1,...,0")
+        model = p.add_mutually_exclusive_group()
+        model.add_argument("--degrees", help="comma-separated exponents, e.g. 4,2,0")
+        model.add_argument("--degree", type=int, help="shorthand for k,k-1,...,0")
         p.add_argument("--output", choices=("json", "tsv"), default="json")
         if reads_data:
             p.add_argument("--exact", action="store_true", help="exact rational arithmetic")

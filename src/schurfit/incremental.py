@@ -2,15 +2,18 @@
 
 A ``RegressionState`` caches the aggregates behind the solution formula: the
 minor-sum matrix S, the moment sums T, the signed numerators N, and the
-denominator D.  Appending a point adds to D and S only the subset terms that
-contain it -- C(m, n-2) Schur products for the S increment R and C(m, n-1)
-terms for the D increment -- dropping the per-point cost from O(m^n) to
-O(m^(n-1)).  An append is a batch: the state's points with the new one last,
-which `regress._aggregates` sums over the subsets that hold that last point,
-giving the increments and the point's own moments; N is then re-derived from
-the updated S and T.  `update` and `extend_b_matrix` build that point set
-through one helper, which refuses a zero weight and a mix of weighted and
-unweighted points.  Points can only be appended; removal is unsupported.
+denominator D.  The coefficients a_i = N_i / D are not stored but divided out
+when read, so neither a state nor a restored snapshot can hold coefficients
+that disagree with its N and D.  Appending a point adds to D and S only the
+subset terms that contain it -- C(m, n-2) Schur products for the S increment
+R and C(m, n-1) terms for the D increment -- dropping the per-point cost from
+O(m^n) to O(m^(n-1)).  An append is a batch: the state's points with the new
+one last, which `regress._aggregates` sums over the subsets that hold that
+last point, giving the increments and the point's own moments; N is then
+re-derived from the updated S and T.  `update` and `extend_b_matrix` build
+that point set through one helper, which refuses a zero weight and a mix of
+weighted and unweighted points.  Points can only be appended; removal is
+unsupported.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ class UnsupportedOperationError(RuntimeError):
 class RegressionState:
     """Cached aggregates for a data stream under a fixed model signature.
 
-    Invariants: S is Hermitian, N_i is the signed combination of row i of S
-    with T, and a_i * D = N_i whenever D is nonzero.  `exact` reads the mode
-    off D.
+    Invariants: S is Hermitian and N_i is the signed combination of row i of
+    S with T.  `a` and `exact` are read off N and D, not stored beside them.
     """
 
     d: Exponents
@@ -59,7 +61,6 @@ class RegressionState:
     t: list
     n_vec: list
     denom: Scalar
-    a: list | None
     evaluations: int = 0
 
     @property
@@ -71,13 +72,19 @@ class RegressionState:
         return self.denom.exact
 
     @property
+    def a(self):
+        """a_i = N_i / D, divided out on each read, or None while D vanishes."""
+        return _quotients(self.d, self.x, self.n_vec, self.denom)
+
+    @property
     def coefficients(self):
-        if self.a is None:
+        a = self.a
+        if a is None:
             raise NonUniqueSolutionError(
                 "no unique solution yet: denominator is zero at m="
                 f"{self.m} (need more / better-spread points)"
             )
-        return self.a
+        return a
 
     def remove_point(self, *_args):
         raise UnsupportedOperationError("points can only be appended, not removed")
@@ -97,7 +104,6 @@ class RegressionState:
             "T": [fmt(v) for v in self.t],
             "N": [fmt(v) for v in self.n_vec],
             "D": fmt(self.denom),
-            "a": [fmt(v) for v in self.a] if self.a is not None else None,
             "evaluations": self.evaluations,
         }
 
@@ -106,7 +112,8 @@ class RegressionState:
         """The state `to_dict` saved; ValueError if the payload is not an
         object, lacks a key, names another mode than "exact" or "float", holds
         a value of the wrong type or a non-integral degree or evaluation
-        count, or has a length that disagrees with degrees and m."""
+        count, or has a length that disagrees with degrees and m.  An "a" key,
+        which snapshots once held, is ignored: the coefficients are N / D."""
         if not isinstance(payload, dict):
             raise ValueError("snapshot is not a JSON object")
         missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
@@ -116,10 +123,10 @@ class RegressionState:
             raise ValueError(f"snapshot mode {payload['mode']!r} is neither exact nor float")
         try:
             d, m, s = Exponents(payload["degrees"]), payload["m"], payload["S"]
-            sizes = {"x": m, "y": m, "w": m, "S": len(d), "T": len(d), "N": len(d), "a": len(d)}
+            sizes = {"x": m, "y": m, "w": m, "S": len(d), "T": len(d), "N": len(d)}
             rows = [("S", row) for row in s] if isinstance(s, list) else []
             for key, value in [(k, payload.get(k)) for k in sizes] + rows:
-                if (value is not None or key not in ("w", "a")) and not (
+                if (value is not None or key != "w") and not (
                     isinstance(value, list) and len(value) == sizes[key]
                 ):
                     raise ValueError(f"snapshot {key} does not fit degrees {list(d)} and m = {m}")
@@ -134,7 +141,6 @@ class RegressionState:
                 t=[p(v) for v in payload["T"]],
                 n_vec=[p(v) for v in payload["N"]],
                 denom=p(payload["D"]),
-                a=[p(v) for v in payload["a"]] if payload.get("a") is not None else None,
                 evaluations=as_int(payload.get("evaluations", 0)),
             )
         except (AttributeError, TypeError) as exc:
@@ -142,11 +148,10 @@ class RegressionState:
 
 
 def _state(d, points, denom, s, t, evaluations):
-    """The state of these points and aggregates, with N and a derived."""
+    """The state of these points and aggregates, with N derived."""
     n_vec = _signed_numerators(s, t)
-    a = _quotients(d, points.x, n_vec, denom)
     w = list(points.w) if points.w is not None else None
-    return RegressionState(d, list(points.x), list(points.y), w, s, t, n_vec, denom, a, evaluations)
+    return RegressionState(d, list(points.x), list(points.y), w, s, t, n_vec, denom, evaluations)
 
 
 def init_state(d, data=None, *, exact=True):
@@ -167,7 +172,7 @@ def _appended(state, x_new, y_new, w_new):
     reverse.  The lift in `regress` refuses an x or w of the wrong mode."""
     if (state.w is not None) != (w_new is not None) and state.m > 0:
         raise ValueError("weighted and unweighted points cannot be mixed")
-    if w_new is not None and w_new.is_zero():
+    if w_new is not None and not w_new:
         raise ValueError("weights must be nonzero")
     w = None if w_new is None else (state.w or []) + [w_new]
     return SimpleNamespace(x=state.x + [x_new], y=state.y + [y_new], w=w, exact=state.exact)

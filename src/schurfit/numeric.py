@@ -106,9 +106,6 @@ class Scalar:
 
     # -- predicates / comparison --------------------------------------
 
-    def is_zero(self):
-        return not self.value
-
     def __bool__(self):
         return bool(self.value)
 
@@ -121,7 +118,7 @@ class Scalar:
         return hash((self.re, self.im, self.exact))
 
     def __abs__(self):
-        return math.sqrt(float(self.re) ** 2 + float(self.im) ** 2)
+        return math.hypot(float(self.re), float(self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -194,11 +191,6 @@ def scalar_pow(s, e):
         base = base * base
         e >>= 1
     return result
-
-
-def magnitude_sq(s):
-    """|s|^2 = conj(s)*s as a real non-negative scalar."""
-    return s.mag_sq()
 
 
 # -- parsing and printing ---------------------------------------------

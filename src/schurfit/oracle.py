@@ -32,20 +32,20 @@ def _normal_system(d, data):
     return g, rhs
 
 
-def solve_linear(g, rhs, exact):
+def solve_linear(g, rhs):
     """Solve G a = rhs by elimination with back-substitution.
 
-    Exact mode pivots on the first nonzero entry and divides exactly; float
-    mode uses partial pivoting by magnitude.
+    The mode is read off rhs.  Exact mode pivots on the first nonzero entry
+    and divides exactly; float mode uses partial pivoting by magnitude.
     """
-    n = len(rhs)
+    n, exact = len(rhs), rhs[0].exact
     a = [row[:] + [rhs[i]] for i, row in enumerate(g)]
     for k in range(n):
         if exact:
-            pivot = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
+            pivot = next((r for r in range(k, n) if a[r][k]), None)
         else:
             pivot = max(range(k, n), key=lambda r: float(a[r][k].mag_sq().re))
-            if a[pivot][k].is_zero():
+            if not a[pivot][k]:
                 pivot = None
         if pivot is None:
             raise RankDeficiencyError("normal-equation matrix is singular")
@@ -60,7 +60,7 @@ def solve_linear(g, rhs, exact):
         acc = a[k][n]
         for c in range(k + 1, n):
             acc = acc - a[k][c] * out[c]
-        if a[k][k].is_zero():
+        if not a[k][k]:
             raise RankDeficiencyError("normal-equation matrix is singular")
         out[k] = acc / a[k][k]
     return out
@@ -69,7 +69,7 @@ def solve_linear(g, rhs, exact):
 def solve_normal(d, data):
     """Coefficients from the normal equation, solved directly."""
     g, rhs = _normal_system(d, data)
-    return solve_linear(g, rhs, data.exact)
+    return solve_linear(g, rhs)
 
 
 def brute_force_min(d, data, center=None, radius=10.0, refinements=10):

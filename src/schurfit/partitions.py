@@ -37,15 +37,7 @@ class Exponents(tuple):
         return super().__new__(cls, d)
 
     def __repr__(self):
-        return f"Exponents{self.d}"
-
-    @property
-    def d(self):
-        return tuple(self)
-
-    @property
-    def total(self):
-        return sum(self)
+        return f"Exponents{tuple(self)}"
 
     def drop(self, i):
         """The (n-1)-tuple with the i-th exponent removed (i is 1-based)."""
@@ -81,11 +73,7 @@ class Partition(tuple):
         return hash(self.normalized())
 
     def __repr__(self):
-        return f"Partition{self.parts}"
-
-    @property
-    def parts(self):
-        return tuple(self)
+        return f"Partition{tuple(self)}"
 
     @property
     def weight(self):

@@ -30,12 +30,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
-from math import lcm, sqrt
+from math import inf, isqrt, lcm, sqrt
 from operator import attrgetter
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_drop, lambda_from_degrees
-from .symfunc import NATIVE, schur, vandermonde
+from .symfunc import schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -67,7 +67,7 @@ class DataSet:
                 raise ScalarModeError("data set mixes exact and float scalars")
         if self.w is not None:
             for k, wk in enumerate(self.w):
-                if wk.is_zero():
+                if not wk:
                     raise ValueError(f"weight {k + 1} is zero; weights must be nonzero")
 
     @property
@@ -91,7 +91,8 @@ class FitResult:
 
     `numerators` and `denominator` are the raw aggregates N_i and D with
     a_i = N_i / D.  `residual_sq` is the squared minimal distance, exact in
-    exact mode.
+    exact mode.  `residual` is its root as a float, which is inf only when the
+    root itself exceeds the float range.
     """
 
     coefficients: list
@@ -102,7 +103,14 @@ class FitResult:
 
     @property
     def residual(self):
-        return sqrt(max(float(self.residual_sq.re), 0.0))
+        r = self.residual_sq.re
+        try:
+            return sqrt(max(float(r), 0.0))
+        except OverflowError:  # an exact square beyond the float range
+            try:
+                return isqrt(r.numerator * r.denominator) / r.denominator
+            except OverflowError:
+                return inf
 
 
 @dataclass
@@ -231,11 +239,11 @@ def _subset_columns(lifted, lams, size):
     for head in combinations(range(m), size - fixed):
         subset = head + tail
         pts = tuple(x[k] for k in subset)
-        v = vandermonde(pts, NATIVE)
+        v = vandermonde(pts)
         if w is not None:
             for k in subset:
                 v = v * w[k]
-        yield subset, [schur(lam, pts, NATIVE) * v for lam in lams]
+        yield subset, [schur(lam, pts) * v for lam in lams]
 
 
 def _hermitian_sum(lifted, lams, size):
@@ -330,10 +338,8 @@ def _quotients(d, x, numerators, dvalue):
 def _zero_denominator(dvalue, d, x):
     """Degeneracy test: exact zero, or float |D| below a scale-aware floor."""
     if dvalue.exact:
-        return dvalue.is_zero()
+        return not dvalue
     scale = max((abs(xk) for xk in x), default=1.0)
-    if scale == 0.0:
-        scale = 1.0
     n = len(d)
     floor = 1e-12 * scale ** (2 * lambda_from_degrees(d).weight + n * (n - 1))
     return abs(float(dvalue.re)) <= floor

@@ -3,10 +3,10 @@
 `elem_sym_all`, `vandermonde`, `det` and `schur` take points of Scalars, which
 give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
 values, which compute in their own type; the subset kernel in `regress` uses
-the latter.  They need only + - * /, a zero test (bool), == 1 for exact
-pivoting and |a|^2 for float pivoting; `det` divides ints exactly, as
-Fractions.  An empty point gives the Scalar 0 and 1, or with exact=NATIVE
-the ints 0 and 1.
+the latter.  The number type, and with it the mode, is read off the points.
+They need only + - * /, a zero test (bool), == 1 for exact pivoting and |a|^2
+for float pivoting; `det` divides ints exactly, as Fractions.  The empty point
+gives the ints 0 and 1, exact identities in every type.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -37,36 +37,21 @@ from .partitions import Partition, conjugate
 
 SSYT_MAX_WEIGHT = 12
 SSYT_MAX_VARS = 6
-# `exact` value with which an empty point gives the ints 0 and 1 instead of
-# Scalars; the native subset kernel in `regress` passes it for its points
-NATIVE = "native"
 
 
-def _mode_of(z, exact=None):
-    """Common mode of a scalar tuple, falling back to `exact` when empty."""
-    if len(z) == 0:
-        return True if exact is None else exact
-    mode = z[0].exact
-    for s in z[1:]:
-        if s.exact is not mode:
-            raise ScalarModeError("point mixes exact and float scalars")
-    return mode
-
-
-def _kind(z, exact=None):
+def _kind(z):
     """(exact, zero, one) for the number type of point z.
 
-    Scalar points, and an empty point unless exact is NATIVE, get the Scalar
-    zero and one.  Native points, exact unless float or complex, and an empty
-    point with exact=NATIVE get the ints 0 and 1, exact identities in every
-    type.
+    Scalar points get the Scalar zero and one of their common mode.  Native
+    points, exact unless float or complex, and the empty point get the ints 0
+    and 1, exact identities in every type.
     """
-    if z and not isinstance(z[0], Scalar):
-        return not isinstance(z[0], (float, complex)), 0, 1
-    if exact is NATIVE:
-        return NATIVE, 0, 1
-    mode = _mode_of(z, exact)
-    return mode, Scalar.zero(mode), Scalar.one(mode)
+    if z and isinstance(z[0], Scalar):
+        mode = z[0].exact
+        if any(s.exact is not mode for s in z):
+            raise ScalarModeError("point mixes exact and float scalars")
+        return mode, Scalar.zero(mode), Scalar.one(mode)
+    return not (z and isinstance(z[0], (float, complex))), 0, 1
 
 
 def _abs_sq(a):
@@ -75,13 +60,13 @@ def _abs_sq(a):
     return a.real * a.real + a.imag * a.imag
 
 
-def elem_sym_all(z, exact=None):
+def elem_sym_all(z):
     """All elementary symmetric values (e_0, ..., e_r) of z, e_0 = 1.
 
     Expands prod(X - z_j) one factor at a time: the j-th factor costs j-1
     extra multiplications, n(n-1) flops in total.
     """
-    e = [_kind(z, exact)[2]]
+    e = [_kind(z)[2]]
     for j, zj in enumerate(z):
         e.append(e[j] * zj)
         for k in range(j, 0, -1):
@@ -89,9 +74,9 @@ def elem_sym_all(z, exact=None):
     return e
 
 
-def vandermonde(z, exact=None):
+def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    v = _kind(z, exact)[2]
+    v = _kind(z)[2]
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
             v = v * (z[i] - z[j])
@@ -102,22 +87,23 @@ def det(rows, exact):
     """Determinant of a square matrix by Gaussian elimination that skips
     zeros.
 
-    The entries are Scalars or native numbers of one type; `exact` selects
-    the pivot rule.  Step k touches only the rows below the pivot with a
-    nonzero entry in column k and only the columns where the pivot row is
-    nonzero, so a banded matrix such as the dual Jacobi-Trudi one, whose
-    entries e_k vanish for k > r, costs O(width * band^2) instead of
-    O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
-    (partial pivoting); a skipped update is a - 0*b, so finite results are
-    bit-identical to dense LU.  Exact mode pivots on the first row holding
-    the unit 1, which needs no division and so keeps int entries ints, else
-    on the first nonzero row, and lifts an int pivot to Fraction, so that int
-    entries divide exactly; Fractions are canonical, so the value equals any
-    other exact method's.
+    The entries are Scalars or native numbers.  A dual Jacobi-Trudi row mixes
+    the ints 0 and 1 with the points' type, so no one entry tells the mode,
+    and `exact` selects the pivot rule; the empty matrix gives the int 1.
+    Step k touches only the rows below the pivot with a nonzero entry in
+    column k and only the columns where the pivot row is nonzero, so a banded
+    matrix such as the dual Jacobi-Trudi one, whose entries e_k vanish for
+    k > r, costs O(width * band^2) instead of O(width^3).  Float mode pivots on
+    the first row of largest |a_ik|^2 (partial pivoting); a skipped update is
+    a - 0*b, so finite results are bit-identical to dense LU.  Exact mode
+    pivots on the first row holding the unit 1, which needs no division and so
+    keeps int entries ints, else on the first nonzero row, and lifts an int
+    pivot to Fraction, so that int entries divide exactly; Fractions are
+    canonical, so the value equals any other exact method's.
     """
     n = len(rows)
     if n == 0:
-        return Scalar.one(exact)
+        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -158,16 +144,15 @@ def alternating(mu, z):
         raise ValueError("exponent tuple and point must have equal length")
     if any(a <= b for a, b in zip(mu, list(mu)[1:])):
         raise ValueError(f"exponents must be strictly decreasing: {tuple(mu)}")
-    mode = _mode_of(z)
     rows = [[scalar_pow(zi, e) for e in mu] for zi in z]
-    return det(rows, mode)
+    return det(rows, _kind(z)[0])
 
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi_indices(parts, r):
     """Entry indices e_{lam'_i - i + j} of the dual Jacobi-Trudi matrix,
     with None marking out-of-range entries (k < 0 or k > r)."""
-    lam_conj = conjugate(Partition(parts)).parts
+    lam_conj = conjugate(Partition(parts))
     width = parts[0]
     rows = []
     for i in range(width):
@@ -179,19 +164,19 @@ def _jacobi_trudi_indices(parts, r):
     return tuple(rows)
 
 
-def schur(lam, z, exact=None):
+def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
     """
-    mode, zero, one = _kind(z, exact)
+    mode, zero, one = _kind(z)
     parts = lam.normalized()
     if not parts:
         return one
     r = len(z)
     if len(parts) > r:
         return zero
-    e = elem_sym_all(z, mode)
+    e = elem_sym_all(z)
     idx = _jacobi_trudi_indices(parts, r)
     rows = [[e[k] if k is not None else zero for k in row] for row in idx]
     return det(rows, mode)
@@ -205,17 +190,18 @@ def schur_bialternant(lam, z):
     r = len(z)
     for i in range(r):
         for j in range(i + 1, r):
-            if (z[i] - z[j]).is_zero():
+            if not z[i] - z[j]:
                 raise ZeroDivisionError(
                     f"bialternant needs distinct entries; z[{i}] == z[{j}]"
                 )
     parts = lam.normalized()
+    _, zero, one = _kind(z)
     if len(parts) > r:
-        return Scalar.zero(_mode_of(z))
+        return zero
+    if r == 0:
+        return one
     padded = parts + (0,) * (r - len(parts))
     mu = tuple(p + (r - 1 - i) for i, p in enumerate(padded))
-    if r == 0:
-        return Scalar.one(True)
     return alternating(mu, z) / vandermonde(z)
 
 
@@ -250,7 +236,7 @@ def _ssyt_contents(parts, r):
     return counts
 
 
-def schur_tableaux(lam, z, exact=None):
+def schur_tableaux(lam, z):
     """s_lam(z) as a sum of monomials over semistandard Young tableaux.
 
     Test oracle only; refuses shapes beyond |lam| <= 12 or more than 6
@@ -263,10 +249,9 @@ def schur_tableaux(lam, z, exact=None):
             f"tableaux enumeration refused: |lam|={sum(parts)} (max "
             f"{SSYT_MAX_WEIGHT}), vars={r} (max {SSYT_MAX_VARS})"
         )
-    mode = _mode_of(z, exact)
-    total = Scalar.zero(mode)
+    mode, total, _ = _kind(z)
     for content, count in sorted(_ssyt_contents(parts, r).items()):
-        term = Scalar.from_int(count, mode)
+        term = Scalar.from_int(count, mode) if z else count
         for zi, ci in zip(z, content):
             if ci:
                 term = term * scalar_pow(zi, ci)

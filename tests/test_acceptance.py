@@ -259,7 +259,7 @@ def test_criterion_9_even_quartic_recovery():
             Scalar.from_exact(-250000),
             Scalar.from_exact(0),
         ]
-        assert result.residual_sq.is_zero()
+        assert not result.residual_sq
         # float, zero noise: relative recovery to 1e-8
         float_data = quartic_example(m=101, exact=False)
         loose = fit(d, float_data)

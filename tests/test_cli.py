@@ -1,5 +1,8 @@
 import io
 import json
+import math
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -78,6 +81,59 @@ def test_fit_float_overflow_exit_1(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, power",
+    [
+        (["fit", "--exact"], 400),
+        (["fit", "--exact"], 200),
+        (["compare", "--exact"], 400),
+        (["compare"], 200),
+    ],
+    ids=["fit-exact-1e400", "fit-exact-1e200", "compare-exact-1e400", "compare-float-1e200"],
+)
+def test_data_beyond_the_float_range_is_reported(tmp_path, capsys, argv, power):
+    # y = (1, 3, 7) * 10**power at x = 1, 2, 3: the line 3x - 7/3 times
+    # 10**power, with a squared residual of 2/3 * 10**(2*power)
+    path = tmp_path / "d.csv"
+    path.write_text(f"x,y\n1,1e{power}\n2,3e{power}\n3,7e{power}\n")
+    code, out, err = run(capsys, argv[0], "--degrees", "1,0", *argv[1:], str(path))
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    if argv[0] == "compare":
+        assert report["agree"] is True
+        return
+    scale = 10**power
+    assert report["coefficients"] == [str(3 * scale), str(Fraction(-7 * scale, 3))]
+    # the residual is inf only when the root itself is beyond the float range
+    if power == 400:
+        assert report["residual"] == math.inf and '"residual": Infinity' in out
+    else:
+        assert math.isclose(report["residual"], math.sqrt(2 / 3) * 1e200, rel_tol=1e-15)
+
+
+def test_fit_float_all_zero_x_exit_2(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0,1\n0,2\n0,3\n")
+    for degrees in ("1,0", "1"):
+        code, out, err = run(capsys, "fit", "--degrees", degrees, str(path))
+        assert code == EXIT_NON_UNIQUE
+        assert out == "" and err.startswith("error: denominator vanishes") and err.count("\n") == 1
+
+
+def test_fit_reads_stdin_and_skips_blank_rows(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x,y\n1,2\n\n2,4\n , \n3,7\n"))
+    code, out, _ = run(capsys, "fit", "--degrees", "1,0", "--exact", "-")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["m"] == 3
+    assert report["coefficients"] == ["5/2", "-2/3"]
+
+
+def test_quartic_example_refuses_noisy_exact_samples():
+    with pytest.raises(ValueError, match="noisy samples are float-mode only"):
+        quartic_example(m=5, noise=0.01, exact=True)
 
 
 def test_fit_malformed_input_exit_1(tmp_path, capsys):
@@ -346,6 +402,17 @@ def test_stream_skips_malformed_rows(tmp_path, capsys):
     assert final["coefficients"] == ["1", "0"]
 
 
+def test_stream_aborts_on_a_malformed_row_by_default(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0,0\nbad,row\n1,1\n2,2\n")
+    snap = tmp_path / "state.json"
+    code, out, err = run(capsys, "stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: malformed scalar literal: 'bad'\n"
+    assert not snap.exists()
+
+
 def test_compare_exact(tmp_path, capsys):
     path, _ = write_quartic(tmp_path)
     code, out, _ = run(capsys, "compare", "--degrees", "4,2,0", "--exact", str(path))
@@ -413,6 +480,22 @@ def test_bench_smoke(capsys):
     assert len(report["timings"]) == 4
 
 
+def test_bench_tsv_table(capsys):
+    sizes = [8, 12, 16, 20]
+    code, out, _ = run(
+        capsys, "bench", "--degrees", "2,0", "--sizes", ",".join(map(str, sizes)), "--output", "tsv"
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "m\tseconds\tevaluations"
+    rows = [line.split("\t") for line in lines[1:-1]]
+    # (2, 0): C(m, 2) denominator terms and 2^2 * C(m, 1) minor-sum terms
+    assert [(int(m), int(ev)) for m, _, ev in rows] == [(m, comb(m, 2) + 4 * m) for m in sizes]
+    assert all(float(seconds) >= 0 for _, seconds, _ in rows)
+    assert lines[-1].startswith("# slope\t")
+    float(lines[-1].split("\t")[1])
+
+
 def test_bench_refuses_zero_repetitions(capsys):
     code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", "8,12,16,20", "--repetitions", "0")
     assert code == EXIT_USAGE
@@ -438,6 +521,11 @@ def test_bench_refuses_sizes_below_the_term_count(capsys):
         (["fit", "--degrees", "1,0", "--seed", "42", "DATA"], "unrecognized arguments: --seed"),
         (["stream", "--degrees", "1,0", "--seed", "42", "DATA"], "unrecognized arguments: --seed"),
         (["compare", "--degrees", "1,0", "--seed", "42", "DATA"], "unrecognized arguments: --seed"),
+        # --degree is shorthand for --degrees; one must not silently win
+        (
+            ["fit", "--degrees", "1,0", "--degree", "3", "--exact", "DATA"],
+            "argument --degree: not allowed with argument --degrees",
+        ),
     ],
     ids=[
         "unknown-flag",
@@ -448,6 +536,7 @@ def test_bench_refuses_sizes_below_the_term_count(capsys):
         "fit-seed",
         "stream-seed",
         "compare-seed",
+        "degrees-and-degree",
     ],
 )
 def test_argument_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):

@@ -1,4 +1,6 @@
 import random
+from dataclasses import fields
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -37,9 +39,9 @@ def test_empty_state():
     d = Exponents((2, 0))
     state = init_state(d, exact=True)
     assert state.m == 0
-    assert state.denom.is_zero()
-    assert all(v.is_zero() for v in state.t)
-    assert all(v.is_zero() for row in state.s for v in row)
+    assert not state.denom
+    assert not any(state.t)
+    assert not any(v for row in state.s for v in row)
     with pytest.raises(NonUniqueSolutionError):
         state.coefficients
     # one term: S sums over the (n-1)-subsets, and the empty subset gives 1
@@ -331,6 +333,21 @@ def test_snapshot_round_trip():
     assert scalars_equal(
         update(clone, extra_x, extra_y).a, update(state, extra_x, extra_y).a
     )
+
+
+def test_snapshot_coefficients_are_read_off_n_and_d():
+    # a snapshot in the format that stored the coefficients beside N and D,
+    # of the stream (1, 2), (2, 4), (3, 7), with "a" edited by hand: the
+    # restored state answers N / D, the data's 5/2 and -2/3, not 7 and 7
+    old = {
+        "D": "6", "N": ["15", "-4"], "S": [["3", "6"], ["6", "14"]], "T": ["31", "13"],
+        "a": ["7", "7"], "degrees": [1, 0], "evaluations": 15, "m": 3, "mode": "exact",
+        "w": None, "x": ["1", "2", "3"], "y": ["2", "4", "7"],
+    }
+    state = RegressionState.from_dict(old)
+    assert state.coefficients == [Scalar.from_exact(Fraction(5, 2)), Scalar.from_exact(Fraction(-2, 3))]
+    assert state.to_dict() == {k: v for k, v in old.items() if k != "a"}
+    assert "a" not in {f.name for f in fields(RegressionState)}
 
 
 def test_removal_and_mode_errors():

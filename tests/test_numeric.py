@@ -9,7 +9,6 @@ from schurfit.numeric import (
     ScalarModeError,
     _Gaussian,
     format_scalar,
-    magnitude_sq,
     parse_scalar,
     scalar_pow,
 )
@@ -29,10 +28,10 @@ def test_pow_rejects_negative_exponent():
 
 
 def test_magnitude_examples():
-    assert magnitude_sq(Scalar.from_exact(3, -4)) == Scalar.from_exact(25)
-    assert magnitude_sq(Scalar.zero(True)) == Scalar.zero(True)
+    assert Scalar.from_exact(3, -4).mag_sq() == Scalar.from_exact(25)
+    assert Scalar.zero(True).mag_sq() == Scalar.zero(True)
     half_third = Scalar.from_exact(Fraction(1, 2), Fraction(1, 3))
-    assert magnitude_sq(half_third) == Scalar.from_exact(Fraction(13, 36))
+    assert half_third.mag_sq() == Scalar.from_exact(Fraction(13, 36))
 
 
 def test_exact_field_laws():
@@ -48,9 +47,9 @@ def test_magnitude_matches_conjugate_product():
     rng = random.Random(8)
     for _ in range(100):
         s = exact_scalar(rng, complex_=True)
-        assert magnitude_sq(s) == s.conj() * s
-        assert magnitude_sq(s).im == 0
-        assert magnitude_sq(s).re >= 0
+        assert s.mag_sq() == s.conj() * s
+        assert s.mag_sq().im == 0
+        assert s.mag_sq().re >= 0
 
 
 def test_double_conjugation():
@@ -65,7 +64,7 @@ def test_exact_division_inverts_multiplication():
     for _ in range(100):
         a = exact_scalar(rng, complex_=True)
         b = exact_scalar(rng, complex_=True)
-        if b.is_zero():
+        if not b:
             continue
         assert (a * b) / b == a
 
@@ -90,6 +89,13 @@ def test_mode_mixing_is_an_error():
     b = Scalar.from_float(1.0)
     for op in (lambda: a + b, lambda: a * b, lambda: a - b, lambda: a / b):
         with pytest.raises(ScalarModeError):
+            op()
+
+
+def test_an_operand_that_is_not_a_scalar_is_an_error():
+    a = Scalar.from_exact(1)
+    for op in (lambda: a + 1, lambda: a * 1, lambda: a - 1, lambda: a / 1):
+        with pytest.raises(TypeError, match="expected Scalar, got int"):
             op()
 
 
@@ -121,6 +127,9 @@ def test_parse_specific_values():
     )
     assert parse_scalar("1.5", True) == Scalar.from_exact(Fraction(3, 2))
     assert parse_scalar("-i", False) == Scalar.from_float(0.0, -1.0)
+    # a zero imaginary part gives a real value, not a complex one
+    assert type(parse_scalar("3+0i", True).value) is Fraction
+    assert type(parse_scalar("3+0i", False).value) is float
 
 
 @pytest.mark.parametrize("text", ["", "abc", "1+2j", "++3", "1//2"])

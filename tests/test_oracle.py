@@ -90,6 +90,15 @@ def test_singular_system_raises():
         solve_normal(Exponents((1, 0)), DataSet(ex(2, 2, 2), ex(1, 2, 3)))
 
 
+def test_singular_float_system_raises_before_dividing_by_its_zero_pivot():
+    # x = 0 everywhere leaves the first column of G zero, so elimination has
+    # no pivot there; dividing by it would raise ZeroDivisionError instead
+    zeros = [Scalar.from_float(0.0)] * 3
+    data = DataSet(zeros, [Scalar.from_float(v) for v in (1.0, 2.0, 3.0)])
+    with pytest.raises(RankDeficiencyError, match="singular"):
+        solve_normal(Exponents((1, 0)), data)
+
+
 def test_brute_force_power_fit():
     data = DataSet(
         [Scalar.from_float(v) for v in (1.0, 2.0)],

@@ -35,9 +35,19 @@ def test_non_integral_numbers_are_refused(make):
     assert make((3.0, 1, 0)) == make((3, 1, 0))
 
 
+def test_exponents_drop_refuses_an_index_out_of_range():
+    d = Exponents((4, 2, 0))
+    assert d.drop(1) == (2, 0) and d.drop(3) == (4, 2)
+    for i in (0, 4):
+        with pytest.raises(IndexError, match=f"index {i} out of range"):
+            d.drop(i)
+
+
 def test_partition_validation_and_normalization():
     with pytest.raises(ValueError):
         Partition((1, 2))
+    with pytest.raises(ValueError, match="parts must be non-negative"):
+        Partition((2, -1))
     assert Partition((2, 1, 0)) == Partition((2, 1))
     assert not (Partition((2, 1, 0)) != Partition((2, 1)))
     assert Partition((2, 1)) != Partition((2, 2))
@@ -58,8 +68,8 @@ def test_lambda_round_trip_and_weight():
         n = len(d)
         lam = lambda_from_degrees(d)
         recovered = tuple(p + s for p, s in zip(lam, staircase(n)))
-        assert recovered == d.d
-        assert lam.weight == d.total - comb(n, 2)
+        assert recovered == tuple(d)
+        assert lam.weight == sum(d) - comb(n, 2)
 
 
 def test_lambda_drop_examples():
@@ -82,7 +92,7 @@ def test_lambda_drop_weight_formula():
         d = Exponents(degrees)
         n = len(d)
         for i in range(1, n + 1):
-            assert lambda_drop(d, i).weight == d.total - d[i - 1] - comb(n - 1, 2)
+            assert lambda_drop(d, i).weight == sum(d) - d[i - 1] - comb(n - 1, 2)
 
 
 def test_conjugate_examples():
