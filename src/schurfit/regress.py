@@ -30,7 +30,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
-from math import inf, isqrt, lcm, sqrt
+from math import hypot, inf, isqrt, lcm, sqrt
+from sys import float_info
 from operator import attrgetter
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
@@ -91,26 +92,17 @@ class FitResult:
 
     `numerators` and `denominator` are the raw aggregates N_i and D with
     a_i = N_i / D.  `residual_sq` is the squared minimal distance, exact in
-    exact mode.  `residual` is its root as a float, which is inf only when the
-    root itself exceeds the float range.
+    exact mode.  `residual` is the minimal distance as a float, which is inf
+    or 0 only when the distance itself is beyond the float range; see
+    `_residual_root`.
     """
 
     coefficients: list
     denominator: Scalar
     numerators: list
     residual_sq: Scalar
+    residual: float
     evaluations: int = 0
-
-    @property
-    def residual(self):
-        r = self.residual_sq.re
-        try:
-            return sqrt(max(float(r), 0.0))
-        except OverflowError:  # an exact square beyond the float range
-            try:
-                return isqrt(r.numerator * r.denominator) / r.denominator
-            except OverflowError:
-                return inf
 
 
 @dataclass
@@ -229,16 +221,20 @@ def _subset_columns(lifted, lams, size):
     subset's points x_l, in the lifted number type.
 
     Only the subsets that hold the last `lifted.fixed` points count; `subset`
-    lists 0-based indices, those fixed points last.
+    lists 0-based indices, those fixed points last.  `combinations` over the
+    indices and over the points themselves walk the same order, so they are
+    zipped and the points come without indexing.  Each subset costs one
+    `vandermonde` call and one `schur` call per partition, which run
+    straight-line code for narrow bands (see `symfunc`).
     """
     x, w, fixed = lifted[:3]
     if size < fixed:
         return
     m = len(x) - fixed
-    tail = tuple(range(m, len(x)))
-    for head in combinations(range(m), size - fixed):
-        subset = head + tail
-        pts = tuple(x[k] for k in subset)
+    tail, tail_pts = tuple(range(m, len(x))), tuple(x[m:])
+    heads = combinations(range(m), size - fixed)
+    for head, head_pts in zip(heads, combinations(x[:m], size - fixed)):
+        subset, pts = head + tail, head_pts + tail_pts
         v = vandermonde(pts)
         if w is not None:
             for k in subset:
@@ -383,12 +379,14 @@ def fit(d, data):
             f"(need at least {n} distinct positive real x values, or more "
             "generally an injective design matrix)"
         )
-    residual_sq = _residual_sq(d, data, a)
+    r = _residuals(d, data, a)
+    residual_sq = _weighted_sq_sum(data, r)
     return FitResult(
         coefficients=a,
         denominator=dvalue,
         numerators=numerators,
         residual_sq=residual_sq,
+        residual=_residual_root(data, r, residual_sq),
         evaluations=evaluations,
     )
 
@@ -400,21 +398,59 @@ def fit_weighted(d, data):
     return fit(d, data)
 
 
-def _residual_sq(d, data, a):
+def _residuals(d, data, a):
+    """The residuals r_k = y_k - sum_j a_j x_k^{d_j}."""
+    out = []
+    for yk, row in zip(data.y, design_matrix(d, data.x)):
+        for aj, pj in zip(a, row):
+            yk = yk - aj * pj
+        out.append(yk)
+    return out
+
+
+def _weighted_sq_sum(data, r):
     """The squared minimal distance ||y - A a||_W^2, summed directly as
-    sum_k |w_k|^2 |y_k - sum_j a_j x_k^{d_j}|^2.
+    sum_k |w_k|^2 |r_k|^2 over the residuals r.
 
     The shorter identity ||y||_W^2 - Re<(WA)* W y | a> is a difference of two
     nearly equal numbers; in binary64 it can leave pure rounding noise, even a
     negative value, where the fit is exact.
     """
     total = Scalar.zero(data.exact)
-    for k, row in enumerate(design_matrix(d, data.x)):
-        r = data.y[k]
-        for aj, pj in zip(a, row):
-            r = r - aj * pj
-        total = total + r.mag_sq() * data.weight_sq(k)
+    for k, rk in enumerate(r):
+        total = total + rk.mag_sq() * data.weight_sq(k)
     return total
+
+
+def _residual_sq(d, data, a):
+    """||y - A a||_W^2 of the coefficients a; see `_weighted_sq_sum`."""
+    return _weighted_sq_sum(data, _residuals(d, data, a))
+
+
+def _residual_root(data, r, residual_sq):
+    """The minimal distance ||y - A a||_W as a float, from the residuals r and
+    their weighted square sum; inf or 0 only when the distance itself is
+    beyond the float range.
+
+    A square inside the normal float range gives its plain root.  Outside it,
+    an exact square p/q has the root isqrt(p q) / q, which keeps every digit
+    because a nonzero p q is then at least 2^1022.  A float square there, inf
+    or rounded towards 0, has lost the distance, which is taken again from
+    the weighted |r_k| by `math.hypot`, scaled by the largest of them.
+    """
+    s = residual_sq.re
+    try:
+        root_sq = float(s)
+    except OverflowError:  # an exact square beyond the float range
+        root_sq = inf
+    if float_info.min <= root_sq < inf:
+        return sqrt(root_sq)
+    if residual_sq.exact:
+        try:
+            return isqrt(s.numerator * s.denominator) / s.denominator
+        except OverflowError:
+            return inf
+    return hypot(*(abs(rk) * (1.0 if data.w is None else abs(data.w[k])) for k, rk in enumerate(r)))
 
 
 def _checked_denominator(d, data):

@@ -22,6 +22,15 @@ against s_lam(|x|) on points in (0, 2) and 1.6e8 on mixed-sign points, where
 the e-form elimination stayed below 4e-15 (see Demmel and Koev, "Accurate and
 efficient evaluation of Schur and Jack functions", Math. Comp. 2006).
 
+The subset kernel calls `schur` and `vandermonde` once per subset and
+partition, mostly on bands of width lam1 <= 2, whose whole arithmetic is a few
+multiply-adds.  For those, and for V, each (lam, r) on at most
+UNROLL_MAX_POINTS points is compiled once into straight-line code that takes
+the same steps as `elem_sym_all`, `det` and the V loop, in the same order on
+the same operands, so values are bit-identical and only the loops, index rows
+and calls are gone.  Wider bands, such as the 38- and 39-wide ones of
+(40, 20, 0), run the banded `det`.
+
 The bialternant ratio and the semistandard tableaux sum are retained as
 independent cross-checks; the tableaux route is deliberately brute force and
 guarded to desk-scale inputs.
@@ -76,10 +85,15 @@ def elem_sym_all(z):
 
 def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    v = _kind(z)[2]
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            v = v * (z[i] - z[j])
+    return _vandermonde_code(len(z))(z, _kind(z)[2])
+
+
+def _vandermonde_loop(z, one):
+    """V multiplied out as one * (z0 - z1) * (z0 - z2) * ... * (z_{r-2} - z_{r-1})."""
+    v = one
+    for i, zi in enumerate(z):
+        for zj in z[i + 1 :]:
+            v = v * (zi - zj)
     return v
 
 
@@ -164,22 +178,83 @@ def _jacobi_trudi_indices(parts, r):
     return tuple(rows)
 
 
+# Straight-line code (see the module docstring).  Beyond UNROLL_MAX_POINTS
+# points the C(r, 2) or O(r * l(lam)) statements would cost more to compile
+# and keep than they save.  Bands wider than 2 stay on `det`, whose float
+# pivot choice depends on the data.  Every statement holds at most three
+# operations: one nested expression of all of them overflows the compiler's
+# recursion on a hundred points.
+UNROLL_MAX_POINTS = 16
+
+
+def _compiled(name, lines):
+    """The function `name` defined by the source `lines`."""
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+def _unpack(r):
+    """A statement binding the r >= 1 entries of point z to z0, z1, ..."""
+    return "    " + "".join(f"z{i}, " for i in range(r)) + "= z"
+
+
+@lru_cache(maxsize=None)
+def _vandermonde_code(r):
+    """V on r points as a function of (z, one): `_vandermonde_loop`, or on at
+    most UNROLL_MAX_POINTS points its steps unrolled."""
+    if r > UNROLL_MAX_POINTS:
+        return _vandermonde_loop
+    lines = ["def vandermonde(z, one):", _unpack(r) if r else "", "    v = one"]
+    lines += [f"    v = v * (z{i} - z{j})" for i in range(r) for j in range(i + 1, r)]
+    return _compiled("vandermonde", lines + ["    return v"])
+
+
+@lru_cache(maxsize=None)
+def _schur_code(parts, r):
+    """s_lam on r points as a function of (z, zero, one, exact), for the
+    normalized parts of lam.
+
+    A band of width lam1 <= 2 on at most UNROLL_MAX_POINTS points is
+    straight-line code: `elem_sym_all` unrolled up to the highest e_k the
+    matrix reads, then `det`'s 1 x 1 or 2 x 2 formula on the same entries,
+    with `zero` outside the band.  Otherwise the e_k fill the rows of `det`.
+    """
+    if not parts:
+        return lambda z, zero, one, exact: one
+    if len(parts) > r:
+        return lambda z, zero, one, exact: zero
+    idx = _jacobi_trudi_indices(parts, r)
+    if len(idx) > 2 or r > UNROLL_MAX_POINTS:
+
+        def banded(z, zero, one, exact):
+            e = elem_sym_all(z)
+            return det([[e[k] if k is not None else zero for k in row] for row in idx], exact)
+
+        return banded
+    top = max(k for row in idx for k in row if k is not None)
+    name = ["one", *(f"e{k}" for k in range(1, top + 1))]
+    lines = ["def schur(z, zero, one, exact):", _unpack(r)]
+    for j in range(r):
+        if j < top:
+            lines.append(f"    {name[j + 1]} = {name[j]} * z{j}")
+        lines += [f"    {name[k]} = {name[k]} + {name[k - 1]} * z{j}" for k in range(min(j, top), 0, -1)]
+    entries = [[name[k] if k is not None else "zero" for k in row] for row in idx]
+    if len(entries) == 1:
+        lines.append(f"    return {entries[0][0]}")
+    else:
+        (a, b), (c, d) = entries
+        lines.append(f"    return {a} * {d} - {b} * {c}")
+    return _compiled("schur", lines)
+
+
 def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
     """
-    mode, zero, one = _kind(z)
-    parts = lam.normalized()
-    if not parts:
-        return one
-    r = len(z)
-    if len(parts) > r:
-        return zero
-    e = elem_sym_all(z)
-    idx = _jacobi_trudi_indices(parts, r)
-    rows = [[e[k] if k is not None else zero for k in row] for row in idx]
-    return det(rows, mode)
+    exact, zero, one = _kind(z)
+    return _schur_code(lam.normalized(), len(z))(z, zero, one, exact)
 
 
 def schur_bialternant(lam, z):

@@ -113,6 +113,21 @@ def test_data_beyond_the_float_range_is_reported(tmp_path, capsys, argv, power):
         assert math.isclose(report["residual"], math.sqrt(2 / 3) * 1e200, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "argv, power",
+    [(["fit"], 200), (["fit"], -200), (["fit", "--exact"], -200)],
+    ids=["float-1e200", "float-1e-200", "exact-1e-200"],
+)
+def test_residual_whose_square_leaves_the_float_range(tmp_path, capsys, argv, power):
+    # y = (1, 3, 7) * 10**power at x = 1, 2, 3: the residual is
+    # sqrt(2/3) * 10**power, while its square overflows or underflows
+    path = tmp_path / "d.csv"
+    path.write_text(f"x,y\n1,1e{power}\n2,3e{power}\n3,7e{power}\n")
+    code, out, err = run(capsys, *argv, "--degrees", "1,0", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert math.isclose(json.loads(out)["residual"], math.sqrt(2 / 3) * 10.0**power, rel_tol=1e-13)
+
+
 def test_fit_float_all_zero_x_exit_2(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,1\n0,2\n0,3\n")

@@ -7,6 +7,10 @@ import pytest
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
 from schurfit.symfunc import (
+    UNROLL_MAX_POINTS,
+    _jacobi_trudi_indices,
+    _kind,
+    _vandermonde_loop,
     alternating,
     det,
     elem_sym_all,
@@ -16,7 +20,7 @@ from schurfit.symfunc import (
     vandermonde,
 )
 
-from _helpers import distinct_rationals, exact_scalar
+from _helpers import distinct_rationals, exact_scalar, rational
 
 
 def ex(*vals):
@@ -356,8 +360,89 @@ def test_points_that_mix_exact_and_float_scalars_are_refused():
     mixed = (Scalar.from_exact(1), Scalar.from_float(2.0))
     for call in (
         lambda: schur(Partition((2, 1)), mixed),
+        lambda: schur(Partition((1,)), (Scalar.from_float(0.5), *mixed)),
+        lambda: schur(Partition((3, 2)), mixed),
+        lambda: vandermonde(mixed),
         lambda: alternating((1, 0), mixed),
         lambda: schur_tableaux(Partition((1,)), mixed),
     ):
         with pytest.raises(ScalarModeError, match="point mixes exact and float scalars"):
             call()
+
+
+def _rows_and_det(lam, z):
+    # s_lam(z) as `det` of the dual Jacobi-Trudi rows of elem_sym_all(z)
+    exact, zero, one = _kind(z)
+    parts = lam.normalized()
+    if not parts:
+        return one
+    if len(parts) > len(z):
+        return zero
+    e = elem_sym_all(z)
+    rows = [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(parts, len(z))]
+    return det(rows, exact)
+
+
+def _narrow_shapes(r):
+    # every lam with lam1 <= 2 and at most r + 1 parts, the empty one included
+    return [Partition((2,) * a + (1,) * b) for a in range(r + 2) for b in range(r + 2 - a)]
+
+
+def _point_kinds(rng, r):
+    # the number types the kernel and the Scalar API hand to `schur`; the
+    # float ones include signed zeros, whose sign survives only if every
+    # product and sum is taken in the same order on the same operands
+    def real():
+        return rng.choice([0.0, -0.0, 1.0, -1.5, rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)])
+
+    return {
+        "float": tuple(real() for _ in range(r)),
+        "complex": tuple(complex(real(), real()) for _ in range(r)),
+        "signed_zero": tuple(complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0])) for _ in range(r)),
+        "int": tuple(rng.randint(-9, 9) for _ in range(r)),
+        "fraction": tuple(rational(rng) for _ in range(r)),
+        "gaussian": tuple(_Gaussian(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(r)),
+        "exact_scalar": tuple(Scalar.from_exact(rational(rng), rational(rng)) for _ in range(r)),
+        "float_scalar": tuple(Scalar.from_float(real(), real()) for _ in range(r)),
+    }
+
+
+def _fingerprint(v):
+    # the type and value of a result, down to the sign of a float zero
+    if isinstance(v, Scalar):
+        return "Scalar", v.exact, _fingerprint(v.value)
+    if isinstance(v, _Gaussian):
+        return "Gaussian", _fingerprint(v.real), _fingerprint(v.imag)
+    return type(v).__name__, repr(v)
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_straight_line_code_matches_the_loops_and_det(r):
+    # V and the bands of width lam1 <= 2 run generated straight-line code; it
+    # must give the value, the type and, in float mode, the bits of the loop
+    # and of the rows-and-det route
+    rng = random.Random(100 + r)
+    for _ in range(8):
+        for kind, z in _point_kinds(rng, r).items():
+            assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, _kind(z)[2])), (kind, z)
+            for lam in _narrow_shapes(r):
+                got, want = _fingerprint(schur(lam, z)), _fingerprint(_rows_and_det(lam, z))
+                assert got == want, (kind, lam, z)
+
+
+@pytest.mark.parametrize("r", [UNROLL_MAX_POINTS, UNROLL_MAX_POINTS + 1])
+def test_unrolled_and_looped_routes_agree_at_the_point_limit(r):
+    rng = random.Random(r)
+    for kind, z in _point_kinds(rng, r).items():
+        one = _kind(z)[2]
+        assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, one)), kind
+        for parts in [(1,), (2, 1), (2, 2, 1), (1,) * r, (2,) * r]:
+            lam = Partition(parts)
+            assert _fingerprint(schur(lam, z)) == _fingerprint(_rows_and_det(lam, z)), (kind, lam)
+
+
+def test_one_hundred_twenty_points_need_no_deep_expression():
+    # one nested expression over 120 points overflows the compiler's recursion
+    z = tuple(1 + k / 64 for k in range(120))
+    assert repr(vandermonde(z)) == repr(_vandermonde_loop(z, 1))
+    assert repr(schur(Partition((2, 1)), z)) == repr(_rows_and_det(Partition((2, 1)), z))
