@@ -11,9 +11,10 @@ O(m^n) to O(m^(n-1)).  An append is a batch: the state's points with the new
 one last, which `regress._aggregates` sums over the subsets that hold that
 last point, giving the increments and the point's own moments; N is then
 re-derived from the updated S and T.  `update` and `extend_b_matrix` build
-that point set through one helper, which refuses a zero weight and a mix of
-weighted and unweighted points.  Points can only be appended; removal is
-unsupported.
+that point set through one helper, which refuses a zero weight, a mix of
+weighted and unweighted points and a value of another mode than the stream's:
+the point is checked there, where it enters, and the kernel's lift trusts it.
+Points can only be appended; removal is unsupported.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from math import comb, sqrt
 from types import SimpleNamespace
 
-from .numeric import Scalar, format_scalar, parse_scalar
+from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar
 from .partitions import Exponents, as_int
 from .regress import (
     BMatrix,
@@ -112,8 +113,11 @@ class RegressionState:
         """The state `to_dict` saved; ValueError if the payload is not an
         object, lacks a key, names another mode than "exact" or "float", holds
         a value of the wrong type or a non-integral degree or evaluation
-        count, or has a length that disagrees with degrees and m.  An "a" key,
-        which snapshots once held, is ignored: the coefficients are N / D."""
+        count, or has a length that disagrees with degrees and m, or holds a
+        zero weight, which `DataSet` and `update` refuse too.  An "a" key,
+        which snapshots once held, is ignored: the coefficients are N / D.
+        Parsing every value in the one mode the payload names checks the
+        restored points' mode."""
         if not isinstance(payload, dict):
             raise ValueError("snapshot is not a JSON object")
         missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
@@ -132,11 +136,14 @@ class RegressionState:
                     raise ValueError(f"snapshot {key} does not fit degrees {list(d)} and m = {m}")
             exact = payload["mode"] == "exact"
             p = lambda text: parse_scalar(text, exact)
+            w = [p(v) for v in payload["w"]] if payload.get("w") is not None else None
+            if not all(w or ()):
+                raise ValueError("snapshot holds a zero weight; weights must be nonzero")
             return RegressionState(
                 d=d,
                 x=[p(v) for v in payload["x"]],
                 y=[p(v) for v in payload["y"]],
-                w=[p(v) for v in payload["w"]] if payload.get("w") is not None else None,
+                w=w,
                 s=[[p(v) for v in row] for row in payload["S"]],
                 t=[p(v) for v in payload["T"]],
                 n_vec=[p(v) for v in payload["N"]],
@@ -169,11 +176,16 @@ def init_state(d, data=None, *, exact=True):
 def _appended(state, x_new, y_new, w_new):
     """The state's points with (x_new, y_new, w_new) last; ValueError for a
     zero weight or for a weighted point on an unweighted stream or the
-    reverse.  The lift in `regress` refuses an x or w of the wrong mode."""
+    reverse, and ScalarModeError for an x, y or w of another mode than the
+    stream's.  This is where an appended point enters, so it is checked here
+    once, before any subset sum, and the lift in `regress` trusts it; a y of
+    None, as `extend_b_matrix` passes, is not checked."""
     if (state.w is not None) != (w_new is not None) and state.m > 0:
         raise ValueError("weighted and unweighted points cannot be mixed")
     if w_new is not None and not w_new:
         raise ValueError("weights must be nonzero")
+    if any(v is not None and v.exact is not state.exact for v in (x_new, y_new, w_new)):
+        raise ScalarModeError("point does not match the data's numeric mode")
     w = None if w_new is None else (state.w or []) + [w_new]
     return SimpleNamespace(x=state.x + [x_new], y=state.y + [y_new], w=w, exact=state.exact)
 

@@ -180,10 +180,12 @@ class _Gaussian:
 
 
 def scalar_pow(s, e):
-    """s**e for integer e >= 0 by repeated squaring; s**0 == 1 even for s == 0."""
+    """s**e for integer e >= 0 by repeated squaring, for a Scalar s or a
+    native number; s**0 is the Scalar one of s's mode, or the int 1 for a
+    native s, even for s == 0."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = Scalar.one(s.exact)
+    result = Scalar.one(s.exact) if isinstance(s, Scalar) else 1
     base = s
     while e:
         if e & 1:

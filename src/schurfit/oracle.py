@@ -37,6 +37,9 @@ def solve_linear(g, rhs):
 
     The mode is read off rhs.  Exact mode pivots on the first nonzero entry
     and divides exactly; float mode uses partial pivoting by magnitude.
+    Elimination raises RankDeficiencyError unless it finds a nonzero pivot
+    for column k, which it swaps into row k, and no later step writes row k;
+    so back-substitution divides by nonzero pivots only and checks none.
     """
     n, exact = len(rhs), rhs[0].exact
     a = [row[:] + [rhs[i]] for i, row in enumerate(g)]
@@ -60,8 +63,6 @@ def solve_linear(g, rhs):
         acc = a[k][n]
         for c in range(k + 1, n):
             acc = acc - a[k][c] * out[c]
-        if not a[k][k]:
-            raise RankDeficiencyError("normal-equation matrix is singular")
         out[k] = acc / a[k][k]
     return out
 
@@ -72,11 +73,14 @@ def solve_normal(d, data):
     return solve_linear(g, rhs)
 
 
-def brute_force_min(d, data, center=None, radius=10.0, refinements=10):
+def brute_force_min(d, data):
     """Grid-refinement minimizer of the (real) sum of squared errors.
 
-    Sanity oracle for n <= 2 with real float data only; each round zooms a
-    21-per-axis grid onto the best cell, reaching resolution radius * 0.2^r.
+    Sanity oracle for n <= 2 with real float data only.  Ten rounds search a
+    21-per-axis grid: the first spans [-10, 10] per coefficient, and each
+    later one is centred on the previous round's best point with a fifth of
+    its span, so the last grid's spacing is 0.2^9, about 5e-7, and no
+    coefficient beyond 12.5 in size is reached.
     """
     n = len(d)
     if n > 2:
@@ -94,10 +98,10 @@ def brute_force_min(d, data, center=None, radius=10.0, refinements=10):
             total += wk * (pred - yk) ** 2
         return total
 
-    best = list(center) if center is not None else [0.0] * n
-    span = float(radius)
+    best = [0.0] * n
+    span = 10.0
     steps = 10
-    for _ in range(refinements):
+    for _ in range(10):
         grid = [
             [best[i] + span * (t - steps) / steps for t in range(2 * steps + 1)]
             for i in range(n)

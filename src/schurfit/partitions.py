@@ -99,11 +99,10 @@ def lambda_from_degrees(d):
 
 
 def lambda_drop(d, i):
-    """Partition obtained by removing the i-th exponent (1-based), then
-    subtracting staircase(n-1)."""
-    rest = d.drop(i)
-    n1 = len(rest)
-    return Partition(dk - (n1 - 1 - k) for k, dk in enumerate(rest))
+    """The partition lam[i] of the exponents d with the i-th one (1-based)
+    removed: `lambda_from_degrees` of d.drop(i), so drop(d, i) -
+    staircase(n-1)."""
+    return lambda_from_degrees(d.drop(i))
 
 
 def conjugate(lam):

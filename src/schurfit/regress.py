@@ -170,6 +170,11 @@ def _lift(points, fixed=0):
     """x and w of `points` (a DataSet or a stream's points), lifted to one
     number type; y is left to the Scalar arithmetic of `_moment_sums`.
 
+    Every point shares the mode `points.exact`: each was checked once, where
+    it entered, by `DataSet`, by `incremental._appended` or, for a restored
+    snapshot, by parsing in one mode.  The lift reads the mode off
+    `points.exact` and checks nothing.
+
     Real float data becomes float and complex float data complex.  Exact x
     is scaled by xscale, the lcm of the denominators of its real and
     imaginary parts, and exact w by wscale, the same lcm over the weights, so
@@ -178,10 +183,7 @@ def _lift(points, fixed=0):
     counts the trailing points that every subset must hold.
     """
     exact = points.exact
-    scalars = [*points.x, *(points.w or ())]
-    if any(s.exact is not exact for s in scalars):
-        raise ScalarModeError("point does not match the data's numeric mode")
-    gaussian = any(s.im for s in scalars)
+    gaussian = any(s.im for s in (*points.x, *(points.w or ())))
     if not exact:
         lift = complex if gaussian else attrgetter("re")
         w = None if points.w is None else [lift(v) for v in points.w]
@@ -422,11 +424,6 @@ def _weighted_sq_sum(data, r):
     return total
 
 
-def _residual_sq(d, data, a):
-    """||y - A a||_W^2 of the coefficients a; see `_weighted_sq_sum`."""
-    return _weighted_sq_sum(data, _residuals(d, data, a))
-
-
 def _residual_root(data, r, residual_sq):
     """The minimal distance ||y - A a||_W as a float, from the residuals r and
     their weighted square sum; inf or 0 only when the distance itself is
@@ -528,4 +525,4 @@ def projection_residual(d, data):
     for j in range(n):
         for c in range(m):
             a[j] = a[j] + aplus[j][c] * data.y[c]
-    return p, _residual_sq(d, data, a)
+    return p, _weighted_sq_sum(data, _residuals(d, data, a))

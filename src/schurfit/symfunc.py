@@ -32,8 +32,8 @@ and calls are gone.  Wider bands, such as the 38- and 39-wide ones of
 (40, 20, 0), run the banded `det`.
 
 The bialternant ratio and the semistandard tableaux sum are retained as
-independent cross-checks; the tableaux route is deliberately brute force and
-guarded to desk-scale inputs.
+independent cross-checks; they take the same points as `schur`, and the
+tableaux route is deliberately brute force and guarded to desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -162,10 +162,10 @@ def alternating(mu, z):
     return det(rows, _kind(z)[0])
 
 
-@lru_cache(maxsize=None)
 def _jacobi_trudi_indices(parts, r):
     """Entry indices e_{lam'_i - i + j} of the dual Jacobi-Trudi matrix,
-    with None marking out-of-range entries (k < 0 or k > r)."""
+    with None marking out-of-range entries (k < 0 or k > r).  Uncached: its
+    one caller, `_schur_code`, is cached on the same (parts, r)."""
     lam_conj = conjugate(Partition(parts))
     width = parts[0]
     rows = []
@@ -260,7 +260,8 @@ def schur(lam, z):
 def schur_bialternant(lam, z):
     """s_lam(z) as the alternating ratio a_{lam+delta}(z) / V(z).
 
-    Requires pairwise distinct entries; exact mode divides exactly.
+    Requires pairwise distinct entries; exact points divide exactly, so int
+    points give an int or a Fraction, never a float.
     """
     r = len(z)
     for i in range(r):
@@ -270,14 +271,17 @@ def schur_bialternant(lam, z):
                     f"bialternant needs distinct entries; z[{i}] == z[{j}]"
                 )
     parts = lam.normalized()
-    _, zero, one = _kind(z)
+    exact, zero, one = _kind(z)
     if len(parts) > r:
         return zero
     if r == 0:
         return one
     padded = parts + (0,) * (r - len(parts))
     mu = tuple(p + (r - 1 - i) for i, p in enumerate(padded))
-    return alternating(mu, z) / vandermonde(z)
+    a = alternating(mu, z)
+    if exact and type(a) is int:  # int / int would round to a float, as in `det`
+        a = Fraction(a)
+    return a / vandermonde(z)
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +319,8 @@ def schur_tableaux(lam, z):
     """s_lam(z) as a sum of monomials over semistandard Young tableaux.
 
     Test oracle only; refuses shapes beyond |lam| <= 12 or more than 6
-    variables.
+    variables.  The tableau counts are ints, made Scalars for Scalar points
+    only, so native points compute in their own type.
     """
     parts = lam.normalized()
     r = len(z)
@@ -324,9 +329,9 @@ def schur_tableaux(lam, z):
             f"tableaux enumeration refused: |lam|={sum(parts)} (max "
             f"{SSYT_MAX_WEIGHT}), vars={r} (max {SSYT_MAX_VARS})"
         )
-    mode, total, _ = _kind(z)
+    mode, total, one = _kind(z)
     for content, count in sorted(_ssyt_contents(parts, r).items()):
-        term = Scalar.from_int(count, mode) if z else count
+        term = Scalar.from_int(count, mode) if isinstance(one, Scalar) else count
         for zi, ci in zip(z, content):
             if ci:
                 term = term * scalar_pow(zi, ci)

@@ -280,7 +280,8 @@ def test_criterion_10_complexity_slope_and_counter():
         sizes = [40, 80, 120, 160, 200]
         rows = run_bench(d, sizes, repetitions=3, noise=0.01, seed=10)
         slope = fit_loglog_slope(sizes, [r["seconds"] for r in rows])
-        assert 2.7 <= slope <= 3.3, f"slope {slope:.3f} outside [2.7, 3.3]"
+        seconds = ", ".join(f"m={m}: {row['seconds']:.4f} s" for m, row in zip(sizes, rows))
+        assert 2.7 <= slope <= 3.3, f"slope {slope:.3f} outside [2.7, 3.3]; {seconds}"
         for m, row in zip(sizes, rows):
             assert row["evaluations"] == comb(m, 3) + 9 * comb(m, 2)
 

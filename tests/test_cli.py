@@ -16,7 +16,7 @@ from schurfit.cli import (
     read_dataset,
     write_dataset,
 )
-from schurfit.numeric import ScalarModeError, format_scalar
+from schurfit.numeric import Scalar, ScalarModeError, format_scalar
 from schurfit.partitions import Exponents
 from schurfit.regress import DataSet, fit
 
@@ -405,6 +405,26 @@ def test_stream_refuses_non_integral_snapshot_numbers(tmp_path, capsys, edit):
     assert snap.read_text() == saved
 
 
+def test_stream_refuses_a_snapshot_with_a_zero_weight(tmp_path, capsys):
+    # with the stored weight the four rows give 12/5, -1/2 and without the
+    # first point 5/2, -5/6; a zero weight loaded as such gave neither
+    head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
+    head.write_text("x,y,w\n1,2,1\n2,4,1\n3,7,1\n")
+    tail.write_text("x,y,w\n4,9,1\n")
+    snap = tmp_path / "state.json"
+    argv = ["stream", "--degrees", "1,0", "--exact", "--weights", "--snapshot", str(snap)]
+    assert run(capsys, *argv, str(head))[0] == EXIT_OK
+    payload = json.loads(snap.read_text())
+    payload["w"][0] = "0"
+    snap.write_text(json.dumps(payload))
+    saved = snap.read_bytes()
+    code, out, err = run(capsys, *argv, str(tail))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: snapshot holds a zero weight; weights must be nonzero\n"
+    assert snap.read_bytes() == saved
+
+
 def test_stream_skips_malformed_rows(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,0\nbad,row\n1,1\n2,2\n")
@@ -468,6 +488,23 @@ def test_dataset_round_trip(tmp_path):
     back = read_dataset(str(path), True, False)
     assert scalars_equal(back.x, data.x)
     assert scalars_equal(back.y, data.y)
+
+
+def test_weighted_gaussian_dataset_round_trip(tmp_path):
+    # the w column, and exact complex values, survive a write and a read
+    s = Scalar.from_exact
+    data = DataSet(
+        [s(1), s(0, 1), s(2, 1), s(Fraction(1, 3), -1)],
+        [s(2, 1), s(1, -1), s(0, 3), s(Fraction(1, 2))],
+        [s(Fraction(1, 2)), s(3), s(Fraction(2, 3)), s(Fraction(-5, 7), Fraction(1, 9))],
+    )
+    buf = io.StringIO()
+    write_dataset(buf, data)
+    assert buf.getvalue().splitlines()[0] == "x,y,w"
+    path = tmp_path / "rt.csv"
+    path.write_text(buf.getvalue())
+    back = read_dataset(str(path), True, True)
+    assert (back.x, back.y, back.w) == (data.x, data.y, data.w)
 
 
 def test_noise_seed_reproducible():

@@ -361,13 +361,59 @@ def test_removal_and_mode_errors():
         update(state, Scalar.from_exact(3), Scalar.from_float(3.0))
     with pytest.raises(ValueError):
         update(state, Scalar.from_exact(3), Scalar.from_exact(3), Scalar.from_exact(1))
-    # the subset kernel lifts every value to one number type, so a float weight
-    # or point must not slip into exact sums
+    # the subset kernel lifts every value to one number type without checking
+    # it, so a float weight or point is refused where it enters
     with pytest.raises(ScalarModeError):
         extend_b_matrix(state, b_matrix(d, DataSet(ex(1, 2), ex(1, 2))), Scalar.from_float(3.0))
     weighted = init_state(d, DataSet(ex(1, 2), ex(1, 2), ex(1, 1)))
     with pytest.raises(ScalarModeError):
         update(weighted, Scalar.from_exact(3), Scalar.from_exact(3), Scalar.from_float(1.0))
+
+
+def test_a_point_of_another_mode_is_refused_before_any_subset_sum(monkeypatch):
+    # the appended point is checked where it enters, so a float y on an exact
+    # stream is refused before the kernel evaluates a Schur value or a V
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(regress, "schur", counting(regress.schur))
+    monkeypatch.setattr(regress, "vandermonde", counting(regress.vandermonde))
+    d = Exponents((2, 1, 0))
+    data = DataSet(ex(1, 2, 3), ex(1, 4, 9), ex(1, 2, 1))
+    state, prior = init_state(d, data), b_matrix(d, data)
+    calls.clear()
+    x, y, w = Scalar.from_exact(4), Scalar.from_exact(16), Scalar.from_exact(3)
+    for call in (
+        lambda: update(state, x, Scalar.from_float(16.0), w),
+        lambda: update(state, Scalar.from_float(4.0), y, w),
+        lambda: update(state, x, y, Scalar.from_float(3.0)),
+        lambda: extend_b_matrix(state, prior, Scalar.from_float(4.0), w),
+        lambda: extend_b_matrix(state, prior, x, Scalar.from_float(3.0)),
+    ):
+        with pytest.raises(ScalarModeError, match="point does not match the data's numeric mode"):
+            call()
+    assert calls == []
+    update(state, x, y, w)
+    assert calls
+
+
+@pytest.mark.parametrize("exact, zero", [(True, "0"), (True, "0+0i"), (False, "0.0"), (False, "-0.0")])
+def test_snapshot_with_a_zero_weight_is_refused(exact, zero):
+    # DataSet and update refuse a zero weight, so a snapshot must not hold one
+    make = Scalar.from_exact if exact else Scalar.from_float
+    d = Exponents((1, 0))
+    data = DataSet([make(v) for v in (1, 2, 3)], [make(v) for v in (2, 4, 7)], [make(1)] * 3)
+    payload = init_state(d, data).to_dict()
+    RegressionState.from_dict(payload)
+    payload["w"][1] = zero
+    with pytest.raises(ValueError, match="snapshot holds a zero weight"):
+        RegressionState.from_dict(payload)
 
 
 def test_each_public_call_lifts_its_points_once(monkeypatch):

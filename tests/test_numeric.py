@@ -22,6 +22,22 @@ def test_pow_examples():
     assert scalar_pow(Scalar.from_exact(1, 1), 2) == Scalar.from_exact(0, 2)
 
 
+def test_pow_of_a_native_base_computes_in_its_type():
+    # a native base starts from the int 1, so it keeps its own type
+    assert scalar_pow(0.0, 0) == 1 and type(scalar_pow(0.0, 0)) is int
+    assert scalar_pow(3, 4) == 81 and type(scalar_pow(3, 4)) is int
+    assert scalar_pow(Fraction(-1, 2), 3) == Fraction(-1, 8)
+    assert scalar_pow(1.5, 2) == 2.25
+    assert scalar_pow(1j, 2) == -1
+    g = scalar_pow(_Gaussian(1, 1), 2)
+    assert (g.real, g.imag) == (0, 2)
+
+
+def test_scalar_repr_names_the_value_and_the_mode():
+    assert repr(Scalar.from_exact(Fraction(-7, 4), 2)) == "Scalar('-7/4+2i', exact=True)"
+    assert repr(Scalar.from_float(1.5)) == "Scalar('1.5', exact=False)"
+
+
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         scalar_pow(Scalar.from_exact(2), -1)

@@ -123,7 +123,7 @@ def test_brute_force_matches_solver_n2():
         d = random_exponents(rng, 2, dmax=3)
         data = well_conditioned_dataset(rng, 6)
         direct = solve_normal(d, data)
-        grid = brute_force_min(d, data, radius=10.0, refinements=10)
+        grid = brute_force_min(d, data)
         for u, v in zip(grid, direct):
             assert abs(float(u.re) - float(v.re)) < 1e-3
 

@@ -56,6 +56,11 @@ def test_partition_validation_and_normalization():
     assert Partition(()).weight == 0
 
 
+def test_partition_repr_keeps_the_parts_as_given():
+    assert repr(Partition((2, 1, 0))) == "Partition(2, 1, 0)"
+    assert repr(Partition(())) == "Partition()"
+
+
 def test_lambda_from_degrees_examples():
     assert lambda_from_degrees(Exponents((4, 2, 0))) == Partition((2, 1, 0))
     assert lambda_from_degrees(Exponents((4, 3, 2, 1, 0))) == Partition(())

@@ -298,6 +298,33 @@ def test_det_float_banded_matches_exact_lift():
             assert abs(float_val - exact_val.to_float()) <= 1e-12 * hadamard
 
 
+NATIVE_POINTS = {
+    "float": (1.0, 2.0, -3.5),
+    "complex": (1 + 2j, 2.0 + 0j, -1j),
+    "int": (1, 2, 3),
+    "fraction": (Fraction(1, 2), 2, Fraction(-3, 4)),
+    "gaussian": (_Gaussian(1, 2), _Gaussian(2, 0), _Gaussian(0, -1)),
+}
+
+
+@pytest.mark.parametrize("kind", NATIVE_POINTS)
+def test_reference_routes_accept_native_points(kind):
+    # the bialternant and the tableaux sum take the points `schur` takes;
+    # exact kinds agree exactly and never give a float (on two points the
+    # alternant is `det`'s 2 x 2 formula, an int for int points)
+    exact = kind not in ("float", "complex")
+    for z in (NATIVE_POINTS[kind], NATIVE_POINTS[kind][:2]):
+        for parts in [(2, 1), (3,), (2, 2, 1), (1, 1, 1)]:
+            lam = Partition(parts)
+            got = [schur(lam, z), schur_bialternant(lam, z), schur_tableaux(lam, z)]
+            if exact:
+                pairs = [(v.real, v.imag) for v in got]
+                assert pairs[0] == pairs[1] == pairs[2], (kind, parts, z)
+                assert not any(isinstance(p, float) for pair in pairs for p in pair), (kind, parts, z)
+            else:
+                assert max(abs(v - got[0]) for v in got) <= 1e-12 * abs(got[0]), (kind, parts, z)
+
+
 HEADLINE_SHAPES = [(38, 19), (39, 20), (39,), (19,)]
 
 
