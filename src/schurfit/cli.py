@@ -1,13 +1,17 @@
 """Command-line front end: fit, stream, bench, and compare subcommands.
 
 Input files are header-bearing delimited text with columns x, y and
-optionally w; values may be rational ("3/4"), decimal, or complex ("2+3i"),
-and in float mode must be finite.  Reports are JSON (default) or TSV.  Exit
-codes: 0 success, 1 usage or I/O trouble (an unknown option or a missing
-argument included), a malformed snapshot or one that does not match the
-command line, an arithmetic failure such as float overflow, values of mixed
-exact and float modes, or a `compare` whose closed form and oracle disagree
-beyond the tolerance, 2 no unique solution.
+optionally w; the delimiter is the first of comma, tab and semicolon under
+which the header names them.  Values may be rational ("3/4"), decimal, or
+complex ("2+3i"), and in float mode must be finite.  `_read_rows` splits the
+file into rows and `_point` turns one row into Scalars, for `fit`, `compare`
+and `stream` alike; `stream --on-error skip` skips, with one warning each,
+the rows that `_point` or the append refuses.  Reports are JSON (default) or
+TSV.  Exit codes: 0 success, 1 usage or I/O trouble (an unknown option or a
+missing argument included), a malformed snapshot or one that does not match
+the command line, an arithmetic failure such as float overflow, values of
+mixed exact and float modes, or a `compare` whose closed form and oracle
+disagree beyond the tolerance, 2 no unique solution.
 """
 
 from __future__ import annotations
@@ -34,52 +38,60 @@ EXIT_NON_UNIQUE = 2
 
 
 def _parse_degrees(args):
-    if args.degrees:
-        return Exponents(int(v) for v in args.degrees.split(","))
     if args.degree is not None:
         return Exponents(range(args.degree, -1, -1))
-    raise ValueError("one of --degrees or --degree is required")
+    return Exponents(int(v) for v in args.degrees.split(","))
 
 
 def read_dataset(path, exact, weighted):
     """Read a delimited file with header columns x, y and optionally w."""
-    rows = list(_read_rows(path, weighted))
-    if not rows:
+    points = [_point(row, exact) for row in _read_rows(path, weighted)]
+    if not points:
         raise ValueError("input contains no data rows")
-    x = [parse_scalar(r[0], exact) for r in rows]
-    y = [parse_scalar(r[1], exact) for r in rows]
-    w = [parse_scalar(r[2], exact) for r in rows] if weighted else None
-    return regress.DataSet(x, y, w)
+    return regress.DataSet(*zip(*points))
 
 
 def _read_rows(path, weighted):
+    """Yield (line number, cells) for each non-blank data row of the file at
+    `path` ("-" for stdin), the cells holding the x, y and, if `weighted`, w
+    columns, with None for a cell the row lacks.
+
+    A leading byte-order mark is dropped.  The delimiter is the first of
+    comma, tab and semicolon under which the header names the columns; fields
+    may be double-quoted, and a space after a delimiter is skipped, so a
+    padded quoted field reads as a quoted one.  Only the header raises: a data
+    row's faults are left to `_point`, so a caller can skip that row and read
+    on.
+    """
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, newline="") as handle:
             text = handle.read()
-    sample = text[:1024]
-    try:
-        dialect = csv.Sniffer().sniff(sample, delimiters=",\t;")
-    except csv.Error:
-        dialect = csv.excel
-    reader = csv.reader(text.splitlines(), dialect)
-    header = next(reader, None)
-    if header is None:
+    lines = text.removeprefix("\ufeff").splitlines()
+    if not lines:
         raise ValueError("missing header row")
-    names = [h.strip().lower() for h in header]
-    try:
-        ix, iy = names.index("x"), names.index("y")
-        iw = names.index("w") if weighted else None
-    except ValueError as exc:
-        raise ValueError(f"header must name columns x, y{', w' if weighted else ''}") from exc
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            yield (row[ix], row[iy]) + ((row[iw],) if iw is not None else ())
-        except IndexError as exc:
-            raise ValueError(f"row {line} is missing columns") from exc
+    wanted = ["x", "y", "w"] if weighted else ["x", "y"]
+    for delimiter in ",\t;":
+        rows = csv.reader(lines, delimiter=delimiter, skipinitialspace=True)
+        names = [h.strip().lower() for h in next(rows)]
+        if all(c in names for c in wanted):
+            break
+    else:
+        raise ValueError(f"header must name columns {', '.join(wanted)}")
+    columns = [names.index(c) for c in wanted]
+    for line, row in enumerate(rows, start=2):
+        if any(c.strip() for c in row):
+            yield line, [row[i] if i < len(row) else None for i in columns]
+
+
+def _point(row, exact):
+    """The Scalars of a `_read_rows` row; ValueError for a missing cell or a
+    malformed value."""
+    line, cells = row
+    if None in cells:
+        raise ValueError(f"row {line} is missing columns")
+    return [parse_scalar(c, exact) for c in cells]
 
 
 def write_dataset(handle, data):
@@ -157,9 +169,10 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _read_snapshot(path, degrees, exact):
+def _read_snapshot(path, degrees, exact, weighted):
     """The state saved at `path`, or None if there is none yet; a state saved
-    under other degrees or another mode is refused."""
+    under other degrees or another mode is refused, and so is one whose points
+    are weighted when the run reads no w column, or the reverse."""
     try:
         with open(path) as handle:
             state = incremental.RegressionState.from_dict(json.load(handle))
@@ -172,6 +185,9 @@ def _read_snapshot(path, degrees, exact):
             f"snapshot {path} holds degrees {saved[0]} in {saved[1]} mode; "
             f"this run asks for degrees {asked[0]} in {asked[1]} mode"
         )
+    if state.m and (state.w is not None) != weighted:
+        kinds = ("weighted", "unweighted") if state.w is not None else ("unweighted", "weighted")
+        raise ValueError(f"snapshot {path} holds {kinds[0]} points; this run reads {kinds[1]} rows")
     return state
 
 
@@ -192,20 +208,19 @@ def _write_snapshot(path, state):
 
 def cmd_stream(args):
     degrees = _parse_degrees(args)
-    state = _read_snapshot(args.snapshot, degrees, args.exact) if args.snapshot else None
+    state = _read_snapshot(args.snapshot, degrees, args.exact, args.weights) if args.snapshot else None
     if state is None:
         state = incremental.init_state(degrees, exact=args.exact)
 
     a = state.a
     for row in _read_rows(args.input, args.weights):
         try:
-            point = [parse_scalar(v, args.exact) for v in row]
+            state = incremental.update(state, *_point(row, args.exact))
         except ValueError as exc:
             if args.on_error == "skip":
                 print(f"warning: skipping malformed row: {exc}", file=sys.stderr)
                 continue
             raise
-        state = incremental.update(state, *point)
         a = state.a
         if a is not None:
             _emit(
@@ -325,7 +340,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, reads_data=True):
-        model = p.add_mutually_exclusive_group()
+        model = p.add_mutually_exclusive_group(required=True)
         model.add_argument("--degrees", help="comma-separated exponents, e.g. 4,2,0")
         model.add_argument("--degree", type=int, help="shorthand for k,k-1,...,0")
         p.add_argument("--output", choices=("json", "tsv"), default="json")

@@ -32,6 +32,12 @@ def _normal_system(d, data):
     return g, rhs
 
 
+def gram(d, data):
+    """The Hermitian n x n matrix (WA)*WA of weighted conjugate power sums:
+    the G of the normal equation G a = (WA)*Wy."""
+    return _normal_system(d, data)[0]
+
+
 def solve_linear(g, rhs):
     """Solve G a = rhs by elimination with back-substitution.
 

@@ -134,22 +134,6 @@ def design_matrix(d, x):
     return [[scalar_pow(xk, dj) for dj in d] for xk in x]
 
 
-def gram(d, data):
-    """The Hermitian n x n matrix (WA)*WA of weighted conjugate power sums."""
-    n = len(d)
-    mode = data.exact
-    pows = design_matrix(d, data.x)
-    g = [[Scalar.zero(mode) for _ in range(n)] for _ in range(n)]
-    for k in range(data.m):
-        wsq = data.weight_sq(k)
-        row = pows[k]
-        for i in range(n):
-            ci = row[i].conj() * wsq
-            for j in range(n):
-                g[i][j] = g[i][j] + ci * row[j]
-    return g
-
-
 def _require_points(n, data):
     if data.m < n:
         raise InsufficientDataError(

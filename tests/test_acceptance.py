@@ -13,7 +13,7 @@ from math import comb
 from schurfit.cli import fit_loglog_slope, quartic_example, run_bench
 from schurfit.incremental import init_state, update
 from schurfit.numeric import Scalar, scalar_pow
-from schurfit.oracle import solve_normal
+from schurfit.oracle import gram, solve_normal
 from schurfit.partitions import Exponents, Partition
 from schurfit.regress import (
     DataSet,
@@ -22,7 +22,6 @@ from schurfit.regress import (
     design_matrix,
     fit,
     fit_weighted,
-    gram,
     pseudoinverse,
 )
 from schurfit.symfunc import det, schur, schur_bialternant, schur_tableaux

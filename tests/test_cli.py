@@ -448,6 +448,69 @@ def test_stream_aborts_on_a_malformed_row_by_default(tmp_path, capsys):
     assert not snap.exists()
 
 
+def _stream_lines(capsys, path, *options):
+    code, out, err = run(capsys, "stream", "--degrees", "1,0", "--exact", *options, str(path))
+    return code, [json.loads(line)["coefficients"] for line in out.splitlines()], err
+
+
+@pytest.mark.parametrize(
+    "header, rows, bad_row, options",
+    [
+        ("x,y", ["1,2", "2,4", "3,7", "4,9"], "3", ()),
+        ("x,y,w", ["1,2,1", "2,4,1", "3,7,2", "4,9,1"], "3,5,0", ("--weights",)),
+    ],
+    ids=["short-row", "zero-weight"],
+)
+def test_stream_skip_covers_every_refused_row(tmp_path, capsys, header, rows, bad_row, options):
+    # the refused row sits between good ones; the good rows must give the
+    # coefficients they give without it
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("\n".join([header] + rows) + "\n")
+    bad.write_text("\n".join([header] + rows[:2] + [bad_row] + rows[2:]) + "\n")
+    expected = _stream_lines(capsys, good, *options)
+    assert expected[0] == EXIT_OK
+    code, lines, err = _stream_lines(capsys, bad, "--on-error", "skip", *options)
+    assert code == EXIT_OK
+    assert lines == expected[1]
+    assert err.count("\n") == 1 and err.startswith("warning: skipping malformed row: ")
+
+
+@pytest.mark.parametrize("saved_weighted", [True, False], ids=["weighted-snapshot", "unweighted-snapshot"])
+@pytest.mark.parametrize("rows", [True, False], ids=["rows", "no-rows"])
+@pytest.mark.parametrize("on_error", ["abort", "skip"])
+def test_stream_refuses_a_snapshot_of_the_other_weighting(tmp_path, capsys, saved_weighted, rows, on_error):
+    snap = tmp_path / "state.json"
+    head = tmp_path / "head.csv"
+    head.write_text("x,y,w\n1,2,1\n2,4,1\n")
+    weights = ["--weights"] if saved_weighted else []
+    argv = ["stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap)]
+    assert run(capsys, *argv, *weights, str(head))[0] == EXIT_OK
+    saved = snap.read_bytes()
+    tail = tmp_path / "tail.csv"
+    tail.write_text("x,y,w\n3,7,1\n4,9,1\n" if rows else "x,y,w\n")
+    other = [] if saved_weighted else ["--weights"]
+    code, out, err = run(capsys, *argv, *other, "--on-error", on_error, str(tail))
+    assert code == EXIT_USAGE
+    assert out == ""
+    kinds = ("weighted", "unweighted") if saved_weighted else ("unweighted", "weighted")
+    assert err == f"error: snapshot {snap} holds {kinds[0]} points; this run reads {kinds[1]} rows\n"
+    assert snap.read_bytes() == saved
+
+
+def test_stream_empty_snapshot_takes_either_weighting(tmp_path, capsys):
+    # a snapshot of no points holds no weighting to disagree with
+    snap = tmp_path / "state.json"
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x,y\n")
+    argv = ["stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap)]
+    assert run(capsys, *argv, str(empty))[0] == EXIT_NON_UNIQUE
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x,y,w\n1,2,1\n2,4,1\n3,7,2\n")
+    code, out, _ = run(capsys, *argv, "--weights", str(rows))
+    assert code == EXIT_OK
+    assert json.loads(out.splitlines()[-1])["m"] == 3
+
+
 def test_compare_exact(tmp_path, capsys):
     path, _ = write_quartic(tmp_path)
     code, out, _ = run(capsys, "compare", "--degrees", "4,2,0", "--exact", str(path))
@@ -620,6 +683,101 @@ def test_input_errors_exit_1_with_one_line(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("delimiter", ["\t", ";"], ids=["tab", "semicolon"])
+def test_crlf_file_with_a_trailing_blank_line(tmp_path, capsys, delimiter):
+    path = tmp_path / "d.txt"
+    path.write_bytes(f"x{delimiter}y\r\n1{delimiter}2\r\n2{delimiter}4\r\n3{delimiter}7\r\n\r\n".encode())
+    code, out, _ = run(capsys, "fit", "--degrees", "1,0", "--exact", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"] == ["5/2", "-2/3"]
+
+
+@pytest.mark.parametrize("delimiter", ["\t", ";"], ids=["tab", "semicolon"])
+@pytest.mark.parametrize("command", ["fit", "stream"])
+def test_short_row_is_named_under_every_delimiter(tmp_path, capsys, delimiter, command):
+    path = tmp_path / "d.txt"
+    path.write_text(f"x{delimiter}y\n1{delimiter}2\n2{delimiter}4\n3\n4{delimiter}9\n")
+    code, out, err = run(capsys, command, "--degrees", "1,0", "--exact", str(path))
+    assert code == EXIT_USAGE
+    assert command == "stream" or out == ""
+    assert err == "error: row 4 is missing columns\n"
+
+
+def test_rows_are_yielded_without_raising(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("y,x\n2,1\n\n3\nbad,4\n")
+    assert list(cli._read_rows(str(path), False)) == [(2, ["1", "2"]), (4, [None, "3"]), (5, ["4", "bad"])]
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, source):
+    raw = "\ufeffx,y\n1,2\n2,4\n3,7\n"
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        target = "-"
+    else:
+        target = tmp_path / "d.csv"
+        target.write_bytes(raw.encode("utf-8"))
+    code, out, _ = run(capsys, "fit", "--degrees", "1,0", "--exact", str(target))
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"] == ["5/2", "-2/3"]
+
+
+_ROWS = [("1/2", "2+i", "3"), ("-1", "0.25", "1/3"), ("2", "-3/4i", "2")]
+
+
+def _layout(delimiter, newline, blank, quoted, extra, padded):
+    def cells(values):
+        return [f'"{v}"' if quoted else v for v in values]
+
+    if extra:
+        # a w-first order with a note column between the data columns
+        header = cells(["w", "note", "Y", " x "])
+        body = [cells([w, f"n{k}", y, x]) for k, (x, y, w) in enumerate(_ROWS)]
+    else:
+        header = cells(["x", "y", "w"])
+        body = [cells(row) for row in _ROWS]
+    separator = delimiter + " " if padded else delimiter
+    lines = [separator.join(header)] + [separator.join(row) for row in body]
+    if blank:
+        lines.insert(2, "")
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", ";"], ids=["comma", "tab", "semicolon"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "blank, quoted, extra, padded",
+    [
+        (False, False, False, False),
+        (True, False, False, False),
+        (False, True, False, False),
+        (False, False, True, False),
+        (True, True, True, True),
+    ],
+    ids=["plain", "blank-line", "quoted", "extra-column", "all-and-padded"],
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_every_layout_reads_as_the_plain_comma_file(
+    tmp_path, delimiter, newline, blank, quoted, extra, padded, exact
+):
+    plain, other = tmp_path / "plain.csv", tmp_path / "other.txt"
+    plain.write_text(_layout(",", "\n", False, False, False, False))
+    other.write_bytes(_layout(delimiter, newline, blank, quoted, extra, padded).encode())
+    for weighted in (False, True):
+        want, got = (read_dataset(str(p), exact, weighted) for p in (plain, other))
+        assert (got.x, got.y, got.w) == (want.x, want.y, want.w)
+
+
+def test_quoted_header_may_hold_another_delimiter(tmp_path, capsys):
+    # a comma inside the quoted third name must not make comma the delimiter
+    path = tmp_path / "d.txt"
+    path.write_text('"x";"y";"note, free text"\n1;2;"a, b"\n2;4;c\n3;7;d\n')
+    code, out, _ = run(capsys, "fit", "--degrees", "1,0", "--exact", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"] == ["5/2", "-2/3"]
+
+
 def test_bench_refuses_fewer_than_four_sizes(capsys):
     code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", "8,12,16")
     assert code == EXIT_USAGE
@@ -637,5 +795,15 @@ def test_help_exits_0(capsys):
 def test_missing_degrees_is_usage_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,0\n1,1\n")
-    code, _, err = run(capsys, "fit", str(path))
+    code, out, err = run(capsys, "fit", str(path))
     assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "--degrees" in err and "--degree " in err
+
+
+def test_empty_degrees_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0,0\n1,1\n")
+    code, out, err = run(capsys, "fit", "--degrees", "", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1

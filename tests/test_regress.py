@@ -10,6 +10,7 @@ from schurfit import oracle, regress
 from schurfit.cli import quartic_example
 from schurfit.incremental import extend_b_matrix, init_state, update
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
+from schurfit.oracle import gram
 from schurfit.partitions import Exponents, Partition, lambda_drop, lambda_from_degrees
 from schurfit.regress import (
     DataSet,
@@ -20,7 +21,6 @@ from schurfit.regress import (
     design_matrix,
     fit,
     fit_weighted,
-    gram,
     minor_sum,
     projection_residual,
     pseudoinverse,
