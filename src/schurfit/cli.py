@@ -5,7 +5,8 @@ optionally w; the delimiter is the first of comma, tab and semicolon under
 which the header names them.  Values may be rational ("3/4"), decimal, or
 complex ("2+3i"), and in float mode must be finite.  `_read_rows` splits the
 file into rows and `_point` turns one row into Scalars, for `fit`, `compare`
-and `stream` alike; `stream --on-error skip` skips, with one warning each,
+and `stream` alike, refusing a row with a message that names its line (the
+header is line 1); `stream --on-error skip` skips, with one warning each,
 the rows that `_point` or the append refuses.  Reports are JSON (default) or
 TSV.  Exit codes: 0 success, 1 usage or I/O trouble (an unknown option or a
 missing argument included), a malformed snapshot or one that does not match
@@ -86,12 +87,18 @@ def _read_rows(path, weighted):
 
 
 def _point(row, exact):
-    """The Scalars of a `_read_rows` row; ValueError for a missing cell or a
-    malformed value."""
+    """The Scalars of a `_read_rows` row; ValueError naming the row's line
+    for a missing cell, a malformed value or a zero weight."""
     line, cells = row
     if None in cells:
         raise ValueError(f"row {line} is missing columns")
-    return [parse_scalar(c, exact) for c in cells]
+    try:
+        point = [parse_scalar(c, exact) for c in cells]
+    except ValueError as exc:
+        raise ValueError(f"row {line}: {exc}") from exc
+    if len(point) == 3 and not point[2]:
+        raise ValueError(f"row {line}: weight is zero; weights must be nonzero")
+    return point
 
 
 def write_dataset(handle, data):

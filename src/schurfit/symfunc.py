@@ -23,13 +23,14 @@ the e-form elimination stayed below 4e-15 (see Demmel and Koev, "Accurate and
 efficient evaluation of Schur and Jack functions", Math. Comp. 2006).
 
 The subset kernel calls `schur` and `vandermonde` once per subset and
-partition, mostly on bands of width lam1 <= 2, whose whole arithmetic is a few
+partition, mostly on bands of width lam1 <= 3, whose whole arithmetic is a few
 multiply-adds.  For those, and for V, each (lam, r) on at most
 UNROLL_MAX_POINTS points is compiled once into straight-line code that takes
 the same steps as `elem_sym_all`, `det` and the V loop, in the same order on
 the same operands, so values are bit-identical and only the loops, index rows
-and calls are gone.  Wider bands, such as the 38- and 39-wide ones of
-(40, 20, 0), run the banded `det`.
+and calls are gone.  A 3 x 3 band calls `_det3`, `det`'s elimination written
+out once with its pivot choice as branches, shared by every lam.  Wider bands,
+such as the 38- and 39-wide ones of (40, 20, 0), run the banded `det`.
 
 The bialternant ratio and the semistandard tableaux sum are retained as
 independent cross-checks; they take the same points as `schur`, and the
@@ -152,6 +153,75 @@ def det(rows, exact):
     return -d if sign < 0 else d
 
 
+def _det3(a, b, c, d, e, f, g, h, i, exact):
+    """`det` of the rows (a, b, c), (d, e, f), (g, h, i) with its loops
+    written out: the same live rows, pivot choice, row exchanges, skipped
+    columns and operations in the same order, so the value, its type and, in
+    float mode, its bits are `det`'s.  The Schur code of bands of width 3
+    calls it; `det` keeps its loop, the reference the tests hold this to."""
+    # column 0: rows 0, 1 and 2 are live where a, d and g are nonzero
+    if exact:
+        p = 0 if a and a == 1 else 1 if d and d == 1 else 2 if g and g == 1 else -1
+        if p < 0:
+            p = 0 if a else 1 if d else 2 if g else -1
+    else:
+        p = -1
+        if a:
+            p, size = 0, _abs_sq(a)
+        if d:
+            s = _abs_sq(d)
+            if p < 0 or s > size:
+                p, size = 1, s
+        if g and (p < 0 or _abs_sq(g) > size):
+            p = 2
+    if p < 0:
+        return Scalar.zero(exact) if isinstance(a, Scalar) else 0
+    negative = p > 0
+    if p == 1:
+        a, b, c, d, e, f = d, e, f, a, b, c
+    elif p == 2:
+        a, b, c, g, h, i = g, h, i, a, b, c
+    unit = exact and a == 1
+    pivot = Fraction(a) if exact and not unit and type(a) is int else a
+    if d:
+        t = d if unit else d / pivot
+        if b:
+            e = e - t * b
+        if c:
+            f = f - t * c
+    if g:
+        t = g if unit else g / pivot
+        if b:
+            h = h - t * b
+        if c:
+            i = i - t * c
+    # column 1 on rows 1 and 2
+    if exact:
+        p = 1 if e and e == 1 else 2 if h and h == 1 else 1 if e else 2 if h else -1
+    else:
+        p = -1
+        if e:
+            p, size = 1, _abs_sq(e)
+        if h and (p < 0 or _abs_sq(h) > size):
+            p = 2
+    if p < 0:
+        return Scalar.zero(exact) if isinstance(e, Scalar) else 0
+    if p == 2:
+        d, e, f, g, h, i = g, h, i, d, e, f
+        negative = not negative
+    unit = exact and e == 1
+    pivot = Fraction(e) if exact and not unit and type(e) is int else e
+    if h:
+        t = h if unit else h / pivot
+        if f:
+            i = i - t * f
+    # column 2 on row 2
+    if not i:
+        return Scalar.zero(exact) if isinstance(i, Scalar) else 0
+    v = a * e * i
+    return -v if negative else v
+
+
 def alternating(mu, z):
     """Determinant of the matrix (z_i ** mu_j) for a strictly decreasing mu."""
     if len(mu) != len(z):
@@ -180,16 +250,17 @@ def _jacobi_trudi_indices(parts, r):
 
 # Straight-line code (see the module docstring).  Beyond UNROLL_MAX_POINTS
 # points the C(r, 2) or O(r * l(lam)) statements would cost more to compile
-# and keep than they save.  Bands wider than 2 stay on `det`, whose float
-# pivot choice depends on the data.  Every statement holds at most three
-# operations: one nested expression of all of them overflows the compiler's
-# recursion on a hundred points.
+# and keep than they save.  Bands wider than 3 stay on `det`: written out,
+# the pivot branches grow with the width, and every lam would compile its own.
+# Every statement holds at most three operations: one nested expression of
+# all of them overflows the compiler's recursion on a hundred points.
 UNROLL_MAX_POINTS = 16
 
 
 def _compiled(name, lines):
-    """The function `name` defined by the source `lines`."""
-    namespace = {}
+    """The function `name` defined by the source `lines`, which may call
+    `_det3`."""
+    namespace = {"_det3": _det3}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -215,17 +286,18 @@ def _schur_code(parts, r):
     """s_lam on r points as a function of (z, zero, one, exact), for the
     normalized parts of lam.
 
-    A band of width lam1 <= 2 on at most UNROLL_MAX_POINTS points is
+    A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS points is
     straight-line code: `elem_sym_all` unrolled up to the highest e_k the
-    matrix reads, then `det`'s 1 x 1 or 2 x 2 formula on the same entries,
-    with `zero` outside the band.  Otherwise the e_k fill the rows of `det`.
+    matrix reads, then `det`'s 1 x 1 or 2 x 2 formula or a call of `_det3` on
+    the same entries, with `zero` outside the band.  Otherwise the e_k fill
+    the rows of `det`.
     """
     if not parts:
         return lambda z, zero, one, exact: one
     if len(parts) > r:
         return lambda z, zero, one, exact: zero
     idx = _jacobi_trudi_indices(parts, r)
-    if len(idx) > 2 or r > UNROLL_MAX_POINTS:
+    if len(idx) > 3 or r > UNROLL_MAX_POINTS:
 
         def banded(z, zero, one, exact):
             e = elem_sym_all(z)
@@ -242,9 +314,11 @@ def _schur_code(parts, r):
     entries = [[name[k] if k is not None else "zero" for k in row] for row in idx]
     if len(entries) == 1:
         lines.append(f"    return {entries[0][0]}")
-    else:
+    elif len(entries) == 2:
         (a, b), (c, d) = entries
         lines.append(f"    return {a} * {d} - {b} * {c}")
+    else:
+        lines.append(f"    return _det3({', '.join(k for row in entries for k in row)}, exact)")
     return _compiled("schur", lines)
 
 

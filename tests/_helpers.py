@@ -5,6 +5,7 @@ import random
 
 from schurfit import DataSet, Exponents
 from schurfit.numeric import Scalar
+from schurfit.symfunc import _jacobi_trudi_indices, _kind, det, elem_sym_all
 
 
 def rational(rng, lo=-9, hi=9, max_den=4):
@@ -80,3 +81,17 @@ def max_rel_diff(a, b):
         ratio = diff / scale
         worst = max(worst, ratio) if ratio == ratio else float("inf")  # NaN fails
     return worst
+
+
+def rows_and_det(lam, z):
+    """s_lam(z) as `det` of the dual Jacobi-Trudi rows of elem_sym_all(z), the
+    reference for the straight-line Schur code."""
+    exact, zero, one = _kind(z)
+    parts = lam.normalized()
+    if not parts:
+        return one
+    if len(parts) > len(z):
+        return zero
+    e = elem_sym_all(z)
+    rows = [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(parts, len(z))]
+    return det(rows, exact)

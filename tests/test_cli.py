@@ -444,7 +444,7 @@ def test_stream_aborts_on_a_malformed_row_by_default(tmp_path, capsys):
     code, out, err = run(capsys, "stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: malformed scalar literal: 'bad'\n"
+    assert err == "error: row 3: malformed scalar literal: 'bad'\n"
     assert not snap.exists()
 
 
@@ -701,6 +701,42 @@ def test_short_row_is_named_under_every_delimiter(tmp_path, capsys, delimiter, c
     assert code == EXIT_USAGE
     assert command == "stream" or out == ""
     assert err == "error: row 4 is missing columns\n"
+
+
+@pytest.mark.parametrize(
+    "command, options, text, code, message",
+    [
+        (
+            "fit",
+            ("--exact",),
+            "x,y\n1,2\n2,zzz\n3,7\n",
+            EXIT_USAGE,
+            "error: row 3: malformed scalar literal: 'zzz'",
+        ),
+        (
+            "fit",
+            ("--weights",),
+            "x,y,w\n1,2,1\n2,4,0\n3,7,1\n",
+            EXIT_USAGE,
+            "error: row 3: weight is zero; weights must be nonzero",
+        ),
+        (
+            "stream",
+            ("--weights", "--on-error", "skip"),
+            "x,y,w\n1,2,1\n\n2,4,0\n3,7,1\n4,9,1\n",
+            EXIT_OK,
+            "warning: skipping malformed row: row 4: weight is zero; weights must be nonzero",
+        ),
+    ],
+    ids=["fit-malformed", "fit-zero-weight", "stream-zero-weight"],
+)
+def test_a_refused_row_is_named_by_its_line(tmp_path, capsys, command, options, text, code, message):
+    # line numbers count the header and blank lines, as an editor does
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    got, _, err = run(capsys, command, "--degrees", "1,0", *options, str(path))
+    assert got == code
+    assert err == message + "\n"
 
 
 def test_rows_are_yielded_without_raising(tmp_path):

@@ -32,6 +32,7 @@ from _helpers import (
     max_rel_diff,
     random_dataset,
     random_exponents,
+    rows_and_det,
     scalars_equal,
     well_conditioned_dataset,
 )
@@ -605,6 +606,36 @@ def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
         ("schur", 3): comb(12, 3),
         ("schur", 2): 3 * comb(12, 2),
     }
+
+
+def _reference_schur_case(weighted):
+    # a real unweighted noisy quartic, or weighted complex points as in a stream
+    if not weighted:
+        return quartic_example(m=14, noise=0.01, seed=1, exact=False)
+    rng = random.Random(14)
+    x = [Scalar.from_float(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(14)]
+    y = [Scalar.from_float(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(14)]
+    w = [Scalar.from_float(rng.uniform(0.5, 2)) for _ in range(14)]
+    return DataSet(x, y, w)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["real", "weighted-complex"])
+def test_straight_line_schur_code_leaves_every_output_unchanged(monkeypatch, weighted):
+    # the kernel's (4,2,0) outputs, down to the last bit, are those of the
+    # rows-and-det route that the generated Schur code replaces
+    d, data = Exponents((4, 2, 0)), _reference_schur_case(weighted)
+
+    def outputs():
+        out = [repr(fit(d, data)), repr(pseudoinverse(d, data))]
+        state = init_state(d, exact=False)
+        for k in range(data.m):
+            state = update(state, data.x[k], data.y[k], data.w[k] if weighted else None)
+            out.append(repr(state.to_dict()))
+        return out
+
+    compiled = outputs()
+    monkeypatch.setattr(regress, "schur", rows_and_det)
+    assert outputs() == compiled
 
 
 def _lift_cases():

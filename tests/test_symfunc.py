@@ -8,7 +8,7 @@ from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
-    _jacobi_trudi_indices,
+    _det3,
     _kind,
     _vandermonde_loop,
     alternating,
@@ -20,7 +20,7 @@ from schurfit.symfunc import (
     vandermonde,
 )
 
-from _helpers import distinct_rationals, exact_scalar, rational
+from _helpers import distinct_rationals, exact_scalar, rational, rows_and_det
 
 
 def ex(*vals):
@@ -397,22 +397,14 @@ def test_points_that_mix_exact_and_float_scalars_are_refused():
             call()
 
 
-def _rows_and_det(lam, z):
-    # s_lam(z) as `det` of the dual Jacobi-Trudi rows of elem_sym_all(z)
-    exact, zero, one = _kind(z)
-    parts = lam.normalized()
-    if not parts:
-        return one
-    if len(parts) > len(z):
-        return zero
-    e = elem_sym_all(z)
-    rows = [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(parts, len(z))]
-    return det(rows, exact)
-
-
 def _narrow_shapes(r):
-    # every lam with lam1 <= 2 and at most r + 1 parts, the empty one included
-    return [Partition((2,) * a + (1,) * b) for a in range(r + 2) for b in range(r + 2 - a)]
+    # every lam with lam1 <= 3 and at most r + 1 parts, the empty one included
+    return [
+        Partition((3,) * a + (2,) * b + (1,) * c)
+        for a in range(r + 2)
+        for b in range(r + 2 - a)
+        for c in range(r + 2 - a - b)
+    ]
 
 
 def _point_kinds(rng, r):
@@ -445,7 +437,7 @@ def _fingerprint(v):
 
 @pytest.mark.parametrize("r", range(7))
 def test_straight_line_code_matches_the_loops_and_det(r):
-    # V and the bands of width lam1 <= 2 run generated straight-line code; it
+    # V and the bands of width lam1 <= 3 run generated straight-line code; it
     # must give the value, the type and, in float mode, the bits of the loop
     # and of the rows-and-det route
     rng = random.Random(100 + r)
@@ -453,7 +445,7 @@ def test_straight_line_code_matches_the_loops_and_det(r):
         for kind, z in _point_kinds(rng, r).items():
             assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, _kind(z)[2])), (kind, z)
             for lam in _narrow_shapes(r):
-                got, want = _fingerprint(schur(lam, z)), _fingerprint(_rows_and_det(lam, z))
+                got, want = _fingerprint(schur(lam, z)), _fingerprint(rows_and_det(lam, z))
                 assert got == want, (kind, lam, z)
 
 
@@ -463,13 +455,71 @@ def test_unrolled_and_looped_routes_agree_at_the_point_limit(r):
     for kind, z in _point_kinds(rng, r).items():
         one = _kind(z)[2]
         assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, one)), kind
-        for parts in [(1,), (2, 1), (2, 2, 1), (1,) * r, (2,) * r]:
+        for parts in [(1,), (2, 1), (2, 2, 1), (1,) * r, (2,) * r, (3,), (3, 2), (3, 3, 1), (3,) * r]:
             lam = Partition(parts)
-            assert _fingerprint(schur(lam, z)) == _fingerprint(_rows_and_det(lam, z)), (kind, lam)
+            assert _fingerprint(schur(lam, z)) == _fingerprint(rows_and_det(lam, z)), (kind, lam)
 
 
 def test_one_hundred_twenty_points_need_no_deep_expression():
     # one nested expression over 120 points overflows the compiler's recursion
     z = tuple(1 + k / 64 for k in range(120))
     assert repr(vandermonde(z)) == repr(_vandermonde_loop(z, 1))
-    assert repr(schur(Partition((2, 1)), z)) == repr(_rows_and_det(Partition((2, 1)), z))
+    assert repr(schur(Partition((2, 1)), z)) == repr(rows_and_det(Partition((2, 1)), z))
+
+
+def _as_scalar(v):
+    if isinstance(v, (float, complex)):
+        return Scalar.from_float(v.real, v.imag)
+    if isinstance(v, _Gaussian):
+        return Scalar.from_exact(v.real, v.imag)
+    return Scalar.from_exact(v)
+
+
+def _pivot_edge_points():
+    # points whose width-3 bands hit each branch of det's pivot rules
+    cases = [
+        (-1.0,),  # e1 = -1.0 ties the structural 1 in |a|^2: the first row stays
+        (0.5, -1.5),  # the same tie on two points
+        (-0.5, 0.25, -0.75),  # and on three
+        (1j, -1j, 0.0),  # e1 = 0.0, e2 = 1: a data zero and a complex unit
+        (1e-170, 2e-170),  # |e1|^2 and e2 underflow to 0.0 but e1 is live
+        (1e-170, 2e-170, -1e-170),
+        (1e-170j, 3.0, -3.0),  # e1 = 1e-170j loses the tie-free pivot to the 1
+        (2, -1),  # exact e1 = 1, a data unit ahead of the structural one
+        (2, -1, 0),
+        (Fraction(3, 2), Fraction(-1, 2)),  # Fraction e1 = 1
+        (_Gaussian(1, 1), _Gaussian(0, -1)),  # Gaussian e1 = 1
+        (1, -1),  # e1 = 0: row 0 is not live
+        (1, -1, 0),  # e1 = e3 = 0
+        (0, 0, 0),  # every e_k > 0 vanishes: columns with no live row
+        (0.0, -0.0, 0.0),
+        (-0.0, 0.0),
+        (Fraction(0), Fraction(0), Fraction(1)),
+        (2, 3, -5),  # e1 = 0 with e2, e3 live
+    ]
+    return cases + [tuple(map(_as_scalar, z)) for z in cases]
+
+
+@pytest.mark.parametrize("z", _pivot_edge_points(), ids=repr)
+def test_width_three_pivot_edge_cases_match_det(z):
+    shapes = [lam for lam in _narrow_shapes(len(z)) if lam.normalized()[:1] == (3,)]
+    assert shapes
+    for lam in shapes:
+        assert _fingerprint(schur(lam, z)) == _fingerprint(rows_and_det(lam, z)), lam
+
+
+def test_det3_matches_det_on_sparse_matrices():
+    # every pattern of zero, unit, tied and underflowing entries in both modes
+    rng = random.Random(3)
+    values = {
+        False: [0.0, -0.0, 1.0, -1.0, 2.0, 1e-170, -1e-170, 1j, complex(0.6, 0.8), 0.5, 3.0],
+        True: [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), _Gaussian(0, 1), _Gaussian(1, 0)],
+    }
+    for exact, pool in values.items():
+        for _ in range(3000):
+            entries = [rng.choice(pool) for _ in range(9)]
+            if rng.random() < 0.3:
+                entries = [_as_scalar(v) for v in entries]
+            rows = [entries[0:3], entries[3:6], entries[6:9]]
+            got, want = _fingerprint(_det3(*entries, exact)), _fingerprint(det(rows, exact))
+            assert got == want, (rows, exact)
