@@ -28,6 +28,7 @@ import statistics
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 from . import incremental, oracle, regress
 from .numeric import Scalar, ScalarModeError, format_scalar, parse_scalar
@@ -114,28 +115,23 @@ def write_dataset(handle, data):
 
 def quartic_example(m=101, noise=0.0, seed=0, exact=True):
     """Sample the reference quartic x^4 - 2.5e5 x^2 on the grid of m points
-    over [-500, 500], optionally with seeded uniform noise scaled to the
-    signal peak."""
-    xs, ys = [], []
-    for i in range(m):
-        xv = -500 + 1000 * i / (m - 1) if m > 1 else 0.0
-        xs.append(xv)
-        ys.append(xv**4 - 2.5e5 * xv**2)
-    if noise:
-        rng = random.Random(seed)
-        amp = noise * max(abs(v) for v in ys)
-        ys = [v + rng.uniform(-amp, amp) for v in ys]
+    over [-500, 500], which for m = 1 is the one point x = 0, optionally with
+    seeded uniform noise scaled to the signal peak (float mode only)."""
     if exact:
         if noise:
             raise ValueError("noisy samples are float-mode only")
         # the noiseless grid values are exact rationals
-        from fractions import Fraction
-
-        xs_f = [Fraction(-500) + Fraction(1000 * i, m - 1) for i in range(m)]
+        xs = [Fraction(-500) + Fraction(1000 * i, m - 1) for i in range(m)] if m != 1 else [Fraction(0)]
         return regress.DataSet(
-            [Scalar.from_exact(v) for v in xs_f],
-            [Scalar.from_exact(v**4 - Fraction(5, 2) * 10**5 * v**2) for v in xs_f],
+            [Scalar.from_exact(v) for v in xs],
+            [Scalar.from_exact(v**4 - Fraction(5, 2) * 10**5 * v**2) for v in xs],
         )
+    xs = [-500 + 1000 * i / (m - 1) for i in range(m)] if m != 1 else [0.0]
+    ys = [v**4 - 2.5e5 * v**2 for v in xs]
+    if noise:
+        rng = random.Random(seed)
+        amp = noise * max(abs(v) for v in ys)
+        ys = [v + rng.uniform(-amp, amp) for v in ys]
     return regress.DataSet(
         [Scalar.from_float(v) for v in xs],
         [Scalar.from_float(v) for v in ys],

@@ -30,10 +30,10 @@ from .regress import (
     NonUniqueSolutionError,
     _aggregates,
     _append_b_columns,
+    _checked_numerators,
     _denominator_sum,
     _lift,
     _quotients,
-    _signed_numerators,
 )
 
 # Unused here: every subset sum runs through the regress kernel.  The names
@@ -155,8 +155,10 @@ class RegressionState:
 
 
 def _state(d, points, denom, s, t, evaluations):
-    """The state of these points and aggregates, with N derived."""
-    n_vec = _signed_numerators(s, t)
+    """The state of these points and aggregates, with N derived; float
+    aggregates beyond the float range raise OverflowError before any state
+    holds them."""
+    n_vec = _checked_numerators(denom, s, t)
     w = list(points.w) if points.w is not None else None
     return RegressionState(d, list(points.x), list(points.y), w, s, t, n_vec, denom, evaluations)
 
@@ -195,7 +197,9 @@ def update(state, x_new, y_new, w_new=None):
 
     D, S and T each grow by the new point's increments from
     `regress._aggregates`; N' is re-derived from S' and T', and the
-    coefficients are N'_i / D'.
+    coefficients are N'_i / D'.  In float mode, a D', S', T' or N' beyond
+    the float range raises OverflowError, and so does reading a coefficient
+    that is.
     """
     points = _appended(state, x_new, y_new, w_new)
     d_inc, r, dt, evals = _aggregates(state.d, points, 1)

@@ -26,6 +26,7 @@ where a tracer can wrap them.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
@@ -297,6 +298,24 @@ def _signed_numerators(s, t):
     return out
 
 
+def _finite(what, values):
+    """`values`, or OverflowError naming `what` if one is a float inf or nan:
+    the fit has left the float range, and neither a report nor a snapshot
+    could carry it."""
+    if any(not v.exact and not isfinite(v.value) for v in values):
+        raise OverflowError(f"{what} is not finite in float arithmetic")
+    return values
+
+
+def _checked_numerators(dvalue, s, t):
+    """N from S and T (`_signed_numerators`), once D, S, T and then N are
+    found finite (`_finite`)."""
+    _finite("the denominator D", [dvalue])
+    _finite("a minor sum S", [v for row in s for v in row])
+    _finite("a moment sum T", t)
+    return _finite("a numerator N", _signed_numerators(s, t))
+
+
 def _aggregates(d, points, fixed=0):
     """D, S, T and the evaluation count of `points` (a DataSet or a stream's
     points), from one lift.  With fixed=1, the increments from appending the
@@ -311,10 +330,11 @@ def _aggregates(d, points, fixed=0):
 
 
 def _quotients(d, x, numerators, dvalue):
-    """a_i = N_i / D, or None when D vanishes (see `_zero_denominator`)."""
+    """a_i = N_i / D, or None when D vanishes (see `_zero_denominator`);
+    OverflowError if a float a_i is not finite."""
     if _zero_denominator(dvalue, d, x):
         return None
-    return [ni / dvalue for ni in numerators]
+    return _finite("a coefficient", [ni / dvalue for ni in numerators])
 
 
 def _zero_denominator(dvalue, d, x):
@@ -352,12 +372,13 @@ def fit(d, data):
     """Least-squares coefficients of the model sum_i a_i x^{d_i}.
 
     Exact mode returns the exact rational solution.  Uses weights from the
-    data set when present.
+    data set when present.  In float mode, a D, S, T, N or coefficient
+    beyond the float range raises OverflowError.
     """
     n = len(d)
     _require_points(n, data)
     dvalue, s, t, evaluations = _aggregates(d, data)
-    numerators = _signed_numerators(s, t)
+    numerators = _checked_numerators(dvalue, s, t)
     a = _quotients(d, data.x, numerators, dvalue)
     if a is None:
         raise NonUniqueSolutionError(
@@ -435,10 +456,12 @@ def _residual_root(data, r, residual_sq):
 
 
 def _checked_denominator(d, data):
-    """D of a batch and its lifted points; raises when D vanishes."""
+    """D of a batch and its lifted points; raises when D vanishes or, in
+    float mode, is not finite."""
     _require_points(len(d), data)
     lifted = _lift(data)
     dvalue, _ = _denominator_sum(d, lifted)
+    _finite("the denominator D", [dvalue])
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError("denominator vanishes: B is undefined")
     return dvalue, lifted

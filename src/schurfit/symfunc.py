@@ -5,8 +5,9 @@ give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
 values, which compute in their own type; the subset kernel in `regress` uses
 the latter.  The number type, and with it the mode, is read off the points.
 They need only + - * /, a zero test (bool), == 1 for exact pivoting and |a|^2
-for float pivoting; `det` divides ints exactly, as Fractions.  The empty point
-gives the ints 0 and 1, exact identities in every type.
+for float pivoting; `det` divides ints exactly, as Fractions, and only from
+order 4 on: exact determinants up to order 3 are cofactor expansions.  The
+empty point gives the ints 0 and 1, exact identities in every type.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -28,9 +29,10 @@ multiply-adds.  For those, and for V, each (lam, r) on at most
 UNROLL_MAX_POINTS points is compiled once into straight-line code that takes
 the same steps as `elem_sym_all`, `det` and the V loop, in the same order on
 the same operands, so values are bit-identical and only the loops, index rows
-and calls are gone.  A 3 x 3 band calls `_det3`, `det`'s elimination written
-out once with its pivot choice as branches, shared by every lam.  Wider bands,
-such as the 38- and 39-wide ones of (40, 20, 0), run the banded `det`.
+and calls are gone.  A 3 x 3 band calls `_det3`, shared by every lam: the
+cofactor expansion in exact mode, and in float mode `det`'s elimination
+written out with its pivot choice as branches.  Wider bands, such as the 38-
+and 39-wide ones of (40, 20, 0), run the banded `det`.
 
 The bialternant ratio and the semistandard tableaux sum are retained as
 independent cross-checks; they take the same points as `schur`, and the
@@ -99,22 +101,27 @@ def _vandermonde_loop(z, one):
 
 
 def det(rows, exact):
-    """Determinant of a square matrix by Gaussian elimination that skips
-    zeros.
+    """Determinant of a square matrix: a cofactor expansion up to order 2,
+    and in exact mode up to order 3 (`_det3`), else Gaussian elimination that
+    skips zeros.
 
     The entries are Scalars or native numbers.  A dual Jacobi-Trudi row mixes
     the ints 0 and 1 with the points' type, so no one entry tells the mode,
-    and `exact` selects the pivot rule; the empty matrix gives the int 1.
-    Step k touches only the rows below the pivot with a nonzero entry in
-    column k and only the columns where the pivot row is nonzero, so a banded
-    matrix such as the dual Jacobi-Trudi one, whose entries e_k vanish for
-    k > r, costs O(width * band^2) instead of O(width^3).  Float mode pivots on
-    the first row of largest |a_ik|^2 (partial pivoting); a skipped update is
-    a - 0*b, so finite results are bit-identical to dense LU.  Exact mode
-    pivots on the first row holding the unit 1, which needs no division and so
-    keeps int entries ints, else on the first nonzero row, and lifts an int
-    pivot to Fraction, so that int entries divide exactly; Fractions are
-    canonical, so the value equals any other exact method's.
+    and `exact` selects the method; the empty matrix gives the int 1.  Exact
+    arithmetic gives the one value in any order of operations, so only float
+    mode needs the elimination and its pivots at order 3.
+
+    Step k of the elimination touches only the rows below the pivot with a
+    nonzero entry in column k and only the columns where the pivot row is
+    nonzero, so a banded matrix such as the dual Jacobi-Trudi one, whose
+    entries e_k vanish for k > r, costs O(width * band^2) instead of
+    O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
+    (partial pivoting); a skipped update is a - 0*b, so finite results are
+    bit-identical to dense LU.  Exact mode, from order 4 on, pivots on the
+    first row holding the unit 1, which needs no division and so keeps int
+    entries ints, else on the first nonzero row, and lifts an int pivot to
+    Fraction, so that int entries divide exactly; Fractions are canonical, so
+    the value equals any other exact method's.
     """
     n = len(rows)
     if n == 0:
@@ -123,6 +130,8 @@ def det(rows, exact):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3 and exact:
+        return _det3(*rows[0], *rows[1], *rows[2], True)
     a = [list(r) for r in rows]
     sign = 1
     for k in range(n):
@@ -154,70 +163,58 @@ def det(rows, exact):
 
 
 def _det3(a, b, c, d, e, f, g, h, i, exact):
-    """`det` of the rows (a, b, c), (d, e, f), (g, h, i) with its loops
-    written out: the same live rows, pivot choice, row exchanges, skipped
-    columns and operations in the same order, so the value, its type and, in
-    float mode, its bits are `det`'s.  The Schur code of bands of width 3
-    calls it; `det` keeps its loop, the reference the tests hold this to."""
-    # column 0: rows 0, 1 and 2 are live where a, d and g are nonzero
+    """Determinant of the rows (a, b, c), (d, e, f), (g, h, i), for exact
+    `det` of order 3 and the Schur code of bands of width 3.
+
+    Exact mode returns the cofactor expansion, which gives the one exact value
+    in any order of operations.  Float mode is `det`'s elimination with its
+    loops written out: the same live rows, pivots, row exchanges, skipped
+    columns and operations in the same order, so the bits are those of `det`'s
+    loop, the reference the tests hold this to."""
     if exact:
-        p = 0 if a and a == 1 else 1 if d and d == 1 else 2 if g and g == 1 else -1
-        if p < 0:
-            p = 0 if a else 1 if d else 2 if g else -1
-    else:
-        p = -1
-        if a:
-            p, size = 0, _abs_sq(a)
-        if d:
-            s = _abs_sq(d)
-            if p < 0 or s > size:
-                p, size = 1, s
-        if g and (p < 0 or _abs_sq(g) > size):
-            p = 2
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # column 0: rows 0, 1 and 2 are live where a, d and g are nonzero
+    p = -1
+    if a:
+        p, size = 0, _abs_sq(a)
+    if d:
+        s = _abs_sq(d)
+        if p < 0 or s > size:
+            p, size = 1, s
+    if g and (p < 0 or _abs_sq(g) > size):
+        p = 2
     if p < 0:
-        return Scalar.zero(exact) if isinstance(a, Scalar) else 0
+        return Scalar.zero(False) if isinstance(a, Scalar) else 0
     negative = p > 0
     if p == 1:
         a, b, c, d, e, f = d, e, f, a, b, c
     elif p == 2:
         a, b, c, g, h, i = g, h, i, a, b, c
-    unit = exact and a == 1
-    pivot = Fraction(a) if exact and not unit and type(a) is int else a
     if d:
-        t = d if unit else d / pivot
+        t = d / a
         if b:
             e = e - t * b
         if c:
             f = f - t * c
     if g:
-        t = g if unit else g / pivot
+        t = g / a
         if b:
             h = h - t * b
         if c:
             i = i - t * c
     # column 1 on rows 1 and 2
-    if exact:
-        p = 1 if e and e == 1 else 2 if h and h == 1 else 1 if e else 2 if h else -1
-    else:
-        p = -1
-        if e:
-            p, size = 1, _abs_sq(e)
-        if h and (p < 0 or _abs_sq(h) > size):
-            p = 2
-    if p < 0:
-        return Scalar.zero(exact) if isinstance(e, Scalar) else 0
-    if p == 2:
+    if not (e or h):
+        return Scalar.zero(False) if isinstance(e, Scalar) else 0
+    if h and (not e or _abs_sq(h) > _abs_sq(e)):
         d, e, f, g, h, i = g, h, i, d, e, f
         negative = not negative
-    unit = exact and e == 1
-    pivot = Fraction(e) if exact and not unit and type(e) is int else e
     if h:
-        t = h if unit else h / pivot
+        t = h / e
         if f:
             i = i - t * f
     # column 2 on row 2
     if not i:
-        return Scalar.zero(exact) if isinstance(i, Scalar) else 0
+        return Scalar.zero(False) if isinstance(i, Scalar) else 0
     v = a * e * i
     return -v if negative else v
 

@@ -92,6 +92,11 @@ def rows_and_det(lam, z):
         return one
     if len(parts) > len(z):
         return zero
-    e = elem_sym_all(z)
-    rows = [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(parts, len(z))]
-    return det(rows, exact)
+    return det(jacobi_trudi_rows(lam, z), exact)
+
+
+def jacobi_trudi_rows(lam, z):
+    """The dual Jacobi-Trudi matrix of s_lam(z), for a nonempty lam with at
+    most len(z) parts, filled from elem_sym_all(z) and `_kind`'s zero."""
+    e, zero = elem_sym_all(z), _kind(z)[1]
+    return [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(lam.normalized(), len(z))]

@@ -84,6 +84,39 @@ def test_fit_float_overflow_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows, degrees, what",
+    [
+        # T = sum x^2 y overflows at the first point
+        ("1e10,1e300\n2e10,1e300\n3e10,2e300\n4e10,1e300\n", "2,1,0", "a moment sum T"),
+        # D, S, T and N are finite, but a = N / D is not
+        ("0.5,1e308\n1,-1e308\n", "1,0", "a coefficient"),
+    ],
+    ids=["moment-sum", "coefficient"],
+)
+def test_float_values_beyond_the_float_range_exit_1(tmp_path, capsys, rows, degrees, what):
+    # fit and stream stop with one error line where the value is formed,
+    # before printing a nan or inf, and the stream leaves its snapshot as it
+    # was: a saved "inf" could not be restored
+    path = tmp_path / "big.csv"
+    path.write_text("x,y\n" + rows)
+    message = f"error: OverflowError: {what} is not finite in float arithmetic\n"
+    assert run(capsys, "fit", "--degrees", degrees, str(path)) == (EXIT_USAGE, "", message)
+    snapshot = tmp_path / "state.json"
+    stream = ("stream", "--degrees", degrees, "--snapshot", str(snapshot))
+    assert run(capsys, *stream, str(path)) == (EXIT_USAGE, "", message)
+    assert not snapshot.exists()
+    start = tmp_path / "start.csv"
+    start.write_text("x,y\n1,1\n2,3\n3,2\n")
+    assert run(capsys, *stream, str(start))[0] == EXIT_OK
+    saved = snapshot.read_bytes()
+    code, out, err = run(capsys, *stream, str(path))
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    assert snapshot.read_bytes() == saved
+    code, out, err = run(capsys, *stream, str(start))
+    assert (code, err) == (EXIT_OK, "") and json.loads(out.splitlines()[-1])["m"] == 6
+
+
+@pytest.mark.parametrize(
     "argv, power",
     [
         (["fit", "--exact"], 400),
@@ -149,6 +182,14 @@ def test_fit_reads_stdin_and_skips_blank_rows(capsys, monkeypatch):
 def test_quartic_example_refuses_noisy_exact_samples():
     with pytest.raises(ValueError, match="noisy samples are float-mode only"):
         quartic_example(m=5, noise=0.01, exact=True)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_quartic_example_of_one_point_samples_x_zero(exact):
+    # a one-point grid has no spacing to divide by, in either mode
+    data = quartic_example(m=1, exact=exact)
+    assert data.exact is exact
+    assert data.x == data.y == [Scalar.zero(exact)]
 
 
 def test_fit_malformed_input_exit_1(tmp_path, capsys):

@@ -585,6 +585,22 @@ def test_float_fit_with_a_denominator_past_1e154():
         assert max_rel_diff(coefficients, reference) <= 1e-9
 
 
+def test_float_values_beyond_the_float_range_raise_overflow_error():
+    # on points near 1e80 the float D, and a minor sum S after two appends,
+    # overflow; each entry point names the value instead of returning inf or
+    # nan or failing in the degeneracy floor's power
+    d = Exponents((2, 1, 0))
+    data = DataSet([Scalar.from_float(v * 1e80) for v in (1, 2, 3, 4)], [Scalar.from_float(v) for v in (1, 2, 3, 5)])
+    for call in (fit, pseudoinverse, b_matrix):
+        with pytest.raises(OverflowError, match="^the denominator D is not finite in float arithmetic$"):
+            call(d, data)
+    state = init_state(d, exact=False)
+    with pytest.raises(OverflowError, match="^a minor sum S is not finite in float arithmetic$"):
+        for xk, yk in zip(data.x, data.y):
+            state = update(state, xk, yk)
+    assert state.m == 1
+
+
 def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
     # a traced benchmark run counts subsets by wrapping regress.schur and
     # regress.vandermonde, so the kernel must call exactly those names

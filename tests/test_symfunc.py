@@ -20,7 +20,7 @@ from schurfit.symfunc import (
     vandermonde,
 )
 
-from _helpers import distinct_rationals, exact_scalar, rational, rows_and_det
+from _helpers import distinct_rationals, exact_scalar, jacobi_trudi_rows, rational, rows_and_det
 
 
 def ex(*vals):
@@ -355,8 +355,8 @@ def test_float_schur_accuracy_on_high_degree_shapes(points):
 
 
 def test_schur_on_int_points_is_exact():
-    # the dual Jacobi-Trudi determinants of (3,) and (3, 2) are 3 x 3, so
-    # `det` divides; int / int would round to a float
+    # the dual Jacobi-Trudi determinants of (3,) and (3, 2) are 3 x 3; a
+    # route that divided int by int there would round to a float
     pts = (3, -7, 11)
     for parts in [(3,), (3, 2)]:
         lam = Partition(parts)
@@ -367,20 +367,22 @@ def test_schur_on_int_points_is_exact():
             assert Scalar.from_exact(value) == reference
 
 
-@pytest.mark.parametrize("parts", [(3,), (3, 2)], ids=str)
-def test_exact_det_pivots_on_the_unit_and_stays_integral(parts):
-    # the dual Jacobi-Trudi matrix of (3,) on two points is
-    # [[e1, e2, 0], [1, e1, e2], [0, 1, e1]]: pivoting on the unit e0 = 1
-    # instead of on e1 needs no division, so int points give an int and
-    # Gaussian-int points a Gaussian with int parts
-    lam = Partition(parts)
-    value = schur(lam, (2, 5))
-    assert type(value) is int
-    assert Scalar.from_exact(value) == schur(lam, ex(2, 5))
-    gauss = schur(lam, (_Gaussian(2, 1), _Gaussian(5, -3)))
-    assert type(gauss.real) is int and type(gauss.imag) is int
-    scalar_points = (Scalar.from_exact(2, 1), Scalar.from_exact(5, -3))
-    assert Scalar.from_exact(gauss.real, gauss.imag) == schur(lam, scalar_points)
+@pytest.mark.parametrize("r", range(7))
+def test_exact_schur_on_integral_points_stays_integral(r):
+    # Schur polynomials have integer coefficients, and no exact route to them
+    # divides up to 3 x 3 bands, so int points give an int and Gaussian-int
+    # points an int or a Gaussian with int parts; the values are those of
+    # `det`'s elimination loop
+    rng = random.Random(200 + r)
+    for _ in range(4):
+        ints = tuple(rng.randint(-9, 9) for _ in range(r))
+        gaussians = tuple(_Gaussian(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(r))
+        for z in (ints, gaussians):
+            for lam in _narrow_shapes(r):
+                value = schur(lam, z)
+                parts = (value.real, value.imag) if isinstance(value, _Gaussian) else (value,)
+                assert all(type(p) is int for p in parts), (lam, z)
+                assert _exact_pair(value) == _exact_pair(_looped(lam, z)), (lam, z)
 
 
 def test_points_that_mix_exact_and_float_scalars_are_refused():
@@ -508,18 +510,61 @@ def test_width_three_pivot_edge_cases_match_det(z):
         assert _fingerprint(schur(lam, z)) == _fingerprint(rows_and_det(lam, z)), lam
 
 
+def _sparse_matrices(rng, pool):
+    # 3000 matrices of 3 x 3 entries from the pool, 30 % of them as Scalars
+    out = []
+    for _ in range(3000):
+        entries = [rng.choice(pool) for _ in range(9)]
+        if rng.random() < 0.3:
+            entries = [_as_scalar(v) for v in entries]
+        out.append([entries[0:3], entries[3:6], entries[6:9]])
+    return out
+
+
 def test_det3_matches_det_on_sparse_matrices():
-    # every pattern of zero, unit, tied and underflowing entries in both modes
-    rng = random.Random(3)
-    values = {
-        False: [0.0, -0.0, 1.0, -1.0, 2.0, 1e-170, -1e-170, 1j, complex(0.6, 0.8), 0.5, 3.0],
-        True: [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), _Gaussian(0, 1), _Gaussian(1, 0)],
-    }
-    for exact, pool in values.items():
-        for _ in range(3000):
-            entries = [rng.choice(pool) for _ in range(9)]
-            if rng.random() < 0.3:
-                entries = [_as_scalar(v) for v in entries]
-            rows = [entries[0:3], entries[3:6], entries[6:9]]
-            got, want = _fingerprint(_det3(*entries, exact)), _fingerprint(det(rows, exact))
-            assert got == want, (rows, exact)
+    # every pattern of zero, unit, tied and underflowing float entries; float
+    # `det` of order 3 runs its elimination loop
+    pool = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-170, -1e-170, 1j, complex(0.6, 0.8), 0.5, 3.0]
+    for rows in _sparse_matrices(random.Random(3), pool):
+        got, want = _fingerprint(_det3(*rows[0], *rows[1], *rows[2], False)), _fingerprint(det(rows, False))
+        assert got == want, rows
+
+
+def _exact_pair(v):
+    # an exact value as its (real, imag) parts, which compare by value across
+    # int, Fraction, Gaussian and Scalar values
+    v = v.value if isinstance(v, Scalar) else v
+    return v.real, v.imag
+
+
+def _bordered(rows):
+    # an order-3 matrix bordered to order 4 with its entries' own one and
+    # zeros, on which exact `det` runs its elimination loop, the reference
+    # for the cofactor expansion of order 3
+    zero, one = _kind(rows[0])[1:]
+    return [[one, zero, zero, zero]] + [[zero, *row] for row in rows]
+
+
+def _looped(lam, z):
+    # s_lam(z) with a 3 x 3 band evaluated by `det`'s elimination loop
+    parts = lam.normalized()
+    if parts[:1] != (3,) or len(parts) > len(z):
+        return rows_and_det(lam, z)
+    return det(_bordered(jacobi_trudi_rows(lam, z)), True)
+
+
+def test_exact_det3_matches_the_bordered_elimination():
+    # exact `_det3` and exact `det` of order 3 are the cofactor expansion;
+    # `det`'s loop on the bordered matrix takes another route, through unit
+    # pivots, row exchanges and Fraction lifts, to the same value
+    pool = [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), _Gaussian(0, 1), _Gaussian(1, 0)]
+    matrices = _sparse_matrices(random.Random(3), pool)
+    for z in _pivot_edge_points():
+        if _kind(z)[0]:
+            shapes = [lam for lam in _narrow_shapes(len(z)) if lam.normalized()[:1] == (3,)]
+            matrices += [jacobi_trudi_rows(lam, z) for lam in shapes if len(lam.normalized()) <= len(z)]
+    for rows in matrices:
+        want = det(_bordered(rows), True)
+        for got in (_det3(*rows[0], *rows[1], *rows[2], True), det(rows, True)):
+            assert isinstance(got, Scalar) is isinstance(want, Scalar), rows
+            assert _exact_pair(got) == _exact_pair(want), rows
