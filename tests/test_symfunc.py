@@ -367,6 +367,23 @@ def test_schur_on_int_points_is_exact():
             assert Scalar.from_exact(value) == reference
 
 
+@pytest.mark.parametrize("parts", [(3,), (3, 2)], ids=str)
+def test_exact_det_pivots_on_the_unit_and_stays_integral(parts):
+    # the dual Jacobi-Trudi matrix of (3,) on two points is
+    # [[e1, e2, 0], [1, e1, e2], [0, 1, e1]]: its exact determinant is a
+    # cofactor expansion, which like a pivot on the unit e0 = 1 needs no
+    # division, so int points give an int and Gaussian-int points a Gaussian
+    # with int parts
+    lam = Partition(parts)
+    value = schur(lam, (2, 5))
+    assert type(value) is int
+    assert Scalar.from_exact(value) == schur(lam, ex(2, 5))
+    gauss = schur(lam, (_Gaussian(2, 1), _Gaussian(5, -3)))
+    assert type(gauss.real) is int and type(gauss.imag) is int
+    scalar_points = (Scalar.from_exact(2, 1), Scalar.from_exact(5, -3))
+    assert Scalar.from_exact(gauss.real, gauss.imag) == schur(lam, scalar_points)
+
+
 @pytest.mark.parametrize("r", range(7))
 def test_exact_schur_on_integral_points_stays_integral(r):
     # Schur polynomials have integer coefficients, and no exact route to them
