@@ -36,8 +36,9 @@ from .regress import (
     _quotients,
 )
 
-# Unused here: every subset sum runs through the regress kernel.  The names
-# stay bound because perfbench/tracing.py wraps incremental.schur and
+# Unused here: every subset sum runs through the walker in regress, which
+# calls regress.schur and regress.vandermonde.  These names stay bound
+# because perfbench/tracing.py wraps incremental.schur and
 # incremental.vandermonde by name.
 from .symfunc import schur, vandermonde  # noqa: F401
 

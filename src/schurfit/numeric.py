@@ -135,7 +135,10 @@ class _Gaussian:
 
     It mixes with ints and Fractions on either side, reading their .real and
     .imag, since `symfunc` starts its sums and products at the ints 0 and 1
-    and a complex Scalar meets real ones.
+    and a complex Scalar meets real ones.  It equals a `_Gaussian`, int or
+    Fraction of the same value, and hashes as that int or Fraction when its
+    imaginary part is zero, so exact `det`'s unit-pivot test `== 1` matches a
+    Gaussian unit too.
     """
 
     __slots__ = ("real", "imag")
@@ -174,6 +177,17 @@ class _Gaussian:
 
     def __bool__(self):
         return bool(self.real or self.imag)
+
+    def __eq__(self, other):
+        if isinstance(other, _Gaussian):
+            return self.real == other.real and self.imag == other.imag
+        if isinstance(other, (int, Fraction)):
+            return not self.imag and self.real == other
+        return NotImplemented
+
+    def __hash__(self):
+        # equal to the hash of the int or Fraction it equals when real
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
 
     def conjugate(self):
         return _Gaussian(self.real, -self.imag)

@@ -3,8 +3,8 @@
 The model signature d = (d1 > d2 > ... > dn >= 0) determines the partition
 lam = d - staircase(n) and, for each dropped exponent, the smaller partition
 lam[i] = drop(d, i) - staircase(n-1).  ``enumerate_subsets`` lists subsets in
-lexicographic order; the subset kernel in `regress` does not call it but
-iterates ``itertools.combinations`` over 0-based point indices, which gives
+lexicographic order; the subset walker in `regress` does not call it but
+iterates ``itertools.combinations`` over the points themselves, which gives
 the same order, so B's columns and the float summation order follow it.
 """
 
@@ -50,10 +50,11 @@ class Partition(tuple):
     """Weakly decreasing tuple of non-negative integers.
 
     Trailing zeros are kept as given but ignored by equality and hashing,
-    since partitions of different nominal lengths must interoperate.
+    since partitions of different nominal lengths must interoperate.  The
+    parts without them are stripped once, on construction: `symfunc.schur`
+    reads them on every call.  (A tuple subclass cannot declare a nonempty
+    `__slots__`, so they live in the instance dict.)
     """
-
-    __slots__ = ()
 
     def __new__(cls, parts):
         p = tuple(map(as_int, parts))
@@ -61,7 +62,12 @@ class Partition(tuple):
             raise ValueError("parts must be non-negative")
         if any(a < b for a, b in zip(p, p[1:])):
             raise ValueError(f"parts must be weakly decreasing: {p}")
-        return super().__new__(cls, p)
+        self = super().__new__(cls, p)
+        k = len(p)
+        while k and p[k - 1] == 0:
+            k -= 1
+        self._normalized = p[:k]
+        return self
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.normalized() == other.normalized()
@@ -81,10 +87,7 @@ class Partition(tuple):
 
     def normalized(self):
         """Parts with trailing zeros stripped, as a plain tuple."""
-        k = len(self)
-        while k and self[k - 1] == 0:
-            k -= 1
-        return self[:k]
+        return self._normalized
 
 
 def staircase(n):
@@ -116,8 +119,8 @@ def conjugate(lam):
 def enumerate_subsets(m, r):
     """All r-element subsets of {1, ..., m} as 1-based tuples, lexicographic.
 
-    The subset kernel in `regress` walks the same order over 0-based indices
-    with ``itertools.combinations``; B's column labels are these tuples.
+    The subset walker in `regress` walks the same order with
+    ``itertools.combinations``; B's column labels are these tuples.
     """
     if r < 0 or r > m:
         raise ValueError(f"cannot choose {r} elements from [{m}]")

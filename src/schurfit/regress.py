@@ -10,18 +10,23 @@ weighted normal equation.
 `_aggregates` gives D, S and T of a batch.  A point appended to a stream in
 `incremental` is a batch too: the stream's points with the new one last, of
 which every subset must hold that last point, so the same call gives the
-increments.  Every subset sum -- D, S and the B matrix -- runs through one
-kernel: `_subset_columns` yields the vector u_i = w_l s_{lam_i}(x_l) V(x_l)
-for each subset l in lexicographic order, and `_hermitian_sum` adds up u u*.
-B's columns are the signed u vectors; the pseudoinverse B B* A* uses
-B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
+increments.  Every subset sum -- D, S, the stream increments and the B
+matrix -- runs through one generated walker, `_walker`, compiled once per
+(number of partitions, subset size, fixed points, weighted): straight-line
+code that walks the subsets in lexicographic order, forms the vector
+u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps the
+upper triangle of the sum of u u* in locals (`_hermitian_sum`) or lists the
+u vectors with their labels, which `_append_b_columns` turns into B's signed
+columns.  The pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so
+never builds B.
 
-The kernel computes on plain numbers: `_lift` converts points and weights
+The walker computes on plain numbers: `_lift` converts points and weights
 once per public call to float or complex, or scales exact ones to int or
 Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a Scalar,
 undoing that scaling with one exact division; the rest of the module works on
-Scalars.  The kernel calls `schur` and `vandermonde` by the names bound here,
-where a tracer can wrap them.
+Scalars.  The walker calls `schur` and `vandermonde` once per subset and
+partition, as the callers pass them from the names bound here, read at call
+time, where a tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
-from math import hypot, inf, isqrt, lcm, sqrt
+from functools import lru_cache
+from math import comb, hypot, inf, isqrt, lcm, sqrt
 from sys import float_info
 from operator import attrgetter
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_drop, lambda_from_degrees
-from .symfunc import schur, vandermonde
+from .symfunc import _compiled, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -202,59 +208,87 @@ def _wrap(v, exact, scale=1):
     return Scalar.from_float(v.real, v.imag)
 
 
-def _subset_columns(lifted, lams, size):
-    """Yield (subset, u) for each subset of `size` lifted points in
-    lexicographic order, with u_i = w_l * s_{lams[i]}(x_l) * V(x_l) over the
-    subset's points x_l, in the lifted number type.
+@lru_cache(maxsize=None)
+def _walker(n, size, fixed, weighted, columns=False):
+    """The subset walk of n partitions over `size`-point subsets, compiled
+    once per signature into straight-line code, as a function of (x, w, lams,
+    schur, vandermonde): the lifted points and weights, the n partitions, and
+    the Schur and Vandermonde functions to call.
 
-    Only the subsets that hold the last `lifted.fixed` points count; `subset`
-    lists 0-based indices, those fixed points last.  `combinations` over the
-    indices and over the points themselves walk the same order, so they are
-    zipped and the points come without indexing.  Each subset costs one
-    `vandermonde` call and one `schur` call per partition, which run
-    straight-line code for narrow bands (see `symfunc`).
+    It walks the subsets that hold the last `fixed` points in lexicographic
+    order, with `combinations` over the other points, and the weights beside
+    them, so points and weights come without indexing.  Each subset x_l costs
+    one `vandermonde` call, times the subset's weights in subset order, and one
+    `schur` call per partition: u_i = schur(lams[i], x_l) * v.  The walk
+    returns the n(n+1)/2 upper-triangle sums of u_i conj(u_j), row by row,
+    each kept in its own local from the int 0 on, and the number of subsets.
+    With `columns` it returns instead one (label, u_0, ..., u_{n-1}) per
+    subset, the label being the subset's 1-based point numbers.
     """
-    x, w, fixed = lifted[:3]
-    if size < fixed:
-        return
-    m = len(x) - fixed
-    tail, tail_pts = tuple(range(m, len(x))), tuple(x[m:])
-    heads = combinations(range(m), size - fixed)
-    for head, head_pts in zip(heads, combinations(x[:m], size - fixed)):
-        subset, pts = head + tail, head_pts + tail_pts
-        v = vandermonde(pts)
-        if w is not None:
-            for k in subset:
-                v = v * w[k]
-        yield subset, [schur(lam, pts) * v for lam in lams]
+    k = size - fixed  # points chosen besides the fixed ones
+    pairs = [f"s{i}_{j}" for i in range(n) for j in range(i, n)]
+    lines = [
+        "def walk(x, w, lams, schur, vandermonde):",
+        "    " + "".join(f"lam{i}, " for i in range(n)) + "= lams",
+        f"    m = len(x) - {fixed}",
+        "    out = []" if columns else f"    {' = '.join(pairs)} = 0",
+    ]
+    if k >= 0:
+        targets, sources = ["head" if fixed else "pts"], [f"combinations(x[:m], {k})"]
+        if weighted and k:
+            targets.append("(" + "".join(f"q{i}, " for i in range(k)) + ")")
+            sources.append(f"combinations(w[:m], {k})")
+        if columns:
+            targets.append("label")
+            sources.append(f"combinations(range(1, m + 1), {k})")
+        if fixed:
+            lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
+        if fixed and weighted:
+            lines.append("    " + "".join(f"t{i}, " for i in range(fixed)) + "= w[m:]")
+        if len(sources) == 1:
+            lines.append(f"    for {targets[0]} in {sources[0]}:")
+        else:
+            lines.append(f"    for {', '.join(targets)} in zip({', '.join(sources)}):")
+        if fixed:
+            lines.append("        pts = head + tail")
+        lines.append("        v = vandermonde(pts)")
+        if weighted:
+            lines += [f"        v = v * q{i}" for i in range(k)] + [f"        v = v * t{i}" for i in range(fixed)]
+        lines += [f"        u{i} = schur(lam{i}, pts) * v" for i in range(n)]
+        if columns:
+            label = "label + tail_label" if fixed else "label"
+            lines.append(f"        out.append(({label}, {''.join(f'u{i}, ' for i in range(n))}))")
+        else:
+            lines += [f"        c{i} = u{i}.conjugate()" for i in range(n)]
+            lines += [f"        s{i}_{j} = s{i}_{j} + u{i} * c{j}" for i in range(n) for j in range(i, n)]
+    if columns:
+        lines.append("    return out")
+    else:
+        lines.append(f"    return ({''.join(f'{s}, ' for s in pairs)}), {'comb(m, %d)' % k if k >= 0 else 0}")
+    return _compiled("walk", lines, combinations=combinations, comb=comb)
 
 
 def _hermitian_sum(lifted, lams, size):
-    """Sum of u u* over the kernel's columns of `size`-point subsets as an
-    n x n Scalar matrix, n = len(lams), and the count n^2 * #columns.
+    """Sum of u u* over the `size`-point subsets of the lifted points (see
+    `_walker`) as an n x n Scalar matrix, n = len(lams), and the count
+    n^2 * #subsets.
 
-    The sum runs in the lifted type and each entry (i, j) is wrapped once,
-    divided by the lift's scaling of u_i conj(u_j).  Only the upper triangle
-    is multiplied out; the lower one is its conjugate.
+    The walk reads `schur` and `vandermonde` here, at call time, where a
+    tracer can wrap them.  The sum runs in the lifted type and each entry
+    (i, j) is wrapped once, divided by the lift's scaling of u_i conj(u_j).
+    Only the upper triangle is summed; the lower one is its conjugate.
     """
     n = len(lams)
-    acc = [[0] * n for _ in range(n)]
-    count = 0
-    for _, u in _subset_columns(lifted, lams, size):
-        u_conj = [v.conjugate() for v in u]
-        for i in range(n):
-            row, ui = acc[i], u[i]
-            for j in range(i, n):
-                row[j] = row[j] + ui * u_conj[j]
-        count += 1
+    walk = _walker(n, size, lifted.fixed, lifted.w is not None)
+    upper, count = walk(lifted.x, lifted.w, lams, schur, vandermonde)
     scales = [_lift_factor(lifted, lam, size) for lam in lams]
-    out = [
-        [_wrap(v, lifted.exact, scales[i] * scales[j]) for j, v in enumerate(row)]
-        for i, row in enumerate(acc)
-    ]
-    for i in range(1, n):
-        for j in range(i):
-            out[i][j] = out[j][i].conj()
+    out = [[None] * n for _ in range(n)]
+    sums = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = _wrap(next(sums), lifted.exact, scales[i] * scales[j])
+            if j > i:
+                out[j][i] = out[i][j].conj()
     return out, count * n * n
 
 
@@ -468,15 +502,17 @@ def _checked_denominator(d, data):
 
 
 def _append_b_columns(b, d, lifted):
-    """Append the column (-1)^(i+1) u_i (1-based i) for each kernel column of
-    (n-1)-subsets (see `_subset_columns`), labelled by its 1-based points;
+    """Append the column (-1)^(i+1) u_i (1-based i) for each (n-1)-subset
+    that the walker lists (see `_walker`), labelled by its 1-based points;
     float mode divides by sqrt(D) before wrapping, exact mode by the lift's
-    scaling of u_i."""
+    scaling of u_i.  Like `_hermitian_sum`, it passes the walker `schur` and
+    `vandermonde` as bound here at call time."""
     root = b.denominator_root if b.normalized else None
     lams, size = _drops(d), len(d) - 1
     scales = [_lift_factor(lifted, lam, size) for lam in lams]
-    for subset, u in _subset_columns(lifted, lams, size):
-        b.columns.append(tuple(k + 1 for k in subset))
+    walk = _walker(len(lams), size, lifted.fixed, lifted.w is not None, columns=True)
+    for label, *u in walk(lifted.x, lifted.w, lams, schur, vandermonde):
+        b.columns.append(label)
         for i, row in enumerate(b.entries):
             e = -u[i] if i % 2 == 0 else u[i]
             row.append(_wrap(e if root is None else e / root, lifted.exact, scales[i]))

@@ -2,7 +2,7 @@
 
 `elem_sym_all`, `vandermonde`, `det` and `schur` take points of Scalars, which
 give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
-values, which compute in their own type; the subset kernel in `regress` uses
+values, which compute in their own type; the subset walker in `regress` uses
 the latter.  The number type, and with it the mode, is read off the points.
 They need only + - * /, a zero test (bool), == 1 for exact pivoting and |a|^2
 for float pivoting; `det` divides ints exactly, as Fractions, and only from
@@ -23,9 +23,15 @@ against s_lam(|x|) on points in (0, 2) and 1.6e8 on mixed-sign points, where
 the e-form elimination stayed below 4e-15 (see Demmel and Koev, "Accurate and
 efficient evaluation of Schur and Jack functions", Math. Comp. 2006).
 
-The subset kernel calls `schur` and `vandermonde` once per subset and
-partition, mostly on bands of width lam1 <= 3, whose whole arithmetic is a few
-multiply-adds.  For those, and for V, each (lam, r) on at most
+The subset walker in `regress` calls `schur` and `vandermonde` once per
+subset and partition, mostly on bands of width lam1 <= 3, whose whole
+arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
+kept cheap.  A native point's mode, zero and one come from one dict lookup
+on the type of its first entry (`_NATIVE`): float and complex points are
+inexact, int, Fraction and Gaussian points exact, all with the ints 0 and 1.
+Scalar points, the empty point and any other type take `_kind`, which also
+refuses a Scalar point that mixes modes.  For narrow bands, and for V, each
+(lam, r) on at most
 UNROLL_MAX_POINTS points is compiled once into straight-line code that takes
 the same steps as `elem_sym_all`, `det` and the V loop, in the same order on
 the same operands, so values are bit-identical and only the loops, index rows
@@ -44,19 +50,26 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .numeric import Scalar, ScalarModeError, scalar_pow
+from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import Partition, conjugate
 
 SSYT_MAX_WEIGHT = 12
 SSYT_MAX_VARS = 6
 
 
+# (exact, zero, one) of a native point, by the type of its first entry: the
+# fast path of `schur` and `vandermonde`, which agrees with `_kind`
+_NATIVE = {t: (t not in (float, complex), 0, 1) for t in (float, complex, int, Fraction, _Gaussian)}
+
+
 def _kind(z):
     """(exact, zero, one) for the number type of point z.
 
-    Scalar points get the Scalar zero and one of their common mode.  Native
-    points, exact unless float or complex, and the empty point get the ints 0
-    and 1, exact identities in every type.
+    Scalar points get the Scalar zero and one of their common mode, and
+    ScalarModeError if their modes differ.  Native points, exact unless float
+    or complex, and the empty point get the ints 0 and 1, exact identities in
+    every type.  `schur` and `vandermonde` read the native types in `_NATIVE`
+    by one dict lookup and come here only for the other points.
     """
     if z and isinstance(z[0], Scalar):
         mode = z[0].exact
@@ -88,7 +101,8 @@ def elem_sym_all(z):
 
 def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    return _vandermonde_code(len(z))(z, _kind(z)[2])
+    kind = _NATIVE.get(type(z[0])) if z else None
+    return _vandermonde_code(len(z))(z, (kind or _kind(z))[2])
 
 
 def _vandermonde_loop(z, one):
@@ -254,10 +268,10 @@ def _jacobi_trudi_indices(parts, r):
 UNROLL_MAX_POINTS = 16
 
 
-def _compiled(name, lines):
+def _compiled(name, lines, **scope):
     """The function `name` defined by the source `lines`, which may call
-    `_det3`."""
-    namespace = {"_det3": _det3}
+    `_det3` and the names in `scope`."""
+    namespace = {"_det3": _det3, **scope}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -323,8 +337,11 @@ def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
+    The mode of a float, complex, int, Fraction or Gaussian point is one
+    lookup in `_NATIVE`; other points go through `_kind`.  The code for
+    (lam, len(z)) is compiled once; see `_schur_code`.
     """
-    exact, zero, one = _kind(z)
+    exact, zero, one = (_NATIVE.get(type(z[0])) if z else None) or _kind(z)
     return _schur_code(lam.normalized(), len(z))(z, zero, one, exact)
 
 

@@ -1,11 +1,12 @@
 """Shared generators for randomized tests."""
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 from schurfit import DataSet, Exponents
 from schurfit.numeric import Scalar
-from schurfit.symfunc import _jacobi_trudi_indices, _kind, det, elem_sym_all
+from schurfit.symfunc import _jacobi_trudi_indices, _kind, det, elem_sym_all, schur, vandermonde
 
 
 def rational(rng, lo=-9, hi=9, max_den=4):
@@ -100,3 +101,39 @@ def jacobi_trudi_rows(lam, z):
     most len(z) parts, filled from elem_sym_all(z) and `_kind`'s zero."""
     e, zero = elem_sym_all(z), _kind(z)[1]
     return [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(lam.normalized(), len(z))]
+
+
+def subset_columns(x, w, fixed, lams, size):
+    """(label, u) for each `size`-subset of the points x that holds the last
+    `fixed` of them, in lexicographic order: label lists the subset's 1-based
+    point numbers and u_i = w_l * s_{lams[i]}(x_l) * V(x_l), V times the
+    weights in subset order.  The subset loop the generated walker in
+    `regress` replaces, kept as its reference."""
+    if size < fixed:
+        return []
+    m = len(x) - fixed
+    out = []
+    for head in combinations(range(m), size - fixed):
+        subset = head + tuple(range(m, len(x)))
+        pts = tuple(x[k] for k in subset)
+        v = vandermonde(pts)
+        if w is not None:
+            for k in subset:
+                v = v * w[k]
+        out.append((tuple(k + 1 for k in subset), [schur(lam, pts) * v for lam in lams]))
+    return out
+
+
+def hermitian_sums(x, w, fixed, lams, size):
+    """The upper triangle, row by row, of the sum of u u* over
+    `subset_columns`, each entry started at the int 0, and the number of
+    subsets."""
+    n = len(lams)
+    acc = [[0] * n for _ in range(n)]
+    columns = subset_columns(x, w, fixed, lams, size)
+    for _, u in columns:
+        u_conj = [v.conjugate() for v in u]
+        for i in range(n):
+            for j in range(i, n):
+                acc[i][j] = acc[i][j] + u[i] * u_conj[j]
+    return [acc[i][j] for i in range(n) for j in range(i, n)], len(columns)

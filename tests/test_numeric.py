@@ -227,6 +227,22 @@ def test_gaussian_mixes_with_ints_and_fractions_on_both_sides(real):
     assert _parts(real / g) == _div_ref(r, 0, a, b)
 
 
+def test_gaussian_equality_is_by_value_and_hashes_agree():
+    # a Gaussian equals a Gaussian, int or Fraction of the same value, on
+    # either side, and one with a zero imaginary part hashes as its real part
+    assert _Gaussian(1, 2) == _Gaussian(1, 2) and _Gaussian(1, 2) != _Gaussian(1, -2)
+    assert _Gaussian(Fraction(4, 2), 0) == _Gaussian(2, 0) == 2 == _Gaussian(2, Fraction(0))
+    assert 1 == _Gaussian(1, 0) and _Gaussian(1, 0) != _Gaussian(1, 1) and _Gaussian(1, 1) != 1
+    assert _Gaussian(Fraction(1, 3), 0) == Fraction(1, 3) and Fraction(1, 3) == _Gaussian(Fraction(1, 3), 0)
+    assert _Gaussian(0, 0) == 0 and _Gaussian(0, 1) != 0
+    for v in (3, -7, Fraction(5, 9), 0):
+        assert hash(_Gaussian(v, 0)) == hash(v)
+        assert len({_Gaussian(v, 0), v}) == 1
+    assert len({_Gaussian(1, 2), _Gaussian(Fraction(2, 2), 2)}) == 1
+    # float and complex values belong to the other mode and are never equal
+    assert _Gaussian(1, 0) != 1.0 and _Gaussian(1, 2) != complex(1, 2)
+
+
 def test_gaussian_division_by_zero():
     for divisor in (_Gaussian(0, 0), 0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):

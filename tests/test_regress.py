@@ -25,15 +25,17 @@ from schurfit.regress import (
     projection_residual,
     pseudoinverse,
 )
-from schurfit.symfunc import det, elem_sym_all, schur, vandermonde
+from schurfit.symfunc import UNROLL_MAX_POINTS, det, elem_sym_all, schur, vandermonde
 
 from _helpers import (
     exact_scalar,
+    hermitian_sums,
     max_rel_diff,
     random_dataset,
     random_exponents,
     rows_and_det,
     scalars_equal,
+    subset_columns,
     well_conditioned_dataset,
 )
 
@@ -785,3 +787,66 @@ def test_integer_lift_is_undone_exactly(gaussian_x, gaussian_w):
     for s in (state, stream):
         assert s.denom == b.denominator_root_sq
         assert scalars_equal(s.coefficients, reference)
+
+
+def _walker_points(kind, m, rng):
+    """m distinct points and m nonzero weights of one lifted number type."""
+    draw = {
+        float: lambda: rng.uniform(-2, 2),
+        complex: lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+        int: lambda: rng.randint(-40, 40),
+        _Gaussian: lambda: _Gaussian(rng.randint(-40, 40), rng.randint(-40, 40)),
+    }[kind]
+    x = []
+    while len(x) < m:
+        v = draw()
+        if v not in x:
+            x.append(v)
+    w = []
+    while len(w) < m:
+        v = draw()
+        if v:
+            w.append(v)
+    return x, w
+
+
+# (partitions, subset size, point counts): the one-term S pass on the empty
+# subset, bands of width 1 to 3 ((4,2,0)), the 7-wide band of (9,4,0) and
+# subsets past the straight-line code's point limit, each also on fewer
+# points than the subset size
+_WALKS = [
+    ([Partition(())], 0, (0, 1, 3)),
+    ([lambda_from_degrees(Exponents((4, 2, 0)))], 3, (2, 3, 7)),
+    ([lambda_drop(Exponents((4, 2, 0)), i) for i in (1, 2, 3)], 2, (1, 2, 7)),
+    ([lambda_from_degrees(Exponents((9, 4, 0)))], 3, (2, 6)),
+    ([lambda_drop(Exponents((9, 4, 0)), i) for i in (1, 2, 3)], 2, (5,)),
+    ([Partition((2, 1)), Partition((3, 3, 1))], UNROLL_MAX_POINTS + 1, (UNROLL_MAX_POINTS, UNROLL_MAX_POINTS + 2)),
+]
+
+
+def _parts(values):
+    # each value's type and the reprs of its parts, down to the sign of a zero
+    return [(type(v), repr(v.real), repr(v.imag)) for v in values]
+
+
+@pytest.mark.parametrize("kind", [float, complex, int, _Gaussian], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("fixed", [0, 1])
+def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
+    # the generated walk sums and lists what the per-subset loop in
+    # `_helpers` does, value for value and bit for bit, with the same count,
+    # column labels and column order
+    rng = random.Random(f"{kind.__name__}-{weighted}-{fixed}")
+    for lams, size, counts in _WALKS:
+        for m in counts:
+            x, w = _walker_points(kind, m, rng)
+            w = w if weighted else None
+            sums, count = regress._walker(len(lams), size, fixed, weighted)(x, w, lams, schur, vandermonde)
+            want_sums, want_count = hermitian_sums(x, w, fixed, lams, size)
+            assert count == want_count, (lams, size, m)
+            assert _parts(sums) == _parts(want_sums), (lams, size, m)
+            walk = regress._walker(len(lams), size, fixed, weighted, columns=True)
+            columns = [(label, _parts(u)) for label, *u in walk(x, w, lams, schur, vandermonde)]
+            want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
+            assert columns == want, (lams, size, m)
+            assert len(columns) == count

@@ -8,6 +8,7 @@ from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
+    _NATIVE,
     _det3,
     _kind,
     _vandermonde_loop,
@@ -399,7 +400,34 @@ def test_exact_schur_on_integral_points_stays_integral(r):
                 value = schur(lam, z)
                 parts = (value.real, value.imag) if isinstance(value, _Gaussian) else (value,)
                 assert all(type(p) is int for p in parts), (lam, z)
-                assert _exact_pair(value) == _exact_pair(_looped(lam, z)), (lam, z)
+                assert value == _looped(lam, z), (lam, z)
+
+
+def test_exact_det_pivots_on_a_gaussian_unit():
+    # L U with unit-diagonal triangular factors of Gaussian ints: each column
+    # of the elimination holds the Gaussian unit 1 + 0i, an exact pivot that
+    # needs no division, so the determinant 1 keeps int parts
+    rng = random.Random(32)
+    n = 5
+
+    def gaussian():
+        return _Gaussian(rng.randint(-4, 4), rng.randint(-4, 4))
+
+    one, zero = _Gaussian(1, 0), _Gaussian(0, 0)
+    lower = [[gaussian() if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
+    upper = [[gaussian() if j > i else one if j == i else zero for j in range(n)] for i in range(n)]
+    rows = [[sum((lower[i][k] * upper[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+    value = det(rows, True)
+    assert value == 1
+    assert type(value.real) is int and type(value.imag) is int
+
+
+@pytest.mark.parametrize("kind", NATIVE_POINTS)
+def test_native_fast_path_agrees_with_kind(kind):
+    # `schur` and `vandermonde` read a native point's mode off the type of its
+    # first entry; `_kind` reads it the long way and must agree
+    z = NATIVE_POINTS[kind]
+    assert _NATIVE[type(z[0])] == _kind(z)
 
 
 def test_points_that_mix_exact_and_float_scalars_are_refused():
@@ -547,13 +575,6 @@ def test_det3_matches_det_on_sparse_matrices():
         assert got == want, rows
 
 
-def _exact_pair(v):
-    # an exact value as its (real, imag) parts, which compare by value across
-    # int, Fraction, Gaussian and Scalar values
-    v = v.value if isinstance(v, Scalar) else v
-    return v.real, v.imag
-
-
 def _bordered(rows):
     # an order-3 matrix bordered to order 4 with its entries' own one and
     # zeros, on which exact `det` runs its elimination loop, the reference
@@ -584,4 +605,4 @@ def test_exact_det3_matches_the_bordered_elimination():
         want = det(_bordered(rows), True)
         for got in (_det3(*rows[0], *rows[1], *rows[2], True), det(rows, True)):
             assert isinstance(got, Scalar) is isinstance(want, Scalar), rows
-            assert _exact_pair(got) == _exact_pair(want), rows
+            assert got == want, rows
