@@ -244,7 +244,7 @@ def _walker(n, size, fixed, weighted, columns=False):
         if fixed:
             lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
         if fixed and weighted:
-            lines.append("    " + "".join(f"t{i}, " for i in range(fixed)) + "= w[m:]")
+            lines.append("    " + "".join(f"q{i}, " for i in range(k, size)) + "= w[m:]")
         if len(sources) == 1:
             lines.append(f"    for {targets[0]} in {sources[0]}:")
         else:
@@ -253,7 +253,7 @@ def _walker(n, size, fixed, weighted, columns=False):
             lines.append("        pts = head + tail")
         lines.append("        v = vandermonde(pts)")
         if weighted:
-            lines += [f"        v = v * q{i}" for i in range(k)] + [f"        v = v * t{i}" for i in range(fixed)]
+            lines += [f"        v = v * q{i}" for i in range(size)]
         lines += [f"        u{i} = schur(lam{i}, pts) * v" for i in range(n)]
         if columns:
             label = "label + tail_label" if fixed else "label"
