@@ -186,7 +186,6 @@ class _Gaussian:
         return NotImplemented
 
     def __hash__(self):
-        # equal to the hash of the int or Fraction it equals when real
         return hash((self.real, self.imag)) if self.imag else hash(self.real)
 
     def conjugate(self):
