@@ -51,9 +51,10 @@ class Partition(tuple):
 
     Trailing zeros are kept as given but ignored by equality and hashing,
     since partitions of different nominal lengths must interoperate.  The
-    parts without them are stripped once, on construction: `symfunc.schur`
-    reads them on every call.  (A tuple subclass cannot declare a nonempty
-    `__slots__`, so they live in the instance dict.)
+    parts without them are stripped once, on construction, into
+    `_normalized`, which `symfunc.schur` reads on every call.  (A tuple
+    subclass cannot declare a nonempty `__slots__`, so they live in the
+    instance dict.)
     """
 
     def __new__(cls, parts):

@@ -265,7 +265,8 @@ def _walker(n, size, fixed, weighted, columns=False):
         lines.append("    return out")
     else:
         lines.append(f"    return ({''.join(f'{s}, ' for s in pairs)}), {'comb(m, %d)' % k if k >= 0 else 0}")
-    return _compiled("walk", lines, combinations=combinations, comb=comb)
+    signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns}"
+    return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
 
 
 def _hermitian_sum(lifted, lams, size):

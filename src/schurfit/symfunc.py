@@ -5,9 +5,9 @@ give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
 values, which compute in their own type; the subset walker in `regress` uses
 the latter.  The number type, and with it the mode, is read off the points.
 They need only + - * /, a zero test (bool), == 1 for exact pivoting and |a|^2
-for float pivoting; `det` divides ints exactly, as Fractions, and only from
-order 4 on: exact determinants up to order 3 are cofactor expansions.  The
-empty point gives the ints 0 and 1, exact identities in every type.
+for float pivoting; determinants up to order 3 are cofactor expansions in both
+modes, so `det` pivots, and divides ints exactly as Fractions, only from order
+4 on.  The empty point gives the ints 0 and 1, exact identities in every type.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -26,19 +26,18 @@ efficient evaluation of Schur and Jack functions", Math. Comp. 2006).
 The subset walker in `regress` calls `schur` and `vandermonde` once per
 subset and partition, mostly on bands of width lam1 <= 3, whose whole
 arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
-kept cheap.  A native point's mode, zero and one come from one dict lookup
-on the type of its first entry (`_NATIVE`): float and complex points are
-inexact, int, Fraction and Gaussian points exact, all with the ints 0 and 1.
-Scalar points, the empty point and any other type take `_kind`, which also
-refuses a Scalar point that mixes modes.  For narrow bands, and for V, each
-(lam, r) on at most
+kept cheap: one type lookup and one code-cache lookup per call.  A native
+point's mode, zero and one come from one dict lookup on the type of its first
+entry (`_NATIVE`): float and complex points are inexact, int, Fraction and
+Gaussian points exact, all with the ints 0 and 1.  Scalar points, the empty
+point and any other type take `_kind`, which also refuses a Scalar point that
+mixes modes.  For narrow bands, and for V, each (lam, r) on at most
 UNROLL_MAX_POINTS points is compiled once into straight-line code that takes
 the same steps as `elem_sym_all`, `det` and the V loop, in the same order on
-the same operands, so values are bit-identical and only the loops, index rows
-and calls are gone.  A 3 x 3 band calls `_det3`, shared by every lam: the
-cofactor expansion in exact mode, and in float mode `det`'s elimination
-written out with its pivot choice as branches.  Wider bands, such as the 38-
-and 39-wide ones of (40, 20, 0), run the banded `det`.
+the same operands, so values are bit-identical to theirs and only the loops,
+index rows and calls are gone.  A 3 x 3 band calls `_det3`, the cofactor
+expansion that `det` uses at order 3 in both modes.  Wider bands, such as the
+38- and 39-wide ones of (40, 20, 0), run the banded `det`.
 
 The bialternant ratio and the semistandard tableaux sum are retained as
 independent cross-checks; they take the same points as `schur`, and the
@@ -101,8 +100,8 @@ def elem_sym_all(z):
 
 def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    kind = _NATIVE.get(type(z[0])) if z else None
-    return _vandermonde_code(len(z))(z, (kind or _kind(z))[2])
+    one = 1 if not z or type(z[0]) in _NATIVE else _kind(z)[2]
+    return _vandermonde_code[len(z)](z, one)
 
 
 def _vandermonde_loop(z, one):
@@ -115,15 +114,13 @@ def _vandermonde_loop(z, one):
 
 
 def det(rows, exact):
-    """Determinant of a square matrix: a cofactor expansion up to order 2,
-    and in exact mode up to order 3 (`_det3`), else Gaussian elimination that
-    skips zeros.
+    """Determinant of a square matrix: a cofactor expansion up to order 3
+    (`_det3`), else Gaussian elimination that skips zeros.
 
     The entries are Scalars or native numbers.  A dual Jacobi-Trudi row mixes
     the ints 0 and 1 with the points' type, so no one entry tells the mode,
-    and `exact` selects the method; the empty matrix gives the int 1.  Exact
-    arithmetic gives the one value in any order of operations, so only float
-    mode needs the elimination and its pivots at order 3.
+    and `exact` selects the pivot rule from order 4 on; the empty matrix gives
+    the int 1.
 
     Step k of the elimination touches only the rows below the pivot with a
     nonzero entry in column k and only the columns where the pivot row is
@@ -131,11 +128,11 @@ def det(rows, exact):
     entries e_k vanish for k > r, costs O(width * band^2) instead of
     O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
     (partial pivoting); a skipped update is a - 0*b, so finite results are
-    bit-identical to dense LU.  Exact mode, from order 4 on, pivots on the
-    first row holding the unit 1, which needs no division and so keeps int
-    entries ints, else on the first nonzero row, and lifts an int pivot to
-    Fraction, so that int entries divide exactly; Fractions are canonical, so
-    the value equals any other exact method's.
+    bit-identical to dense LU.  Exact mode pivots on the first row holding
+    the unit 1, which needs no division and so keeps int entries ints, else on
+    the first nonzero row, and lifts an int pivot to Fraction, so that int
+    entries divide exactly; Fractions are canonical, so the value equals any
+    other exact method's.
     """
     n = len(rows)
     if n == 0:
@@ -144,8 +141,8 @@ def det(rows, exact):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3 and exact:
-        return _det3(*rows[0], *rows[1], *rows[2], True)
+    if n == 3:
+        return _det3(*rows[0], *rows[1], *rows[2])
     a = [list(r) for r in rows]
     sign = 1
     for k in range(n):
@@ -176,61 +173,22 @@ def det(rows, exact):
     return -d if sign < 0 else d
 
 
-def _det3(a, b, c, d, e, f, g, h, i, exact):
-    """Determinant of the rows (a, b, c), (d, e, f), (g, h, i), for exact
-    `det` of order 3 and the Schur code of bands of width 3.
+def _det3(a, b, c, d, e, f, g, h, i):
+    """Determinant of the rows (a, b, c), (d, e, f), (g, h, i) as the cofactor
+    expansion along the first row, for `det` of order 3 and the Schur code of
+    bands of width 3, in both modes.
 
-    Exact mode returns the cofactor expansion, which gives the one exact value
-    in any order of operations.  Float mode is `det`'s elimination with its
-    loops written out: the same live rows, pivots, row exchanges, skipped
-    columns and operations in the same order, so the bits are those of `det`'s
-    loop, the reference the tests hold this to."""
-    if exact:
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # column 0: rows 0, 1 and 2 are live where a, d and g are nonzero
-    p = -1
-    if a:
-        p, size = 0, _abs_sq(a)
-    if d:
-        s = _abs_sq(d)
-        if p < 0 or s > size:
-            p, size = 1, s
-    if g and (p < 0 or _abs_sq(g) > size):
-        p = 2
-    if p < 0:
-        return Scalar.zero(False) if isinstance(a, Scalar) else 0
-    negative = p > 0
-    if p == 1:
-        a, b, c, d, e, f = d, e, f, a, b, c
-    elif p == 2:
-        a, b, c, g, h, i = g, h, i, a, b, c
-    if d:
-        t = d / a
-        if b:
-            e = e - t * b
-        if c:
-            f = f - t * c
-    if g:
-        t = g / a
-        if b:
-            h = h - t * b
-        if c:
-            i = i - t * c
-    # column 1 on rows 1 and 2
-    if not (e or h):
-        return Scalar.zero(False) if isinstance(e, Scalar) else 0
-    if h and (not e or _abs_sq(h) > _abs_sq(e)):
-        d, e, f, g, h, i = g, h, i, d, e, f
-        negative = not negative
-    if h:
-        t = h / e
-        if f:
-            i = i - t * f
-    # column 2 on row 2
-    if not i:
-        return Scalar.zero(False) if isinstance(i, Scalar) else 0
-    v = a * e * i
-    return -v if negative else v
+    Exact arithmetic gives the one exact value in any order of operations.  In
+    floating point no pivot is needed for a forward error bound: a monomial
+    such as a*e*i passes through at most five roundings (its product, the
+    inner difference, the product with a, and the two outer sums), so barring
+    underflow the value is within gamma_5 times the sum of the six monomials'
+    moduli of the exact determinant of the same entries, and within gamma_9
+    for complex entries, whose products err by up to sqrt(2) gamma_2 (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., 2002, sections
+    3.1 and 3.6).
+    """
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def alternating(mu, z):
@@ -261,19 +219,38 @@ def _jacobi_trudi_indices(parts, r):
 
 # Straight-line code (see the module docstring).  Beyond UNROLL_MAX_POINTS
 # points the C(r, 2) or O(r * l(lam)) statements would cost more to compile
-# and keep than they save.  Bands wider than 3 stay on `det`: written out,
-# the pivot branches grow with the width, and every lam would compile its own.
+# and keep than they save.  Bands wider than 3 stay on `det`: a cofactor
+# expansion of order n has n! terms, and elimination skips the zeros outside
+# the band.
 # Every statement holds at most three operations: one nested expression of
 # all of them overflows the compiler's recursion on a hundred points.
 UNROLL_MAX_POINTS = 16
 
 
-def _compiled(name, lines, **scope):
+def _compiled(name, signature, lines, **scope):
     """The function `name` defined by the source `lines`, which may call
-    `_det3` and the names in `scope`."""
+    `_det3` and the names in `scope`.
+
+    The source is compiled under the file name "<schurfit name signature>",
+    so that a profile reports each generated function on its own line.
+    """
     namespace = {"_det3": _det3, **scope}
-    exec("\n".join(lines), namespace)
+    exec(compile("\n".join(lines), f"<schurfit {name} {signature}>", "exec"), namespace)
     return namespace[name]
+
+
+class _Codes(dict):
+    """Generated functions by key, each built by `build(key)` on its first
+    lookup.  A subscript costs no call, unlike an `lru_cache` wrapper, and
+    `schur` and `vandermonde` make one per call."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = code = self.build(key)
+        return code
 
 
 def _unpack(r):
@@ -281,7 +258,7 @@ def _unpack(r):
     return "    " + "".join(f"z{i}, " for i in range(r)) + "= z"
 
 
-@lru_cache(maxsize=None)
+@_Codes
 def _vandermonde_code(r):
     """V on r points as a function of (z, one): `_vandermonde_loop`, or on at
     most UNROLL_MAX_POINTS points its steps unrolled."""
@@ -289,13 +266,13 @@ def _vandermonde_code(r):
         return _vandermonde_loop
     lines = ["def vandermonde(z, one):", _unpack(r) if r else "", "    v = one"]
     lines += [f"    v = v * (z{i} - z{j})" for i in range(r) for j in range(i + 1, r)]
-    return _compiled("vandermonde", lines + ["    return v"])
+    return _compiled("vandermonde", f"r={r}", lines + ["    return v"])
 
 
-@lru_cache(maxsize=None)
-def _schur_code(parts, r):
-    """s_lam on r points as a function of (z, zero, one, exact), for the
-    normalized parts of lam.
+@_Codes
+def _schur_code(key):
+    """s_lam on r points as a function of (z, exact, zero, one), for the key
+    (normalized parts of lam, r).
 
     A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS points is
     straight-line code: `elem_sym_all` unrolled up to the highest e_k the
@@ -303,21 +280,20 @@ def _schur_code(parts, r):
     the same entries, with `zero` outside the band.  Otherwise the e_k fill
     the rows of `det`.
     """
-    if not parts:
-        return lambda z, zero, one, exact: one
-    if len(parts) > r:
-        return lambda z, zero, one, exact: zero
+    parts, r = key
+    if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
+        return lambda z, exact, zero, one: zero if parts else one
     idx = _jacobi_trudi_indices(parts, r)
     if len(idx) > 3 or r > UNROLL_MAX_POINTS:
 
-        def banded(z, zero, one, exact):
+        def banded(z, exact, zero, one):
             e = elem_sym_all(z)
             return det([[e[k] if k is not None else zero for k in row] for row in idx], exact)
 
         return banded
     top = max(k for row in idx for k in row if k is not None)
     name = ["one", *(f"e{k}" for k in range(1, top + 1))]
-    lines = ["def schur(z, zero, one, exact):", _unpack(r)]
+    lines = ["def schur(z, exact, zero, one):", _unpack(r)]
     for j in range(r):
         if j < top:
             lines.append(f"    {name[j + 1]} = {name[j]} * z{j}")
@@ -329,8 +305,8 @@ def _schur_code(parts, r):
         (a, b), (c, d) = entries
         lines.append(f"    return {a} * {d} - {b} * {c}")
     else:
-        lines.append(f"    return _det3({', '.join(k for row in entries for k in row)}, exact)")
-    return _compiled("schur", lines)
+        lines.append(f"    return _det3({', '.join(k for row in entries for k in row)})")
+    return _compiled("schur", f"{parts} r={r}", lines)
 
 
 def schur(lam, z):
@@ -341,8 +317,9 @@ def schur(lam, z):
     lookup in `_NATIVE`; other points go through `_kind`.  The code for
     (lam, len(z)) is compiled once; see `_schur_code`.
     """
-    exact, zero, one = (_NATIVE.get(type(z[0])) if z else None) or _kind(z)
-    return _schur_code(lam.normalized(), len(z))(z, zero, one, exact)
+    kind = _NATIVE.get(type(z[0])) if z else None
+    exact, zero, one = _kind(z) if kind is None else kind
+    return _schur_code[lam._normalized, len(z)](z, exact, zero, one)
 
 
 def schur_bialternant(lam, z):

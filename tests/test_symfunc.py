@@ -1,3 +1,6 @@
+import cProfile
+import math
+import pstats
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -6,11 +9,14 @@ import pytest
 
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
+from schurfit.regress import _walker
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
     _NATIVE,
     _det3,
     _kind,
+    _schur_code,
+    _vandermonde_code,
     _vandermonde_loop,
     alternating,
     det,
@@ -482,18 +488,74 @@ def _fingerprint(v):
     return type(v).__name__, repr(v)
 
 
+# Forward error bound of a float 3 x 3 determinant evaluated as the cofactor
+# expansion a(ei - fh) - b(di - fg) + c(dh - eg), against the exact
+# determinant of the same binary64 entries (Higham, "Accuracy and Stability
+# of Numerical Algorithms", 2nd ed., 2002, sections 2.1, 3.1 and 3.6).  Each
+# rounding multiplies an intermediate, a signed sum of monomials, by (1 + d).
+# - Real entries: |d| <= u = 2^-53 per operation, and a monomial passes
+#   through at most five operations (its inner product, the inner difference,
+#   the product with the first-row entry, the two outer sums), so the error is
+#   at most gamma_5 times the sum of the six |monomials|, gamma_k = ku/(1-ku).
+# - Complex entries: a complex product has |d| <= sqrt(2) gamma_2 <= gamma_3
+#   and a complex sum |d| <= u, so two products and three sums give gamma_9.
+# - Underflow (the 1e-170 entries): a real product may add an absolute error
+#   of up to 2^-1075, a complex one up to 2 sqrt(2) 2^-1075, and sums add
+#   none.  Each first-row entry x carries two inner products scaled by |x|
+#   and its own product, so the absolute term is at most
+#   2 sqrt(2) 2^-1075 (1 + gamma_9) sum_x (2|x| + 1) <= 9 (2M + 1) 2^-1075,
+#   below (2M + 1) 2^-1070, where M is the largest |x| of the first row.
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def _gamma(k):
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _native(v):
+    return v.value if isinstance(v, Scalar) else v
+
+
+def _binary64(v):
+    # a float, complex, int or float Scalar entry as the exact Scalar of its value
+    v = _native(v)
+    return Scalar.from_exact(Fraction(v.real), Fraction(v.imag))
+
+
+def _modulus_at_least(v):
+    # an upper bound on |v| for a Scalar with binary64 parts: hypot errs by
+    # less than one ulp, 2u relative
+    return Fraction(math.hypot(v.re, v.im)) * (1 + 2 * _UNIT_ROUNDOFF)
+
+
+def _assert_within_det3_bound(got, rows):
+    exact = [[_binary64(v) for v in row] for row in rows]
+    moduli = [[_modulus_at_least(v) for v in row] for row in exact]
+    monomials = sum(moduli[0][i] * moduli[1][j] * moduli[2][k] for i, j, k in permutations(range(3)))
+    complex_ = any(isinstance(_native(v), complex) for row in rows for v in row)
+    bound = _gamma(9 if complex_ else 5) * monomials + (2 * max(moduli[0]) + 1) * Fraction(1, 2**1070)
+    error = _binary64(got) - leibniz(exact, True)
+    assert error.re**2 + error.im**2 <= bound**2, (rows, got)
+
+
 @pytest.mark.parametrize("r", range(7))
 def test_straight_line_code_matches_the_loops_and_det(r):
     # V and the bands of width lam1 <= 3 run generated straight-line code; it
     # must give the value, the type and, in float mode, the bits of the loop
-    # and of the rows-and-det route
+    # and of the rows-and-det route.  A float 3 x 3 band, which both routes
+    # evaluate with `_det3`, is also held to the exact determinant of its
+    # binary64 entries
     rng = random.Random(100 + r)
     for _ in range(8):
         for kind, z in _point_kinds(rng, r).items():
             assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, _kind(z)[2])), (kind, z)
             for lam in _narrow_shapes(r):
-                got, want = _fingerprint(schur(lam, z)), _fingerprint(rows_and_det(lam, z))
+                value = schur(lam, z)
+                got, want = _fingerprint(value), _fingerprint(rows_and_det(lam, z))
                 assert got == want, (kind, lam, z)
+                parts = lam.normalized()
+                if not _kind(z)[0] and parts[:1] == (3,) and len(parts) <= r:
+                    _assert_within_det3_bound(value, jacobi_trudi_rows(lam, z))
 
 
 @pytest.mark.parametrize("r", [UNROLL_MAX_POINTS, UNROLL_MAX_POINTS + 1])
@@ -549,10 +611,15 @@ def _pivot_edge_points():
 
 @pytest.mark.parametrize("z", _pivot_edge_points(), ids=repr)
 def test_width_three_pivot_edge_cases_match_det(z):
+    # the float points are also held to the exact determinant of the band's
+    # binary64 entries, within the bound above
     shapes = [lam for lam in _narrow_shapes(len(z)) if lam.normalized()[:1] == (3,)]
     assert shapes
     for lam in shapes:
-        assert _fingerprint(schur(lam, z)) == _fingerprint(rows_and_det(lam, z)), lam
+        value = schur(lam, z)
+        assert _fingerprint(value) == _fingerprint(rows_and_det(lam, z)), lam
+        if not _kind(z)[0] and len(lam.normalized()) <= len(z):
+            _assert_within_det3_bound(value, jacobi_trudi_rows(lam, z))
 
 
 def _sparse_matrices(rng, pool):
@@ -567,12 +634,15 @@ def _sparse_matrices(rng, pool):
 
 
 def test_det3_matches_det_on_sparse_matrices():
-    # every pattern of zero, unit, tied and underflowing float entries; float
-    # `det` of order 3 runs its elimination loop
+    # every pattern of zero, unit, tied and underflowing float entries: float
+    # `_det3` and float `det` of order 3 are within the bound above of the
+    # exact determinant of the same binary64 entries, and Scalar entries give
+    # a Scalar
     pool = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-170, -1e-170, 1j, complex(0.6, 0.8), 0.5, 3.0]
     for rows in _sparse_matrices(random.Random(3), pool):
-        got, want = _fingerprint(_det3(*rows[0], *rows[1], *rows[2], False)), _fingerprint(det(rows, False))
-        assert got == want, rows
+        for got in (_det3(*rows[0], *rows[1], *rows[2]), det(rows, False)):
+            assert isinstance(got, Scalar) is isinstance(rows[0][0], Scalar), rows
+            _assert_within_det3_bound(got, rows)
 
 
 def _bordered(rows):
@@ -603,6 +673,27 @@ def test_exact_det3_matches_the_bordered_elimination():
             matrices += [jacobi_trudi_rows(lam, z) for lam in shapes if len(lam.normalized()) <= len(z)]
     for rows in matrices:
         want = det(_bordered(rows), True)
-        for got in (_det3(*rows[0], *rows[1], *rows[2], True), det(rows, True)):
+        for got in (_det3(*rows[0], *rows[1], *rows[2]), det(rows, True)):
             assert isinstance(got, Scalar) is isinstance(want, Scalar), rows
             assert got == want, rows
+
+
+def test_each_generated_function_has_its_own_source_name():
+    # a profile keys a function by (file name, line, name), so generated
+    # functions that shared one file name would be reported on one line
+    codes = [
+        _schur_code[(2, 1), 3],
+        _schur_code[(3, 2), 3],
+        _vandermonde_code[3],
+        _vandermonde_code[4],
+        _walker(3, 3, 0, False),
+        _walker(3, 2, 1, True),
+    ]
+    names = [code.__code__.co_filename for code in codes]
+    assert len(set(names)) == len(names), names
+    assert names[1] == "<schurfit schur (3, 2) r=3>"
+    profile = cProfile.Profile()
+    z = (0.5, 1.5, -2.0)
+    profile.runcall(lambda: [schur(Partition(parts), z) for parts in [(2, 1), (3, 2)]])
+    profiled = {key[0] for key in pstats.Stats(profile).stats if key[2] == "schur"}
+    assert {"<schurfit schur (2, 1) r=3>", "<schurfit schur (3, 2) r=3>"} <= profiled
