@@ -172,7 +172,7 @@ def init_state(d, data=None, *, exact=True):
     gives S = 1.  Coefficient queries error until enough points arrive.
     """
     points = data if data is not None else SimpleNamespace(x=[], y=[], w=None, exact=exact)
-    denom, s, t, evaluations = _aggregates(d, points)
+    denom, s, t, evaluations = _aggregates(d, _lift(points))
     return _state(d, points, denom, s, t, evaluations)
 
 
@@ -181,8 +181,9 @@ def _appended(state, x_new, y_new, w_new):
     zero weight or for a weighted point on an unweighted stream or the
     reverse, and ScalarModeError for an x, y or w of another mode than the
     stream's.  This is where an appended point enters, so it is checked here
-    once, before any subset sum, and the lift in `regress` trusts it; a y of
-    None, as `extend_b_matrix` passes, is not checked."""
+    once, before any subset sum, and the lift in `regress` trusts it.  A y of
+    None, as `extend_b_matrix` passes, is not checked: the points then have
+    no y at all, and the lift lifts none."""
     if (state.w is not None) != (w_new is not None) and state.m > 0:
         raise ValueError("weighted and unweighted points cannot be mixed")
     if w_new is not None and not w_new:
@@ -190,7 +191,8 @@ def _appended(state, x_new, y_new, w_new):
     if any(v is not None and v.exact is not state.exact for v in (x_new, y_new, w_new)):
         raise ScalarModeError("point does not match the data's numeric mode")
     w = None if w_new is None else (state.w or []) + [w_new]
-    return SimpleNamespace(x=state.x + [x_new], y=state.y + [y_new], w=w, exact=state.exact)
+    y = None if y_new is None else state.y + [y_new]
+    return SimpleNamespace(x=state.x + [x_new], y=y, w=w, exact=state.exact)
 
 
 def update(state, x_new, y_new, w_new=None):
@@ -203,7 +205,7 @@ def update(state, x_new, y_new, w_new=None):
     that is.
     """
     points = _appended(state, x_new, y_new, w_new)
-    d_inc, r, dt, evals = _aggregates(state.d, points, 1)
+    d_inc, r, dt, evals = _aggregates(state.d, _lift(points, 1))
     s = [[sij + rij for sij, rij in zip(srow, rrow)] for srow, rrow in zip(state.s, r)]
     t = [tj + dtj for tj, dtj in zip(state.t, dt)]
     return _state(state.d, points, state.denom + d_inc, s, t, state.evaluations + evals)

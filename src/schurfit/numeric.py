@@ -191,6 +191,9 @@ class _Gaussian:
     def conjugate(self):
         return _Gaussian(self.real, -self.imag)
 
+    def __repr__(self):
+        return f"_Gaussian({self.real!r}, {self.imag!r})"
+
 
 def scalar_pow(s, e):
     """s**e for integer e >= 0 by repeated squaring, for a Scalar s or a

@@ -20,13 +20,15 @@ u vectors with their labels, which `_append_b_columns` turns into B's signed
 columns.  The pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so
 never builds B.
 
-The walker computes on plain numbers: `_lift` converts points and weights
-once per public call to float or complex, or scales exact ones to int or
-Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a Scalar,
-undoing that scaling with one exact division; the rest of the module works on
-Scalars.  The walker calls `schur` and `vandermonde` once per subset and
-partition, as the callers pass them from the names bound here, read at call
-time, where a tracer can wrap them.
+The walker computes on plain numbers: `_lift` converts points, weights and
+targets once per public call to float or complex, or scales exact ones to
+int or Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a
+Scalar, undoing that scaling with one exact division.  The moment sums T and
+the residual norm are summed on the same lifted numbers and wrapped once
+each; D, S, T, the numerators and the coefficients are Scalars.  The walker
+calls `schur` and `vandermonde` once per subset and partition, as the
+callers pass them from the names bound here, read at call time, where a
+tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, hypot, inf, isqrt, lcm, sqrt
 from sys import float_info
-from operator import attrgetter
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_drop, lambda_from_degrees
@@ -152,45 +153,52 @@ def _drops(d):
     return [lambda_drop(d, i) for i in range(1, len(d) + 1)]
 
 
-# points and weights in the kernel's number type, and the factors by which
-# exact points and weights were scaled to integers; see `_lift`
-_Lifted = namedtuple("_Lifted", "x w fixed exact xscale wscale")
+# points, weights and targets in the kernel's number type, and the factors by
+# which exact ones were scaled to integers; see `_lift`
+_Lifted = namedtuple("_Lifted", "x w y fixed exact xscale wscale yscale")
 
 
 def _lift(points, fixed=0):
-    """x and w of `points` (a DataSet or a stream's points), lifted to one
-    number type; y is left to the Scalar arithmetic of `_moment_sums`.
+    """x, w and y of `points` (a DataSet or a stream's points), lifted to
+    native numbers; a y of None, as `incremental.extend_b_matrix` passes,
+    stays None.
 
     Every point shares the mode `points.exact`: each was checked once, where
     it entered, by `DataSet`, by `incremental._appended` or, for a restored
     snapshot, by parsing in one mode.  The lift reads the mode off
     `points.exact` and checks nothing.
 
-    Real float data becomes float and complex float data complex.  Exact x
-    is scaled by xscale, the lcm of the denominators of its real and
-    imaginary parts, and exact w by wscale, the same lcm over the weights, so
-    real exact data becomes int and Gaussian exact data `_Gaussian` with int
-    parts; float data keeps the scales 1.  In the record, fixed (0 or 1)
-    counts the trailing points that every subset must hold.
+    x and w share one number kind, complex if any x or w is, since the walker
+    multiplies them; y takes its own, as it meets them only in products.
+    Exact x is scaled by xscale, the lcm of the denominators of its real and
+    imaginary parts, w by wscale and y by yscale, the same lcm over the
+    weights and over the targets; float data keeps the scales 1 (see
+    `_native`).  In the record, fixed (0 or 1) counts the trailing points
+    that every subset must hold.
     """
     exact = points.exact
     gaussian = any(s.im for s in (*points.x, *(points.w or ())))
+    x, xscale = _native(points.x, gaussian, exact)
+    w, wscale = (None, 1) if points.w is None else _native(points.w, gaussian, exact)
+    y, yscale = (None, 1) if points.y is None else _native(points.y, any(s.im for s in points.y), exact)
+    return _Lifted(x, w, y, fixed, exact, xscale, wscale, yscale)
+
+
+def _native(values, gaussian, exact):
+    """Scalar `values` as native numbers of one type, and the factor by
+    which they were scaled: float values become float or, if `gaussian`,
+    complex, with the factor 1; exact values are multiplied by the lcm of the
+    denominators of their parts, to ints or, if `gaussian`, `_Gaussian`s
+    with int parts."""
     if not exact:
-        lift = complex if gaussian else attrgetter("re")
-        w = None if points.w is None else [lift(v) for v in points.w]
-        return _Lifted([lift(v) for v in points.x], w, fixed, False, 1, 1)
-    x, xscale = _scaled(points.x, gaussian)
-    w, wscale = (None, 1) if points.w is None else _scaled(points.w, gaussian)
-    return _Lifted(x, w, fixed, True, xscale, wscale)
-
-
-def _scaled(values, gaussian):
-    """Exact `values` times the lcm of the denominators of their parts, as
-    ints or, if `gaussian`, `_Gaussian`s, and that lcm."""
+        if gaussian:
+            return [complex(v.value) for v in values], 1
+        return [v.value.real for v in values], 1
     scale = lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    up = lambda part: part.numerator * (scale // part.denominator)
     if gaussian:
-        return [_Gaussian(int(v.re * scale), int(v.im * scale)) for v in values], scale
-    return [int(v.re * scale) for v in values], scale
+        return [_Gaussian(up(v.re), up(v.im)) for v in values], scale
+    return [up(v.re) for v in values], scale
 
 
 def _lift_factor(lifted, lam, size):
@@ -308,16 +316,25 @@ def _minor_matrix(d, lifted):
     return _hermitian_sum(lifted, _drops(d), len(d) - 1)
 
 
-def _moment_sums(d, points, start):
-    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the points from the
-    0-based index `start` on."""
-    t = [Scalar.zero(points.exact) for _ in d]
-    for k in range(start, len(points.x)):
-        xbar, yk = points.x[k].conj(), points.y[k]
-        wy = yk if points.w is None else points.w[k].mag_sq() * yk
+def _moment_sums(d, lifted, start):
+    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the lifted points from the
+    0-based index `start` on, each summed in the lifted type and wrapped once,
+    divided by the lift's scaling xscale^{d_j} yscale wscale^2."""
+    x, w, y = lifted.x, lifted.w, lifted.y
+    t = [0] * len(d)
+    for k in range(start, len(x)):
+        xbar, wy = x[k].conjugate(), y[k]
+        if w is not None:
+            wy = _mag_sq(w[k]) * wy
         for j, dj in enumerate(d):
             t[j] = t[j] + scalar_pow(xbar, dj) * wy
-    return t
+    scale = lifted.yscale * lifted.wscale**2
+    return [_wrap(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)]
+
+
+def _mag_sq(v):
+    """|v|^2 of a native number, as `Scalar.mag_sq` forms it."""
+    return v.real * v.real + v.imag * v.imag
 
 
 def _signed_numerators(s, t):
@@ -351,16 +368,15 @@ def _checked_numerators(dvalue, s, t):
     return _finite("a numerator N", _signed_numerators(s, t))
 
 
-def _aggregates(d, points, fixed=0):
-    """D, S, T and the evaluation count of `points` (a DataSet or a stream's
-    points), from one lift.  With fixed=1, the increments from appending the
-    last point instead: D and S summed over the subsets that hold it, and T
-    of that point alone.
+def _aggregates(d, lifted):
+    """D, S, T and the evaluation count of the lifted points (see `_lift`).
+    With lifted.fixed = 1, the increments from appending the last point
+    instead: D and S summed over the subsets that hold it, and T of that
+    point alone.
     """
-    lifted = _lift(points, fixed)
     dvalue, evals_d = _denominator_sum(d, lifted)
     s, evals_s = _minor_matrix(d, lifted)
-    t = _moment_sums(d, points, len(points.x) - 1 if fixed else 0)
+    t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0)
     return dvalue, s, t, evals_d + evals_s
 
 
@@ -412,7 +428,8 @@ def fit(d, data):
     """
     n = len(d)
     _require_points(n, data)
-    dvalue, s, t, evaluations = _aggregates(d, data)
+    lifted = _lift(data)
+    dvalue, s, t, evaluations = _aggregates(d, lifted)
     numerators = _checked_numerators(dvalue, s, t)
     a = _quotients(d, data.x, numerators, dvalue)
     if a is None:
@@ -421,14 +438,13 @@ def fit(d, data):
             f"(need at least {n} distinct positive real x values, or more "
             "generally an injective design matrix)"
         )
-    r = _residuals(d, data, a)
-    residual_sq = _weighted_sq_sum(data, r)
+    residual_sq, r = _residual_sum(d, lifted, a)
     return FitResult(
         coefficients=a,
         denominator=dvalue,
         numerators=numerators,
         residual_sq=residual_sq,
-        residual=_residual_root(data, r, residual_sq),
+        residual=_residual_root(lifted.w, r, residual_sq),
         evaluations=evaluations,
     )
 
@@ -440,34 +456,43 @@ def fit_weighted(d, data):
     return fit(d, data)
 
 
-def _residuals(d, data, a):
-    """The residuals r_k = y_k - sum_j a_j x_k^{d_j}."""
-    out = []
-    for yk, row in zip(data.y, design_matrix(d, data.x)):
-        for aj, pj in zip(a, row):
-            yk = yk - aj * pj
-        out.append(yk)
-    return out
+def _residual_sum(d, lifted, a):
+    """The squared minimal distance ||y - A a||_W^2 of the coefficients `a`
+    as a Scalar, summed directly as sum_k |w_k|^2 |r_k|^2 on the lifted
+    points, and the lifted residuals R_k.
 
-
-def _weighted_sq_sum(data, r):
-    """The squared minimal distance ||y - A a||_W^2, summed directly as
-    sum_k |w_k|^2 |r_k|^2 over the residuals r.
+    With a_j = A_j / q over one common denominator q (q = 1 in float mode),
+    R_k = r_k yscale q xscale^{d_1} = Y_k q xscale^{d_1} - sum_j yscale
+    xscale^{d_1 - d_j} A_j X_k^{d_j} is an int or Gaussian int in exact mode,
+    and the sum is wrapped once, divided by (wscale yscale q xscale^{d_1})^2.
+    Float mode multiplies by no scale: every scale is 1 there, and a product
+    of a complex number with the int 1 can flip the sign of a zero part.
 
     The shorter identity ||y||_W^2 - Re<(WA)* W y | a> is a difference of two
     nearly equal numbers; in binary64 it can leave pure rounding noise, even a
     negative value, where the fit is exact.
     """
-    total = Scalar.zero(data.exact)
-    for k, rk in enumerate(r):
-        total = total + rk.mag_sq() * data.weight_sq(k)
-    return total
+    exact, w = lifted.exact, lifted.w
+    c, q = _native(a, any(aj.im for aj in a), exact)
+    scale = q * lifted.xscale ** d[0]
+    if exact:
+        c = [lifted.yscale * lifted.xscale ** (d[0] - dj) * cj for cj, dj in zip(c, d)]
+    r, total = [], 0
+    for k, (xk, rk) in enumerate(zip(lifted.x, lifted.y)):
+        if exact:
+            rk = rk * scale
+        for cj, dj in zip(c, d):
+            rk = rk - cj * scalar_pow(xk, dj)
+        r.append(rk)
+        sq = _mag_sq(rk)
+        total = total + (sq if w is None else sq * _mag_sq(w[k]))
+    return _wrap(total, exact, (lifted.wscale * lifted.yscale * scale) ** 2), r
 
 
-def _residual_root(data, r, residual_sq):
-    """The minimal distance ||y - A a||_W as a float, from the residuals r and
-    their weighted square sum; inf or 0 only when the distance itself is
-    beyond the float range.
+def _residual_root(w, r, residual_sq):
+    """The minimal distance ||y - A a||_W as a float, from the lifted weights
+    w (or None) and residuals r and their weighted square sum; inf or 0 only
+    when the distance itself is beyond the float range.
 
     A square inside the normal float range gives its plain root.  Outside it,
     an exact square p/q has the root isqrt(p q) / q, which keeps every digit
@@ -487,7 +512,7 @@ def _residual_root(data, r, residual_sq):
             return isqrt(s.numerator * s.denominator) / s.denominator
         except OverflowError:
             return inf
-    return hypot(*(abs(rk) * (1.0 if data.w is None else abs(data.w[k])) for k, rk in enumerate(r)))
+    return hypot(*(abs(rk) * (1.0 if w is None else abs(w[k])) for k, rk in enumerate(r)))
 
 
 def _checked_denominator(d, data):
@@ -539,6 +564,11 @@ def pseudoinverse(d, data):
     a signed minor-sum combination with one final division by D, and no
     square root ever appears.
     """
+    return _solution_operator(d, data)[0]
+
+
+def _solution_operator(d, data):
+    """`pseudoinverse` of the data and the data lifted once (see `_lift`)."""
     dvalue, lifted = _checked_denominator(d, data)
     s, _ = _minor_matrix(d, lifted)
     out = [[None] * data.m for _ in range(len(d))]
@@ -547,13 +577,13 @@ def pseudoinverse(d, data):
         wsq = data.weight_sq(k)
         for i, ci in enumerate(col):
             out[i][k] = ci * wsq / dvalue
-    return out
+    return out, lifted
 
 
 def projection_residual(d, data):
     """Projection P = A B (AB)* onto the model column space, and the squared
     minimal distance ||y - A a||_W^2 of a = A^+ y, summed as `fit` sums it."""
-    aplus = pseudoinverse(d, data)
+    aplus, lifted = _solution_operator(d, data)
     n = len(d)
     m = data.m
     mode = data.exact
@@ -569,4 +599,4 @@ def projection_residual(d, data):
     for j in range(n):
         for c in range(m):
             a[j] = a[j] + aplus[j][c] * data.y[c]
-    return p, _weighted_sq_sum(data, _residuals(d, data, a))
+    return p, _residual_sum(d, lifted, a)[0]

@@ -1,6 +1,10 @@
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,30 @@ def test_pow_of_a_native_base_computes_in_its_type():
 def test_scalar_repr_names_the_value_and_the_mode():
     assert repr(Scalar.from_exact(Fraction(-7, 4), 2)) == "Scalar('-7/4+2i', exact=True)"
     assert repr(Scalar.from_float(1.5)) == "Scalar('1.5', exact=False)"
+
+
+def test_gaussian_repr_names_its_parts():
+    assert repr(_Gaussian(2, -1)) == "_Gaussian(2, -1)"
+    assert repr(_Gaussian(Fraction(1, 2), 0)) == "_Gaussian(Fraction(1, 2), 0)"
+
+
+def test_no_collected_test_id_names_a_memory_address():
+    # a parameter id made with ids=repr from a value without a __repr__ of
+    # its own names the value's address, which changes from run to run, so a
+    # list of test names kept between runs could not match it
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    collected = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    ids = [line for line in collected.stdout.splitlines() if "::" in line]
+    assert any("_Gaussian(1, 1)" in i for i in ids)
+    assert [i for i in ids if "object at" in i] == []
 
 
 def test_pow_rejects_negative_exponent():

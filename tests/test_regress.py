@@ -850,3 +850,99 @@ def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
             want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
             assert columns == want, (lams, size, m)
             assert len(columns) == count
+
+
+def _scalar_moments(d, data):
+    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k in plain Scalar arithmetic."""
+    out = []
+    for dj in d:
+        total = Scalar.zero(True)
+        for k in range(data.m):
+            total = total + scalar_pow(data.x[k].conj(), dj) * data.weight_sq(k) * data.y[k]
+        out.append(total)
+    return out
+
+
+def _scalar_residual_sq(d, data, a):
+    """sum_k |w_k|^2 |y_k - sum_j a_j x_k^{d_j}|^2 in plain Scalar arithmetic."""
+    total = Scalar.zero(True)
+    for k in range(data.m):
+        r = data.y[k]
+        for aj, dj in zip(a, d):
+            r = r - aj * scalar_pow(data.x[k], dj)
+        total = total + r.mag_sq() * data.weight_sq(k)
+    return total
+
+
+def _moment_cases():
+    """(degrees, data, (xscale, wscale, yscale)) for lifts whose scales differ."""
+    q = Fraction
+    mixed = DataSet(
+        [Scalar.from_exact(q((-1) ** k * (k + 1), 3)) for k in range(6)],
+        [Scalar.from_exact(q(2 * k - 5, (5, 7)[k % 2])) for k in range(6)],
+        [Scalar.from_exact(q(2 * k + 1, (11, 2)[k % 2])) for k in range(6)],
+    )
+    gaussian_y = DataSet(
+        [Scalar.from_exact(q(k - 3, 2)) for k in range(7)],
+        [Scalar.from_exact(q(k * k - 4, 3), q(1 - k, 5)) for k in range(7)],
+        [Scalar.from_exact(q(k + 2, 7)) for k in range(7)],
+    )
+    high = DataSet(
+        [Scalar.from_exact(k + q(r, 256)) for k, r in ((1, 3), (2, 5), (3, 9))],
+        [Scalar.from_exact(v) for v in (q(1, 3), q(-7, 5), q(11, 17))],
+    )
+    return [
+        pytest.param(Exponents((3, 1, 0)), mixed, (3, 22, 35), id="mixed-denominators"),
+        pytest.param(Exponents((4, 2, 0)), gaussian_y, (2, 7, 15), id="gaussian-y-real-x"),
+        pytest.param(Exponents((40, 20, 0)), high, (256, 1, 255), id="40-20-0-on-3-points"),
+    ]
+
+
+@pytest.mark.parametrize("d,data,scales", _moment_cases())
+def test_exact_moments_and_residual_match_scalar_arithmetic(d, data, scales):
+    # T and the residual norm are summed on the lifted ints; summed again
+    # here on Scalars, without a lift, they must come out equal
+    lifted = regress._lift(data)
+    assert (lifted.xscale, lifted.wscale, lifted.yscale) == scales
+    assert regress._aggregates(d, lifted)[2] == _scalar_moments(d, data)
+    result = fit(d, data)
+    want = _scalar_residual_sq(d, data, result.coefficients)
+    assert result.residual_sq == want
+    assert projection_residual(d, data)[1] == want
+    assert bool(want) is (data.m > len(d))
+
+
+def test_exact_stream_moments_match_scalar_arithmetic():
+    # each append adds the T of its point alone, lifted with that point's
+    # stream; the running T must equal T of the points so far
+    data, d = _coprime_dataset(True, True), Exponents((4, 2, 0))
+    state = init_state(d, exact=True)
+    for k in range(data.m):
+        state = update(state, data.x[k], data.y[k], data.w[k])
+        head = DataSet(data.x[: k + 1], data.y[: k + 1], data.w[: k + 1])
+        assert state.t == _scalar_moments(d, head)
+
+
+def test_exact_fit_makes_as_many_scalar_operations_at_any_size(monkeypatch):
+    # the O(m) moment sums and residuals run on lifted numbers, so the
+    # Scalar operations of a fit (counted as the benchmark's tracer counts
+    # them) are those of the numerators and the division alone
+    counts = Counter()
+
+    def counted(name, method):
+        def wrapper(a, b):
+            counts[name] += 1
+            return method(a, b)
+
+        return wrapper
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Scalar, name, counted(name, getattr(Scalar, name)))
+    d, per_size = Exponents((4, 2, 0)), []
+    for m in (8, 24):
+        data = random_dataset(random.Random(m), m, weighted=True)
+        counts.clear()
+        fit(d, data)
+        per_size.append(dict(counts))
+    assert per_size[0] == per_size[1]
+    assert sum(per_size[0].values()) > 0
