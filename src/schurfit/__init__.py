@@ -11,19 +11,11 @@ from .partitions import (
     Exponents,
     Partition,
     conjugate,
-    enumerate_subsets,
     lambda_drop,
     lambda_from_degrees,
     staircase,
 )
-from .symfunc import (
-    alternating,
-    elem_sym_all,
-    schur,
-    schur_bialternant,
-    schur_tableaux,
-    vandermonde,
-)
+from .symfunc import elem_sym_all, schur, vandermonde
 from .regress import (
     BMatrix,
     DataSet,
@@ -34,19 +26,17 @@ from .regress import (
     denominator,
     design_matrix,
     fit,
-    fit_weighted,
     minor_sum,
     projection_residual,
     pseudoinverse,
 )
 from .incremental import (
     RegressionState,
-    UnsupportedOperationError,
     extend_b_matrix,
     init_state,
     update,
 )
-from .oracle import RankDeficiencyError, brute_force_min, gram, solve_normal
+from .oracle import RankDeficiencyError, gram, solve_normal
 
 __all__ = [
     "BMatrix",
@@ -60,18 +50,13 @@ __all__ = [
     "RegressionState",
     "Scalar",
     "ScalarModeError",
-    "UnsupportedOperationError",
-    "alternating",
     "b_matrix",
-    "brute_force_min",
     "conjugate",
     "denominator",
     "design_matrix",
     "elem_sym_all",
-    "enumerate_subsets",
     "extend_b_matrix",
     "fit",
-    "fit_weighted",
     "format_scalar",
     "gram",
     "init_state",
@@ -83,8 +68,6 @@ __all__ = [
     "pseudoinverse",
     "scalar_pow",
     "schur",
-    "schur_bialternant",
-    "schur_tableaux",
     "solve_normal",
     "staircase",
     "update",

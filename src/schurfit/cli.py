@@ -102,17 +102,6 @@ def _point(row, exact):
     return point
 
 
-def write_dataset(handle, data):
-    """Write a data set back out (comma separated, lossless for exact values)."""
-    cols = ["x", "y"] + (["w"] if data.w is not None else [])
-    handle.write(",".join(cols) + "\n")
-    for k in range(data.m):
-        row = [format_scalar(data.x[k]), format_scalar(data.y[k])]
-        if data.w is not None:
-            row.append(format_scalar(data.w[k]))
-        handle.write(",".join(row) + "\n")
-
-
 def quartic_example(m=101, noise=0.0, seed=0, exact=True):
     """Sample the reference quartic x^4 - 2.5e5 x^2 on the grid of m points
     over [-500, 500], which for m = 1 is the one point x = 0, optionally with

@@ -32,6 +32,7 @@ from .regress import (
     _append_b_columns,
     _checked_numerators,
     _denominator_sum,
+    _finite,
     _lift,
     _quotients,
 )
@@ -41,10 +42,6 @@ from .regress import (
 # because perfbench/tracing.py wraps incremental.schur and
 # incremental.vandermonde by name.
 from .symfunc import schur, vandermonde  # noqa: F401
-
-
-class UnsupportedOperationError(RuntimeError):
-    """Raised for operations the streaming scheme cannot support."""
 
 
 @dataclass
@@ -87,9 +84,6 @@ class RegressionState:
                 f"{self.m} (need more / better-spread points)"
             )
         return a
-
-    def remove_point(self, *_args):
-        raise UnsupportedOperationError("points can only be appended, not removed")
 
     # -- snapshot / restore -------------------------------------------
 
@@ -221,7 +215,8 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
     state's; a float stream's D differs from a batch D by rounding, so float
     mode checks the column count only.  The point is refused as `update`
     refuses it: a zero weight, or a weight on an unweighted stream or the
-    reverse, raises ValueError.
+    reverse, raises ValueError, and in float mode a D beyond the float range
+    raises OverflowError.
     """
     d, n, m = state.d, len(state.d), state.m
     if len(prior_b.columns) != comb(m, n - 1):
@@ -234,6 +229,7 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
 
     lifted = _lift(_appended(state, x_new, None, w_new), 1)
     new_d = state.denom + _denominator_sum(d, lifted)[0]
+    _finite("the denominator D", [new_d])
     entries = [list(row) for row in prior_b.entries]
     if not state.exact:
         rescale = Scalar.from_float(prior_b.denominator_root / sqrt(float(new_d.re)))

@@ -4,7 +4,9 @@ Builds the normal equation (WA)*WA a = (WA)*Wy by direct summation and solves
 it by elimination -- deliberately the textbook route whose forward error
 scales with the squared condition number, so float-mode comparisons should
 stick to well-conditioned data (|x| in [0.5, 2], modest m).  Shares no code
-with the subset-sum pipeline it validates.
+with the subset-sum pipeline it validates.  `cli compare` and the benchmark
+solve with it; the grid-search cross-check `brute_force_min` lives in
+`schurfit.reference`, which the runtime does not import.
 """
 
 from __future__ import annotations
@@ -77,45 +79,3 @@ def solve_normal(d, data):
     """Coefficients from the normal equation, solved directly."""
     g, rhs = _normal_system(d, data)
     return solve_linear(g, rhs)
-
-
-def brute_force_min(d, data):
-    """Grid-refinement minimizer of the (real) sum of squared errors.
-
-    Sanity oracle for n <= 2 with real float data only.  Ten rounds search a
-    21-per-axis grid: the first spans [-10, 10] per coefficient, and each
-    later one is centred on the previous round's best point with a fifth of
-    its span, so the last grid's spacing is 0.2^9, about 5e-7, and no
-    coefficient beyond 12.5 in size is reached.
-    """
-    n = len(d)
-    if n > 2:
-        raise ValueError("brute-force search is limited to one or two terms")
-    if data.exact:
-        raise ValueError("brute-force search works on float data")
-    xs = [float(v.re) for v in data.x]
-    ys = [float(v.re) for v in data.y]
-    ws = [float(v.mag_sq().re) for v in data.w] if data.w is not None else [1.0] * data.m
-
-    def sse(coeffs):
-        total = 0.0
-        for xk, yk, wk in zip(xs, ys, ws):
-            pred = sum(c * xk**dj for c, dj in zip(coeffs, d))
-            total += wk * (pred - yk) ** 2
-        return total
-
-    best = [0.0] * n
-    span = 10.0
-    steps = 10
-    for _ in range(10):
-        grid = [
-            [best[i] + span * (t - steps) / steps for t in range(2 * steps + 1)]
-            for i in range(n)
-        ]
-        if n == 1:
-            candidates = ([g0] for g0 in grid[0])
-        else:
-            candidates = ([g0, g1] for g0 in grid[0] for g1 in grid[1])
-        best = min(candidates, key=sse)
-        span *= 0.2
-    return [Scalar.from_float(v) for v in best]

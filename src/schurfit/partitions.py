@@ -1,16 +1,14 @@
-"""Exponent signatures, the partitions derived from them, and subset streams.
+"""Exponent signatures and the partitions derived from them.
 
 The model signature d = (d1 > d2 > ... > dn >= 0) determines the partition
 lam = d - staircase(n) and, for each dropped exponent, the smaller partition
-lam[i] = drop(d, i) - staircase(n-1).  ``enumerate_subsets`` lists subsets in
-lexicographic order; the subset walker in `regress` does not call it but
-iterates ``itertools.combinations`` over the points themselves, which gives
-the same order, so B's columns and the float summation order follow it.
+lam[i] = drop(d, i) - staircase(n-1).  The subset walker in `regress` visits
+subsets in the lexicographic order of ``itertools.combinations`` over the
+points, so B's columns, labelled by 1-based point tuples, and the float
+summation order follow it.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 
 def as_int(v):
@@ -115,14 +113,3 @@ def conjugate(lam):
     if not parts:
         return Partition(())
     return Partition(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
-
-
-def enumerate_subsets(m, r):
-    """All r-element subsets of {1, ..., m} as 1-based tuples, lexicographic.
-
-    The subset walker in `regress` walks the same order with
-    ``itertools.combinations``; B's column labels are these tuples.
-    """
-    if r < 0 or r > m:
-        raise ValueError(f"cannot choose {r} elements from [{m}]")
-    return combinations(range(1, m + 1), r)

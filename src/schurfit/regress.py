@@ -449,13 +449,6 @@ def fit(d, data):
     )
 
 
-def fit_weighted(d, data):
-    """Weighted fit; requires explicit weights on the data set."""
-    if data.w is None:
-        raise ValueError("fit_weighted requires a data set with weights")
-    return fit(d, data)
-
-
 def _residual_sum(d, lifted, a):
     """The squared minimal distance ||y - A a||_W^2 of the coefficients `a`
     as a Scalar, summed directly as sum_k |w_k|^2 |r_k|^2 on the lifted

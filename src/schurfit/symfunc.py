@@ -39,21 +39,17 @@ index rows and calls are gone.  A 3 x 3 band calls `_det3`, the cofactor
 expansion that `det` uses at order 3 in both modes.  Wider bands, such as the
 38- and 39-wide ones of (40, 20, 0), run the banded `det`.
 
-The bialternant ratio and the semistandard tableaux sum are retained as
-independent cross-checks; they take the same points as `schur`, and the
-tableaux route is deliberately brute force and guarded to desk-scale inputs.
+The bialternant ratio and the semistandard tableaux sum, independent
+cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
+not import.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
+from .numeric import Scalar, ScalarModeError, _Gaussian
 from .partitions import Partition, conjugate
-
-SSYT_MAX_WEIGHT = 12
-SSYT_MAX_VARS = 6
 
 
 # (exact, zero, one) of a native point, by the type of its first entry: the
@@ -191,16 +187,6 @@ def _det3(a, b, c, d, e, f, g, h, i):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def alternating(mu, z):
-    """Determinant of the matrix (z_i ** mu_j) for a strictly decreasing mu."""
-    if len(mu) != len(z):
-        raise ValueError("exponent tuple and point must have equal length")
-    if any(a <= b for a, b in zip(mu, list(mu)[1:])):
-        raise ValueError(f"exponents must be strictly decreasing: {tuple(mu)}")
-    rows = [[scalar_pow(zi, e) for e in mu] for zi in z]
-    return det(rows, _kind(z)[0])
-
-
 def _jacobi_trudi_indices(parts, r):
     """Entry indices e_{lam'_i - i + j} of the dual Jacobi-Trudi matrix,
     with None marking out-of-range entries (k < 0 or k > r).  Uncached: its
@@ -320,85 +306,3 @@ def schur(lam, z):
     kind = _NATIVE.get(type(z[0])) if z else None
     exact, zero, one = _kind(z) if kind is None else kind
     return _schur_code[lam._normalized, len(z)](z, exact, zero, one)
-
-
-def schur_bialternant(lam, z):
-    """s_lam(z) as the alternating ratio a_{lam+delta}(z) / V(z).
-
-    Requires pairwise distinct entries; exact points divide exactly, so int
-    points give an int or a Fraction, never a float.
-    """
-    r = len(z)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if not z[i] - z[j]:
-                raise ZeroDivisionError(
-                    f"bialternant needs distinct entries; z[{i}] == z[{j}]"
-                )
-    parts = lam.normalized()
-    exact, zero, one = _kind(z)
-    if len(parts) > r:
-        return zero
-    if r == 0:
-        return one
-    padded = parts + (0,) * (r - len(parts))
-    mu = tuple(p + (r - 1 - i) for i, p in enumerate(padded))
-    a = alternating(mu, z)
-    if exact and type(a) is int:  # int / int would round to a float, as in `det`
-        a = Fraction(a)
-    return a / vandermonde(z)
-
-
-@lru_cache(maxsize=None)
-def _ssyt_contents(parts, r):
-    """Content vectors (c_1, ..., c_r) with multiplicity over all semistandard
-    tableaux of the given shape filled from {1, ..., r}."""
-    cells = [(i, j) for i, row_len in enumerate(parts) for j in range(row_len)]
-    counts: dict[tuple, int] = {}
-    fill = {}
-
-    def place(pos):
-        if pos == len(cells):
-            content = [0] * r
-            for v in fill.values():
-                content[v - 1] += 1
-            key = tuple(content)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = max(lo, fill[(i, j - 1)])  # rows weakly increase
-        if i > 0:
-            lo = max(lo, fill[(i - 1, j)] + 1)  # columns strictly increase
-        for v in range(lo, r + 1):
-            fill[(i, j)] = v
-            place(pos + 1)
-        fill.pop((i, j), None)
-
-    place(0)
-    return counts
-
-
-def schur_tableaux(lam, z):
-    """s_lam(z) as a sum of monomials over semistandard Young tableaux.
-
-    Test oracle only; refuses shapes beyond |lam| <= 12 or more than 6
-    variables.  The tableau counts are ints, made Scalars for Scalar points
-    only, so native points compute in their own type.
-    """
-    parts = lam.normalized()
-    r = len(z)
-    if sum(parts) > SSYT_MAX_WEIGHT or r > SSYT_MAX_VARS:
-        raise ValueError(
-            f"tableaux enumeration refused: |lam|={sum(parts)} (max "
-            f"{SSYT_MAX_WEIGHT}), vars={r} (max {SSYT_MAX_VARS})"
-        )
-    mode, total, one = _kind(z)
-    for content, count in sorted(_ssyt_contents(parts, r).items()):
-        term = Scalar.from_int(count, mode) if isinstance(one, Scalar) else count
-        for zi, ci in zip(z, content):
-            if ci:
-                term = term * scalar_pow(zi, ci)
-        total = total + term
-    return total

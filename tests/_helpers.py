@@ -5,7 +5,7 @@ from itertools import combinations
 import random
 
 from schurfit import DataSet, Exponents
-from schurfit.numeric import Scalar
+from schurfit.numeric import Scalar, format_scalar
 from schurfit.symfunc import _jacobi_trudi_indices, _kind, det, elem_sym_all, schur, vandermonde
 
 
@@ -68,6 +68,18 @@ def well_conditioned_dataset(rng, m, weighted=False):
     y = [Scalar.from_float(rng.uniform(-3, 3)) for _ in range(m)]
     w = [Scalar.from_float(rng.uniform(0.5, 2.0)) for _ in range(m)] if weighted else None
     return DataSet(x, y, w)
+
+
+def write_dataset(handle, data):
+    """Write a data set as the CSV the CLI reads (comma separated, lossless
+    for exact values)."""
+    cols = ["x", "y"] + (["w"] if data.w is not None else [])
+    handle.write(",".join(cols) + "\n")
+    for k in range(data.m):
+        row = [format_scalar(data.x[k]), format_scalar(data.y[k])]
+        if data.w is not None:
+            row.append(format_scalar(data.w[k]))
+        handle.write(",".join(row) + "\n")
 
 
 def scalars_equal(a, b):

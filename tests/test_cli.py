@@ -14,13 +14,12 @@ from schurfit.cli import (
     main,
     quartic_example,
     read_dataset,
-    write_dataset,
 )
 from schurfit.numeric import Scalar, ScalarModeError, format_scalar
 from schurfit.partitions import Exponents
 from schurfit.regress import DataSet, fit
 
-from _helpers import scalars_equal
+from _helpers import scalars_equal, write_dataset
 
 
 def run(capsys, *argv):

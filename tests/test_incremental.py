@@ -8,7 +8,6 @@ import pytest
 from schurfit import incremental, regress
 from schurfit.incremental import (
     RegressionState,
-    UnsupportedOperationError,
     extend_b_matrix,
     init_state,
     update,
@@ -353,8 +352,6 @@ def test_snapshot_coefficients_are_read_off_n_and_d():
 def test_removal_and_mode_errors():
     d = Exponents((1, 0))
     state = init_state(d, DataSet(ex(1, 2), ex(1, 2)))
-    with pytest.raises(UnsupportedOperationError):
-        state.remove_point(0)
     with pytest.raises(ScalarModeError):
         update(state, Scalar.from_float(1.0), Scalar.from_float(1.0))
     with pytest.raises(ScalarModeError):

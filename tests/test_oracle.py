@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from schurfit.numeric import Scalar, scalar_pow
-from schurfit.oracle import (
-    RankDeficiencyError,
-    _normal_system,
-    brute_force_min,
-    solve_normal,
-)
+from schurfit.oracle import RankDeficiencyError, _normal_system, solve_normal
 from schurfit.partitions import Exponents
+from schurfit.reference import brute_force_min
 from schurfit.regress import DataSet
 
 from _helpers import random_dataset, random_exponents, well_conditioned_dataset
@@ -134,3 +130,10 @@ def test_brute_force_refusals():
         brute_force_min(Exponents((2, 1, 0)), float_data)
     with pytest.raises(ValueError):
         brute_force_min(Exponents((1,)), DataSet(ex(1), ex(1)))
+    # complex data: fitting the real parts alone would answer another problem
+    complex_data = DataSet(
+        [Scalar.from_float(1, 1), Scalar.from_float(2, -1), Scalar.from_float(3, 0.5)],
+        [Scalar.from_float(1), Scalar.from_float(2, 2), Scalar.from_float(0, 1)],
+    )
+    with pytest.raises(ValueError):
+        brute_force_min(Exponents((1, 0)), complex_data)

@@ -6,7 +6,6 @@ from schurfit.partitions import (
     Exponents,
     Partition,
     conjugate,
-    enumerate_subsets,
     lambda_drop,
     lambda_from_degrees,
     staircase,
@@ -110,29 +109,3 @@ def test_conjugate_involution():
     for parts in [(4, 2, 2, 1), (5,), (3, 3, 3), ()]:
         lam = Partition(parts)
         assert conjugate(conjugate(lam)) == lam
-
-
-def test_enumerate_subsets_lex_order():
-    assert list(enumerate_subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(enumerate_subsets(4, 4)) == [(1, 2, 3, 4)]
-    assert list(enumerate_subsets(5, 0)) == [()]
-    assert len(list(enumerate_subsets(10, 3))) == 120
-
-
-def test_enumerate_subsets_total_and_sorted():
-    for m in range(1, 13):
-        for r in range(m + 1):
-            subs = list(enumerate_subsets(m, r))
-            assert len(subs) == comb(m, r)
-            assert len(set(subs)) == len(subs)
-            assert subs == sorted(subs)
-            for s in subs:
-                assert all(1 <= v <= m for v in s)
-                assert list(s) == sorted(s)
-
-
-def test_enumerate_subsets_rejects_bad_r():
-    with pytest.raises(ValueError):
-        list(enumerate_subsets(3, 4))
-    with pytest.raises(ValueError):
-        list(enumerate_subsets(3, -1))

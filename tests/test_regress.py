@@ -20,7 +20,6 @@ from schurfit.regress import (
     denominator,
     design_matrix,
     fit,
-    fit_weighted,
     minor_sum,
     projection_residual,
     pseudoinverse,
@@ -256,14 +255,9 @@ def test_weighted_unit_weights_match_unweighted():
             base = fit(d, data)
         except NonUniqueSolutionError:
             continue
-        weighted = fit_weighted(d, DataSet(data.x, data.y, ones))
+        weighted = fit(d, DataSet(data.x, data.y, ones))
         assert scalars_equal(base.coefficients, weighted.coefficients)
         assert base.denominator == weighted.denominator
-
-
-def test_fit_weighted_requires_weights():
-    with pytest.raises(ValueError):
-        fit_weighted(Exponents((1, 0)), DataSet(ex(1, 2), ex(1, 2)))
 
 
 def test_weighted_fit_matches_weighted_oracle():
@@ -601,6 +595,19 @@ def test_float_values_beyond_the_float_range_raise_overflow_error():
         for xk, yk in zip(data.x, data.y):
             state = update(state, xk, yk)
     assert state.m == 1
+
+
+def test_extend_b_matrix_beyond_the_float_range_raises_overflow_error():
+    # appending x = 1e200 to (1, 0) on x = 1, 2 takes D past the float range;
+    # the rescale by sqrt(D) would then zero every entry of B, so extending
+    # refuses the point as `update` does
+    d = Exponents((1, 0))
+    data = DataSet([Scalar.from_float(v) for v in (1, 2)], [Scalar.from_float(v) for v in (1, 3)])
+    state, big = init_state(d, data), Scalar.from_float(1e200)
+    with pytest.raises(OverflowError, match="^the denominator D is not finite in float arithmetic$"):
+        update(state, big, Scalar.from_float(1))
+    with pytest.raises(OverflowError, match="^the denominator D is not finite in float arithmetic$"):
+        extend_b_matrix(state, b_matrix(d, data), big)
 
 
 def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
+from schurfit.reference import alternating, schur_bialternant, schur_tableaux
 from schurfit.regress import _walker
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
@@ -18,12 +19,9 @@ from schurfit.symfunc import (
     _schur_code,
     _vandermonde_code,
     _vandermonde_loop,
-    alternating,
     det,
     elem_sym_all,
     schur,
-    schur_bialternant,
-    schur_tableaux,
     vandermonde,
 )
 

@@ -8,8 +8,12 @@ inside any other multi-line string counts.  Standard library only.
 
     python3 tools/count_code_lines.py [package directory]
 
-prints one "<count> <module>" line per module, sorted by name, then the total.
-The directory defaults to src/schurfit beside this script's parent.
+prints one "<count> <module>" line per module, sorted by name, then the total,
+then the runtime total: the modules that __init__.py and cli.py reach through
+relative imports, found with `ast`, so nothing is imported.  A module that
+only the tests import, such as the cross-checks in reference.py, counts in
+the total but not in the runtime.  The directory defaults to src/schurfit
+beside this script's parent.
 """
 
 import ast
@@ -56,14 +60,30 @@ def code_lines(source):
     return len(lines)
 
 
+def runtime_modules(sources):
+    """The names in `sources` (module name -> source) that __init__ and cli
+    reach through relative imports such as `from .numeric import ...` and
+    `from . import regress`."""
+    reached, pending = set(), ["__init__", "cli"]
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in sources:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse(sources[name])):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                pending += [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+    return reached
+
+
 def main(argv):
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "schurfit"
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d} {path.name}")
-    print(f"{total:6d} total")
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    counts = {name: code_lines(source) for name, source in sources.items()}
+    for name, count in counts.items():
+        print(f"{count:6d} {name}.py")
+    print(f"{sum(counts.values()):6d} total")
+    print(f"{sum(counts[name] for name in runtime_modules(sources)):6d} runtime")
 
 
 if __name__ == "__main__":
