@@ -27,7 +27,6 @@ from .regress import (
     design_matrix,
     fit,
     minor_sum,
-    projection_residual,
     pseudoinverse,
 )
 from .incremental import (
@@ -64,7 +63,6 @@ __all__ = [
     "lambda_from_degrees",
     "minor_sum",
     "parse_scalar",
-    "projection_residual",
     "pseudoinverse",
     "scalar_pow",
     "schur",

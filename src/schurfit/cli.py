@@ -268,10 +268,12 @@ def run_bench(degrees, sizes, repetitions=1, noise=0.01, seed=0):
 def cmd_bench(args):
     degrees = _parse_degrees(args)
     sizes = [int(v) for v in args.sizes.split(",")]
-    if len(sizes) < 4:
+    if len(set(sizes)) < 4:
         raise ValueError("bench needs at least 4 sizes to estimate a slope")
     if args.repetitions < 1:
         raise ValueError("bench needs at least 1 repetition")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise ValueError("bench noise must be finite and at least 0")
     if min(sizes) < len(degrees):
         raise ValueError(f"bench sizes must be at least {len(degrees)}, the number of model terms")
     rows = run_bench(degrees, sizes, args.repetitions, args.noise, args.seed)

@@ -107,12 +107,12 @@ class RegressionState:
     def from_dict(payload):
         """The state `to_dict` saved; ValueError if the payload is not an
         object, lacks a key, names another mode than "exact" or "float", holds
-        a value of the wrong type or a non-integral degree or evaluation
-        count, or has a length that disagrees with degrees and m, or holds a
-        zero weight, which `DataSet` and `update` refuse too.  An "a" key,
-        which snapshots once held, is ignored: the coefficients are N / D.
-        Parsing every value in the one mode the payload names checks the
-        restored points' mode."""
+        a value of the wrong type, a non-integral degree or an evaluation
+        count that is not a non-negative integer, or has a length that
+        disagrees with degrees and m, or holds a zero weight, which
+        `DataSet` and `update` refuse too.  An "a" key, which snapshots once
+        held, is ignored: the coefficients are N / D.  Parsing every value in
+        the one mode the payload names checks the restored points' mode."""
         if not isinstance(payload, dict):
             raise ValueError("snapshot is not a JSON object")
         missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
@@ -134,6 +134,10 @@ class RegressionState:
             w = [p(v) for v in payload["w"]] if payload.get("w") is not None else None
             if not all(w or ()):
                 raise ValueError("snapshot holds a zero weight; weights must be nonzero")
+            # JSON's true is no count, although int(True) is 1
+            evaluations = payload.get("evaluations", 0)
+            if isinstance(evaluations, bool) or as_int(evaluations) < 0:
+                raise ValueError(f"snapshot evaluation count {evaluations!r} is not a non-negative integer")
             return RegressionState(
                 d=d,
                 x=[p(v) for v in payload["x"]],
@@ -143,7 +147,7 @@ class RegressionState:
                 t=[p(v) for v in payload["T"]],
                 n_vec=[p(v) for v in payload["N"]],
                 denom=p(payload["D"]),
-                evaluations=as_int(payload.get("evaluations", 0)),
+                evaluations=int(evaluations),
             )
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"snapshot holds a value of the wrong type: {exc}") from exc

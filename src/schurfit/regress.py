@@ -382,19 +382,23 @@ def _aggregates(d, lifted):
 
 def _quotients(d, x, numerators, dvalue):
     """a_i = N_i / D, or None when D vanishes (see `_zero_denominator`);
-    OverflowError if a float a_i is not finite."""
+    OverflowError if a float a_i, or the degeneracy floor, is not finite."""
     if _zero_denominator(dvalue, d, x):
         return None
     return _finite("a coefficient", [ni / dvalue for ni in numerators])
 
 
 def _zero_denominator(dvalue, d, x):
-    """Degeneracy test: exact zero, or float |D| below a scale-aware floor."""
-    if dvalue.exact:
+    """Degeneracy test: D exactly zero in either mode, or a float |D| below a
+    scale-aware floor; OverflowError if that floor leaves the float range."""
+    if dvalue.exact or not dvalue:
         return not dvalue
     scale = max((abs(xk) for xk in x), default=1.0)
     n = len(d)
-    floor = 1e-12 * scale ** (2 * lambda_from_degrees(d).weight + n * (n - 1))
+    try:
+        floor = 1e-12 * scale ** (2 * lambda_from_degrees(d).weight + n * (n - 1))
+    except OverflowError:
+        raise OverflowError("the degeneracy floor of D is not finite in float arithmetic") from None
     return abs(float(dvalue.re)) <= floor
 
 
@@ -423,8 +427,8 @@ def fit(d, data):
     """Least-squares coefficients of the model sum_i a_i x^{d_i}.
 
     Exact mode returns the exact rational solution.  Uses weights from the
-    data set when present.  In float mode, a D, S, T, N or coefficient
-    beyond the float range raises OverflowError.
+    data set when present.  In float mode, a D, S, T, N, coefficient or
+    degeneracy floor of D beyond the float range raises OverflowError.
     """
     n = len(d)
     _require_points(n, data)
@@ -555,13 +559,10 @@ def pseudoinverse(d, data):
 
     B B* = (-1)^(i+j) S_{i,j} / D, so B itself is never built: each entry is
     a signed minor-sum combination with one final division by D, and no
-    square root ever appears.
+    square root ever appears.  In float mode an entry beyond the float range
+    raises OverflowError (`_finite`).  The projection onto the model's column
+    space is `design_matrix(d, data.x)` times this operator.
     """
-    return _solution_operator(d, data)[0]
-
-
-def _solution_operator(d, data):
-    """`pseudoinverse` of the data and the data lifted once (see `_lift`)."""
     dvalue, lifted = _checked_denominator(d, data)
     s, _ = _minor_matrix(d, lifted)
     out = [[None] * data.m for _ in range(len(d))]
@@ -570,26 +571,4 @@ def _solution_operator(d, data):
         wsq = data.weight_sq(k)
         for i, ci in enumerate(col):
             out[i][k] = ci * wsq / dvalue
-    return out, lifted
-
-
-def projection_residual(d, data):
-    """Projection P = A B (AB)* onto the model column space, and the squared
-    minimal distance ||y - A a||_W^2 of a = A^+ y, summed as `fit` sums it."""
-    aplus, lifted = _solution_operator(d, data)
-    n = len(d)
-    m = data.m
-    mode = data.exact
-    a_mat = design_matrix(d, data.x)
-    p = [[Scalar.zero(mode) for _ in range(m)] for _ in range(m)]
-    for r in range(m):
-        for c in range(m):
-            acc = Scalar.zero(mode)
-            for j in range(n):
-                acc = acc + a_mat[r][j] * aplus[j][c]
-            p[r][c] = acc
-    a = [Scalar.zero(mode) for _ in range(n)]
-    for j in range(n):
-        for c in range(m):
-            a[j] = a[j] + aplus[j][c] * data.y[c]
-    return p, _residual_sum(d, lifted, a)[0]
+    return [_finite("an entry of the pseudoinverse", row) for row in out]

@@ -89,8 +89,11 @@ def test_fit_float_overflow_exit_1(tmp_path, capsys):
         ("1e10,1e300\n2e10,1e300\n3e10,2e300\n4e10,1e300\n", "2,1,0", "a moment sum T"),
         # D, S, T and N are finite, but a = N / D is not
         ("0.5,1e308\n1,-1e308\n", "1,0", "a coefficient"),
+        # D is about 1.1e252, but the floor's power 1000.0 ** 120 is not;
+        # the stream's D is exactly 0 on rows 1 and 2, so it stops at row 3
+        ("1000,1\n2,2\n1,3\n", "40,20,0", "the degeneracy floor of D"),
     ],
-    ids=["moment-sum", "coefficient"],
+    ids=["moment-sum", "coefficient", "degeneracy-floor"],
 )
 def test_float_values_beyond_the_float_range_exit_1(tmp_path, capsys, rows, degrees, what):
     # fit and stream stop with one error line where the value is formed,
@@ -681,6 +684,11 @@ def test_bench_refuses_sizes_below_the_term_count(capsys):
             ["fit", "--degrees", "1,0", "--degree", "3", "--exact", "DATA"],
             "argument --degree: not allowed with argument --degrees",
         ),
+        # bench noise scales a uniform draw: nan ended in an OverflowError
+        # from the moment sums, and a negative or infinite one was accepted
+        (["bench", "--degrees", "2,0", "--noise", "nan"], "bench noise must be finite and at least 0\n"),
+        (["bench", "--degrees", "2,0", "--noise", "-0.5"], "bench noise must be finite and at least 0\n"),
+        (["bench", "--degrees", "2,0", "--noise", "inf"], "bench noise must be finite and at least 0\n"),
     ],
     ids=[
         "unknown-flag",
@@ -692,6 +700,9 @@ def test_bench_refuses_sizes_below_the_term_count(capsys):
         "stream-seed",
         "compare-seed",
         "degrees-and-degree",
+        "bench-noise-nan",
+        "bench-noise-negative",
+        "bench-noise-inf",
     ],
 )
 def test_argument_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):
@@ -855,10 +866,12 @@ def test_quoted_header_may_hold_another_delimiter(tmp_path, capsys):
 
 
 def test_bench_refuses_fewer_than_four_sizes(capsys):
-    code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", "8,12,16")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == "error: bench needs at least 4 sizes to estimate a slope\n"
+    # only distinct sizes count: four equal ones ended in "x is constant"
+    for sizes in ("8,12,16", "4,4,4,4"):
+        code, out, err = run(capsys, "bench", "--degrees", "2,0", "--sizes", sizes)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: bench needs at least 4 sizes to estimate a slope\n"
 
 
 def test_help_exits_0(capsys):

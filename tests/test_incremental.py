@@ -313,7 +313,13 @@ def test_snapshot_refuses_non_integral_numbers():
     for key, value in (("evaluations", 7.9), ("degrees", [1.9, 0.2])):
         with pytest.raises(ValueError, match="is not an integer"):
             RegressionState.from_dict({**payload, key: value})
+    # a count is never negative, and JSON's true is no count although
+    # int(True) is 1
+    for value in (-7, True):
+        with pytest.raises(ValueError, match="is not a non-negative integer"):
+            RegressionState.from_dict({**payload, "evaluations": value})
     assert RegressionState.from_dict({**payload, "evaluations": 7.0}).evaluations == 7
+    assert RegressionState.from_dict({**payload, "evaluations": 0}).evaluations == 0
 
 
 def test_snapshot_round_trip():

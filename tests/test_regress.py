@@ -21,7 +21,6 @@ from schurfit.regress import (
     design_matrix,
     fit,
     minor_sum,
-    projection_residual,
     pseudoinverse,
 )
 from schurfit.symfunc import UNROLL_MAX_POINTS, det, elem_sym_all, schur, vandermonde
@@ -429,50 +428,6 @@ def test_pseudoinverse_power_function_row():
     assert aplus == [expected]
 
 
-def test_projection_structure():
-    rng = random.Random(33)
-    for _ in range(10):
-        n = rng.randint(1, 3)
-        d = random_exponents(rng, n)
-        data = random_dataset(rng, rng.randint(n, 6), complex_=rng.random() < 0.3)
-        try:
-            p, resid_sq = projection_residual(d, data)
-        except NonUniqueSolutionError:
-            continue
-        m = data.m
-        for r in range(m):
-            for c in range(m):
-                acc = Scalar.zero(True)
-                for k in range(m):
-                    acc = acc + p[r][k] * p[k][c]
-                assert acc == p[r][c]  # idempotent
-                assert p[r][c] == p[c][r].conj()  # Hermitian
-        a_mat = design_matrix(d, data.x)
-        for r in range(m):
-            for j in range(n):
-                acc = Scalar.zero(True)
-                for k in range(m):
-                    acc = acc + p[r][k] * a_mat[k][j]
-                assert acc == a_mat[r][j]  # PA = A
-        assert resid_sq == fit(d, data).residual_sq
-
-
-def test_projection_special_cases():
-    d = Exponents((1, 0))
-    # y in the column space: zero residual
-    data = DataSet(ex(0, 1, 2), ex(1, 3, 5))
-    _, resid_sq = projection_residual(d, data)
-    assert not resid_sq
-    # square invertible system: P is the identity
-    sq = DataSet(ex(1, 4), ex(2, 3))
-    p, resid_sq = projection_residual(d, sq)
-    for r in range(2):
-        for c in range(2):
-            expected = Scalar.one(True) if r == c else Scalar.zero(True)
-            assert p[r][c] == expected
-    assert not resid_sq
-
-
 def test_minor_sum_quartic_golden():
     d = Exponents((4, 2, 0))
     rng = random.Random(34)
@@ -550,15 +505,14 @@ def test_float_residual_of_an_interpolation_is_rounding_small(points):
         [Scalar.from_float(x) for x, _ in points], [Scalar.from_float(y) for _, y in points]
     )
     ysq = sum(float(y) ** 2 for _, y in points)
-    for residual_sq in (fit(d, data).residual_sq, projection_residual(d, data)[1]):
-        assert 0.0 <= float(residual_sq.re) <= 1e-15 * ysq
+    assert 0.0 <= float(fit(d, data).residual_sq.re) <= 1e-15 * ysq
 
 
-def test_float_projection_residual_of_the_noiseless_quartic():
+def test_float_residual_of_the_noiseless_quartic():
     # the quartic lies in the model's span, so the residual is 0 up to
     # rounding; the shorter <y | (1 - P) y> cancels to about 3.7e6 here
     data = quartic_example(m=9, exact=False)
-    assert 0.0 <= float(projection_residual(Exponents((4, 2, 0)), data)[1].re) <= 1e-6
+    assert 0.0 <= float(fit(Exponents((4, 2, 0)), data).residual_sq.re) <= 1e-6
 
 
 def test_float_fit_with_a_denominator_past_1e154():
@@ -595,6 +549,18 @@ def test_float_values_beyond_the_float_range_raise_overflow_error():
         for xk, yk in zip(data.x, data.y):
             state = update(state, xk, yk)
     assert state.m == 1
+
+
+def test_float_pseudoinverse_entry_beyond_the_float_range_raises_overflow_error():
+    # D = 2.14e280 and every minor sum are finite, but the product
+    # c_i |w_k|^2 of entry [1][1] overflows before the division by D, where
+    # the exact entry is -1.77e-57; it returned inf
+    x, w = (1.2687379332690463, 195618758845964.9), (1e25, 1e58)
+    data = DataSet(*([Scalar.from_float(v) for v in vs] for vs in (x, (1, 2), w)))
+    with pytest.raises(OverflowError, match="^an entry of the pseudoinverse is not finite in float arithmetic$"):
+        pseudoinverse(Exponents((4, 0)), data)
+    with pytest.raises(OverflowError, match="^a numerator N is not finite in float arithmetic$"):
+        fit(Exponents((4, 0)), data)
 
 
 def test_extend_b_matrix_beyond_the_float_range_raises_overflow_error():
@@ -915,7 +881,6 @@ def test_exact_moments_and_residual_match_scalar_arithmetic(d, data, scales):
     result = fit(d, data)
     want = _scalar_residual_sq(d, data, result.coefficients)
     assert result.residual_sq == want
-    assert projection_residual(d, data)[1] == want
     assert bool(want) is (data.m > len(d))
 
 
