@@ -12,9 +12,10 @@ from __future__ import annotations
 
 
 def as_int(v):
-    """int(v); ValueError for a v that int() would truncate, such as 3.7."""
+    """int(v); ValueError for a v that int() would truncate, such as 3.7, and
+    for a bool, such as JSON's true, which int() would read as 1."""
     k = int(v)
-    if k != v:
+    if k != v or isinstance(v, bool):
         raise ValueError(f"{v!r} is not an integer")
     return k
 

@@ -12,13 +12,16 @@ weighted normal equation.
 which every subset must hold that last point, so the same call gives the
 increments.  Every subset sum -- D, S, the stream increments and the B
 matrix -- runs through one generated walker, `_walker`, compiled once per
-(number of partitions, subset size, fixed points, weighted): straight-line
-code that walks the subsets in lexicographic order, forms the vector
-u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps the
-upper triangle of the sum of u u* in locals (`_hermitian_sum`) or lists the
-u vectors with their labels, which `_append_b_columns` turns into B's signed
-columns.  The pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so
-never builds B.
+(number kind, number of partitions, subset size, fixed points, weighted):
+straight-line code that walks the subsets in lexicographic order, forms the
+vector u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps
+the upper triangle of the sum of u u* in locals (`_hermitian_sum`) or lists
+the u vectors with their labels, which `_append_b_columns` turns into B's
+signed columns.  For exact Gaussian data, the slow kind when every step
+makes a `_Gaussian`, the walker computes on int pairs: it unpacks each
+Schur value, V and weight into int locals, keeps u and the sums as pairs,
+and makes one `_Gaussian` of each sum or B entry.  The pseudoinverse B B* A*
+uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
 
 The walker computes on plain numbers: `_lift` converts points, weights and
 targets once per public call to float or complex, or scales exact ones to
@@ -44,7 +47,7 @@ from sys import float_info
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_drop, lambda_from_degrees
-from .symfunc import _compiled, schur, vandermonde
+from .symfunc import _assign, _compiled, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -155,7 +158,7 @@ def _drops(d):
 
 # points, weights and targets in the kernel's number type, and the factors by
 # which exact ones were scaled to integers; see `_lift`
-_Lifted = namedtuple("_Lifted", "x w y fixed exact xscale wscale yscale")
+_Lifted = namedtuple("_Lifted", "x w y fixed exact kind xscale wscale yscale")
 
 
 def _lift(points, fixed=0):
@@ -174,14 +177,16 @@ def _lift(points, fixed=0):
     imaginary parts, w by wscale and y by yscale, the same lcm over the
     weights and over the targets; float data keeps the scales 1 (see
     `_native`).  In the record, fixed (0 or 1) counts the trailing points
-    that every subset must hold.
+    that every subset must hold, and kind is the type of the lifted x and w:
+    float, complex, int or `_Gaussian`.
     """
     exact = points.exact
     gaussian = any(s.im for s in (*points.x, *(points.w or ())))
     x, xscale = _native(points.x, gaussian, exact)
     w, wscale = (None, 1) if points.w is None else _native(points.w, gaussian, exact)
     y, yscale = (None, 1) if points.y is None else _native(points.y, any(s.im for s in points.y), exact)
-    return _Lifted(x, w, y, fixed, exact, xscale, wscale, yscale)
+    kind = (_Gaussian if exact else complex) if gaussian else (int if exact else float)
+    return _Lifted(x, w, y, fixed, exact, kind, xscale, wscale, yscale)
 
 
 def _native(values, gaussian, exact):
@@ -217,11 +222,12 @@ def _wrap(v, exact, scale=1):
 
 
 @lru_cache(maxsize=None)
-def _walker(n, size, fixed, weighted, columns=False):
-    """The subset walk of n partitions over `size`-point subsets, compiled
-    once per signature into straight-line code, as a function of (x, w, lams,
-    schur, vandermonde): the lifted points and weights, the n partitions, and
-    the Schur and Vandermonde functions to call.
+def _walker(kind, n, size, fixed, weighted, columns=False):
+    """The subset walk of n partitions over `size`-point subsets of lifted
+    points of the number type `kind`, compiled once per signature into
+    straight-line code, as a function of (x, w, lams, schur, vandermonde):
+    the lifted points and weights, the n partitions, and the Schur and
+    Vandermonde functions to call.
 
     It walks the subsets that hold the last `fixed` points in lexicographic
     order, with `combinations` over the other points, and the weights beside
@@ -232,19 +238,33 @@ def _walker(n, size, fixed, weighted, columns=False):
     each kept in its own local from the int 0 on, and the number of subsets.
     With `columns` it returns instead one (label, u_0, ..., u_{n-1}) per
     subset, the label being the subset's 1-based point numbers.
+
+    For `_Gaussian` points, whose u are `_Gaussian`s whenever a subset holds
+    two points or a weight, the walk unpacks each Schur value, V and weight
+    into its int parts and keeps u and the sums as pairs of int locals
+    (`symfunc._assign`); each sum becomes one `_Gaussian` at the end, or
+    stays the int 0 if no subset was walked.
     """
     k = size - fixed  # points chosen besides the fixed ones
-    pairs = [f"s{i}_{j}" for i in range(n) for j in range(i, n)]
+    pairs = kind is _Gaussian and k >= 0 and (size > 1 or weighted and size > 0)
+    ij = [(i, j) for i in range(n) for j in range(i, n)]
+    if pairs:  # a diagonal sum's imaginary part stays 0; see the return
+        sums = [f"s{i}_{j}r" for i, j in ij] + [f"s{i}_{j}i" for i, j in ij if i < j]
+    else:
+        sums = [f"s{i}_{j}" for i, j in ij]
     lines = [
         "def walk(x, w, lams, schur, vandermonde):",
         "    " + "".join(f"lam{i}, " for i in range(n)) + "= lams",
         f"    m = len(x) - {fixed}",
-        "    out = []" if columns else f"    {' = '.join(pairs)} = 0",
+        "    out = []" if columns else f"    {' = '.join(sums)} = 0",
     ]
+    if pairs and weighted:
+        lines.append("    w = [(q.real, q.imag) for q in w]")
+    weight = (lambda i: f"(q{i}r, q{i}i)") if pairs else (lambda i: f"q{i}")
     if k >= 0:
         targets, sources = ["head" if fixed else "pts"], [f"combinations(x[:m], {k})"]
         if weighted and k:
-            targets.append("(" + "".join(f"q{i}, " for i in range(k)) + ")")
+            targets.append("(" + "".join(f"{weight(i)}, " for i in range(k)) + ")")
             sources.append(f"combinations(w[:m], {k})")
         if columns:
             targets.append("label")
@@ -252,7 +272,7 @@ def _walker(n, size, fixed, weighted, columns=False):
         if fixed:
             lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
         if fixed and weighted:
-            lines.append("    " + "".join(f"q{i}, " for i in range(k, size)) + "= w[m:]")
+            lines.append("    " + "".join(f"{weight(i)}, " for i in range(k, size)) + "= w[m:]")
         if len(sources) == 1:
             lines.append(f"    for {targets[0]} in {sources[0]}:")
         else:
@@ -260,21 +280,46 @@ def _walker(n, size, fixed, weighted, columns=False):
         if fixed:
             lines.append("        pts = head + tail")
         lines.append("        v = vandermonde(pts)")
-        if weighted:
-            lines += [f"        v = v * q{i}" for i in range(size)]
-        lines += [f"        u{i} = schur(lam{i}, pts) * v" for i in range(n)]
+        if pairs:
+            _pair_terms(lines, n, size if weighted else 0)
+        else:
+            if weighted:
+                lines += [f"        v = v * q{i}" for i in range(size)]
+            lines += [f"        u{i} = schur(lam{i}, pts) * v" for i in range(n)]
         if columns:
             label = "label + tail_label" if fixed else "label"
-            lines.append(f"        out.append(({label}, {''.join(f'u{i}, ' for i in range(n))}))")
+            u = "".join(f"_Gaussian(u{i}r, u{i}i), " if pairs else f"u{i}, " for i in range(n))
+            lines.append(f"        out.append(({label}, {u}))")
+        elif pairs:
+            for i, j in ij:
+                _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], "        ")
         else:
             lines += [f"        c{i} = u{i}.conjugate()" for i in range(n)]
-            lines += [f"        s{i}_{j} = s{i}_{j} + u{i} * c{j}" for i in range(n) for j in range(i, n)]
+            lines += [f"        s{i}_{j} = s{i}_{j} + u{i} * c{j}" for i, j in ij]
     if columns:
         lines.append("    return out")
+    elif pairs:
+        # u_i conj(u_i) is real, so a diagonal sum's imaginary part is never
+        # set; it is 0 in the type of the real part: int or, after a banded
+        # `det`, Fraction
+        wrapped = "".join(f"_Gaussian(s{i}_{j}r, {f's{i}_{j}i' if i < j else f'0 * s{i}_{j}r'}), " for i, j in ij)
+        lines.append(f"    return (({wrapped}) if m >= {k} else ({'0, ' * len(ij)})), comb(m, {k})")
     else:
-        lines.append(f"    return ({''.join(f'{s}, ' for s in pairs)}), {'comb(m, %d)' % k if k >= 0 else 0}")
-    signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns}"
-    return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
+        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), {'comb(m, %d)' % k if k >= 0 else 0}")
+    signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns} {kind.__name__}"
+    return _compiled("walk", signature, lines, combinations=combinations, comb=comb, _Gaussian=_Gaussian)
+
+
+def _pair_terms(lines, n, weights):
+    """Append to a walk's loop body the statements that form the int pairs
+    u0r, u0i, ..., from v, the V of the subset, its first `weights` weights
+    q0r, q0i, ... and one `schur` call per partition."""
+    lines.append("        vr, vi = v.real, v.imag")
+    for i in range(weights):
+        _assign(lines, "v", [(1, "v", f"q{i}")], "        ")
+    for i in range(n):
+        lines += [f"        t{i} = schur(lam{i}, pts)", f"        t{i}r, t{i}i = t{i}.real, t{i}.imag"]
+        _assign(lines, f"u{i}", [(1, f"t{i}", "v")], "        ")
 
 
 def _hermitian_sum(lifted, lams, size):
@@ -282,13 +327,14 @@ def _hermitian_sum(lifted, lams, size):
     `_walker`) as an n x n Scalar matrix, n = len(lams), and the count
     n^2 * #subsets.
 
-    The walk reads `schur` and `vandermonde` here, at call time, where a
-    tracer can wrap them.  The sum runs in the lifted type and each entry
+    The walk, the one compiled for the lifted kind, reads `schur` and
+    `vandermonde` here, at call time, where a tracer can wrap them.  The sum
+    runs in the lifted type, on int pairs for Gaussian data, and each entry
     (i, j) is wrapped once, divided by the lift's scaling of u_i conj(u_j).
     Only the upper triangle is summed; the lower one is its conjugate.
     """
     n = len(lams)
-    walk = _walker(n, size, lifted.fixed, lifted.w is not None)
+    walk = _walker(lifted.kind, n, size, lifted.fixed, lifted.w is not None)
     upper, count = walk(lifted.x, lifted.w, lams, schur, vandermonde)
     scales = [_lift_factor(lifted, lam, size) for lam in lams]
     out = [[None] * n for _ in range(n)]
@@ -533,7 +579,7 @@ def _append_b_columns(b, d, lifted):
     root = b.denominator_root if b.normalized else None
     lams, size = _drops(d), len(d) - 1
     scales = [_lift_factor(lifted, lam, size) for lam in lams]
-    walk = _walker(len(lams), size, lifted.fixed, lifted.w is not None, columns=True)
+    walk = _walker(lifted.kind, len(lams), size, lifted.fixed, lifted.w is not None, columns=True)
     for label, *u in walk(lifted.x, lifted.w, lams, schur, vandermonde):
         b.columns.append(label)
         for i, row in enumerate(b.entries):

@@ -27,17 +27,21 @@ The subset walker in `regress` calls `schur` and `vandermonde` once per
 subset and partition, mostly on bands of width lam1 <= 3, whose whole
 arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
 kept cheap: one type lookup and one code-cache lookup per call.  A native
-point's mode, zero and one come from one dict lookup on the type of its first
-entry (`_NATIVE`): float and complex points are inexact, int, Fraction and
-Gaussian points exact, all with the ints 0 and 1.  Scalar points, the empty
-point and any other type take `_kind`, which also refuses a Scalar point that
-mixes modes.  For narrow bands, and for V, each (lam, r) on at most
-UNROLL_MAX_POINTS points is compiled once into straight-line code that takes
-the same steps as `elem_sym_all`, `det` and the V loop, in the same order on
-the same operands, so values are bit-identical to theirs and only the loops,
-index rows and calls are gone.  A 3 x 3 band calls `_det3`, the cofactor
-expansion that `det` uses at order 3 in both modes.  Wider bands, such as the
-38- and 39-wide ones of (40, 20, 0), run the banded `det`.
+point's mode, zero and one, and the code tables to use, come from one dict
+lookup on the type of its first entry (`_NATIVE`): float and complex points
+are inexact, int, Fraction and Gaussian points exact, all with the ints 0 and
+1.  Scalar points, the empty point and any other type take `_kind`, which
+also refuses a Scalar point that mixes modes, and the generic tables.  For
+narrow bands, and for V, each (lam, r) on at most UNROLL_MAX_POINTS points is
+compiled once into straight-line code that takes the same steps as
+`elem_sym_all`, `det` and the V loop, in the same order on the same operands,
+so values are bit-identical to theirs and only the loops, index rows and
+calls are gone.  A 3 x 3 band calls `_det3`, the cofactor expansion that
+`det` uses at order 3 in both modes.  Wider bands, such as the 38- and
+39-wide ones of (40, 20, 0), run the banded `det`.  `_Gaussian` points, the
+kernel's numbers for exact complex data, have tables of their own, whose
+code takes the same steps on int pairs (see "Gaussian-int pairs" below) and
+returns one `_Gaussian`; their wide bands share the generic code.
 
 The bialternant ratio and the semistandard tableaux sum, independent
 cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
@@ -50,11 +54,6 @@ from fractions import Fraction
 
 from .numeric import Scalar, ScalarModeError, _Gaussian
 from .partitions import Partition, conjugate
-
-
-# (exact, zero, one) of a native point, by the type of its first entry: the
-# fast path of `schur` and `vandermonde`, which agrees with `_kind`
-_NATIVE = {t: (t not in (float, complex), 0, 1) for t in (float, complex, int, Fraction, _Gaussian)}
 
 
 def _kind(z):
@@ -96,8 +95,10 @@ def elem_sym_all(z):
 
 def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    one = 1 if not z or type(z[0]) in _NATIVE else _kind(z)[2]
-    return _vandermonde_code[len(z)](z, one)
+    kind = _NATIVE.get(type(z[0])) if z else None
+    if kind is None:
+        return _vandermonde_code[len(z)](z, _kind(z)[2])
+    return kind[4][len(z)](z, 1)
 
 
 def _vandermonde_loop(z, one):
@@ -255,6 +256,49 @@ def _vandermonde_code(r):
     return _compiled("vandermonde", f"r={r}", lines + ["    return v"])
 
 
+def _source(terms):
+    """The sum of `terms`, tuples (coefficient, name, ...) each standing for
+    the product of its coefficient and names, as source in the order given;
+    "0" if there is none."""
+    out = ""
+    for c, *names in terms:
+        term = " * ".join(names if abs(c) == 1 and names else [str(abs(c)), *names])
+        if out:
+            out += f" {'-' if c < 0 else '+'} {term}"
+        else:
+            out = f"-{term}" if c < 0 else term
+    return out or "0"
+
+
+def _set(lines, target, terms):
+    """Append the statement setting `target` to the sum of `terms` (see
+    `_source`), in that order of operations."""
+    lines.append(f"    {target} = {_source(terms)}")
+
+
+def _band(idx, r, lines, assign):
+    """The entry names of the narrow band with the index rows `idx` on r
+    points, "zero" outside it, once `assign(lines, target, terms)` has
+    written the steps of `elem_sym_all` up to the highest e_k the band
+    reads; e_0 is "one"."""
+    top = max(k for row in idx for k in row if k is not None)
+    name = ["one", *(f"e{k}" for k in range(1, top + 1))]
+    for j in range(r):
+        if j < top:
+            assign(lines, name[j + 1], [(1, name[j], f"z{j}")])
+        for k in range(min(j, top), 0, -1):
+            assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")])
+    return [[name[k] if k is not None else "zero" for k in row] for row in idx]
+
+
+def _det_terms(entries):
+    """`det`'s 1 x 1 or 2 x 2 formula on the entry names, as terms."""
+    if len(entries) == 1:
+        return [(1, entries[0][0])]
+    (a, b), (c, d) = entries
+    return [(1, a, d), (-1, b, c)]
+
+
 @_Codes
 def _schur_code(key):
     """s_lam on r points as a function of (z, exact, zero, one), for the key
@@ -277,32 +321,132 @@ def _schur_code(key):
             return det([[e[k] if k is not None else zero for k in row] for row in idx], exact)
 
         return banded
-    top = max(k for row in idx for k in row if k is not None)
-    name = ["one", *(f"e{k}" for k in range(1, top + 1))]
     lines = ["def schur(z, exact, zero, one):", _unpack(r)]
-    for j in range(r):
-        if j < top:
-            lines.append(f"    {name[j + 1]} = {name[j]} * z{j}")
-        lines += [f"    {name[k]} = {name[k]} + {name[k - 1]} * z{j}" for k in range(min(j, top), 0, -1)]
-    entries = [[name[k] if k is not None else "zero" for k in row] for row in idx]
-    if len(entries) == 1:
-        lines.append(f"    return {entries[0][0]}")
-    elif len(entries) == 2:
-        (a, b), (c, d) = entries
-        lines.append(f"    return {a} * {d} - {b} * {c}")
+    entries = _band(idx, r, lines, _set)
+    if len(entries) < 3:
+        lines.append(f"    return {_source(_det_terms(entries))}")
     else:
         lines.append(f"    return _det3({', '.join(k for row in entries for k in row)})")
     return _compiled("schur", f"{parts} r={r}", lines)
+
+
+# -- Gaussian-int pairs ------------------------------------------------------
+#
+# The codes of `_Gaussian` points, the kernel's number for exact complex data,
+# take the steps of the codes above on the parts of each number, kept in
+# locals: a point z0 becomes the locals z0r and z0i, and a step such as
+# e2 = e2 + e1 * z1 one statement that sets e2r and e2i.  `_assign` writes
+# every such statement, here and in the subset walker of `regress`.  Exact
+# values do not depend on the order of operations, so the band's zero and one
+# entries fold away; the points' parts share one type, int or Fraction, which
+# every part computed from them keeps, as in the generic code.
+
+
+def _monomials(factor):
+    """The (real, imaginary) parts of one factor as lists of terms (see
+    `_source`): "one" and "zero" are the ints, "p" the pair of locals pr, pi
+    and "~p" its conjugate."""
+    if factor in ("one", "zero"):
+        return [(1,)] if factor == "one" else [], []
+    name = factor.lstrip("~")
+    return [(1, name + "r")], [(-1 if factor[0] == "~" else 1, name + "i")]
+
+
+def _times(a, b):
+    """The product of two sums of terms, as a sum of terms."""
+    return [(c * d, *m, *n) for c, *m in a for d, *n in b]
+
+
+def _pair(terms):
+    """The real and imaginary parts of the sum of `terms`, tuples (sign,
+    factor, ...) of factors (see `_monomials`), as lists of terms with like
+    terms collected, so that a zero factor drops its term and u conj(u) has
+    no imaginary part."""
+    parts = ({}, {})
+    for sign, *factors in terms:
+        re, im = [(sign,)], []
+        for f in factors:
+            fr, fi = _monomials(f)
+            re, im = _times(re, fr) + _times(im, [(-c, *m) for c, *m in fi]), _times(re, fi) + _times(im, fr)
+        for acc, monomials in zip(parts, (re, im)):
+            for c, *names in monomials:
+                key = tuple(sorted(names))
+                acc[key] = acc.get(key, 0) + c
+    return tuple([(c, *names) for names, c in acc.items() if c] for acc in parts)
+
+
+def _assign(lines, target, terms, indent="    "):
+    """Append to `lines` the statement that sets the pair `target` to the
+    sum of `terms` (see `_pair`); a part that keeps its value is not set."""
+    sets = [(target + part, _source(v)) for part, v in zip("ri", _pair(terms))]
+    sets = [(t, v) for t, v in sets if t != v]
+    lines.append(f"{indent}{', '.join(t for t, _ in sets)} = {', '.join(v for _, v in sets)}")
+
+
+def _unpack_pairs(r):
+    """Statements binding the r >= 1 entries of point z to z0, z1, ... and
+    their parts to z0r, z0i, z1r, z1i, ..."""
+    names = [f"z{i}" for i in range(r)]
+    parts = ", ".join(f"{p}r, {p}i" for p in names)
+    return [_unpack(r), f"    {parts} = {', '.join(f'{p}.real, {p}.imag' for p in names)}"]
+
+
+@_Codes
+def _gaussian_vandermonde_code(r):
+    """V on r `_Gaussian` points: `_vandermonde_code`'s unrolled steps on int
+    pairs, returning one `_Gaussian`; fewer than two points, which give
+    `one`, and more than UNROLL_MAX_POINTS take `_vandermonde_code`."""
+    if r < 2 or r > UNROLL_MAX_POINTS:
+        return _vandermonde_code[r]
+    lines = ["def vandermonde(z, one):", *_unpack_pairs(r)]
+    _assign(lines, "v", [(1, "z0"), (-1, "z1")])  # one * (z0 - z1)
+    for i, j in [(i, j) for i in range(r) for j in range(i + 1, r)][1:]:
+        _assign(lines, "d", [(1, f"z{i}"), (-1, f"z{j}")])
+        _assign(lines, "v", [(1, "v", "d")])
+    return _compiled("vandermonde", f"r={r} gaussian", lines + ["    return _Gaussian(vr, vi)"], _Gaussian=_Gaussian)
+
+
+@_Codes
+def _gaussian_schur_code(key):
+    """s_lam on r `_Gaussian` points, for the key of `_schur_code`: its
+    straight-line steps on int pairs, returning one `_Gaussian`, with the
+    3 x 3 cofactor expansion of `_det3` written out; the other keys take
+    `_schur_code`."""
+    parts, r = key
+    if not parts or len(parts) > r or parts[0] > 3 or r > UNROLL_MAX_POINTS:
+        return _schur_code[key]
+    lines = ["def schur(z, exact, zero, one):", *_unpack_pairs(r)]
+    entries = _band(_jacobi_trudi_indices(parts, r), r, lines, _assign)
+    if len(entries) < 3:
+        terms = _det_terms(entries)
+    else:  # cofactors along the first row, skipping its zero entries
+        (a, b, c), (d, e, f), (g, h, i) = entries
+        terms = [(1, a, "c0"), (-1, b, "c1"), (1, c, "c2")]
+        for lead, cofactor, (p, q, s, t) in zip((a, b, c), ("c0", "c1", "c2"), [(e, i, f, h), (d, i, f, g), (d, h, e, g)]):
+            if lead != "zero":
+                _assign(lines, cofactor, [(1, p, q), (-1, s, t)])
+    _assign(lines, "s", terms)
+    return _compiled("schur", f"{parts} r={r} gaussian", lines + ["    return _Gaussian(sr, si)"], _Gaussian=_Gaussian)
+
+
+# (exact, zero, one, Schur codes, Vandermonde codes) of a native point, by the
+# type of its first entry: the fast path of `schur` and `vandermonde`, whose
+# first three entries agree with `_kind`
+_NATIVE = {
+    t: (t not in (float, complex), 0, 1, _schur_code, _vandermonde_code) for t in (float, complex, int, Fraction)
+}
+_NATIVE[_Gaussian] = (True, 0, 1, _gaussian_schur_code, _gaussian_vandermonde_code)
 
 
 def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
-    The mode of a float, complex, int, Fraction or Gaussian point is one
-    lookup in `_NATIVE`; other points go through `_kind`.  The code for
-    (lam, len(z)) is compiled once; see `_schur_code`.
+    The mode and the code table of a float, complex, int, Fraction or
+    Gaussian point are one lookup in `_NATIVE`; other points go through
+    `_kind` to the generic table.  The code for (lam, len(z)) is compiled
+    once; see `_schur_code` and `_gaussian_schur_code`.
     """
     kind = _NATIVE.get(type(z[0])) if z else None
-    exact, zero, one = _kind(z) if kind is None else kind
-    return _schur_code[lam._normalized, len(z)](z, exact, zero, one)
+    exact, zero, one, codes, _ = (*_kind(z), _schur_code, None) if kind is None else kind
+    return codes[lam._normalized, len(z)](z, exact, zero, one)

@@ -429,23 +429,24 @@ def test_stream_refuses_malformed_snapshot(tmp_path, capsys, corrupt, mode):
 
 @pytest.mark.parametrize(
     "edit",
-    [{"degrees": [1.9, 0.2]}, {"evaluations": 7.9}],
-    ids=["fractional-degrees", "fractional-evaluations"],
+    [{"degrees": [1.9, 0.2]}, {"evaluations": 7.9}, {"degrees": [True, False]}],
+    ids=["fractional-degrees", "fractional-evaluations", "boolean-degrees"],
 )
 def test_stream_refuses_non_integral_snapshot_numbers(tmp_path, capsys, edit):
-    # truncating 1.9, 0.2 to the asked-for degrees (1, 0) would let this load
+    # truncating 1.9, 0.2 to the asked-for degrees (1, 0), or reading JSON's
+    # true, false as 1, 0, would let this load
     path = tmp_path / "d.csv"
     path.write_text("x,y\n1,1\n2,2\n3,5\n")
     snap = tmp_path / "state.json"
     argv = ["stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path)]
     assert run(capsys, *argv)[0] == EXIT_OK
     snap.write_text(json.dumps({**json.loads(snap.read_text()), **edit}))
-    saved = snap.read_text()
+    saved = snap.read_bytes()
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and "is not an integer" in err and err.count("\n") == 1
-    assert snap.read_text() == saved
+    assert snap.read_bytes() == saved
 
 
 def test_stream_refuses_a_snapshot_with_a_zero_weight(tmp_path, capsys):

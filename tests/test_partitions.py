@@ -28,9 +28,12 @@ def test_exponents_validation():
 
 @pytest.mark.parametrize("make", [Exponents, Partition])
 def test_non_integral_numbers_are_refused(make):
-    # int() would truncate 3.7 to 3; integral floats still count as integers
+    # int() would truncate 3.7 to 3 and read True as 1; integral floats
+    # still count as integers
     with pytest.raises(ValueError, match="3.7 is not an integer"):
         make((3.7, 1.2, 0))
+    with pytest.raises(ValueError, match="True is not an integer"):
+        make((3, True, 0))
     assert make((3.0, 1, 0)) == make((3, 1, 0))
 
 

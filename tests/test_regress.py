@@ -578,7 +578,9 @@ def test_extend_b_matrix_beyond_the_float_range_raises_overflow_error():
 
 def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
     # a traced benchmark run counts subsets by wrapping regress.schur and
-    # regress.vandermonde, so the kernel must call exactly those names
+    # regress.vandermonde, so the kernel must call exactly those names, once
+    # per subset and partition and once per subset, in fits and appends,
+    # also where it sums exact Gaussian data on int pairs
     calls = Counter()
 
     def counting(name, fn, point_arg):
@@ -590,13 +592,29 @@ def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
 
     monkeypatch.setattr(regress, "schur", counting("schur", regress.schur, 1))
     monkeypatch.setattr(regress, "vandermonde", counting("vandermonde", regress.vandermonde, 0))
-    fit(Exponents((4, 2, 0)), well_conditioned_dataset(random.Random(43), 12))
-    assert calls == {
-        ("vandermonde", 3): comb(12, 3),
-        ("vandermonde", 2): comb(12, 2),
-        ("schur", 3): comb(12, 3),
-        ("schur", 2): 3 * comb(12, 2),
-    }
+    d = Exponents((4, 2, 0))
+    exact_gaussian = random_dataset(random.Random(43), 15, complex_=True, weighted=True)
+    assert regress._lift(exact_gaussian).kind is _Gaussian
+    for data in (well_conditioned_dataset(random.Random(43), 12), exact_gaussian):
+        m, w = data.m, data.w or [None] * data.m
+        calls.clear()
+        fit(d, data)
+        # 770 schur and 560 vandermonde calls on the 15 exact Gaussian points
+        assert calls == {
+            ("vandermonde", 3): comb(m, 3),
+            ("vandermonde", 2): comb(m, 2),
+            ("schur", 3): comb(m, 3),
+            ("schur", 2): 3 * comb(m, 2),
+        }
+        state = init_state(d, DataSet(data.x[:-1], data.y[:-1], data.w and data.w[:-1]))
+        calls.clear()
+        update(state, data.x[-1], data.y[-1], w[-1])
+        assert calls == {
+            ("vandermonde", 3): comb(m - 1, 2),
+            ("vandermonde", 2): m - 1,
+            ("schur", 3): comb(m - 1, 2),
+            ("schur", 2): 3 * (m - 1),
+        }
 
 
 def _reference_schur_case(weighted):
@@ -806,19 +824,20 @@ def _parts(values):
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("fixed", [0, 1])
 def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
-    # the generated walk sums and lists what the per-subset loop in
-    # `_helpers` does, value for value and bit for bit, with the same count,
-    # column labels and column order
+    # the generated walk of each lifted kind, on int pairs for `_Gaussian`
+    # points, sums and lists what the per-subset loop in `_helpers` does,
+    # value for value and bit for bit, with the same count, column labels
+    # and column order; an empty walk's sums stay the int 0
     rng = random.Random(f"{kind.__name__}-{weighted}-{fixed}")
     for lams, size, counts in _WALKS:
         for m in counts:
             x, w = _walker_points(kind, m, rng)
             w = w if weighted else None
-            sums, count = regress._walker(len(lams), size, fixed, weighted)(x, w, lams, schur, vandermonde)
+            sums, count = regress._walker(kind, len(lams), size, fixed, weighted)(x, w, lams, schur, vandermonde)
             want_sums, want_count = hermitian_sums(x, w, fixed, lams, size)
             assert count == want_count, (lams, size, m)
             assert _parts(sums) == _parts(want_sums), (lams, size, m)
-            walk = regress._walker(len(lams), size, fixed, weighted, columns=True)
+            walk = regress._walker(kind, len(lams), size, fixed, weighted, columns=True)
             columns = [(label, _parts(u)) for label, *u in walk(x, w, lams, schur, vandermonde)]
             want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
             assert columns == want, (lams, size, m)

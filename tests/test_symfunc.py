@@ -15,6 +15,8 @@ from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
     _NATIVE,
     _det3,
+    _gaussian_schur_code,
+    _gaussian_vandermonde_code,
     _kind,
     _schur_code,
     _vandermonde_code,
@@ -429,9 +431,14 @@ def test_exact_det_pivots_on_a_gaussian_unit():
 @pytest.mark.parametrize("kind", NATIVE_POINTS)
 def test_native_fast_path_agrees_with_kind(kind):
     # `schur` and `vandermonde` read a native point's mode off the type of its
-    # first entry; `_kind` reads it the long way and must agree
+    # first entry; `_kind` reads it the long way and must agree.  The same
+    # lookup selects the code tables: Gaussian ones for `_Gaussian` points
     z = NATIVE_POINTS[kind]
-    assert _NATIVE[type(z[0])] == _kind(z)
+    exact, zero, one, schur_codes, vandermonde_codes = _NATIVE[type(z[0])]
+    assert (exact, zero, one) == _kind(z)
+    gaussian = kind == "gaussian"
+    assert schur_codes is (_gaussian_schur_code if gaussian else _schur_code)
+    assert vandermonde_codes is (_gaussian_vandermonde_code if gaussian else _vandermonde_code)
 
 
 def test_points_that_mix_exact_and_float_scalars_are_refused():
@@ -472,6 +479,7 @@ def _point_kinds(rng, r):
         "int": tuple(rng.randint(-9, 9) for _ in range(r)),
         "fraction": tuple(rational(rng) for _ in range(r)),
         "gaussian": tuple(_Gaussian(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(r)),
+        "gaussian_fraction": tuple(_Gaussian(rational(rng), rational(rng)) for _ in range(r)),
         "exact_scalar": tuple(Scalar.from_exact(rational(rng), rational(rng)) for _ in range(r)),
         "float_scalar": tuple(Scalar.from_float(real(), real()) for _ in range(r)),
     }
@@ -538,9 +546,10 @@ def _assert_within_det3_bound(got, rows):
 
 @pytest.mark.parametrize("r", range(7))
 def test_straight_line_code_matches_the_loops_and_det(r):
-    # V and the bands of width lam1 <= 3 run generated straight-line code; it
-    # must give the value, the type and, in float mode, the bits of the loop
-    # and of the rows-and-det route.  A float 3 x 3 band, which both routes
+    # V and the bands of width lam1 <= 3 run generated straight-line code, on
+    # int pairs for Gaussian points with int or Fraction parts; it must give
+    # the value, the type and, in float mode, the bits of the loop and of the
+    # rows-and-det route.  A float 3 x 3 band, which both routes
     # evaluate with `_det3`, is also held to the exact determinant of its
     # binary64 entries
     rng = random.Random(100 + r)
@@ -684,14 +693,18 @@ def test_each_generated_function_has_its_own_source_name():
         _schur_code[(3, 2), 3],
         _vandermonde_code[3],
         _vandermonde_code[4],
-        _walker(3, 3, 0, False),
-        _walker(3, 2, 1, True),
+        _walker(float, 3, 3, 0, False),
+        _walker(float, 3, 2, 1, True),
+        _gaussian_schur_code[(2, 1), 3],
+        _gaussian_vandermonde_code[3],
+        _walker(_Gaussian, 3, 2, 1, True),
     ]
     names = [code.__code__.co_filename for code in codes]
     assert len(set(names)) == len(names), names
     assert names[1] == "<schurfit schur (3, 2) r=3>"
+    assert names[6] == "<schurfit schur (2, 1) r=3 gaussian>"
     profile = cProfile.Profile()
-    z = (0.5, 1.5, -2.0)
-    profile.runcall(lambda: [schur(Partition(parts), z) for parts in [(2, 1), (3, 2)]])
+    z, g = (0.5, 1.5, -2.0), (_Gaussian(1, 2), _Gaussian(0, -1), _Gaussian(3, 0))
+    profile.runcall(lambda: [schur(Partition(parts), p) for parts in [(2, 1), (3, 2)] for p in (z, g)])
     profiled = {key[0] for key in pstats.Stats(profile).stats if key[2] == "schur"}
-    assert {"<schurfit schur (2, 1) r=3>", "<schurfit schur (3, 2) r=3>"} <= profiled
+    assert {"<schurfit schur (2, 1) r=3>", "<schurfit schur (3, 2) r=3>", names[6]} <= profiled
