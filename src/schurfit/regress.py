@@ -17,10 +17,11 @@ straight-line code that walks the subsets in lexicographic order, forms the
 vector u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps
 the upper triangle of the sum of u u* in locals (`_hermitian_sum`) or lists
 the u vectors with their labels, which `_append_b_columns` turns into B's
-signed columns.  For exact Gaussian data, the slow kind when every step
-makes a `_Gaussian`, the walker computes on int pairs: it unpacks each
-Schur value, V and weight into int locals, keeps u and the sums as pairs,
-and makes one `_Gaussian` of each sum or B entry.  The pseudoinverse B B* A*
+signed columns.  Its one body is written by `symfunc._assign` with the
+`pairs` flag that the number kind sets: for exact Gaussian data, the slow
+kind when every step makes a `_Gaussian`, the same statements run on int
+pairs, each Schur value, V and weight unpacked into int locals, and make
+one `_Gaussian` of each sum or B entry.  The pseudoinverse B B* A*
 uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
 
 The walker computes on plain numbers: `_lift` converts points, weights and
@@ -47,7 +48,7 @@ from sys import float_info
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_drop, lambda_from_degrees
-from .symfunc import _assign, _compiled, schur, vandermonde
+from .symfunc import _assign, _compiled, _split, _value, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -239,87 +240,69 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
     With `columns` it returns instead one (label, u_0, ..., u_{n-1}) per
     subset, the label being the subset's 1-based point numbers.
 
-    For `_Gaussian` points, whose u are `_Gaussian`s whenever a subset holds
-    two points or a weight, the walk unpacks each Schur value, V and weight
-    into its int parts and keeps u and the sums as pairs of int locals
-    (`symfunc._assign`); each sum becomes one `_Gaussian` at the end, or
-    stays the int 0 if no subset was walked.
+    Every statement is written by `symfunc._assign`.  For `_Gaussian`
+    points, whose u are `_Gaussian`s whenever a subset holds two points or a
+    weight, it gets the `pairs` flag: the walk unpacks each Schur value, V and
+    weight into its int parts and keeps u and the sums as pairs of int
+    locals; each sum becomes one `_Gaussian` at the end, or stays the int 0
+    if no subset was walked.
     """
     k = size - fixed  # points chosen besides the fixed ones
     pairs = kind is _Gaussian and k >= 0 and (size > 1 or weighted and size > 0)
     ij = [(i, j) for i in range(n) for j in range(i, n)]
-    if pairs:  # a diagonal sum's imaginary part stays 0; see the return
-        sums = [f"s{i}_{j}r" for i, j in ij] + [f"s{i}_{j}i" for i, j in ij if i < j]
-    else:
-        sums = [f"s{i}_{j}" for i, j in ij]
+    sums, weights = [f"s{i}_{j}" for i, j in ij], [f"q{i}" for i in range(size if weighted else 0)]
     lines = [
         "def walk(x, w, lams, schur, vandermonde):",
         "    " + "".join(f"lam{i}, " for i in range(n)) + "= lams",
         f"    m = len(x) - {fixed}",
-        "    out = []" if columns else f"    {' = '.join(sums)} = 0",
+        "    out = []" if columns else f"    {' = '.join(f'{s}r = {s}i' if pairs else s for s in sums)} = 0",
     ]
-    if pairs and weighted:
-        lines.append("    w = [(q.real, q.imag) for q in w]")
-    weight = (lambda i: f"(q{i}r, q{i}i)") if pairs else (lambda i: f"q{i}")
+    body = "        "
     if k >= 0:
         targets, sources = ["head" if fixed else "pts"], [f"combinations(x[:m], {k})"]
-        if weighted and k:
-            targets.append("(" + "".join(f"{weight(i)}, " for i in range(k)) + ")")
+        if weights and k:
+            targets.append("(" + "".join(f"{q}, " for q in weights[:k]) + ")")
             sources.append(f"combinations(w[:m], {k})")
         if columns:
             targets.append("label")
             sources.append(f"combinations(range(1, m + 1), {k})")
         if fixed:
             lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
-        if fixed and weighted:
-            lines.append("    " + "".join(f"{weight(i)}, " for i in range(k, size)) + "= w[m:]")
+        if fixed and weights:
+            lines += ["    " + "".join(f"{q}, " for q in weights[k:]) + "= w[m:]", *_split(weights[k:], pairs)]
         if len(sources) == 1:
             lines.append(f"    for {targets[0]} in {sources[0]}:")
         else:
             lines.append(f"    for {', '.join(targets)} in zip({', '.join(sources)}):")
+        if weights and k:
+            lines += _split(weights[:k], pairs, body)
         if fixed:
-            lines.append("        pts = head + tail")
-        lines.append("        v = vandermonde(pts)")
-        if pairs:
-            _pair_terms(lines, n, size if weighted else 0)
-        else:
-            if weighted:
-                lines += [f"        v = v * q{i}" for i in range(size)]
-            lines += [f"        u{i} = schur(lam{i}, pts) * v" for i in range(n)]
+            lines.append(f"{body}pts = head + tail")
+        lines += [f"{body}v = vandermonde(pts)", *_split(["v"], pairs, body)]
+        for q in weights:
+            _assign(lines, "v", [(1, "v", q)], pairs, body)
+        for i in range(n):
+            lines += [f"{body}t{i} = schur(lam{i}, pts)", *_split([f"t{i}"], pairs, body)]
+            _assign(lines, f"u{i}", [(1, f"t{i}", "v")], pairs, body)
         if columns:
             label = "label + tail_label" if fixed else "label"
-            u = "".join(f"_Gaussian(u{i}r, u{i}i), " if pairs else f"u{i}, " for i in range(n))
-            lines.append(f"        out.append(({label}, {u}))")
-        elif pairs:
-            for i, j in ij:
-                _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], "        ")
+            u = "".join(_value(f"u{i}", pairs) + ", " for i in range(n))
+            lines.append(f"{body}out.append(({label}, {u}))")
         else:
-            lines += [f"        c{i} = u{i}.conjugate()" for i in range(n)]
-            lines += [f"        s{i}_{j} = s{i}_{j} + u{i} * c{j}" for i, j in ij]
+            for i, j in ij:
+                _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], pairs, body)
     if columns:
         lines.append("    return out")
-    elif pairs:
-        # u_i conj(u_i) is real, so a diagonal sum's imaginary part is never
-        # set; it is 0 in the type of the real part: int or, after a banded
-        # `det`, Fraction
-        wrapped = "".join(f"_Gaussian(s{i}_{j}r, {f's{i}_{j}i' if i < j else f'0 * s{i}_{j}r'}), " for i, j in ij)
-        lines.append(f"    return (({wrapped}) if m >= {k} else ({'0, ' * len(ij)})), comb(m, {k})")
     else:
-        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), {'comb(m, %d)' % k if k >= 0 else 0}")
+        # u_i conj(u_i) is real, so `_assign` never sets the imaginary part
+        # of a diagonal pair sum; it is 0 in the type of the real part: int
+        # or, after a banded `det`, Fraction.  An empty walk's sums stay 0.
+        lines += [f"    s{i}_{i}i = 0 * s{i}_{i}r" for i in range(n) if pairs]
+        values = "".join(f"{_value(s, pairs)}, " for s in sums)
+        count = f"comb(m, {k})" if k >= 0 else "0"
+        lines.append(f"    return (({values}) if m >= {k} else ({'0, ' * len(sums)})), {count}")
     signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns} {kind.__name__}"
-    return _compiled("walk", signature, lines, combinations=combinations, comb=comb, _Gaussian=_Gaussian)
-
-
-def _pair_terms(lines, n, weights):
-    """Append to a walk's loop body the statements that form the int pairs
-    u0r, u0i, ..., from v, the V of the subset, its first `weights` weights
-    q0r, q0i, ... and one `schur` call per partition."""
-    lines.append("        vr, vi = v.real, v.imag")
-    for i in range(weights):
-        _assign(lines, "v", [(1, "v", f"q{i}")], "        ")
-    for i in range(n):
-        lines += [f"        t{i} = schur(lam{i}, pts)", f"        t{i}r, t{i}i = t{i}.real, t{i}.imag"]
-        _assign(lines, f"u{i}", [(1, f"t{i}", "v")], "        ")
+    return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
 
 
 def _hermitian_sum(lifted, lams, size):

@@ -31,17 +31,19 @@ point's mode, zero and one, and the code tables to use, come from one dict
 lookup on the type of its first entry (`_NATIVE`): float and complex points
 are inexact, int, Fraction and Gaussian points exact, all with the ints 0 and
 1.  Scalar points, the empty point and any other type take `_kind`, which
-also refuses a Scalar point that mixes modes, and the generic tables.  For
+also refuses a Scalar point that mixes modes, and the plain tables.  For
 narrow bands, and for V, each (lam, r) on at most UNROLL_MAX_POINTS points is
 compiled once into straight-line code that takes the same steps as
 `elem_sym_all`, `det` and the V loop, in the same order on the same operands,
 so values are bit-identical to theirs and only the loops, index rows and
-calls are gone.  A 3 x 3 band calls `_det3`, the cofactor expansion that
-`det` uses at order 3 in both modes.  Wider bands, such as the 38- and
-39-wide ones of (40, 20, 0), run the banded `det`.  `_Gaussian` points, the
-kernel's numbers for exact complex data, have tables of their own, whose
-code takes the same steps on int pairs (see "Gaussian-int pairs" below) and
-returns one `_Gaussian`; their wide bands share the generic code.
+calls are gone.  A 3 x 3 band writes out `_det3`, the cofactor expansion
+that `det` uses at order 3 in both modes.  Wider bands, such as the 38- and
+39-wide ones of (40, 20, 0), run the banded `det`.  One writer, `_assign`,
+writes every statement of this code and of the subset walker in `regress`,
+with a `pairs` flag that only the point type sets: `_Gaussian` points, the
+kernel's numbers for exact complex data, have tables of their own, filled
+by the same builders with `pairs`, whose code takes the same steps on int
+pairs (see "The statement writer" below) and returns one `_Gaussian`.
 
 The bialternant ratio and the semistandard tableaux sum, independent
 cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
@@ -172,8 +174,8 @@ def det(rows, exact):
 
 def _det3(a, b, c, d, e, f, g, h, i):
     """Determinant of the rows (a, b, c), (d, e, f), (g, h, i) as the cofactor
-    expansion along the first row, for `det` of order 3 and the Schur code of
-    bands of width 3, in both modes.
+    expansion along the first row, for `det` of order 3 in both modes; the
+    Schur code of bands of width 3 writes out the same steps.
 
     Exact arithmetic gives the one exact value in any order of operations.  In
     floating point no pivot is needed for a forward error bound: a monomial
@@ -216,44 +218,44 @@ UNROLL_MAX_POINTS = 16
 
 def _compiled(name, signature, lines, **scope):
     """The function `name` defined by the source `lines`, which may call
-    `_det3` and the names in `scope`.
+    `_Gaussian` and the names in `scope`.
 
     The source is compiled under the file name "<schurfit name signature>",
     so that a profile reports each generated function on its own line.
     """
-    namespace = {"_det3": _det3, **scope}
+    namespace = {"_Gaussian": _Gaussian, **scope}
     exec(compile("\n".join(lines), f"<schurfit {name} {signature}>", "exec"), namespace)
     return namespace[name]
 
 
 class _Codes(dict):
-    """Generated functions by key, each built by `build(key)` on its first
-    lookup.  A subscript costs no call, unlike an `lru_cache` wrapper, and
-    `schur` and `vandermonde` make one per call."""
+    """Generated functions by key, each built by `build(key, pairs)` on its
+    first lookup.  A subscript costs no call, unlike an `lru_cache` wrapper,
+    and `schur` and `vandermonde` make one per call."""
 
-    def __init__(self, build):
+    def __init__(self, build, pairs):
         super().__init__()
-        self.build = build
+        self.build, self.pairs = build, pairs
 
     def __missing__(self, key):
-        self[key] = code = self.build(key)
+        self[key] = code = self.build(key, self.pairs)
         return code
 
 
-def _unpack(r):
-    """A statement binding the r >= 1 entries of point z to z0, z1, ..."""
-    return "    " + "".join(f"z{i}, " for i in range(r)) + "= z"
-
-
-@_Codes
-def _vandermonde_code(r):
-    """V on r points as a function of (z, one): `_vandermonde_loop`, or on at
-    most UNROLL_MAX_POINTS points its steps unrolled."""
-    if r > UNROLL_MAX_POINTS:
-        return _vandermonde_loop
-    lines = ["def vandermonde(z, one):", _unpack(r) if r else "", "    v = one"]
-    lines += [f"    v = v * (z{i} - z{j})" for i in range(r) for j in range(i + 1, r)]
-    return _compiled("vandermonde", f"r={r}", lines + ["    return v"])
+# -- The statement writer ----------------------------------------------------
+#
+# Every statement of the generated Schur, Vandermonde and walker code is
+# written by `_assign` from terms, tuples (coefficient, factor, ...) that
+# stand for the product of the coefficient and the factors, summed.  The
+# `pairs` flag, set for `_Gaussian` points only, the kernel's numbers for
+# exact complex data, selects how.  Without it the statement is the terms
+# as given, in that order of operations, so values are bit-identical to the
+# loops'.  With it each number is kept in two locals, its parts: a point z0
+# becomes z0r and z0i, and a step such as e2 = e2 + e1 * z1 one statement
+# that sets e2r and e2i.  Exact values do not depend on the order of
+# operations, so there the band's zero and one entries fold away and like
+# terms are collected; the points' parts share one type, int or Fraction,
+# which every part computed from them keeps, as `_Gaussian`'s operators do.
 
 
 def _source(terms):
@@ -268,78 +270,6 @@ def _source(terms):
         else:
             out = f"-{term}" if c < 0 else term
     return out or "0"
-
-
-def _set(lines, target, terms):
-    """Append the statement setting `target` to the sum of `terms` (see
-    `_source`), in that order of operations."""
-    lines.append(f"    {target} = {_source(terms)}")
-
-
-def _band(idx, r, lines, assign):
-    """The entry names of the narrow band with the index rows `idx` on r
-    points, "zero" outside it, once `assign(lines, target, terms)` has
-    written the steps of `elem_sym_all` up to the highest e_k the band
-    reads; e_0 is "one"."""
-    top = max(k for row in idx for k in row if k is not None)
-    name = ["one", *(f"e{k}" for k in range(1, top + 1))]
-    for j in range(r):
-        if j < top:
-            assign(lines, name[j + 1], [(1, name[j], f"z{j}")])
-        for k in range(min(j, top), 0, -1):
-            assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")])
-    return [[name[k] if k is not None else "zero" for k in row] for row in idx]
-
-
-def _det_terms(entries):
-    """`det`'s 1 x 1 or 2 x 2 formula on the entry names, as terms."""
-    if len(entries) == 1:
-        return [(1, entries[0][0])]
-    (a, b), (c, d) = entries
-    return [(1, a, d), (-1, b, c)]
-
-
-@_Codes
-def _schur_code(key):
-    """s_lam on r points as a function of (z, exact, zero, one), for the key
-    (normalized parts of lam, r).
-
-    A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS points is
-    straight-line code: `elem_sym_all` unrolled up to the highest e_k the
-    matrix reads, then `det`'s 1 x 1 or 2 x 2 formula or a call of `_det3` on
-    the same entries, with `zero` outside the band.  Otherwise the e_k fill
-    the rows of `det`.
-    """
-    parts, r = key
-    if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
-        return lambda z, exact, zero, one: zero if parts else one
-    idx = _jacobi_trudi_indices(parts, r)
-    if len(idx) > 3 or r > UNROLL_MAX_POINTS:
-
-        def banded(z, exact, zero, one):
-            e = elem_sym_all(z)
-            return det([[e[k] if k is not None else zero for k in row] for row in idx], exact)
-
-        return banded
-    lines = ["def schur(z, exact, zero, one):", _unpack(r)]
-    entries = _band(idx, r, lines, _set)
-    if len(entries) < 3:
-        lines.append(f"    return {_source(_det_terms(entries))}")
-    else:
-        lines.append(f"    return _det3({', '.join(k for row in entries for k in row)})")
-    return _compiled("schur", f"{parts} r={r}", lines)
-
-
-# -- Gaussian-int pairs ------------------------------------------------------
-#
-# The codes of `_Gaussian` points, the kernel's number for exact complex data,
-# take the steps of the codes above on the parts of each number, kept in
-# locals: a point z0 becomes the locals z0r and z0i, and a step such as
-# e2 = e2 + e1 * z1 one statement that sets e2r and e2i.  `_assign` writes
-# every such statement, here and in the subset walker of `regress`.  Exact
-# values do not depend on the order of operations, so the band's zero and one
-# entries fold away; the points' parts share one type, int or Fraction, which
-# every part computed from them keeps, as in the generic code.
 
 
 def _monomials(factor):
@@ -375,58 +305,116 @@ def _pair(terms):
     return tuple([(c, *names) for names, c in acc.items() if c] for acc in parts)
 
 
-def _assign(lines, target, terms, indent="    "):
-    """Append to `lines` the statement that sets the pair `target` to the
-    sum of `terms` (see `_pair`); a part that keeps its value is not set."""
+def _assign(lines, target, terms, pairs, indent="    "):
+    """Append to `lines` the statement that sets `target` to the sum of
+    `terms`, tuples (sign, factor, ...) whose factor "~p" is the conjugate
+    of p.  Without `pairs` it is the terms in the order given; with `pairs`
+    it sets the parts of `target` (see `_pair`), and a part that keeps its
+    value is not set."""
+    if not pairs:
+        terms = [(c, *(f"{f[1:]}.conjugate()" if f[0] == "~" else f for f in fs)) for c, *fs in terms]
+        lines.append(f"{indent}{target} = {_source(terms)}")
+        return
     sets = [(target + part, _source(v)) for part, v in zip("ri", _pair(terms))]
     sets = [(t, v) for t, v in sets if t != v]
     lines.append(f"{indent}{', '.join(t for t, _ in sets)} = {', '.join(v for _, v in sets)}")
 
 
-def _unpack_pairs(r):
-    """Statements binding the r >= 1 entries of point z to z0, z1, ... and
-    their parts to z0r, z0i, z1r, z1i, ..."""
-    names = [f"z{i}" for i in range(r)]
+def _split(names, pairs, indent="    "):
+    """With `pairs`, the statement binding the parts of each of `names` to
+    its locals namer, namei; without, no statement."""
+    if not pairs:
+        return []
     parts = ", ".join(f"{p}r, {p}i" for p in names)
-    return [_unpack(r), f"    {parts} = {', '.join(f'{p}.real, {p}.imag' for p in names)}"]
+    return [f"{indent}{parts} = {', '.join(f'{p}.real, {p}.imag' for p in names)}"]
 
 
-@_Codes
-def _gaussian_vandermonde_code(r):
-    """V on r `_Gaussian` points: `_vandermonde_code`'s unrolled steps on int
-    pairs, returning one `_Gaussian`; fewer than two points, which give
-    `one`, and more than UNROLL_MAX_POINTS take `_vandermonde_code`."""
+def _unpack(r, pairs):
+    """Statements binding the r >= 1 entries of point z to z0, z1, ..., and
+    with `pairs` their parts (see `_split`)."""
+    names = [f"z{i}" for i in range(r)]
+    return ["    " + "".join(f"{p}, " for p in names) + "= z", *_split(names, pairs)]
+
+
+def _value(name, pairs):
+    """The source of the number held in `name`: the local itself, or with
+    `pairs` the `_Gaussian` of its parts."""
+    return f"_Gaussian({name}r, {name}i)" if pairs else name
+
+
+def _vandermonde_function(r, pairs):
+    """V on r points as a function of (z, one): `_vandermonde_loop`, or on 2
+    to UNROLL_MAX_POINTS points its steps unrolled, d = z_i - z_j and
+    v = v * d from v = one on."""
     if r < 2 or r > UNROLL_MAX_POINTS:
-        return _vandermonde_code[r]
-    lines = ["def vandermonde(z, one):", *_unpack_pairs(r)]
-    _assign(lines, "v", [(1, "z0"), (-1, "z1")])  # one * (z0 - z1)
-    for i, j in [(i, j) for i in range(r) for j in range(i + 1, r)][1:]:
-        _assign(lines, "d", [(1, f"z{i}"), (-1, f"z{j}")])
-        _assign(lines, "v", [(1, "v", "d")])
-    return _compiled("vandermonde", f"r={r} gaussian", lines + ["    return _Gaussian(vr, vi)"], _Gaussian=_Gaussian)
+        return _vandermonde_loop
+    lines, v = ["def vandermonde(z, one):", *_unpack(r, pairs)], "one"
+    for i, j in [(i, j) for i in range(r) for j in range(i + 1, r)]:
+        _assign(lines, "d", [(1, f"z{i}"), (-1, f"z{j}")], pairs)
+        _assign(lines, "v", [(1, v, "d")], pairs)
+        v = "v"
+    lines.append(f"    return {_value('v', pairs)}")
+    return _compiled("vandermonde", f"r={r}{' gaussian' if pairs else ''}", lines)
 
 
-@_Codes
-def _gaussian_schur_code(key):
-    """s_lam on r `_Gaussian` points, for the key of `_schur_code`: its
-    straight-line steps on int pairs, returning one `_Gaussian`, with the
-    3 x 3 cofactor expansion of `_det3` written out; the other keys take
-    `_schur_code`."""
+def _band(idx, r, lines, pairs):
+    """The entry names of the narrow band with the index rows `idx` on r
+    points, "zero" outside it, once the steps of `elem_sym_all` up to the
+    highest e_k the band reads are written to `lines`; e_0 is "one"."""
+    top = max(k for row in idx for k in row if k is not None)
+    name = ["one", *(f"e{k}" for k in range(1, top + 1))]
+    for j in range(r):
+        if j < top:
+            _assign(lines, name[j + 1], [(1, name[j], f"z{j}")], pairs)
+        for k in range(min(j, top), 0, -1):
+            _assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")], pairs)
+    return [[name[k] if k is not None else "zero" for k in row] for row in idx]
+
+
+def _schur_function(key, pairs):
+    """s_lam on r points as a function of (z, exact, zero, one), for the key
+    (normalized parts of lam, r).
+
+    A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS points is
+    straight-line code: `elem_sym_all` unrolled up to the highest e_k the
+    matrix reads, then `det`'s formula on the same entries, with `zero`
+    outside the band.  Order 3 is `_det3`'s expansion written out: the
+    cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; with `pairs` the
+    cofactor of a zero lead entry is skipped.  Otherwise the e_k fill the
+    rows of `det`.
+    """
     parts, r = key
-    if not parts or len(parts) > r or parts[0] > 3 or r > UNROLL_MAX_POINTS:
-        return _schur_code[key]
-    lines = ["def schur(z, exact, zero, one):", *_unpack_pairs(r)]
-    entries = _band(_jacobi_trudi_indices(parts, r), r, lines, _assign)
-    if len(entries) < 3:
-        terms = _det_terms(entries)
-    else:  # cofactors along the first row, skipping its zero entries
+    if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
+        return lambda z, exact, zero, one: zero if parts else one
+    idx = _jacobi_trudi_indices(parts, r)
+    if len(idx) > 3 or r > UNROLL_MAX_POINTS:
+
+        def banded(z, exact, zero, one):
+            e = elem_sym_all(z)
+            return det([[e[k] if k is not None else zero for k in row] for row in idx], exact)
+
+        return banded
+    lines = ["def schur(z, exact, zero, one):", *_unpack(r, pairs)]
+    entries = _band(idx, r, lines, pairs)
+    if len(entries) == 1:
+        terms = [(1, entries[0][0])]
+    elif len(entries) == 2:
+        (a, b), (c, d) = entries
+        terms = [(1, a, d), (-1, b, c)]
+    else:
         (a, b, c), (d, e, f), (g, h, i) = entries
-        terms = [(1, a, "c0"), (-1, b, "c1"), (1, c, "c2")]
         for lead, cofactor, (p, q, s, t) in zip((a, b, c), ("c0", "c1", "c2"), [(e, i, f, h), (d, i, f, g), (d, h, e, g)]):
-            if lead != "zero":
-                _assign(lines, cofactor, [(1, p, q), (-1, s, t)])
-    _assign(lines, "s", terms)
-    return _compiled("schur", f"{parts} r={r} gaussian", lines + ["    return _Gaussian(sr, si)"], _Gaussian=_Gaussian)
+            if lead != "zero" or not pairs:
+                _assign(lines, cofactor, [(1, p, q), (-1, s, t)], pairs)
+        terms = [(1, a, "c0"), (-1, b, "c1"), (1, c, "c2")]
+    _assign(lines, "s", terms, pairs)
+    lines.append(f"    return {_value('s', pairs)}")
+    return _compiled("schur", f"{parts} r={r}{' gaussian' if pairs else ''}", lines)
+
+
+# the code tables of plain points and of `_Gaussian` ones (with `pairs`)
+_schur_code, _pair_schur_code = _Codes(_schur_function, False), _Codes(_schur_function, True)
+_vandermonde_code, _pair_vandermonde_code = _Codes(_vandermonde_function, False), _Codes(_vandermonde_function, True)
 
 
 # (exact, zero, one, Schur codes, Vandermonde codes) of a native point, by the
@@ -435,7 +423,7 @@ def _gaussian_schur_code(key):
 _NATIVE = {
     t: (t not in (float, complex), 0, 1, _schur_code, _vandermonde_code) for t in (float, complex, int, Fraction)
 }
-_NATIVE[_Gaussian] = (True, 0, 1, _gaussian_schur_code, _gaussian_vandermonde_code)
+_NATIVE[_Gaussian] = (True, 0, 1, _pair_schur_code, _pair_vandermonde_code)
 
 
 def schur(lam, z):
@@ -444,8 +432,8 @@ def schur(lam, z):
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
     The mode and the code table of a float, complex, int, Fraction or
     Gaussian point are one lookup in `_NATIVE`; other points go through
-    `_kind` to the generic table.  The code for (lam, len(z)) is compiled
-    once; see `_schur_code` and `_gaussian_schur_code`.
+    `_kind` to the plain table.  The code for (lam, len(z)) is compiled
+    once; see `_schur_function`.
     """
     kind = _NATIVE.get(type(z[0])) if z else None
     exact, zero, one, codes, _ = (*_kind(z), _schur_code, None) if kind is None else kind

@@ -14,10 +14,11 @@ from schurfit.regress import _walker
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
     _NATIVE,
+    _assign,
     _det3,
-    _gaussian_schur_code,
-    _gaussian_vandermonde_code,
     _kind,
+    _pair_schur_code,
+    _pair_vandermonde_code,
     _schur_code,
     _vandermonde_code,
     _vandermonde_loop,
@@ -437,8 +438,8 @@ def test_native_fast_path_agrees_with_kind(kind):
     exact, zero, one, schur_codes, vandermonde_codes = _NATIVE[type(z[0])]
     assert (exact, zero, one) == _kind(z)
     gaussian = kind == "gaussian"
-    assert schur_codes is (_gaussian_schur_code if gaussian else _schur_code)
-    assert vandermonde_codes is (_gaussian_vandermonde_code if gaussian else _vandermonde_code)
+    assert schur_codes is (_pair_schur_code if gaussian else _schur_code)
+    assert vandermonde_codes is (_pair_vandermonde_code if gaussian else _vandermonde_code)
 
 
 def test_points_that_mix_exact_and_float_scalars_are_refused():
@@ -549,8 +550,9 @@ def test_straight_line_code_matches_the_loops_and_det(r):
     # V and the bands of width lam1 <= 3 run generated straight-line code, on
     # int pairs for Gaussian points with int or Fraction parts; it must give
     # the value, the type and, in float mode, the bits of the loop and of the
-    # rows-and-det route.  A float 3 x 3 band, which both routes
-    # evaluate with `_det3`, is also held to the exact determinant of its
+    # rows-and-det route.  A float 3 x 3 band, which the generated code
+    # writes out in `_det3`'s order of operations and the rows-and-det route
+    # evaluates with `_det3`, is also held to the exact determinant of its
     # binary64 entries
     rng = random.Random(100 + r)
     for _ in range(8):
@@ -695,8 +697,8 @@ def test_each_generated_function_has_its_own_source_name():
         _vandermonde_code[4],
         _walker(float, 3, 3, 0, False),
         _walker(float, 3, 2, 1, True),
-        _gaussian_schur_code[(2, 1), 3],
-        _gaussian_vandermonde_code[3],
+        _pair_schur_code[(2, 1), 3],
+        _pair_vandermonde_code[3],
         _walker(_Gaussian, 3, 2, 1, True),
     ]
     names = [code.__code__.co_filename for code in codes]
@@ -708,3 +710,36 @@ def test_each_generated_function_has_its_own_source_name():
     profile.runcall(lambda: [schur(Partition(parts), p) for parts in [(2, 1), (3, 2)] for p in (z, g)])
     profiled = {key[0] for key in pstats.Stats(profile).stats if key[2] == "schur"}
     assert {"<schurfit schur (2, 1) r=3>", "<schurfit schur (3, 2) r=3>", names[6]} <= profiled
+
+
+def test_assign_writes_plain_terms_verbatim_and_folds_pairs():
+    # plain statements are the terms as given, in that order of operations,
+    # one and zero factors included, so float bits and signed zeros are
+    # those of the loops; "~p" is p's conjugate in both modes
+    plain = []
+    _assign(plain, "c0", [(1, "one", "e2"), (-1, "zero", "e1")], False)
+    _assign(plain, "s", [(1, "e2", "c0"), (-1, "e3", "c1"), (1, "zero", "c2")], False, "  ")
+    _assign(plain, "s0_1", [(1, "s0_1"), (1, "u0", "~u1")], False)
+    assert plain == [
+        "    c0 = one * e2 - zero * e1",
+        "  s = e2 * c0 - e3 * c1 + zero * c2",
+        "    s0_1 = s0_1 + u0 * u1.conjugate()",
+    ]
+    # pair statements set the parts: one and zero fold away, like terms are
+    # collected, "~p" negates the imaginary part, and a part that keeps its
+    # value is not set
+    pairs = []
+    _assign(pairs, "e1", [(1, "e1"), (1, "one", "z0")], True)
+    _assign(pairs, "c0", [(1, "zero", "e1"), (-1, "e2", "one")], True)
+    _assign(pairs, "c1", [(1, "a", "b"), (1, "b", "a")], True)
+    _assign(pairs, "s", [(1, "s"), (1, "u", "~u")], True)
+    _assign(pairs, "t", [(1, "u", "~v")], True)
+    _assign(pairs, "d", [(1, "zero")], True)
+    assert pairs == [
+        "    e1r, e1i = e1r + z0r, e1i + z0i",
+        "    c0r, c0i = -e2r, -e2i",
+        "    c1r, c1i = 2 * ar * br - 2 * ai * bi, 2 * ar * bi + 2 * ai * br",
+        "    sr = sr + ur * ur + ui * ui",
+        "    tr, ti = ur * vr + ui * vi, -ur * vi + ui * vr",
+        "    dr, di = 0, 0",
+    ]
