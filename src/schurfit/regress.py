@@ -295,8 +295,9 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
         lines.append("    return out")
     else:
         # u_i conj(u_i) is real, so `_assign` never sets the imaginary part
-        # of a diagonal pair sum; it is 0 in the type of the real part: int
-        # or, after a banded `det`, Fraction.  An empty walk's sums stay 0.
+        # of a diagonal pair sum; it is 0 in the type of the real part: int,
+        # or Fraction after a division in `det` (an elimination of order 4 or
+        # more on the e-form or the h-form).  An empty walk's sums stay 0.
         lines += [f"    s{i}_{i}i = 0 * s{i}_{i}r" for i in range(n) if pairs]
         values = "".join(f"{_value(s, pairs)}, " for s in sums)
         count = f"comb(m, {k})" if k >= 0 else "0"

@@ -12,16 +12,19 @@ modes, so `det` pivots, and divides ints exactly as Fractions, only from order
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
 with the e_k expanded one linear factor at a time.  Its entries vanish for
-k > r, the number of variables, so the matrix is banded and `det` eliminates
-inside the band only: O(lam1 * l(lam) * (r + l(lam))) work instead of
-O(lam1^3), which makes high sparse exponents such as (40, 20, 0) cheap.
+k > r, the number of variables, so the matrix is banded, and the elimination
+of a wide band reads only the rows and columns that the band and its fill
+can reach: O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).
 
-Float mode stays on this e-form although the h-form determinant (h_{lam_i -
-i + j}) is only l(lam) x l(lam): the h-form cancels.  For lam = (38, 19) on
-three points its 2 x 2 value h_38 h_19 - h_39 h_18 had relative error 1.0
-against s_lam(|x|) on points in (0, 2) and 1.6e8 on mixed-sign points, where
-the e-form elimination stayed below 4e-15 (see Demmel and Koev, "Accurate and
-efficient evaluation of Schur and Jack functions", Math. Comp. 2006).
+Exact points take the h-form determinant (h_{lam_i - i + j}) instead when it
+is the smaller, l(lam) < lam1 on a wide band: exact values do not depend on
+the route, and for high sparse exponents such as (40, 20, 0) it is 2 x 2 in
+place of 38 x 38.  Float mode stays on the e-form: the h-form cancels.  For
+lam = (38, 19) on three points its 2 x 2 value h_38 h_19 - h_39 h_18 had
+relative error 1.0 against s_lam(|x|) on points in (0, 2) and 1.6e8 on
+mixed-sign points, where the e-form elimination stayed below 4e-15 (see
+Demmel and Koev, "Accurate and efficient evaluation of Schur and Jack
+functions", Math. Comp. 2006).
 
 The subset walker in `regress` calls `schur` and `vandermonde` once per
 subset and partition, mostly on bands of width lam1 <= 3, whose whole
@@ -38,7 +41,7 @@ compiled once into straight-line code that takes the same steps as
 so values are bit-identical to theirs and only the loops, index rows and
 calls are gone.  A 3 x 3 band writes out `_det3`, the cofactor expansion
 that `det` uses at order 3 in both modes.  Wider bands, such as the 38- and
-39-wide ones of (40, 20, 0), run the banded `det`.  One writer, `_assign`,
+39-wide ones of (40, 20, 0), take `_wide_band`.  One writer, `_assign`,
 writes every statement of this code and of the subset walker in `regress`,
 with a `pairs` flag that only the point type sets: `_Gaussian` points, the
 kernel's numbers for exact complex data, have tables of their own, filled
@@ -142,10 +145,22 @@ def det(rows, exact):
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         return _det3(*rows[0], *rows[1], *rows[2])
-    a = [list(r) for r in rows]
+    full = [n] * n
+    return _eliminate([list(r) for r in rows], exact, full, full)
+
+
+def _eliminate(a, exact, below, reach):
+    """`det` of the n x n list of row lists `a`, n >= 4, by elimination in
+    place.  Step k reads column k in rows k to below[k] - 1 only and the
+    pivot row in columns up to reach[k] - 1 only: all other entries there
+    must be zero, whatever the pivots, as in a dense matrix with
+    below = reach = (n, ..., n) or in the dual Jacobi-Trudi band (see
+    `_wide_band`).  The rows and columns skipped hold no nonzero, so the
+    pivots, operands and order are those of the full scan."""
+    n = len(a)
     sign = 1
     for k in range(n):
-        live = [i for i in range(k, n) if a[i][k]]
+        live = [i for i in range(k, below[k]) if a[i][k]]
         if not live:
             return Scalar.zero(exact) if isinstance(a[k][k], Scalar) else 0
         if exact:
@@ -161,7 +176,7 @@ def det(rows, exact):
         unit = exact and pivot == 1
         if exact and not unit and type(pivot) is int:  # int / int would round to a float
             pivot = Fraction(pivot)
-        cols = [j for j in range(k + 1, n) if pivot_row[j]]
+        cols = [j for j in range(k + 1, reach[k]) if pivot_row[j]]
         for row in others:
             f = row[k] if unit else row[k] / pivot
             for j in cols:
@@ -380,20 +395,16 @@ def _schur_function(key, pairs):
     matrix reads, then `det`'s formula on the same entries, with `zero`
     outside the band.  Order 3 is `_det3`'s expansion written out: the
     cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; with `pairs` the
-    cofactor of a zero lead entry is skipped.  Otherwise the e_k fill the
-    rows of `det`.
+    cofactor of a zero lead entry is skipped.  Wider bands, and bands on
+    more points, take `_wide_band`: the h-form for exact points when
+    l(lam) < lam1, else the e-form under a band-limited elimination.
     """
     parts, r = key
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z, exact, zero, one: zero if parts else one
     idx = _jacobi_trudi_indices(parts, r)
     if len(idx) > 3 or r > UNROLL_MAX_POINTS:
-
-        def banded(z, exact, zero, one):
-            e = elem_sym_all(z)
-            return det([[e[k] if k is not None else zero for k in row] for row in idx], exact)
-
-        return banded
+        return _wide_band(parts, idx)
     lines = ["def schur(z, exact, zero, one):", *_unpack(r, pairs)]
     entries = _band(idx, r, lines, pairs)
     if len(entries) == 1:
@@ -410,6 +421,46 @@ def _schur_function(key, pairs):
     _assign(lines, "s", terms, pairs)
     lines.append(f"    return {_value('s', pairs)}")
     return _compiled("schur", f"{parts} r={r}{' gaussian' if pairs else ''}", lines)
+
+
+def _wide_band(parts, idx):
+    """s_lam for a band wider than 3 or on more than UNROLL_MAX_POINTS
+    points, as a function of (z, exact, zero, one); `idx` is
+    `_jacobi_trudi_indices(parts, r)`.
+
+    Exact points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it
+    is the smaller one, l(lam) < lam1, with h_k expanded one point at a time,
+    h_k <- h_k + z_j h_{k-1}: its value equals the e-form's by the
+    Jacobi-Trudi identity, int points keep int entries, and a zero value is
+    the mode's zero, as the e-form's elimination returns it.  Other points
+    fill the rows of the e-form from slices of `elem_sym_all`.  Row i is
+    nonzero in columns first_i to last_i only, and both rise with i, so at
+    step k of the elimination only rows i with first_i <= k hold column k
+    (below[k]), and no fill reaches past the last column of the last of them
+    (reach[k]): `_eliminate` takes the pivots, operands and order of `det`'s
+    full scan, and float bits are those of `det` on the same rows.
+    """
+    n = len(idx)
+    first = [min(j for j, k in enumerate(row) if k is not None) for row in idx]
+    last = [max(j for j, k in enumerate(row) if k is not None) for row in idx]
+    spans = [(f, row[f], row[g] + 1, n - 1 - g) for row, f, g in zip(idx, first, last)]
+    below = [sum(f <= k for f in first) for k in range(n)]
+    reach = [1 + last[b - 1] for b in below]
+    h_idx = [[p - i + j if p - i + j >= 0 else None for j in range(len(parts))] for i, p in enumerate(parts)]
+    top = parts[0] + len(parts) - 1
+
+    def schur(z, exact, zero, one):
+        if exact and len(parts) < n:
+            h = [one] + [zero] * top
+            for zj in z:
+                for k in range(1, top + 1):
+                    h[k] = h[k] + zj * h[k - 1]
+            return det([[h[k] if k is not None else zero for k in row] for row in h_idx], True) or zero
+        e = elem_sym_all(z)
+        rows = [[zero] * first + e[lo:hi] + [zero] * tail for first, lo, hi, tail in spans]
+        return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
+
+    return schur
 
 
 # the code tables of plain points and of `_Gaussian` ones (with `pairs`)

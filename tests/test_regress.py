@@ -477,7 +477,8 @@ def test_fit_evaluation_count():
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_sparse_high_degree_exact_fit_matches_oracle(m):
-    # (40,20,0): the Schur values are 38x38 and 39x39 banded determinants;
+    # (40,20,0): in exact mode the Schur values are 2x2 and 1x1 h-form
+    # determinants (float mode keeps the 38x38 and 39x39 e-form bands);
     # the |x| are distinct because every term is even in x
     d = Exponents((40, 20, 0))
     x = ex(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(-7, 5))[:m]

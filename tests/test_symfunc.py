@@ -338,7 +338,8 @@ HEADLINE_SHAPES = [(38, 19), (39, 20), (39,), (19,)]
 
 @pytest.mark.parametrize("parts", HEADLINE_SHAPES, ids=str)
 def test_jacobi_trudi_matches_bialternant_on_high_degree_shapes(parts):
-    # the (40,20,0) model's shapes: 38x38 and 39x39 banded determinants
+    # the (40,20,0) model's shapes: 2x2 and 1x1 h-form determinants on
+    # these exact points, 38x38 and 39x39 e-form bands in float mode
     lam = Partition(parts)
     for z in (ex(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)), ex(2, Fraction(1, 7), -1)):
         assert schur(lam, z) == schur_bialternant(lam, z)
@@ -743,3 +744,80 @@ def test_assign_writes_plain_terms_verbatim_and_folds_pairs():
         "    tr, ti = ur * vr + ui * vi, -ur * vi + ui * vr",
         "    dr, di = 0, 0",
     ]
+
+
+# Bands wider than 3, or on more than UNROLL_MAX_POINTS points: exact points
+# take the l(lam) x l(lam) h-form when l(lam) < lam1, other points the e-form
+# rows of `jacobi_trudi_rows` under a band-limited elimination
+H_FORM_SHAPES = [(38, 19), (39, 20), (9, 4), (7, 3, 1)]
+E_FORM_SHAPES = [(4, 4, 4, 4), (2,) * 17]
+
+
+def _exact_kinds(rng, r):
+    return {
+        "int": tuple(int(v) for v in distinct_rationals(rng, r, max_den=1)),
+        "fraction": tuple(distinct_rationals(rng, r)),
+        "gaussian": tuple(_Gaussian(int(v), rng.randint(-5, 5)) for v in distinct_rationals(rng, r, max_den=1)),
+        "gaussian_fraction": tuple(_Gaussian(v, rational(rng)) for v in distinct_rationals(rng, r)),
+        "exact_scalar": tuple(Scalar.from_exact(v, rational(rng)) for v in distinct_rationals(rng, r)),
+    }
+
+
+@pytest.mark.parametrize(
+    "parts, r",
+    [(p, 3) for p in H_FORM_SHAPES] + [((7, 3, 1), 4), ((3, 1), 17)] + [(p, len(p)) for p in E_FORM_SHAPES],
+    ids=str,
+)
+def test_wide_band_exact_schur_equals_the_e_form_and_the_bialternant(parts, r):
+    # the h-form is the e-form's value by the Jacobi-Trudi identity; int
+    # entries stay ints in its cofactor expansions of order <= 3, and shapes
+    # with l(lam) >= lam1 keep the e-form, type for type
+    rng = random.Random(sum(parts) + r)
+    lam = Partition(parts)
+    h_form = len(parts) < parts[0]
+    for kind, z in _exact_kinds(rng, r).items():
+        value = schur(lam, z)
+        assert value == rows_and_det(lam, z), (kind, z)
+        assert value == schur_bialternant(lam, z), (kind, z)
+        if not h_form:
+            assert _fingerprint(value) == _fingerprint(rows_and_det(lam, z)), (kind, z)
+        elif kind in ("int", "gaussian") and len(parts) <= 3:
+            assert all(type(p) is int for p in (value.real, value.imag)), (kind, z)
+
+
+@pytest.mark.parametrize("parts", [(5,), (6, 1), (5, 2), (38, 19)], ids=str)
+def test_wide_band_exact_zero_is_the_mode_zero(parts):
+    # e1 = 0 on (1, -1) makes these Schur values vanish; each comes back as
+    # the zero of its mode, as the e-form's elimination returns it
+    for z in [(1, -1), (Fraction(1), Fraction(-1)), (_Gaussian(1, 0), _Gaussian(-1, 0)), ex(1, -1)]:
+        value, zero = schur(Partition(parts), z), _kind(z)[1]
+        assert value == zero and _fingerprint(value) == _fingerprint(zero), (parts, z)
+
+
+def _wide_float_points(rng):
+    # random float, complex, signed-zero and float Scalar points, the pivot
+    # edge cases and e1 = 0 on (1, -1), an exact zero inside the band
+    out = [(1.0, -1.0), (1.0, -1.0, 0.5), tuple(map(_as_scalar, (1.0, -1.0)))]
+    out += [z for z in _pivot_edge_points() if not _kind(z)[0]]
+    for r in (1, 2, 3, 4, 17):
+        kinds = _point_kinds(rng, r)
+        out += [kinds[k] for k in ("float", "complex", "signed_zero", "float_scalar")]
+    out.append(tuple(rng.uniform(0.5, 3) for _ in range(3)))
+    return out
+
+
+def test_wide_band_float_bits_are_those_of_the_full_width_det():
+    # same pivots, operands and order: the band-limited elimination gives
+    # the bits, signed zeros included, of `det` over the whole e-form rows
+    rng = random.Random(23)
+    shapes = [(4,), (5, 2), (6, 3, 1), (4, 4, 4), (9, 4), (38, 19), (39, 20), (3, 1), (2,) * 17]
+    checked = 0
+    for z in _wide_float_points(rng):
+        for parts in shapes:
+            lam = Partition(parts)
+            if len(parts) > len(z) or (parts[0] <= 3 and len(z) <= UNROLL_MAX_POINTS):
+                continue
+            want = det(jacobi_trudi_rows(lam, z), False)
+            assert _fingerprint(schur(lam, z)) == _fingerprint(want), (parts, z)
+            checked += 1
+    assert checked > 200
