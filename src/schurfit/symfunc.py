@@ -14,7 +14,10 @@ elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
 with the e_k expanded one linear factor at a time.  Its entries vanish for
 k > r, the number of variables, so the matrix is banded, and the elimination
 of a wide band reads only the rows and columns that the band and its fill
-can reach: O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).
+can reach: O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Each
+step finds its pivot in one walk down the band's part of the column, the
+rows are slices of one zero-padded list of the e_k, and the band's tables
+come from lam' once per key, without the lam1 x lam1 index matrix.
 
 Exact points take the h-form determinant (h_{lam_i - i + j}) instead when it
 is the smaller, l(lam) < lam1 on a wide band: exact values do not depend on
@@ -79,7 +82,10 @@ def _kind(z):
 
 
 def _abs_sq(a):
-    """|a|^2 in binary64, the pivot size of float elimination."""
+    """|a|^2 in binary64, the pivot size of float elimination, re^2 + im^2 of
+    complex(a); `_eliminate` computes the same bits in place for float and
+    complex entries and for an entry equal to 1, and calls this for the
+    others."""
     a = complex(a)
     return a.real * a.real + a.imag * a.imag
 
@@ -129,7 +135,8 @@ def det(rows, exact):
     nonzero, so a banded matrix such as the dual Jacobi-Trudi one, whose
     entries e_k vanish for k > r, costs O(width * band^2) instead of
     O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
-    (partial pivoting); a skipped update is a - 0*b, so finite results are
+    (partial pivoting), found in one walk down the column (see
+    `_eliminate`); a skipped update is a - 0*b, so finite results are
     bit-identical to dense LU.  Exact mode pivots on the first row holding
     the unit 1, which needs no division and so keeps int entries ints, else on
     the first nonzero row, and lifts an int pivot to Fraction, so that int
@@ -156,18 +163,45 @@ def _eliminate(a, exact, below, reach):
     must be zero, whatever the pivots, as in a dense matrix with
     below = reach = (n, ..., n) or in the dual Jacobi-Trudi band (see
     `_wide_band`).  The rows and columns skipped hold no nonzero, so the
-    pivots, operands and order are those of the full scan."""
+    pivots, operands and order are those of the full scan.
+
+    One walk down column k picks the pivot and lists the other live rows.  A
+    later row takes the pivot from the current one only if its key is
+    strictly greater, so the pivot is the first live row of largest key, the
+    row that `max` picks, ties and NaN keys included.  The key is `x == 1` in
+    exact mode and |x|^2 in float mode, with the bits of `_abs_sq` but no
+    call for the common entries: x * x for a float, re^2 + im^2 for a
+    complex and 1.0 for another entry equal to 1, such as the int e_0 of a
+    Jacobi-Trudi row; other entries, Scalars among them, call `_abs_sq`.
+    Each other row reads only itself and the pivot row, so the order of their
+    updates does not matter."""
     n = len(a)
     sign = 1
     for k in range(n):
-        live = [i for i in range(k, below[k]) if a[i][k]]
-        if not live:
+        p, others = -1, []
+        for i in range(k, below[k]):
+            x = a[i][k]
+            if not x:
+                continue
+            if exact:
+                key = x == 1
+            elif (t := type(x)) is float:
+                key = x * x
+            elif t is complex:
+                key = x.real * x.real + x.imag * x.imag
+            elif x == 1:
+                key = 1.0
+            else:
+                key = _abs_sq(x)
+            if p < 0:
+                p, best = i, key
+            elif key > best:
+                others.append(a[p])
+                p, best = i, key
+            else:
+                others.append(a[i])
+        if p < 0:
             return Scalar.zero(exact) if isinstance(a[k][k], Scalar) else 0
-        if exact:
-            p = next((i for i in live if a[i][k] == 1), live[0])
-        else:
-            p = max(live, key=lambda i: _abs_sq(a[i][k]))
-        others = [a[i] for i in live if i != p]
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
@@ -402,9 +436,9 @@ def _schur_function(key, pairs):
     parts, r = key
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z, exact, zero, one: zero if parts else one
+    if parts[0] > 3 or r > UNROLL_MAX_POINTS:
+        return _wide_band(parts, r)
     idx = _jacobi_trudi_indices(parts, r)
-    if len(idx) > 3 or r > UNROLL_MAX_POINTS:
-        return _wide_band(parts, idx)
     lines = ["def schur(z, exact, zero, one):", *_unpack(r, pairs)]
     entries = _band(idx, r, lines, pairs)
     if len(entries) == 1:
@@ -423,29 +457,40 @@ def _schur_function(key, pairs):
     return _compiled("schur", f"{parts} r={r}{' gaussian' if pairs else ''}", lines)
 
 
-def _wide_band(parts, idx):
-    """s_lam for a band wider than 3 or on more than UNROLL_MAX_POINTS
-    points, as a function of (z, exact, zero, one); `idx` is
-    `_jacobi_trudi_indices(parts, r)`.
+def _wide_band(parts, r):
+    """s_lam on r points for a band wider than 3 or on more than
+    UNROLL_MAX_POINTS points, as a function of (z, exact, zero, one).
 
     Exact points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it
     is the smaller one, l(lam) < lam1, with h_k expanded one point at a time,
     h_k <- h_k + z_j h_{k-1}: its value equals the e-form's by the
     Jacobi-Trudi identity, int points keep int entries, and a zero value is
     the mode's zero, as the e-form's elimination returns it.  Other points
-    fill the rows of the e-form from slices of `elem_sym_all`.  Row i is
-    nonzero in columns first_i to last_i only, and both rise with i, so at
-    step k of the elimination only rows i with first_i <= k hold column k
-    (below[k]), and no fill reaches past the last column of the last of them
-    (reach[k]): `_eliminate` takes the pivots, operands and order of `det`'s
-    full scan, and float bits are those of `det` on the same rows.
+    take the e-form.  Its row i holds e_{c_i + j} in column j, c_i =
+    lam'_i - i, where 0 <= c_i + j <= r, and zero elsewhere, so each row is
+    one slice of the e_k padded with zeros on both sides: one padded list
+    and lam1 slices per call, the same for every point type.  The nonzero
+    columns first_i = max(0, -c_i) to last_i = min(lam1 - 1, r - c_i) of
+    row i rise with i, so at step k of the elimination only rows i with
+    first_i <= k hold column k (below[k], counted by one running pointer),
+    and no fill reaches past the last column of the last of them (reach[k]):
+    `_eliminate` takes the pivots, operands and order of `det`'s full scan,
+    and float bits are those of `det` on the same rows.  These per-key
+    tables cost O(lam1 * l(lam)) steps, from lam', where the lam1 x lam1
+    index matrix of `_jacobi_trudi_indices` cost O(lam1^2).
     """
-    n = len(idx)
-    first = [min(j for j, k in enumerate(row) if k is not None) for row in idx]
-    last = [max(j for j, k in enumerate(row) if k is not None) for row in idx]
-    spans = [(f, row[f], row[g] + 1, n - 1 - g) for row, f, g in zip(idx, first, last)]
-    below = [sum(f <= k for f in first) for k in range(n)]
+    n = parts[0]
+    offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
+    first = [max(0, -c) for c in offsets]
+    last = [min(n - 1, r - c) for c in offsets]
+    below, b = [], 0
+    for k in range(n):
+        while b < n and first[b] <= k:
+            b += 1
+        below.append(b)
     reach = [1 + last[b - 1] for b in below]
+    lead, trail = first[-1], max(0, offsets[0] + n - r - 1)
+    starts = [lead + c for c in offsets]
     h_idx = [[p - i + j if p - i + j >= 0 else None for j in range(len(parts))] for i, p in enumerate(parts)]
     top = parts[0] + len(parts) - 1
 
@@ -456,8 +501,8 @@ def _wide_band(parts, idx):
                 for k in range(1, top + 1):
                     h[k] = h[k] + zj * h[k - 1]
             return det([[h[k] if k is not None else zero for k in row] for row in h_idx], True) or zero
-        e = elem_sym_all(z)
-        rows = [[zero] * first + e[lo:hi] + [zero] * tail for first, lo, hi, tail in spans]
+        band = [zero] * lead + elem_sym_all(z) + [zero] * trail
+        rows = [band[s : s + n] for s in starts]
         return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
 
     return schur

@@ -11,15 +11,18 @@ from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
 from schurfit.reference import alternating, schur_bialternant, schur_tableaux
 from schurfit.regress import _walker
+from schurfit import symfunc
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
     _NATIVE,
+    _Codes,
     _assign,
     _det3,
     _kind,
     _pair_schur_code,
     _pair_vandermonde_code,
     _schur_code,
+    _schur_function,
     _vandermonde_code,
     _vandermonde_loop,
     det,
@@ -806,9 +809,98 @@ def _wide_float_points(rng):
     return out
 
 
+def _complex_abs_sq(v):
+    v = complex(v)
+    return v.real * v.real + v.imag * v.imag
+
+
+def _full_scan_det(rows, exact):
+    # the textbook elimination that `det` must match from order 4 on, kept
+    # apart from it: every row below the diagonal scanned at every step, the
+    # pivot picked by `max` on |a|^2 built through `complex` in float mode
+    # (the first row of largest key) and by the first row holding 1, else the
+    # first live row, in exact mode
+    a = [list(row) for row in rows]
+    n, sign = len(a), 1
+    for k in range(n):
+        live = [i for i in range(k, n) if a[i][k]]
+        if not live:
+            return Scalar.zero(exact) if isinstance(a[k][k], Scalar) else 0
+        if exact:
+            p = next((i for i in live if a[i][k] == 1), live[0])
+        else:
+            p = max(live, key=lambda i: _complex_abs_sq(a[i][k]))
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        unit = exact and pivot == 1
+        if exact and not unit and type(pivot) is int:
+            pivot = Fraction(pivot)
+        for i in live:
+            if i != p:
+                row = a[p if i == k else i]
+                f = row[k] if unit else row[k] / pivot
+                for j in range(k + 1, n):
+                    if a[k][j]:
+                        row[j] = row[j] - f * a[k][j]
+    d = a[0][0]
+    for k in range(1, n):
+        d = d * a[k][k]
+    return -d if sign < 0 else d
+
+
+def _outcome(f, *args):
+    try:
+        return _fingerprint(f(*args))
+    except ArithmeticError as error:
+        return type(error).__name__
+
+
+# entries on which another pivot gives other bits: ties in |a|^2 (1, -1, 1j,
+# 2 against -2j), squares that underflow to 0.0 although the entry is live,
+# signed zeros, which only an unchanged order of operations keeps, inf, NaN,
+# and the int 1 that a float Jacobi-Trudi row holds as e_0
+_PIVOT_POOL = [0.0, -0.0, 0, 1, 1.0, -1.0, 1j, -1j, 2.0, -2j, 0.5, 3.0, 1e-170, -1e-170, 1e-170j,
+               1e200, float("inf"), float("-inf"), float("nan"), complex(0.6, 0.8), complex(-1.5, 2.5)]
+
+
+def test_float_det_pivots_as_the_full_scan_does():
+    # float and complex `det` of order 4 to 8, on native and float Scalar
+    # entries, gives the bits of `_full_scan_det`; a NaN key in a later live
+    # row never takes the pivot, and a tie keeps the first row
+    rng = random.Random(24)
+    cases = [
+        [[1e-170, 1.0, 0.0, 0.0], [1e-170j, -0.0, 1.0, 0.0], [-1e-170, 2.0, -0.0, 1.0], [1.0, 0.5, 3.0, -0.0]],
+        [[1.0, 2.0, 0.0, 1.0], [float("nan"), 1.0, 2.0, 0.0], [-1.0, 0.0, 1.0, 2.0], [1j, 1.0, 0.0, -1.0]],
+        [[float("nan"), 1.0, 0.0, 2.0], [3.0, -0.0, 1.0, 0.0], [0.0, 2.0, -1.0, 1.0], [1.0, 0.0, 0.5, -0.0]],
+        [[1, 0.5, 0.0, 0.0], [-1.0, 2.0, 1, 0.0], [1j, -0.0, 3.0, 1], [-1j, 0.0, -0.0, 2.0]],
+    ]
+    for _ in range(1500):
+        n = rng.randint(4, 8)
+        density = rng.choice((0.3, 0.6, 1.0))
+        cases.append([[rng.choice(_PIVOT_POOL) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        for entries in (rows, [[Scalar.from_float(v.real, v.imag) for v in row] for row in rows]):
+            assert _outcome(det, entries, False) == _outcome(_full_scan_det, entries, False), entries
+
+
+def test_exact_det_pivots_as_the_full_scan_does():
+    # exact `det` of order 4 to 8 takes the same pivots, so its values keep
+    # their type as well as their value: ints stay ints under unit pivots
+    rng = random.Random(25)
+    pool = [0, 1, -1, 2, Fraction(1, 2), Fraction(1), _Gaussian(1, 0), _Gaussian(0, 1), _Gaussian(2, -1)]
+    for _ in range(600):
+        n = rng.randint(4, 8)
+        kinds = pool[:4] if rng.random() < 0.5 else pool
+        rows = [[rng.choice(kinds) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        assert _fingerprint(det(rows, True)) == _fingerprint(_full_scan_det(rows, True)), rows
+
+
 def test_wide_band_float_bits_are_those_of_the_full_width_det():
     # same pivots, operands and order: the band-limited elimination gives
-    # the bits, signed zeros included, of `det` over the whole e-form rows
+    # the bits, signed zeros included, of `det` over the whole e-form rows,
+    # and of `_full_scan_det`, which shares no code with `det`, from order 4 on
     rng = random.Random(23)
     shapes = [(4,), (5, 2), (6, 3, 1), (4, 4, 4), (9, 4), (38, 19), (39, 20), (3, 1), (2,) * 17]
     checked = 0
@@ -817,7 +909,25 @@ def test_wide_band_float_bits_are_those_of_the_full_width_det():
             lam = Partition(parts)
             if len(parts) > len(z) or (parts[0] <= 3 and len(z) <= UNROLL_MAX_POINTS):
                 continue
-            want = det(jacobi_trudi_rows(lam, z), False)
-            assert _fingerprint(schur(lam, z)) == _fingerprint(want), (parts, z)
+            rows = jacobi_trudi_rows(lam, z)
+            value = _fingerprint(schur(lam, z))
+            assert value == _fingerprint(det(rows, False)), (parts, z)
+            if len(rows) > 3:
+                assert value == _fingerprint(_full_scan_det(rows, False)), (parts, z)
             checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("parts, r", [((300,), 2), ((120, 7, 7), 3), ((6, 5, 5, 2), 4), ((3, 1), 17)], ids=str)
+def test_wide_band_tables_come_from_the_conjugate(monkeypatch, parts, r):
+    # a wide band's per-key tables are built from lam', in O(lam1 * l(lam))
+    # steps, without the lam1 x lam1 index matrix; its rows, slices of the
+    # zero-padded e_k, still give the bits of `det` on the full e-form rows
+    monkeypatch.setattr(symfunc, "_jacobi_trudi_indices", None)
+    code = _Codes(_schur_function, False)[parts, r]
+    monkeypatch.undo()
+    rng = random.Random(sum(parts))
+    for z in (tuple(rng.uniform(0.5, 1.5) for _ in range(r)), tuple(map(_as_scalar, rng.sample(range(-9, 9), r)))):
+        exact, zero, one = _kind(z)
+        value = code(z, exact, zero, one)
+        assert _fingerprint(value) == _fingerprint(rows_and_det(Partition(parts), z)), z
