@@ -12,9 +12,13 @@ from __future__ import annotations
 
 
 def as_int(v):
-    """int(v); ValueError for a v that int() would truncate, such as 3.7, and
-    for a bool, such as JSON's true, which int() would read as 1."""
-    k = int(v)
+    """int(v); ValueError for a v that int() would truncate, such as 3.7, for
+    an infinity, on which int() overflows, and for a bool, such as JSON's
+    true, which int() would read as 1."""
+    try:
+        k = int(v)
+    except OverflowError:
+        raise ValueError(f"{v!r} is not an integer") from None
     if k != v or isinstance(v, bool):
         raise ValueError(f"{v!r} is not an integer")
     return k

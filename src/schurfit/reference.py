@@ -11,8 +11,10 @@ that share as little with them as possible:
 - `brute_force_min`, a grid search of the sum of squared errors, against
   `regress.fit` on one- and two-term real float models.
 
-The Schur routes take the same points as `schur`.  The tableaux route is
-deliberately brute force and guarded to desk-scale inputs.
+The Schur routes take the same points as `schur`, and like it compute on
+native numbers: a point of Scalars passes the same boundary, `symfunc`'s
+`_unwrap` and `_wrap`, once per call.  The tableaux route is deliberately
+brute force and guarded to desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numeric import Scalar, scalar_pow
-from .symfunc import _kind, det, vandermonde
+from .symfunc import _exact, _unwrap, _wrap, det, vandermonde
 
 SSYT_MAX_WEIGHT = 12
 SSYT_MAX_VARS = 6
@@ -33,8 +35,9 @@ def alternating(mu, z):
         raise ValueError("exponent tuple and point must have equal length")
     if any(a <= b for a, b in zip(mu, list(mu)[1:])):
         raise ValueError(f"exponents must be strictly decreasing: {tuple(mu)}")
+    mode, z = _unwrap(z)
     rows = [[scalar_pow(zi, e) for e in mu] for zi in z]
-    return det(rows, _kind(z)[0])
+    return _wrap(mode, det(rows, _exact(z)))
 
 
 def schur_bialternant(lam, z):
@@ -43,6 +46,7 @@ def schur_bialternant(lam, z):
     Requires pairwise distinct entries; exact points divide exactly, so int
     points give an int or a Fraction, never a float.
     """
+    mode, z = _unwrap(z)
     r = len(z)
     for i in range(r):
         for j in range(i + 1, r):
@@ -51,17 +55,16 @@ def schur_bialternant(lam, z):
                     f"bialternant needs distinct entries; z[{i}] == z[{j}]"
                 )
     parts = lam.normalized()
-    exact, zero, one = _kind(z)
     if len(parts) > r:
-        return zero
+        return _wrap(mode, 0)
     if r == 0:
-        return one
+        return 1
     padded = parts + (0,) * (r - len(parts))
     mu = tuple(p + (r - 1 - i) for i, p in enumerate(padded))
     a = alternating(mu, z)
-    if exact and type(a) is int:  # int / int would round to a float, as in `det`
+    if _exact(z) and type(a) is int:  # int / int would round to a float, as in `det`
         a = Fraction(a)
-    return a / vandermonde(z)
+    return _wrap(mode, a / vandermonde(z))
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +102,8 @@ def schur_tableaux(lam, z):
     """s_lam(z) as a sum of monomials over semistandard Young tableaux.
 
     Test oracle only; refuses shapes beyond |lam| <= 12 or more than 6
-    variables.  The tableau counts are ints, made Scalars for Scalar points
-    only, so native points compute in their own type.
+    variables.  The tableau counts are ints, so every point computes in its
+    own type.
     """
     parts = lam.normalized()
     r = len(z)
@@ -109,14 +112,15 @@ def schur_tableaux(lam, z):
             f"tableaux enumeration refused: |lam|={sum(parts)} (max "
             f"{SSYT_MAX_WEIGHT}), vars={r} (max {SSYT_MAX_VARS})"
         )
-    mode, total, one = _kind(z)
+    mode, z = _unwrap(z)
+    total = 0
     for content, count in sorted(_ssyt_contents(parts, r).items()):
-        term = Scalar.from_int(count, mode) if isinstance(one, Scalar) else count
+        term = count
         for zi, ci in zip(z, content):
             if ci:
                 term = term * scalar_pow(zi, ci)
         total = total + term
-    return total
+    return _wrap(mode, total)
 
 
 def brute_force_min(d, data):

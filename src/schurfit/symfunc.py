@@ -1,13 +1,19 @@
 """Point evaluation of symmetric functions.
 
-`elem_sym_all`, `vandermonde`, `det` and `schur` take points of Scalars, which
-give Scalars, or of native float, complex, int, Fraction or Gaussian-pair
-values, which compute in their own type; the subset walker in `regress` uses
-the latter.  The number type, and with it the mode, is read off the points.
-They need only + - * /, a zero test (bool), == 1 for exact pivoting and |a|^2
-for float pivoting; determinants up to order 3 are cofactor expansions in both
-modes, so `det` pivots, and divides ints exactly as Fractions, only from order
-4 on.  The empty point gives the ints 0 and 1, exact identities in every type.
+`elem_sym_all`, `vandermonde`, `det` and `schur` compute on native numbers,
+float, complex, int, Fraction or Gaussian-pair values, each in its own type,
+as the subset walker in `regress` hands them over.  A native point is exact
+unless its first entry is a float or complex.  A point of Scalars is
+converted once, at the entry: `_unwrap` checks that its entries share one
+mode, refusing a point that mixes modes, the native code runs on their
+values, and `_wrap` tags the one result with that mode; the cross-checks in
+`schurfit.reference` go through the same two steps.  So no Scalar operation
+runs inside this module, and a Scalar result holds the value, type and bits
+that the native code gives.  The code needs only + - * /, a zero test
+(bool), == 1 for exact pivoting and |a|^2 for float pivoting; determinants
+up to order 3 are cofactor expansions in both modes, so `det` pivots, and
+divides ints exactly as Fractions, only from order 4 on.  The empty point
+gives the ints 0 and 1, exact identities in every type.
 
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
@@ -15,9 +21,10 @@ with the e_k expanded one linear factor at a time.  Its entries vanish for
 k > r, the number of variables, so the matrix is banded, and the elimination
 of a wide band reads only the rows and columns that the band and its fill
 can reach: O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Each
-step finds its pivot in one walk down the band's part of the column, the
-rows are slices of one zero-padded list of the e_k, and the band's tables
-come from lam' once per key, without the lam1 x lam1 index matrix.
+step finds its pivot in one walk down the band's part of the column, and the
+rows are slices of one zero-padded list of the e_k.  Narrow and wide bands
+read their entries off one per-key table, the row offsets c_i = lam'_i - i,
+without a lam1 x lam1 index matrix.
 
 Exact points take the h-form determinant (h_{lam_i - i + j}) instead when it
 is the smaller, l(lam) < lam1 on a wide band: exact values do not depend on
@@ -32,24 +39,21 @@ functions", Math. Comp. 2006).
 The subset walker in `regress` calls `schur` and `vandermonde` once per
 subset and partition, mostly on bands of width lam1 <= 3, whose whole
 arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
-kept cheap: one type lookup and one code-cache lookup per call.  A native
-point's mode, zero and one, and the code tables to use, come from one dict
-lookup on the type of its first entry (`_NATIVE`): float and complex points
-are inexact, int, Fraction and Gaussian points exact, all with the ints 0 and
-1.  Scalar points, the empty point and any other type take `_kind`, which
-also refuses a Scalar point that mixes modes, and the plain tables.  For
-narrow bands, and for V, each (lam, r) on at most UNROLL_MAX_POINTS points is
-compiled once into straight-line code that takes the same steps as
-`elem_sym_all`, `det` and the V loop, in the same order on the same operands,
-so values are bit-identical to theirs and only the loops, index rows and
-calls are gone.  A 3 x 3 band writes out `_det3`, the cofactor expansion
-that `det` uses at order 3 in both modes.  Wider bands, such as the 38- and
-39-wide ones of (40, 20, 0), take `_wide_band`.  One writer, `_assign`,
-writes every statement of this code and of the subset walker in `regress`,
-with a `pairs` flag that only the point type sets: `_Gaussian` points, the
-kernel's numbers for exact complex data, have tables of their own, filled
-by the same builders with `pairs`, whose code takes the same steps on int
-pairs (see "The statement writer" below) and returns one `_Gaussian`.
+kept cheap: one type test and one code-cache lookup per call.  `_Gaussian`
+points take code tables of their own; every other point, a Scalar point by
+its values, takes the plain ones.  For narrow bands, and for V, each
+(lam, r) on at most UNROLL_MAX_POINTS points is compiled once into
+straight-line code that takes the same steps as `elem_sym_all`, `det` and
+the V loop, in the same order on the same operands, so values are
+bit-identical to theirs and only the loops, index rows and calls are gone.
+A 3 x 3 band writes out `_det3`, the cofactor expansion that `det` uses at
+order 3 in both modes.  Wider bands, such as the 38- and 39-wide ones of
+(40, 20, 0), take `_wide_band`.  One writer, `_assign`, writes every
+statement of this code and of the subset walker in `regress`, with a `pairs`
+flag that only the point type sets: `_Gaussian` points, the kernel's numbers
+for exact complex data, have tables of their own, filled by the same
+builders with `pairs`, whose code takes the same steps on int pairs (see
+"The statement writer" below) and returns one `_Gaussian`.
 
 The bialternant ratio and the semistandard tableaux sum, independent
 cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
@@ -64,30 +68,31 @@ from .numeric import Scalar, ScalarModeError, _Gaussian
 from .partitions import Partition, conjugate
 
 
-def _kind(z):
-    """(exact, zero, one) for the number type of point z.
-
-    Scalar points get the Scalar zero and one of their common mode, and
-    ScalarModeError if their modes differ.  Native points, exact unless float
-    or complex, and the empty point get the ints 0 and 1, exact identities in
-    every type.  `schur` and `vandermonde` read the native types in `_NATIVE`
-    by one dict lookup and come here only for the other points.
-    """
-    if z and isinstance(z[0], Scalar):
-        mode = z[0].exact
-        if any(s.exact is not mode for s in z):
-            raise ScalarModeError("point mixes exact and float scalars")
-        return mode, Scalar.zero(mode), Scalar.one(mode)
-    return not (z and isinstance(z[0], (float, complex))), 0, 1
+def _unwrap(z):
+    """(mode, values) of point z: for Scalars their common mode and their
+    values, and ScalarModeError if their modes differ; for native numbers and
+    the empty point None and z itself."""
+    if not (z and isinstance(z[0], Scalar)):
+        return None, z
+    mode = z[0].exact
+    if any(s.exact is not mode for s in z):
+        raise ScalarModeError("point mixes exact and float scalars")
+    return mode, [s.value for s in z]
 
 
-def _abs_sq(a):
-    """|a|^2 in binary64, the pivot size of float elimination, re^2 + im^2 of
-    complex(a); `_eliminate` computes the same bits in place for float and
-    complex entries and for an entry equal to 1, and calls this for the
-    others."""
-    a = complex(a)
-    return a.real * a.real + a.imag * a.imag
+def _wrap(mode, v):
+    """The native result v as a Scalar of `mode`, or v itself for mode None.
+    An int, such as the 0 or 1 of a value that reads no point entry, becomes
+    the mode's `Scalar.from_int`; every other value keeps its type."""
+    if mode is None:
+        return v
+    return Scalar.from_int(v, mode) if type(v) is int else Scalar(v, mode)
+
+
+def _exact(z):
+    """The mode of a native point: exact unless its first entry is a float
+    or complex; the empty point is exact."""
+    return not (z and isinstance(z[0], (float, complex)))
 
 
 def elem_sym_all(z):
@@ -96,23 +101,25 @@ def elem_sym_all(z):
     Expands prod(X - z_j) one factor at a time: the j-th factor costs j-1
     extra multiplications, n(n-1) flops in total.
     """
-    e = [_kind(z)[2]]
+    mode, z = _unwrap(z)
+    e = [1]
     for j, zj in enumerate(z):
         e.append(e[j] * zj)
         for k in range(j, 0, -1):
             e[k] = e[k] + e[k - 1] * zj
-    return e
+    return e if mode is None else [_wrap(mode, v) for v in e]
 
 
 def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    kind = _NATIVE.get(type(z[0])) if z else None
-    if kind is None:
-        return _vandermonde_code[len(z)](z, _kind(z)[2])
-    return kind[4][len(z)](z, 1)
+    t = type(z[0]) if z else None
+    if t is Scalar:
+        mode, z = _unwrap(z)
+        return _wrap(mode, _vandermonde_code[len(z)](z))
+    return (_pair_vandermonde_code if t is _Gaussian else _vandermonde_code)[len(z)](z)
 
 
-def _vandermonde_loop(z, one):
+def _vandermonde_loop(z, one=1):
     """V multiplied out as one * (z0 - z1) * (z0 - z2) * ... * (z_{r-2} - z_{r-1})."""
     v = one
     for i, zi in enumerate(z):
@@ -125,10 +132,11 @@ def det(rows, exact):
     """Determinant of a square matrix: a cofactor expansion up to order 3
     (`_det3`), else Gaussian elimination that skips zeros.
 
-    The entries are Scalars or native numbers.  A dual Jacobi-Trudi row mixes
-    the ints 0 and 1 with the points' type, so no one entry tells the mode,
-    and `exact` selects the pivot rule from order 4 on; the empty matrix gives
-    the int 1.
+    The entries are native numbers, or Scalars of one mode, whose values the
+    native code takes and whose mode the result gets (see `_unwrap`).  A dual
+    Jacobi-Trudi row mixes the ints 0 and 1 with the points' type, so no one
+    entry tells the mode, and `exact` selects the pivot rule from order 4 on;
+    the empty matrix gives the int 1.
 
     Step k of the elimination touches only the rows below the pivot with a
     nonzero entry in column k and only the columns where the pivot row is
@@ -144,6 +152,9 @@ def det(rows, exact):
     other exact method's.
     """
     n = len(rows)
+    if n and isinstance(rows[0][0], Scalar):
+        mode, flat = _unwrap([v for row in rows for v in row])
+        return _wrap(mode, det([flat[i : i + n] for i in range(0, n * n, n)], exact))
     if n == 0:
         return 1
     if n == 1:
@@ -157,24 +168,23 @@ def det(rows, exact):
 
 
 def _eliminate(a, exact, below, reach):
-    """`det` of the n x n list of row lists `a`, n >= 4, by elimination in
-    place.  Step k reads column k in rows k to below[k] - 1 only and the
-    pivot row in columns up to reach[k] - 1 only: all other entries there
-    must be zero, whatever the pivots, as in a dense matrix with
-    below = reach = (n, ..., n) or in the dual Jacobi-Trudi band (see
-    `_wide_band`).  The rows and columns skipped hold no nonzero, so the
+    """`det` of the n x n list of row lists `a`, n >= 4, of native numbers,
+    by elimination in place.  Step k reads column k in rows k to
+    below[k] - 1 only and the pivot row in columns up to reach[k] - 1 only:
+    all other entries there must be zero, whatever the pivots, as in a dense
+    matrix with below = reach = (n, ..., n) or in the dual Jacobi-Trudi band
+    (see `_wide_band`).  The rows and columns skipped hold no nonzero, so the
     pivots, operands and order are those of the full scan.
 
     One walk down column k picks the pivot and lists the other live rows.  A
     later row takes the pivot from the current one only if its key is
     strictly greater, so the pivot is the first live row of largest key, the
     row that `max` picks, ties and NaN keys included.  The key is `x == 1` in
-    exact mode and |x|^2 in float mode, with the bits of `_abs_sq` but no
-    call for the common entries: x * x for a float, re^2 + im^2 for a
-    complex and 1.0 for another entry equal to 1, such as the int e_0 of a
-    Jacobi-Trudi row; other entries, Scalars among them, call `_abs_sq`.
-    Each other row reads only itself and the pivot row, so the order of their
-    updates does not matter."""
+    exact mode and |x|^2 in float mode: re^2 + im^2 for a complex entry and
+    x * x for any other, a float or the int e_0 = 1 of a Jacobi-Trudi row,
+    the bits of |x|^2 taken through `complex(x)`.  Each other row reads only
+    itself and the pivot row, so the order of their updates does not
+    matter."""
     n = len(a)
     sign = 1
     for k in range(n):
@@ -185,14 +195,10 @@ def _eliminate(a, exact, below, reach):
                 continue
             if exact:
                 key = x == 1
-            elif (t := type(x)) is float:
-                key = x * x
-            elif t is complex:
+            elif type(x) is complex:
                 key = x.real * x.real + x.imag * x.imag
-            elif x == 1:
-                key = 1.0
             else:
-                key = _abs_sq(x)
+                key = x * x
             if p < 0:
                 p, best = i, key
             elif key > best:
@@ -201,7 +207,7 @@ def _eliminate(a, exact, below, reach):
             else:
                 others.append(a[i])
         if p < 0:
-            return Scalar.zero(exact) if isinstance(a[k][k], Scalar) else 0
+            return 0
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
@@ -237,22 +243,6 @@ def _det3(a, b, c, d, e, f, g, h, i):
     3.1 and 3.6).
     """
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _jacobi_trudi_indices(parts, r):
-    """Entry indices e_{lam'_i - i + j} of the dual Jacobi-Trudi matrix,
-    with None marking out-of-range entries (k < 0 or k > r).  Uncached: its
-    one caller, `_schur_code`, is cached on the same (parts, r)."""
-    lam_conj = conjugate(Partition(parts))
-    width = parts[0]
-    rows = []
-    for i in range(width):
-        row = []
-        for j in range(width):
-            k = lam_conj[i] - (i + 1) + (j + 1)
-            row.append(k if 0 <= k <= r else None)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 # Straight-line code (see the module docstring).  Beyond UNROLL_MAX_POINTS
@@ -380,9 +370,11 @@ def _split(names, pairs, indent="    "):
 
 def _unpack(r, pairs):
     """Statements binding the r >= 1 entries of point z to z0, z1, ..., and
-    with `pairs` their parts (see `_split`)."""
+    with `pairs` their parts (see `_split`), without it the ints 0 and 1 to
+    zero and one."""
     names = [f"z{i}" for i in range(r)]
-    return ["    " + "".join(f"{p}, " for p in names) + "= z", *_split(names, pairs)]
+    unpack = "    " + "".join(f"{p}, " for p in names) + "= z"
+    return [unpack, *_split(names, pairs)] if pairs else [unpack, "    zero, one = 0, 1"]
 
 
 def _value(name, pairs):
@@ -392,12 +384,12 @@ def _value(name, pairs):
 
 
 def _vandermonde_function(r, pairs):
-    """V on r points as a function of (z, one): `_vandermonde_loop`, or on 2
+    """V on r points as a function of the point: `_vandermonde_loop`, or on 2
     to UNROLL_MAX_POINTS points its steps unrolled, d = z_i - z_j and
     v = v * d from v = one on."""
     if r < 2 or r > UNROLL_MAX_POINTS:
         return _vandermonde_loop
-    lines, v = ["def vandermonde(z, one):", *_unpack(r, pairs)], "one"
+    lines, v = ["def vandermonde(z):", *_unpack(r, pairs)], "one"
     for i, j in [(i, j) for i in range(r) for j in range(i + 1, r)]:
         _assign(lines, "d", [(1, f"z{i}"), (-1, f"z{j}")], pairs)
         _assign(lines, "v", [(1, v, "d")], pairs)
@@ -406,28 +398,32 @@ def _vandermonde_function(r, pairs):
     return _compiled("vandermonde", f"r={r}{' gaussian' if pairs else ''}", lines)
 
 
-def _band(idx, r, lines, pairs):
-    """The entry names of the narrow band with the index rows `idx` on r
-    points, "zero" outside it, once the steps of `elem_sym_all` up to the
-    highest e_k the band reads are written to `lines`; e_0 is "one"."""
-    top = max(k for row in idx for k in row if k is not None)
+def _band(offsets, r, lines, pairs):
+    """The entry names of the narrow band with the row offsets `offsets` on r
+    points, e_{c_i + j} in row i and column j where 0 <= c_i + j <= r and
+    "zero" elsewhere, once the steps of `elem_sym_all` up to the highest e_k
+    the band reads, the last of row 0, are written to `lines`; e_0 is
+    "one"."""
+    n = len(offsets)
+    top = min(offsets[0] + n - 1, r)
     name = ["one", *(f"e{k}" for k in range(1, top + 1))]
     for j in range(r):
         if j < top:
             _assign(lines, name[j + 1], [(1, name[j], f"z{j}")], pairs)
         for k in range(min(j, top), 0, -1):
             _assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")], pairs)
-    return [[name[k] if k is not None else "zero" for k in row] for row in idx]
+    return [[name[c + j] if 0 <= c + j <= r else "zero" for j in range(n)] for c in offsets]
 
 
 def _schur_function(key, pairs):
-    """s_lam on r points as a function of (z, exact, zero, one), for the key
-    (normalized parts of lam, r).
+    """s_lam on r points as a function of the point, for the key (normalized
+    parts of lam, r).
 
-    A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS points is
-    straight-line code: `elem_sym_all` unrolled up to the highest e_k the
-    matrix reads, then `det`'s formula on the same entries, with `zero`
-    outside the band.  Order 3 is `_det3`'s expansion written out: the
+    Both routes read the dual Jacobi-Trudi band off the row offsets
+    c_i = lam'_i - i.  A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS
+    points is straight-line code: `elem_sym_all` unrolled up to the highest
+    e_k the matrix reads, then `det`'s formula on the same entries, with the
+    int 0 outside the band.  Order 3 is `_det3`'s expansion written out: the
     cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; with `pairs` the
     cofactor of a zero lead entry is skipped.  Wider bands, and bands on
     more points, take `_wide_band`: the h-form for exact points when
@@ -435,12 +431,12 @@ def _schur_function(key, pairs):
     """
     parts, r = key
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
-        return lambda z, exact, zero, one: zero if parts else one
+        return lambda z: 0 if parts else 1
+    offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
     if parts[0] > 3 or r > UNROLL_MAX_POINTS:
-        return _wide_band(parts, r)
-    idx = _jacobi_trudi_indices(parts, r)
-    lines = ["def schur(z, exact, zero, one):", *_unpack(r, pairs)]
-    entries = _band(idx, r, lines, pairs)
+        return _wide_band(parts, r, offsets)
+    lines = ["def schur(z):", *_unpack(r, pairs)]
+    entries = _band(offsets, r, lines, pairs)
     if len(entries) == 1:
         terms = [(1, entries[0][0])]
     elif len(entries) == 2:
@@ -457,30 +453,30 @@ def _schur_function(key, pairs):
     return _compiled("schur", f"{parts} r={r}{' gaussian' if pairs else ''}", lines)
 
 
-def _wide_band(parts, r):
+def _wide_band(parts, r, offsets):
     """s_lam on r points for a band wider than 3 or on more than
-    UNROLL_MAX_POINTS points, as a function of (z, exact, zero, one).
+    UNROLL_MAX_POINTS points, as a function of the point, from lam's row
+    offsets c_i = lam'_i - i.
 
     Exact points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it
     is the smaller one, l(lam) < lam1, with h_k expanded one point at a time,
     h_k <- h_k + z_j h_{k-1}: its value equals the e-form's by the
     Jacobi-Trudi identity, int points keep int entries, and a zero value is
-    the mode's zero, as the e-form's elimination returns it.  Other points
-    take the e-form.  Its row i holds e_{c_i + j} in column j, c_i =
-    lam'_i - i, where 0 <= c_i + j <= r, and zero elsewhere, so each row is
-    one slice of the e_k padded with zeros on both sides: one padded list
-    and lam1 slices per call, the same for every point type.  The nonzero
-    columns first_i = max(0, -c_i) to last_i = min(lam1 - 1, r - c_i) of
-    row i rise with i, so at step k of the elimination only rows i with
-    first_i <= k hold column k (below[k], counted by one running pointer),
-    and no fill reaches past the last column of the last of them (reach[k]):
+    the int 0, as the e-form's elimination returns it.  Other points take
+    the e-form.  Its row i holds e_{c_i + j} in column j, where
+    0 <= c_i + j <= r, and zero elsewhere, so each row is one slice of the
+    e_k padded with zeros on both sides: one padded list and lam1 slices per
+    call, the same for every point type.  The nonzero columns
+    first_i = max(0, -c_i) to last_i = min(lam1 - 1, r - c_i) of row i rise
+    with i, so at step k of the elimination only rows i with first_i <= k
+    hold column k (below[k], counted by one running pointer), and no fill
+    reaches past the last column of the last of them (reach[k]):
     `_eliminate` takes the pivots, operands and order of `det`'s full scan,
     and float bits are those of `det` on the same rows.  These per-key
-    tables cost O(lam1 * l(lam)) steps, from lam', where the lam1 x lam1
-    index matrix of `_jacobi_trudi_indices` cost O(lam1^2).
+    tables cost O(lam1 * l(lam)) steps, where a lam1 x lam1 index matrix
+    would cost O(lam1^2).
     """
     n = parts[0]
-    offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
     first = [max(0, -c) for c in offsets]
     last = [min(n - 1, r - c) for c in offsets]
     below, b = [], 0
@@ -494,14 +490,15 @@ def _wide_band(parts, r):
     h_idx = [[p - i + j if p - i + j >= 0 else None for j in range(len(parts))] for i, p in enumerate(parts)]
     top = parts[0] + len(parts) - 1
 
-    def schur(z, exact, zero, one):
+    def schur(z):
+        exact = _exact(z)
         if exact and len(parts) < n:
-            h = [one] + [zero] * top
+            h = [1] + [0] * top
             for zj in z:
                 for k in range(1, top + 1):
                     h[k] = h[k] + zj * h[k - 1]
-            return det([[h[k] if k is not None else zero for k in row] for row in h_idx], True) or zero
-        band = [zero] * lead + elem_sym_all(z) + [zero] * trail
+            return det([[h[k] if k is not None else 0 for k in row] for row in h_idx], True) or 0
+        band = [0] * lead + elem_sym_all(z) + [0] * trail
         rows = [band[s : s + n] for s in starts]
         return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
 
@@ -513,24 +510,17 @@ _schur_code, _pair_schur_code = _Codes(_schur_function, False), _Codes(_schur_fu
 _vandermonde_code, _pair_vandermonde_code = _Codes(_vandermonde_function, False), _Codes(_vandermonde_function, True)
 
 
-# (exact, zero, one, Schur codes, Vandermonde codes) of a native point, by the
-# type of its first entry: the fast path of `schur` and `vandermonde`, whose
-# first three entries agree with `_kind`
-_NATIVE = {
-    t: (t not in (float, complex), 0, 1, _schur_code, _vandermonde_code) for t in (float, complex, int, Fraction)
-}
-_NATIVE[_Gaussian] = (True, 0, 1, _pair_schur_code, _pair_vandermonde_code)
-
-
 def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
-    The mode and the code table of a float, complex, int, Fraction or
-    Gaussian point are one lookup in `_NATIVE`; other points go through
-    `_kind` to the plain table.  The code for (lam, len(z)) is compiled
-    once; see `_schur_function`.
+    One type test on the first entry picks the code table: the pair table
+    for a `_Gaussian` point, else the plain one, which a Scalar point's
+    values take between `_unwrap` and `_wrap`.  The code for (lam, len(z)) is
+    compiled once; see `_schur_function`.
     """
-    kind = _NATIVE.get(type(z[0])) if z else None
-    exact, zero, one, codes, _ = (*_kind(z), _schur_code, None) if kind is None else kind
-    return codes[lam._normalized, len(z)](z, exact, zero, one)
+    t = type(z[0]) if z else None
+    if t is Scalar:
+        mode, z = _unwrap(z)
+        return _wrap(mode, _schur_code[lam._normalized, len(z)](z))
+    return (_pair_schur_code if t is _Gaussian else _schur_code)[lam._normalized, len(z)](z)

@@ -6,7 +6,8 @@ import random
 
 from schurfit import DataSet, Exponents
 from schurfit.numeric import Scalar, format_scalar
-from schurfit.symfunc import _jacobi_trudi_indices, _kind, det, elem_sym_all, schur, vandermonde
+from schurfit.partitions import conjugate
+from schurfit.symfunc import det, elem_sym_all, schur, vandermonde
 
 
 def rational(rng, lo=-9, hi=9, max_den=4):
@@ -96,10 +97,19 @@ def max_rel_diff(a, b):
     return worst
 
 
+def kind(z):
+    """(exact, zero, one) of point z: a Scalar point's mode with its Scalar
+    zero and one; for a native point, exact unless its first entry is a float
+    or complex, the ints 0 and 1, exact identities in every type."""
+    if z and isinstance(z[0], Scalar):
+        return z[0].exact, Scalar.zero(z[0].exact), Scalar.one(z[0].exact)
+    return not (z and isinstance(z[0], (float, complex))), 0, 1
+
+
 def rows_and_det(lam, z):
     """s_lam(z) as `det` of the dual Jacobi-Trudi rows of elem_sym_all(z), the
     reference for the straight-line Schur code."""
-    exact, zero, one = _kind(z)
+    exact, zero, one = kind(z)
     parts = lam.normalized()
     if not parts:
         return one
@@ -109,10 +119,12 @@ def rows_and_det(lam, z):
 
 
 def jacobi_trudi_rows(lam, z):
-    """The dual Jacobi-Trudi matrix of s_lam(z), for a nonempty lam with at
-    most len(z) parts, filled from elem_sym_all(z) and `_kind`'s zero."""
-    e, zero = elem_sym_all(z), _kind(z)[1]
-    return [[e[k] if k is not None else zero for k in row] for row in _jacobi_trudi_indices(lam.normalized(), len(z))]
+    """The dual Jacobi-Trudi matrix (e_{lam'_i - i + j}) of s_lam(z), for a
+    nonempty lam with at most len(z) parts, filled from elem_sym_all(z) where
+    0 <= lam'_i - i + j <= len(z) and with `kind`'s zero elsewhere."""
+    e, zero, lam_conj = elem_sym_all(z), kind(z)[1], conjugate(lam)
+    ks = [[c - i + j for j in range(len(lam_conj))] for i, c in enumerate(lam_conj)]
+    return [[e[k] if 0 <= k <= len(z) else zero for k in row] for row in ks]
 
 
 def subset_columns(x, w, fixed, lams, size):

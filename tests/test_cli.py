@@ -429,8 +429,8 @@ def test_stream_refuses_malformed_snapshot(tmp_path, capsys, corrupt, mode):
 
 @pytest.mark.parametrize(
     "edit",
-    [{"degrees": [1.9, 0.2]}, {"evaluations": 7.9}, {"degrees": [True, False]}],
-    ids=["fractional-degrees", "fractional-evaluations", "boolean-degrees"],
+    [{"degrees": [1.9, 0.2]}, {"evaluations": 7.9}, {"degrees": [True, False]}, {"evaluations": float("inf")}],
+    ids=["fractional-degrees", "fractional-evaluations", "boolean-degrees", "infinite-evaluations"],
 )
 def test_stream_refuses_non_integral_snapshot_numbers(tmp_path, capsys, edit):
     # truncating 1.9, 0.2 to the asked-for degrees (1, 0), or reading JSON's

@@ -311,7 +311,9 @@ def test_mode_is_read_off_the_values(exact):
 def test_snapshot_refuses_non_integral_numbers():
     payload = init_state(Exponents((1, 0)), DataSet(ex(1, 2), ex(1, 2))).to_dict()
     # JSON's true and false are no degrees, although int() reads them as 1, 0
-    for key, value in (("evaluations", 7.9), ("degrees", [1.9, 0.2]), ("degrees", [True, False])):
+    # nor are infinities, on which int() overflows
+    infinities = [("evaluations", v) for v in (float("inf"), float("-inf"))] + [("degrees", [float("inf"), 0])]
+    for key, value in [("evaluations", 7.9), ("degrees", [1.9, 0.2]), ("degrees", [True, False]), *infinities]:
         with pytest.raises(ValueError, match="is not an integer"):
             RegressionState.from_dict({**payload, key: value})
     # a count is never negative, and JSON's true is no count although

@@ -34,6 +34,9 @@ def test_non_integral_numbers_are_refused(make):
         make((3.7, 1.2, 0))
     with pytest.raises(ValueError, match="True is not an integer"):
         make((3, True, 0))
+    for inf in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"{inf!r} is not an integer"):
+            make((inf, 1, 0))
     assert make((3.0, 1, 0)) == make((3, 1, 0))
 
 

@@ -14,11 +14,9 @@ from schurfit.regress import _walker
 from schurfit import symfunc
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
-    _NATIVE,
     _Codes,
     _assign,
     _det3,
-    _kind,
     _pair_schur_code,
     _pair_vandermonde_code,
     _schur_code,
@@ -31,7 +29,7 @@ from schurfit.symfunc import (
     vandermonde,
 )
 
-from _helpers import distinct_rationals, exact_scalar, jacobi_trudi_rows, rational, rows_and_det
+from _helpers import distinct_rationals, exact_scalar, jacobi_trudi_rows, kind, rational, rows_and_det
 
 
 def ex(*vals):
@@ -433,17 +431,23 @@ def test_exact_det_pivots_on_a_gaussian_unit():
     assert type(value.real) is int and type(value.imag) is int
 
 
-@pytest.mark.parametrize("kind", NATIVE_POINTS)
-def test_native_fast_path_agrees_with_kind(kind):
-    # `schur` and `vandermonde` read a native point's mode off the type of its
-    # first entry; `_kind` reads it the long way and must agree.  The same
-    # lookup selects the code tables: Gaussian ones for `_Gaussian` points
-    z = NATIVE_POINTS[kind]
-    exact, zero, one, schur_codes, vandermonde_codes = _NATIVE[type(z[0])]
-    assert (exact, zero, one) == _kind(z)
-    gaussian = kind == "gaussian"
-    assert schur_codes is (_pair_schur_code if gaussian else _schur_code)
-    assert vandermonde_codes is (_pair_vandermonde_code if gaussian else _vandermonde_code)
+@pytest.mark.parametrize("point_kind", NATIVE_POINTS)
+def test_gaussian_points_take_the_pair_tables(monkeypatch, point_kind):
+    # `schur` and `vandermonde` pick the code tables by one type test on the
+    # first entry: the pair tables for `_Gaussian` points, the plain ones for
+    # the other native points, whose mode is exact unless that entry is a
+    # float or complex
+    z = NATIVE_POINTS[point_kind]
+    taken = []
+    for name in ("_schur_code", "_pair_schur_code", "_vandermonde_code", "_pair_vandermonde_code"):
+        monkeypatch.setattr(symfunc, name, _Codes(lambda key, pairs, name=name: lambda z: taken.append(name), False))
+    schur(Partition((2, 1)), z)
+    vandermonde(z)
+    if point_kind == "gaussian":
+        assert taken == ["_pair_schur_code", "_pair_vandermonde_code"]
+    else:
+        assert taken == ["_schur_code", "_vandermonde_code"]
+    assert symfunc._exact(z) is (point_kind not in ("float", "complex"))
 
 
 def test_points_that_mix_exact_and_float_scalars_are_refused():
@@ -458,6 +462,53 @@ def test_points_that_mix_exact_and_float_scalars_are_refused():
     ):
         with pytest.raises(ScalarModeError, match="point mixes exact and float scalars"):
             call()
+    exact, inexact = Scalar.from_exact(3), Scalar.from_float(-1.5)
+    for call in (
+        lambda: det([[exact, inexact], [exact, exact]], True),
+        lambda: det([[exact] * 4] * 3 + [[exact, exact, inexact, exact]], True),
+        lambda: det([[inexact] * 5] * 4 + [[inexact] * 4 + [exact]], False),
+        lambda: elem_sym_all(mixed),
+        lambda: schur_bialternant(Partition((2, 1)), (*mixed, Scalar.from_exact(5))),
+        lambda: schur(Partition((5, 2)), mixed),
+    ):
+        with pytest.raises(ScalarModeError):
+            call()
+    # `det` gives a Scalar of its entries' own mode: `exact` picks the pivot
+    # rule only
+    for n in (2, 4):
+        value = det([[Scalar.from_float(float(i == j) + 0.5) for j in range(n)] for i in range(n)], True)
+        assert isinstance(value, Scalar) and not value.exact, value
+
+
+def _count_scalar_ops(monkeypatch):
+    # Scalar add, sub, mul and div calls, counted as perfbench's tracer
+    # counts them
+    counts = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        op = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda a, b, op=op: counts.append(1) or op(a, b))
+    return counts
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_scalar_points_run_no_scalar_arithmetic(monkeypatch, exact):
+    # a Scalar point is unwrapped once at the entry: the native code runs on
+    # its values, narrow bands, h-form and e-form wide bands alike, and only
+    # the one result is wrapped
+    def point(*vals):
+        return tuple(Scalar.from_exact(v) if exact else Scalar.from_float(v) for v in vals)
+
+    z = point(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+    w = z + point(2)
+    hilbert = [list(point(*(Fraction(1, i + j + 1) for j in range(4)))) for i in range(4)]
+    counts = _count_scalar_ops(monkeypatch)
+    for parts, pts in [((2, 1), z), ((3, 2), z), ((6, 2), z), ((5, 4, 3), z), ((5, 4, 3), w), ((4, 4, 4, 4), w)]:
+        value = schur(Partition(parts), pts)
+        assert isinstance(value, Scalar) and value.exact is exact, (parts, value)
+    vandermonde(z)
+    elem_sym_all(z)
+    det(hilbert, exact)
+    assert len(counts) == 0
 
 
 def _narrow_shapes(r):
@@ -560,26 +611,26 @@ def test_straight_line_code_matches_the_loops_and_det(r):
     # binary64 entries
     rng = random.Random(100 + r)
     for _ in range(8):
-        for kind, z in _point_kinds(rng, r).items():
-            assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, _kind(z)[2])), (kind, z)
+        for label, z in _point_kinds(rng, r).items():
+            assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, kind(z)[2])), (label, z)
             for lam in _narrow_shapes(r):
                 value = schur(lam, z)
                 got, want = _fingerprint(value), _fingerprint(rows_and_det(lam, z))
-                assert got == want, (kind, lam, z)
+                assert got == want, (label, lam, z)
                 parts = lam.normalized()
-                if not _kind(z)[0] and parts[:1] == (3,) and len(parts) <= r:
+                if not kind(z)[0] and parts[:1] == (3,) and len(parts) <= r:
                     _assert_within_det3_bound(value, jacobi_trudi_rows(lam, z))
 
 
 @pytest.mark.parametrize("r", [UNROLL_MAX_POINTS, UNROLL_MAX_POINTS + 1])
 def test_unrolled_and_looped_routes_agree_at_the_point_limit(r):
     rng = random.Random(r)
-    for kind, z in _point_kinds(rng, r).items():
-        one = _kind(z)[2]
-        assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, one)), kind
+    for label, z in _point_kinds(rng, r).items():
+        one = kind(z)[2]
+        assert _fingerprint(vandermonde(z)) == _fingerprint(_vandermonde_loop(z, one)), label
         for parts in [(1,), (2, 1), (2, 2, 1), (1,) * r, (2,) * r, (3,), (3, 2), (3, 3, 1), (3,) * r]:
             lam = Partition(parts)
-            assert _fingerprint(schur(lam, z)) == _fingerprint(rows_and_det(lam, z)), (kind, lam)
+            assert _fingerprint(schur(lam, z)) == _fingerprint(rows_and_det(lam, z)), (label, lam)
 
 
 def test_one_hundred_twenty_points_need_no_deep_expression():
@@ -631,7 +682,7 @@ def test_width_three_pivot_edge_cases_match_det(z):
     for lam in shapes:
         value = schur(lam, z)
         assert _fingerprint(value) == _fingerprint(rows_and_det(lam, z)), lam
-        if not _kind(z)[0] and len(lam.normalized()) <= len(z):
+        if not kind(z)[0] and len(lam.normalized()) <= len(z):
             _assert_within_det3_bound(value, jacobi_trudi_rows(lam, z))
 
 
@@ -662,7 +713,7 @@ def _bordered(rows):
     # an order-3 matrix bordered to order 4 with its entries' own one and
     # zeros, on which exact `det` runs its elimination loop, the reference
     # for the cofactor expansion of order 3
-    zero, one = _kind(rows[0])[1:]
+    zero, one = kind(rows[0])[1:]
     return [[one, zero, zero, zero]] + [[zero, *row] for row in rows]
 
 
@@ -681,7 +732,7 @@ def test_exact_det3_matches_the_bordered_elimination():
     pool = [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), _Gaussian(0, 1), _Gaussian(1, 0)]
     matrices = _sparse_matrices(random.Random(3), pool)
     for z in _pivot_edge_points():
-        if _kind(z)[0]:
+        if kind(z)[0]:
             shapes = [lam for lam in _narrow_shapes(len(z)) if lam.normalized()[:1] == (3,)]
             matrices += [jacobi_trudi_rows(lam, z) for lam in shapes if len(lam.normalized()) <= len(z)]
     for rows in matrices:
@@ -793,7 +844,7 @@ def test_wide_band_exact_zero_is_the_mode_zero(parts):
     # e1 = 0 on (1, -1) makes these Schur values vanish; each comes back as
     # the zero of its mode, as the e-form's elimination returns it
     for z in [(1, -1), (Fraction(1), Fraction(-1)), (_Gaussian(1, 0), _Gaussian(-1, 0)), ex(1, -1)]:
-        value, zero = schur(Partition(parts), z), _kind(z)[1]
+        value, zero = schur(Partition(parts), z), kind(z)[1]
         assert value == zero and _fingerprint(value) == _fingerprint(zero), (parts, z)
 
 
@@ -801,7 +852,7 @@ def _wide_float_points(rng):
     # random float, complex, signed-zero and float Scalar points, the pivot
     # edge cases and e1 = 0 on (1, -1), an exact zero inside the band
     out = [(1.0, -1.0), (1.0, -1.0, 0.5), tuple(map(_as_scalar, (1.0, -1.0)))]
-    out += [z for z in _pivot_edge_points() if not _kind(z)[0]]
+    out += [z for z in _pivot_edge_points() if not kind(z)[0]]
     for r in (1, 2, 3, 4, 17):
         kinds = _point_kinds(rng, r)
         out += [kinds[k] for k in ("float", "complex", "signed_zero", "float_scalar")]
@@ -919,15 +970,12 @@ def test_wide_band_float_bits_are_those_of_the_full_width_det():
 
 
 @pytest.mark.parametrize("parts, r", [((300,), 2), ((120, 7, 7), 3), ((6, 5, 5, 2), 4), ((3, 1), 17)], ids=str)
-def test_wide_band_tables_come_from_the_conjugate(monkeypatch, parts, r):
+def test_wide_band_tables_come_from_the_conjugate(parts, r):
     # a wide band's per-key tables are built from lam', in O(lam1 * l(lam))
-    # steps, without the lam1 x lam1 index matrix; its rows, slices of the
-    # zero-padded e_k, still give the bits of `det` on the full e-form rows
-    monkeypatch.setattr(symfunc, "_jacobi_trudi_indices", None)
+    # steps, without a lam1 x lam1 index matrix; on float points its rows,
+    # slices of the zero-padded e_k, still give the bits of `det` on the full
+    # e-form rows, and on Fraction points the h-form gives their value
     code = _Codes(_schur_function, False)[parts, r]
-    monkeypatch.undo()
     rng = random.Random(sum(parts))
-    for z in (tuple(rng.uniform(0.5, 1.5) for _ in range(r)), tuple(map(_as_scalar, rng.sample(range(-9, 9), r)))):
-        exact, zero, one = _kind(z)
-        value = code(z, exact, zero, one)
-        assert _fingerprint(value) == _fingerprint(rows_and_det(Partition(parts), z)), z
+    for z in (tuple(rng.uniform(0.5, 1.5) for _ in range(r)), tuple(Fraction(v, 3) for v in rng.sample(range(-9, 9), r))):
+        assert _fingerprint(code(z)) == _fingerprint(rows_and_det(Partition(parts), z)), z
