@@ -55,9 +55,11 @@ class Partition(tuple):
     Trailing zeros are kept as given but ignored by equality and hashing,
     since partitions of different nominal lengths must interoperate.  The
     parts without them are stripped once, on construction, into
-    `_normalized`, which `symfunc.schur` reads on every call.  (A tuple
-    subclass cannot declare a nonempty `__slots__`, so they live in the
-    instance dict.)
+    `_normalized`.  `_codes`, empty on construction, is `symfunc.schur`'s
+    table of this partition's generated code by point type and then number of
+    points, read on every call.  (A tuple subclass cannot declare a nonempty
+    `__slots__`, so both live in the instance dict; a pickle or copy holds
+    the parts only.)
     """
 
     def __new__(cls, parts):
@@ -71,7 +73,11 @@ class Partition(tuple):
         while k and p[k - 1] == 0:
             k -= 1
         self._normalized = p[:k]
+        self._codes = {}
         return self
+
+    def __reduce__(self):
+        return Partition, (tuple(self),)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.normalized() == other.normalized()

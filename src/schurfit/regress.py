@@ -17,12 +17,13 @@ straight-line code that walks the subsets in lexicographic order, forms the
 vector u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps
 the upper triangle of the sum of u u* in locals (`_hermitian_sum`) or lists
 the u vectors with their labels, which `_append_b_columns` turns into B's
-signed columns.  Its one body is written by `symfunc._assign` with the
-`pairs` flag that the number kind sets: for exact Gaussian data, the slow
-kind when every step makes a `_Gaussian`, the same statements run on int
-pairs, each Schur value, V and weight unpacked into int locals, and make
-one `_Gaussian` of each sum or B entry.  The pseudoinverse B B* A*
-uses B B* = (-1)^(i+j) S_{i,j} / D and so never builds B.
+signed columns.  Its one body is written by `symfunc._assign` in the code
+kind that the number kind sets.  Real data takes no conjugates.  For exact
+Gaussian data, the slow kind when every step makes a `_Gaussian`, the same
+statements run on int pairs, each Schur value, V and weight unpacked into
+int locals, and make one `_Gaussian` of each sum or B entry.  The
+pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never
+builds B.
 
 The walker computes on plain numbers: `_lift` converts points, weights and
 targets once per public call to float or complex, or scales exact ones to
@@ -47,7 +48,7 @@ from math import comb, hypot, inf, isqrt, lcm, sqrt
 from sys import float_info
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
-from .partitions import lambda_drop, lambda_from_degrees
+from .partitions import lambda_from_degrees
 from .symfunc import _assign, _compiled, _split, _value, schur, vandermonde
 
 
@@ -153,8 +154,17 @@ def _require_points(n, data):
         )
 
 
-def _drops(d):
-    return [lambda_drop(d, i) for i in range(1, len(d) + 1)]
+def _partitions(d):
+    """lam of the exponents d and the n partitions lam[i] of its drops, made
+    once per exponent tuple: each partition keeps its own table of generated
+    Schur code (`Partition._codes`), which a new one would fill again on
+    every fit."""
+    return _partitions_of(tuple(d))
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(d):
+    return lambda_from_degrees(d), tuple(lambda_from_degrees(d[:i] + d[i + 1 :]) for i in range(len(d)))
 
 
 # points, weights and targets in the kernel's number type, and the factors by
@@ -240,15 +250,19 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
     With `columns` it returns instead one (label, u_0, ..., u_{n-1}) per
     subset, the label being the subset's 1-based point numbers.
 
-    Every statement is written by `symfunc._assign`.  For `_Gaussian`
-    points, whose u are `_Gaussian`s whenever a subset holds two points or a
-    weight, it gets the `pairs` flag: the walk unpacks each Schur value, V and
-    weight into its int parts and keeps u and the sums as pairs of int
-    locals; each sum becomes one `_Gaussian` at the end, or stays the int 0
-    if no subset was walked.
+    Every statement is written by `symfunc._assign`, in the code kind of
+    the points.  For float and int points it is "real", which writes
+    u_i conj(u_j) as u_i * u_j: their Schur values, V and weights are real.
+    For `_Gaussian` points, whose u are `_Gaussian`s whenever a subset holds
+    two points or a weight, it is "pairs": the walk unpacks each Schur
+    value, V and weight into its int parts and keeps u and the sums as pairs
+    of int locals; each sum becomes one `_Gaussian` at the end, or stays the
+    int 0 if no subset was walked.  Other walks are "complex", with
+    .conjugate() calls.
     """
     k = size - fixed  # points chosen besides the fixed ones
     pairs = kind is _Gaussian and k >= 0 and (size > 1 or weighted and size > 0)
+    code = "pairs" if pairs else "real" if kind in (float, int) else "complex"
     ij = [(i, j) for i in range(n) for j in range(i, n)]
     sums, weights = [f"s{i}_{j}" for i, j in ij], [f"q{i}" for i in range(size if weighted else 0)]
     lines = [
@@ -269,28 +283,28 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
         if fixed:
             lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
         if fixed and weights:
-            lines += ["    " + "".join(f"{q}, " for q in weights[k:]) + "= w[m:]", *_split(weights[k:], pairs)]
+            lines += ["    " + "".join(f"{q}, " for q in weights[k:]) + "= w[m:]", *_split(weights[k:], code)]
         if len(sources) == 1:
             lines.append(f"    for {targets[0]} in {sources[0]}:")
         else:
             lines.append(f"    for {', '.join(targets)} in zip({', '.join(sources)}):")
         if weights and k:
-            lines += _split(weights[:k], pairs, body)
+            lines += _split(weights[:k], code, body)
         if fixed:
             lines.append(f"{body}pts = head + tail")
-        lines += [f"{body}v = vandermonde(pts)", *_split(["v"], pairs, body)]
+        lines += [f"{body}v = vandermonde(pts)", *_split(["v"], code, body)]
         for q in weights:
-            _assign(lines, "v", [(1, "v", q)], pairs, body)
+            _assign(lines, "v", [(1, "v", q)], code, body)
         for i in range(n):
-            lines += [f"{body}t{i} = schur(lam{i}, pts)", *_split([f"t{i}"], pairs, body)]
-            _assign(lines, f"u{i}", [(1, f"t{i}", "v")], pairs, body)
+            lines += [f"{body}t{i} = schur(lam{i}, pts)", *_split([f"t{i}"], code, body)]
+            _assign(lines, f"u{i}", [(1, f"t{i}", "v")], code, body)
         if columns:
             label = "label + tail_label" if fixed else "label"
-            u = "".join(_value(f"u{i}", pairs) + ", " for i in range(n))
+            u = "".join(_value(f"u{i}", code) + ", " for i in range(n))
             lines.append(f"{body}out.append(({label}, {u}))")
         else:
             for i, j in ij:
-                _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], pairs, body)
+                _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], code, body)
     if columns:
         lines.append("    return out")
     else:
@@ -299,7 +313,7 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
         # or Fraction after a division in `det` (an elimination of order 4 or
         # more on the e-form or the h-form).  An empty walk's sums stay 0.
         lines += [f"    s{i}_{i}i = 0 * s{i}_{i}r" for i in range(n) if pairs]
-        values = "".join(f"{_value(s, pairs)}, " for s in sums)
+        values = "".join(f"{_value(s, code)}, " for s in sums)
         count = f"comb(m, {k})" if k >= 0 else "0"
         lines.append(f"    return (({values}) if m >= {k} else ({'0, ' * len(sums)})), {count}")
     signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns} {kind.__name__}"
@@ -333,7 +347,7 @@ def _hermitian_sum(lifted, lams, size):
 
 def _denominator_sum(d, lifted):
     """D = sum over n-subsets of |w_l s_lam(x_l) V(x_l)|^2 and its term count."""
-    total, count = _hermitian_sum(lifted, [lambda_from_degrees(d)], len(d))
+    total, count = _hermitian_sum(lifted, _partitions(d)[:1], len(d))
     return total[0][0], count
 
 
@@ -343,7 +357,7 @@ def _minor_matrix(d, lifted):
     Each (n-1)-subset contributes the n^2 products
     s_{lam[i]}(x_l) * conj(s_{lam[j]}(x_l)) * |V(x_l)|^2 (weighted by |w_l|^2).
     """
-    return _hermitian_sum(lifted, _drops(d), len(d) - 1)
+    return _hermitian_sum(lifted, _partitions(d)[1], len(d) - 1)
 
 
 def _moment_sums(d, lifted, start):
@@ -426,7 +440,7 @@ def _zero_denominator(dvalue, d, x):
     scale = max((abs(xk) for xk in x), default=1.0)
     n = len(d)
     try:
-        floor = 1e-12 * scale ** (2 * lambda_from_degrees(d).weight + n * (n - 1))
+        floor = 1e-12 * scale ** (2 * _partitions(d)[0].weight + n * (n - 1))
     except OverflowError:
         raise OverflowError("the degeneracy floor of D is not finite in float arithmetic") from None
     return abs(float(dvalue.re)) <= floor
@@ -561,7 +575,7 @@ def _append_b_columns(b, d, lifted):
     scaling of u_i.  Like `_hermitian_sum`, it passes the walker `schur` and
     `vandermonde` as bound here at call time."""
     root = b.denominator_root if b.normalized else None
-    lams, size = _drops(d), len(d) - 1
+    lams, size = _partitions(d)[1], len(d) - 1
     scales = [_lift_factor(lifted, lam, size) for lam in lams]
     walk = _walker(lifted.kind, len(lams), size, lifted.fixed, lifted.w is not None, columns=True)
     for label, *u in walk(lifted.x, lifted.w, lams, schur, vandermonde):

@@ -4,8 +4,8 @@
 float, complex, int, Fraction or Gaussian-pair values, each in its own type,
 as the subset walker in `regress` hands them over.  A native point is exact
 unless its first entry is a float or complex.  A point of Scalars is
-converted once, at the entry: `_unwrap` checks that its entries share one
-mode, refusing a point that mixes modes, the native code runs on their
+converted once, at the entry: `_unwrap` checks that its entries are Scalars
+of one mode, refusing any other point, the native code runs on their
 values, and `_wrap` tags the one result with that mode; the cross-checks in
 `schurfit.reference` go through the same two steps.  So no Scalar operation
 runs inside this module, and a Scalar result holds the value, type and bits
@@ -39,21 +39,23 @@ functions", Math. Comp. 2006).
 The subset walker in `regress` calls `schur` and `vandermonde` once per
 subset and partition, mostly on bands of width lam1 <= 3, whose whole
 arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
-kept cheap: one type test and one code-cache lookup per call.  `_Gaussian`
-points take code tables of their own; every other point, a Scalar point by
-its values, takes the plain ones.  For narrow bands, and for V, each
-(lam, r) on at most UNROLL_MAX_POINTS points is compiled once into
-straight-line code that takes the same steps as `elem_sym_all`, `det` and
-the V loop, in the same order on the same operands, so values are
-bit-identical to theirs and only the loops, index rows and calls are gone.
-A 3 x 3 band writes out `_det3`, the cofactor expansion that `det` uses at
-order 3 in both modes.  Wider bands, such as the 38- and 39-wide ones of
-(40, 20, 0), take `_wide_band`.  One writer, `_assign`, writes every
-statement of this code and of the subset walker in `regress`, with a `pairs`
-flag that only the point type sets: `_Gaussian` points, the kernel's numbers
-for exact complex data, have tables of their own, filled by the same
-builders with `pairs`, whose code takes the same steps on int pairs (see
-"The statement writer" below) and returns one `_Gaussian`.
+kept cheap: one type test on the first entry and two plain-dict lookups per
+call, the Schur code read off a table that each partition keeps.  For narrow
+bands, and for V, each (lam, r) on at most UNROLL_MAX_POINTS points is
+compiled once into straight-line code that takes the same steps as
+`elem_sym_all`, `det` and the V loop, in the same order on the same
+operands, so values are bit-identical to theirs and only the loops, index
+rows and calls are gone.  A 3 x 3 band writes out `_det3`, the cofactor
+expansion that `det` uses at order 3 in both modes.  Wider bands, such as
+the 38- and 39-wide ones of (40, 20, 0), take `_wide_band`.  One writer,
+`_assign`, writes every statement of this code and of the subset walker in
+`regress`, in one of three code kinds that only the point type sets (see
+"The statement writer" below), each compiled into tables of its own: real
+code for float, int and Fraction points drops the factors 1 and the
+conjugates, exact identities on real numbers; complex code writes every
+step as the loops do; pair code, for `_Gaussian` points, the kernel's
+numbers for exact complex data, takes the same steps on int pairs and
+returns one `_Gaussian`.
 
 The bialternant ratio and the semistandard tableaux sum, independent
 cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
@@ -70,13 +72,21 @@ from .partitions import Partition, conjugate
 
 def _unwrap(z):
     """(mode, values) of point z: for Scalars their common mode and their
-    values, and ScalarModeError if their modes differ; for native numbers and
-    the empty point None and z itself."""
+    values; for native numbers and the empty point None and z itself.
+
+    A point whose first entry is a Scalar must hold Scalars of one mode:
+    mixed modes, or a native number among the Scalars, raise
+    ScalarModeError.  A point whose first entry is native is not read here,
+    so native points cost nothing; a Scalar later in such a point meets a
+    native number in the arithmetic, which raises TypeError."""
     if not (z and isinstance(z[0], Scalar)):
         return None, z
     mode = z[0].exact
-    if any(s.exact is not mode for s in z):
-        raise ScalarModeError("point mixes exact and float scalars")
+    for s in z:
+        if not isinstance(s, Scalar):
+            raise ScalarModeError("point mixes scalars with native numbers")
+        if s.exact is not mode:
+            raise ScalarModeError("point mixes exact and float scalars")
     return mode, [s.value for s in z]
 
 
@@ -108,15 +118,6 @@ def elem_sym_all(z):
         for k in range(j, 0, -1):
             e[k] = e[k] + e[k - 1] * zj
     return e if mode is None else [_wrap(mode, v) for v in e]
-
-
-def vandermonde(z):
-    """prod_{i<j} (z_i - z_j); empty and singleton points give 1."""
-    t = type(z[0]) if z else None
-    if t is Scalar:
-        mode, z = _unwrap(z)
-        return _wrap(mode, _vandermonde_code[len(z)](z))
-    return (_pair_vandermonde_code if t is _Gaussian else _vandermonde_code)[len(z)](z)
 
 
 def _vandermonde_loop(z, one=1):
@@ -267,34 +268,28 @@ def _compiled(name, signature, lines, **scope):
     return namespace[name]
 
 
-class _Codes(dict):
-    """Generated functions by key, each built by `build(key, pairs)` on its
-    first lookup.  A subscript costs no call, unlike an `lru_cache` wrapper,
-    and `schur` and `vandermonde` make one per call."""
-
-    def __init__(self, build, pairs):
-        super().__init__()
-        self.build, self.pairs = build, pairs
-
-    def __missing__(self, key):
-        self[key] = code = self.build(key, self.pairs)
-        return code
-
-
 # -- The statement writer ----------------------------------------------------
 #
 # Every statement of the generated Schur, Vandermonde and walker code is
 # written by `_assign` from terms, tuples (coefficient, factor, ...) that
 # stand for the product of the coefficient and the factors, summed.  The
-# `pairs` flag, set for `_Gaussian` points only, the kernel's numbers for
-# exact complex data, selects how.  Without it the statement is the terms
-# as given, in that order of operations, so values are bit-identical to the
-# loops'.  With it each number is kept in two locals, its parts: a point z0
-# becomes z0r and z0i, and a step such as e2 = e2 + e1 * z1 one statement
-# that sets e2r and e2i.  Exact values do not depend on the order of
-# operations, so there the band's zero and one entries fold away and like
-# terms are collected; the points' parts share one type, int or Fraction,
-# which every part computed from them keeps, as `_Gaussian`'s operators do.
+# code kind, which only the point type sets, selects how; each keeps the
+# values, types and float bits of the loops:
+# - "complex", for complex points and any type not named here, writes the
+#   terms as given, in that order of operations, with "~p" as
+#   p.conjugate().  In Python up to 3.13, 1 * z on a complex z is a complex
+#   product, which can flip the sign of a zero part, so the one factors stay.
+# - "real", for float, int and Fraction points, writes them so too but drops
+#   every one factor and every conjugation: 1 * x is x and conj(x) is x for
+#   such an x, bit for bit, signed zeros, infinities and NaN included.  The
+#   zero factors stay, as they decide the signs of zeros.
+# - "pairs", for `_Gaussian` points, the kernel's numbers for exact complex
+#   data, keeps each number in two locals, its parts: a point z0 becomes z0r
+#   and z0i, and a step such as e2 = e2 + e1 * z1 one statement that sets
+#   e2r and e2i.  Exact values do not depend on the order of operations, so
+#   the band's zero and one entries fold away and like terms are collected;
+#   the points' parts share one type, int or Fraction, which every part
+#   computed from them keeps, as `_Gaussian`'s operators do.
 
 
 def _source(terms):
@@ -344,61 +339,70 @@ def _pair(terms):
     return tuple([(c, *names) for names, c in acc.items() if c] for acc in parts)
 
 
-def _assign(lines, target, terms, pairs, indent="    "):
+def _assign(lines, target, terms, kind, indent="    "):
     """Append to `lines` the statement that sets `target` to the sum of
     `terms`, tuples (sign, factor, ...) whose factor "~p" is the conjugate
-    of p.  Without `pairs` it is the terms in the order given; with `pairs`
-    it sets the parts of `target` (see `_pair`), and a part that keeps its
-    value is not set."""
-    if not pairs:
-        terms = [(c, *(f"{f[1:]}.conjugate()" if f[0] == "~" else f for f in fs)) for c, *fs in terms]
-        lines.append(f"{indent}{target} = {_source(terms)}")
+    of p, as the code `kind` writes it: the terms in the order given, for
+    "real" without one factors and conjugations; for "pairs" the parts of
+    `target` (see `_pair`), of which a part that keeps its value is not
+    set."""
+    if kind == "pairs":
+        sets = [(target + part, _source(v)) for part, v in zip("ri", _pair(terms))]
+        sets = [(t, v) for t, v in sets if t != v]
+        lines.append(f"{indent}{', '.join(t for t, _ in sets)} = {', '.join(v for _, v in sets)}")
         return
-    sets = [(target + part, _source(v)) for part, v in zip("ri", _pair(terms))]
-    sets = [(t, v) for t, v in sets if t != v]
-    lines.append(f"{indent}{', '.join(t for t, _ in sets)} = {', '.join(v for _, v in sets)}")
+    if kind == "real":
+        terms = [(c, *(f.lstrip("~") for f in fs if f != "one")) for c, *fs in terms]
+    else:
+        terms = [(c, *(f"{f[1:]}.conjugate()" if f[0] == "~" else f for f in fs)) for c, *fs in terms]
+    lines.append(f"{indent}{target} = {_source(terms)}")
 
 
-def _split(names, pairs, indent="    "):
-    """With `pairs`, the statement binding the parts of each of `names` to
-    its locals namer, namei; without, no statement."""
-    if not pairs:
+def _split(names, kind, indent="    "):
+    """For "pairs", the statement binding the parts of each of `names` to its
+    locals namer, namei; for the other kinds, no statement."""
+    if kind != "pairs":
         return []
     parts = ", ".join(f"{p}r, {p}i" for p in names)
     return [f"{indent}{parts} = {', '.join(f'{p}.real, {p}.imag' for p in names)}"]
 
 
-def _unpack(r, pairs):
-    """Statements binding the r >= 1 entries of point z to z0, z1, ..., and
-    with `pairs` their parts (see `_split`), without it the ints 0 and 1 to
-    zero and one."""
+def _unpack(r, kind, body):
+    """The statements that open a function whose statements are `body`:
+    binding the r >= 1 entries of point z to z0, z1, ..., then for "pairs"
+    their parts (see `_split`), for the other kinds the ints 0 and 1 to zero
+    and one, each only if `body` reads it."""
     names = [f"z{i}" for i in range(r)]
-    unpack = "    " + "".join(f"{p}, " for p in names) + "= z"
-    return [unpack, *_split(names, pairs)] if pairs else [unpack, "    zero, one = 0, 1"]
+    lines = ["    " + "".join(f"{p}, " for p in names) + "= z", *_split(names, kind)]
+    read = {word for line in body for word in line.split()}
+    return lines + [f"    {name} = {value}" for name, value in (("zero", 0), ("one", 1)) if name in read]
 
 
-def _value(name, pairs):
-    """The source of the number held in `name`: the local itself, or with
-    `pairs` the `_Gaussian` of its parts."""
-    return f"_Gaussian({name}r, {name}i)" if pairs else name
+def _value(name, kind):
+    """The source of the number held in `name`: the local itself, or for
+    "pairs" the `_Gaussian` of its parts."""
+    return f"_Gaussian({name}r, {name}i)" if kind == "pairs" else name
 
 
-def _vandermonde_function(r, pairs):
+def _vandermonde_function(r, kind):
     """V on r points as a function of the point: `_vandermonde_loop`, or on 2
-    to UNROLL_MAX_POINTS points its steps unrolled, d = z_i - z_j and
-    v = v * d from v = one on."""
+    to UNROLL_MAX_POINTS points its steps unrolled, v = v * (z_i - z_j) from
+    v = one on; "pairs" code sets d = z_i - z_j first."""
     if r < 2 or r > UNROLL_MAX_POINTS:
         return _vandermonde_loop
-    lines, v = ["def vandermonde(z):", *_unpack(r, pairs)], "one"
+    body, v = [], "one"
     for i, j in [(i, j) for i in range(r) for j in range(i + 1, r)]:
-        _assign(lines, "d", [(1, f"z{i}"), (-1, f"z{j}")], pairs)
-        _assign(lines, "v", [(1, v, "d")], pairs)
+        d = f"(z{i} - z{j})"
+        if kind == "pairs":  # a pair factor is a name
+            _assign(body, "d", [(1, f"z{i}"), (-1, f"z{j}")], kind)
+            d = "d"
+        _assign(body, "v", [(1, v, d)], kind)
         v = "v"
-    lines.append(f"    return {_value('v', pairs)}")
-    return _compiled("vandermonde", f"r={r}{' gaussian' if pairs else ''}", lines)
+    lines = ["def vandermonde(z):", *_unpack(r, kind, body), *body, f"    return {_value('v', kind)}"]
+    return _compiled("vandermonde", f"r={r} {kind}", lines)
 
 
-def _band(offsets, r, lines, pairs):
+def _band(offsets, r, lines, kind):
     """The entry names of the narrow band with the row offsets `offsets` on r
     points, e_{c_i + j} in row i and column j where 0 <= c_i + j <= r and
     "zero" elsewhere, once the steps of `elem_sym_all` up to the highest e_k
@@ -409,34 +413,33 @@ def _band(offsets, r, lines, pairs):
     name = ["one", *(f"e{k}" for k in range(1, top + 1))]
     for j in range(r):
         if j < top:
-            _assign(lines, name[j + 1], [(1, name[j], f"z{j}")], pairs)
+            _assign(lines, name[j + 1], [(1, name[j], f"z{j}")], kind)
         for k in range(min(j, top), 0, -1):
-            _assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")], pairs)
+            _assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")], kind)
     return [[name[c + j] if 0 <= c + j <= r else "zero" for j in range(n)] for c in offsets]
 
 
-def _schur_function(key, pairs):
-    """s_lam on r points as a function of the point, for the key (normalized
-    parts of lam, r).
+def _schur_function(parts, r, kind):
+    """s_lam on r points as a function of the point, for the normalized
+    parts of lam, in the code `kind` of the point type.
 
     Both routes read the dual Jacobi-Trudi band off the row offsets
     c_i = lam'_i - i.  A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS
     points is straight-line code: `elem_sym_all` unrolled up to the highest
     e_k the matrix reads, then `det`'s formula on the same entries, with the
     int 0 outside the band.  Order 3 is `_det3`'s expansion written out: the
-    cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; with `pairs` the
-    cofactor of a zero lead entry is skipped.  Wider bands, and bands on
+    cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; "pairs" code skips
+    the cofactor of a zero lead entry.  Wider bands, and bands on
     more points, take `_wide_band`: the h-form for exact points when
     l(lam) < lam1, else the e-form under a band-limited elimination.
     """
-    parts, r = key
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z: 0 if parts else 1
     offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
     if parts[0] > 3 or r > UNROLL_MAX_POINTS:
         return _wide_band(parts, r, offsets)
-    lines = ["def schur(z):", *_unpack(r, pairs)]
-    entries = _band(offsets, r, lines, pairs)
+    body = []
+    entries = _band(offsets, r, body, kind)
     if len(entries) == 1:
         terms = [(1, entries[0][0])]
     elif len(entries) == 2:
@@ -445,12 +448,12 @@ def _schur_function(key, pairs):
     else:
         (a, b, c), (d, e, f), (g, h, i) = entries
         for lead, cofactor, (p, q, s, t) in zip((a, b, c), ("c0", "c1", "c2"), [(e, i, f, h), (d, i, f, g), (d, h, e, g)]):
-            if lead != "zero" or not pairs:
-                _assign(lines, cofactor, [(1, p, q), (-1, s, t)], pairs)
+            if lead != "zero" or kind != "pairs":
+                _assign(body, cofactor, [(1, p, q), (-1, s, t)], kind)
         terms = [(1, a, "c0"), (-1, b, "c1"), (1, c, "c2")]
-    _assign(lines, "s", terms, pairs)
-    lines.append(f"    return {_value('s', pairs)}")
-    return _compiled("schur", f"{parts} r={r}{' gaussian' if pairs else ''}", lines)
+    _assign(body, "s", terms, kind)
+    lines = ["def schur(z):", *_unpack(r, kind, body), *body, f"    return {_value('s', kind)}"]
+    return _compiled("schur", f"{parts} r={r} {kind}", lines)
 
 
 def _wide_band(parts, r, offsets):
@@ -505,22 +508,86 @@ def _wide_band(parts, r, offsets):
     return schur
 
 
-# the code tables of plain points and of `_Gaussian` ones (with `pairs`)
-_schur_code, _pair_schur_code = _Codes(_schur_function, False), _Codes(_schur_function, True)
-_vandermonde_code, _pair_vandermonde_code = _Codes(_vandermonde_function, False), _Codes(_vandermonde_function, True)
+# The code kind of each point type (see "The statement writer"); a type not
+# named here takes the complex code, which writes the terms verbatim.  A
+# native point takes the kind of its first entry, so one that mixes real and
+# complex numbers, whose signed zeros the factors 1 decide, should lead with
+# a complex one; the walker's points share one type.
+_KINDS = {float: "real", int: "real", Fraction: "real", complex: "complex", _Gaussian: "pairs"}
+
+
+def _tables():
+    """Empty code tables by point type, one per code kind, shared by the
+    types of that kind."""
+    by_kind = {kind: {} for kind in _KINDS.values()}
+    return {t: by_kind[kind] for t, kind in _KINDS.items()}
+
+
+# V code by point type, then r; Schur code by point type, then the normalized
+# parts of lam, then r.  `schur` reads the latter through each partition's own
+# table (`Partition._codes`), by point type and then r, so that no call hashes
+# a tuple.  All are plain dicts, as a subscript of a dict subclass, such as
+# one with `__missing__`, costs more: a miss raises KeyError, on which
+# `_vandermonde_of` or `_schur_of` fills the entry.
+_vandermonde_code, _schur_code = _tables(), _tables()
+
+
+def _vandermonde_of(t, r):
+    """V's code on r points of type t, built on the first call; a type that
+    `_KINDS` does not name shares the complex type's table."""
+    table = _vandermonde_code.setdefault(t, _vandermonde_code[complex])
+    if r not in table:
+        table[r] = _vandermonde_function(r, _KINDS.get(t, "complex"))
+    return table[r]
+
+
+def _schur_of(lam, t, r):
+    """s_lam's code on r points of type t, built on the first call, as
+    `_vandermonde_of` builds V's; lam's own table then maps t to the table
+    of t and lam's parts."""
+    table = _schur_code.setdefault(t, _schur_code[complex]).setdefault(lam._normalized, {})
+    if r not in table:
+        table[r] = _schur_function(lam._normalized, r, _KINDS.get(t, "complex"))
+    lam._codes[t] = table
+    return table[r]
+
+
+def _scalar_type(values):
+    """The point type whose code the values of a Scalar point take: complex,
+    whose code writes the terms verbatim, if a value is complex or
+    `_Gaussian`, else the type of the first, float or Fraction."""
+    return complex if any(type(v) in (complex, _Gaussian) for v in values) else type(values[0])
+
+
+def vandermonde(z):
+    """prod_{i<j} (z_i - z_j); empty and singleton points give 1.  The code
+    is picked as `schur`'s."""
+    t = type(z[0]) if z else int
+    if t is Scalar:
+        mode, z = _unwrap(z)
+        return _wrap(mode, _vandermonde_of(_scalar_type(z), len(z))(z))
+    try:
+        code = _vandermonde_code[t][len(z)]
+    except KeyError:
+        code = _vandermonde_of(t, len(z))
+    return code(z)
 
 
 def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
-    One type test on the first entry picks the code table: the pair table
-    for a `_Gaussian` point, else the plain one, which a Scalar point's
-    values take between `_unwrap` and `_wrap`.  The code for (lam, len(z)) is
-    compiled once; see `_schur_function`.
+    One type test on the first entry picks the code of the point type's kind
+    (see `_KINDS`); a Scalar point's values take the code of `_scalar_type`
+    between `_unwrap` and `_wrap`.  The code for (lam, len(z)) is compiled
+    once; see `_schur_function`.
     """
-    t = type(z[0]) if z else None
+    t = type(z[0]) if z else int
     if t is Scalar:
         mode, z = _unwrap(z)
-        return _wrap(mode, _schur_code[lam._normalized, len(z)](z))
-    return (_pair_schur_code if t is _Gaussian else _schur_code)[lam._normalized, len(z)](z)
+        return _wrap(mode, _schur_of(lam, _scalar_type(z), len(z))(z))
+    try:
+        code = lam._codes[t][len(z)]
+    except KeyError:
+        code = _schur_of(lam, t, len(z))
+    return code(z)

@@ -11,16 +11,14 @@ from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, staircase
 from schurfit.reference import alternating, schur_bialternant, schur_tableaux
 from schurfit.regress import _walker
-from schurfit import symfunc
+from schurfit import regress, symfunc
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
-    _Codes,
     _assign,
     _det3,
-    _pair_schur_code,
-    _pair_vandermonde_code,
     _schur_code,
     _schur_function,
+    _vandermonde_function,
     _vandermonde_code,
     _vandermonde_loop,
     det,
@@ -431,23 +429,74 @@ def test_exact_det_pivots_on_a_gaussian_unit():
     assert type(value.real) is int and type(value.imag) is int
 
 
+def _record_kinds(monkeypatch):
+    # fresh code tables whose every function records its name and code kind
+    taken = []
+    for name in ("schur", "vandermonde"):
+        monkeypatch.setattr(symfunc, f"_{name}_code", symfunc._tables())
+        monkeypatch.setattr(symfunc, f"_{name}_function", lambda *key, name=name: lambda z: taken.append((name, key[-1])))
+    return taken
+
+
 @pytest.mark.parametrize("point_kind", NATIVE_POINTS)
 def test_gaussian_points_take_the_pair_tables(monkeypatch, point_kind):
     # `schur` and `vandermonde` pick the code tables by one type test on the
-    # first entry: the pair tables for `_Gaussian` points, the plain ones for
-    # the other native points, whose mode is exact unless that entry is a
-    # float or complex
+    # first entry: the pair tables for `_Gaussian` points, the complex ones
+    # for complex points and the real ones for float, int and Fraction
+    # points, whose mode is exact unless that entry is a float or complex
     z = NATIVE_POINTS[point_kind]
-    taken = []
-    for name in ("_schur_code", "_pair_schur_code", "_vandermonde_code", "_pair_vandermonde_code"):
-        monkeypatch.setattr(symfunc, name, _Codes(lambda key, pairs, name=name: lambda z: taken.append(name), False))
+    taken = _record_kinds(monkeypatch)
     schur(Partition((2, 1)), z)
     vandermonde(z)
-    if point_kind == "gaussian":
-        assert taken == ["_pair_schur_code", "_pair_vandermonde_code"]
-    else:
-        assert taken == ["_schur_code", "_vandermonde_code"]
+    want = {"gaussian": "pairs", "complex": "complex"}.get(point_kind, "real")
+    assert taken == [("schur", want), ("vandermonde", want)]
     assert symfunc._exact(z) is (point_kind not in ("float", "complex"))
+
+
+def test_scalar_points_and_other_types_take_the_code_of_their_values(monkeypatch):
+    # a Scalar point takes the real code only if every value is real, as one
+    # complex value among floats would meet the dropped one factors; a point
+    # of another type, such as bool, takes the complex code, which writes the
+    # terms verbatim
+    cases = [
+        (ex(1, 2, 3), "real"),
+        (tuple(Scalar.from_float(v) for v in (1.0, -0.0, 2.5)), "real"),
+        ((Scalar.from_exact(1), Scalar.from_exact(2, 1), Scalar.from_exact(3)), "complex"),
+        ((Scalar.from_float(1.0), Scalar.from_float(-0.0, 1.0), Scalar.from_float(2.0)), "complex"),
+        ((True, False, True), "complex"),
+    ]
+    for z, want in cases:
+        taken = _record_kinds(monkeypatch)
+        schur(Partition((2, 1)), z)
+        vandermonde(z)
+        assert taken == [("schur", want), ("vandermonde", want)], z
+
+
+def test_points_that_mix_scalars_with_native_numbers_are_refused():
+    # a point whose first entry is a Scalar is checked entry by entry, so a
+    # native number in it is refused as a mixed mode; a native first entry is
+    # not checked, and the Scalar fails in the arithmetic instead
+    scalar_first = (Scalar.from_exact(1), 2, 3)
+    for call in (
+        lambda: schur(Partition((2, 1)), scalar_first),
+        lambda: schur(Partition((5, 2)), scalar_first),
+        lambda: vandermonde(scalar_first),
+        lambda: elem_sym_all((Scalar.from_exact(1), 2)),
+        lambda: det([[Scalar.from_exact(1), 2], [3, 4]], True),
+        lambda: alternating((1, 0), scalar_first[:2]),
+        lambda: schur_bialternant(Partition((2, 1)), scalar_first),
+        lambda: schur_tableaux(Partition((1,)), scalar_first),
+    ):
+        with pytest.raises(ScalarModeError, match="point mixes scalars with native numbers"):
+            call()
+    native_first = (2, Scalar.from_exact(1), 3)
+    for call in (
+        lambda: vandermonde(native_first[:2]),
+        lambda: vandermonde(native_first),
+        lambda: schur(Partition((2, 1)), native_first),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_points_that_mix_exact_and_float_scalars_are_refused():
@@ -538,7 +587,12 @@ def _point_kinds(rng, r):
         "gaussian_fraction": tuple(_Gaussian(rational(rng), rational(rng)) for _ in range(r)),
         "exact_scalar": tuple(Scalar.from_exact(rational(rng), rational(rng)) for _ in range(r)),
         "float_scalar": tuple(Scalar.from_float(real(), real()) for _ in range(r)),
+        # the real code drops the factors 1, which must keep these bits too
+        "float_special": tuple(rng.choice(_SPECIAL_FLOATS) for _ in range(r)),
     }
+
+
+_SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0, -1.5]
 
 
 def _fingerprint(v):
@@ -618,7 +672,7 @@ def test_straight_line_code_matches_the_loops_and_det(r):
                 got, want = _fingerprint(value), _fingerprint(rows_and_det(lam, z))
                 assert got == want, (label, lam, z)
                 parts = lam.normalized()
-                if not kind(z)[0] and parts[:1] == (3,) and len(parts) <= r:
+                if not kind(z)[0] and parts[:1] == (3,) and len(parts) <= r and label != "float_special":
                     _assert_within_det3_bound(value, jacobi_trudi_rows(lam, z))
 
 
@@ -746,25 +800,62 @@ def test_each_generated_function_has_its_own_source_name():
     # a profile keys a function by (file name, line, name), so generated
     # functions that shared one file name would be reported on one line
     codes = [
-        _schur_code[(2, 1), 3],
-        _schur_code[(3, 2), 3],
-        _vandermonde_code[3],
-        _vandermonde_code[4],
+        _schur_code[float][(2, 1)][3],
+        _schur_code[float][(3, 2)][3],
+        _vandermonde_code[float][3],
+        _vandermonde_code[float][4],
         _walker(float, 3, 3, 0, False),
         _walker(float, 3, 2, 1, True),
-        _pair_schur_code[(2, 1), 3],
-        _pair_vandermonde_code[3],
+        _schur_code[_Gaussian][(2, 1)][3],
+        _vandermonde_code[_Gaussian][3],
         _walker(_Gaussian, 3, 2, 1, True),
+        _schur_code[complex][(2, 1)][3],
+        _vandermonde_code[complex][3],
+        _walker(complex, 3, 2, 1, True),
     ]
     names = [code.__code__.co_filename for code in codes]
     assert len(set(names)) == len(names), names
-    assert names[1] == "<schurfit schur (3, 2) r=3>"
-    assert names[6] == "<schurfit schur (2, 1) r=3 gaussian>"
+    assert names[1] == "<schurfit schur (3, 2) r=3 real>"
+    assert names[6] == "<schurfit schur (2, 1) r=3 pairs>"
+    assert names[9] == "<schurfit schur (2, 1) r=3 complex>"
     profile = cProfile.Profile()
-    z, g = (0.5, 1.5, -2.0), (_Gaussian(1, 2), _Gaussian(0, -1), _Gaussian(3, 0))
-    profile.runcall(lambda: [schur(Partition(parts), p) for parts in [(2, 1), (3, 2)] for p in (z, g)])
+    z, g, c = (0.5, 1.5, -2.0), (_Gaussian(1, 2), _Gaussian(0, -1), _Gaussian(3, 0)), (0.5j, 1.5, -2.0)
+    profile.runcall(lambda: [schur(Partition(parts), p) for parts in [(2, 1), (3, 2)] for p in (z, g, c)])
     profiled = {key[0] for key in pstats.Stats(profile).stats if key[2] == "schur"}
-    assert {"<schurfit schur (2, 1) r=3>", "<schurfit schur (3, 2) r=3>", names[6]} <= profiled
+    assert {"<schurfit schur (2, 1) r=3 real>", "<schurfit schur (3, 2) r=3 real>", names[6], names[9]} <= profiled
+
+
+def test_real_code_drops_unit_factors_and_conjugates(monkeypatch):
+    # real Schur and V code, for float, int and Fraction points, neither
+    # multiplies by one nor binds it, and the walkers of float and int points
+    # call no .conjugate(); complex code keeps both, as do the walkers of
+    # complex points and of `_Gaussian` points outside the pair code
+    sources = {}
+    compiled = symfunc._compiled
+
+    def keep(name, signature, lines, **scope):
+        sources[f"{name} {signature}"] = "\n".join(lines)
+        return compiled(name, signature, lines, **scope)
+
+    monkeypatch.setattr(symfunc, "_compiled", keep)
+    monkeypatch.setattr(regress, "_compiled", keep)
+    for code_kind in ("real", "complex"):
+        for parts in [(1,), (2, 1), (2, 2), (3,), (3, 2), (3, 3, 1)]:
+            _schur_function(parts, 3, code_kind)
+        for r in (2, 3, 5):
+            _vandermonde_function(r, code_kind)
+    for number in (float, int, complex):
+        _walker.__wrapped__(number, 3, 3, 0, False)
+        _walker.__wrapped__(number, 3, 2, 1, True)
+    _walker.__wrapped__(_Gaussian, 3, 1, 0, False)  # one point: no pair code
+    assert len(sources) == 25
+    for name, source in sources.items():
+        unit = "one * " in source or " * one" in source or "one = 1" in source
+        if name.startswith("walk"):
+            assert (".conjugate()" in source) is not name.endswith(("float", "int")), (name, source)
+        else:
+            assert unit is name.endswith("complex"), (name, source)
+            assert ".conjugate()" not in source, (name, source)
 
 
 def test_assign_writes_plain_terms_verbatim_and_folds_pairs():
@@ -772,24 +863,40 @@ def test_assign_writes_plain_terms_verbatim_and_folds_pairs():
     # one and zero factors included, so float bits and signed zeros are
     # those of the loops; "~p" is p's conjugate in both modes
     plain = []
-    _assign(plain, "c0", [(1, "one", "e2"), (-1, "zero", "e1")], False)
-    _assign(plain, "s", [(1, "e2", "c0"), (-1, "e3", "c1"), (1, "zero", "c2")], False, "  ")
-    _assign(plain, "s0_1", [(1, "s0_1"), (1, "u0", "~u1")], False)
+    _assign(plain, "c0", [(1, "one", "e2"), (-1, "zero", "e1")], "complex")
+    _assign(plain, "s", [(1, "e2", "c0"), (-1, "e3", "c1"), (1, "zero", "c2")], "complex", "  ")
+    _assign(plain, "s0_1", [(1, "s0_1"), (1, "u0", "~u1")], "complex")
     assert plain == [
         "    c0 = one * e2 - zero * e1",
         "  s = e2 * c0 - e3 * c1 + zero * c2",
         "    s0_1 = s0_1 + u0 * u1.conjugate()",
     ]
+    # real statements are the same terms in the same order without one
+    # factors and conjugations, exact identities on real numbers; zero
+    # factors stay, and a term of one factors only is the int 1
+    real = []
+    _assign(real, "c0", [(1, "one", "e2"), (-1, "zero", "e1")], "real")
+    _assign(real, "s", [(1, "e2", "c0"), (-1, "e3", "one"), (1, "zero", "c2")], "real", "  ")
+    _assign(real, "s0_1", [(1, "s0_1"), (1, "u0", "~u1")], "real")
+    _assign(real, "v", [(1, "one", "(z0 - z1)")], "real")
+    _assign(real, "e", [(-1, "one", "one")], "real")
+    assert real == [
+        "    c0 = e2 - zero * e1",
+        "  s = e2 * c0 - e3 + zero * c2",
+        "    s0_1 = s0_1 + u0 * u1",
+        "    v = (z0 - z1)",
+        "    e = -1",
+    ]
     # pair statements set the parts: one and zero fold away, like terms are
     # collected, "~p" negates the imaginary part, and a part that keeps its
     # value is not set
     pairs = []
-    _assign(pairs, "e1", [(1, "e1"), (1, "one", "z0")], True)
-    _assign(pairs, "c0", [(1, "zero", "e1"), (-1, "e2", "one")], True)
-    _assign(pairs, "c1", [(1, "a", "b"), (1, "b", "a")], True)
-    _assign(pairs, "s", [(1, "s"), (1, "u", "~u")], True)
-    _assign(pairs, "t", [(1, "u", "~v")], True)
-    _assign(pairs, "d", [(1, "zero")], True)
+    _assign(pairs, "e1", [(1, "e1"), (1, "one", "z0")], "pairs")
+    _assign(pairs, "c0", [(1, "zero", "e1"), (-1, "e2", "one")], "pairs")
+    _assign(pairs, "c1", [(1, "a", "b"), (1, "b", "a")], "pairs")
+    _assign(pairs, "s", [(1, "s"), (1, "u", "~u")], "pairs")
+    _assign(pairs, "t", [(1, "u", "~v")], "pairs")
+    _assign(pairs, "d", [(1, "zero")], "pairs")
     assert pairs == [
         "    e1r, e1i = e1r + z0r, e1i + z0i",
         "    c0r, c0i = -e2r, -e2i",
@@ -975,7 +1082,7 @@ def test_wide_band_tables_come_from_the_conjugate(parts, r):
     # steps, without a lam1 x lam1 index matrix; on float points its rows,
     # slices of the zero-padded e_k, still give the bits of `det` on the full
     # e-form rows, and on Fraction points the h-form gives their value
-    code = _Codes(_schur_function, False)[parts, r]
+    code = _schur_function(parts, r, "real")
     rng = random.Random(sum(parts))
     for z in (tuple(rng.uniform(0.5, 1.5) for _ in range(r)), tuple(Fraction(v, 3) for v in rng.sample(range(-9, 9), r))):
         assert _fingerprint(code(z)) == _fingerprint(rows_and_det(Partition(parts), z)), z
