@@ -362,18 +362,36 @@ def _minor_matrix(d, lifted):
 
 def _moment_sums(d, lifted, start):
     """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the lifted points from the
-    0-based index `start` on, each summed in the lifted type and wrapped once,
-    divided by the lift's scaling xscale^{d_j} yscale wscale^2."""
+    0-based index `start` on, each summed in the lifted type, or on int pairs
+    for Gaussian data (`_pair_pow`), and wrapped once, divided by the lift's
+    scaling xscale^{d_j} yscale wscale^2."""
     x, w, y = lifted.x, lifted.w, lifted.y
-    t = [0] * len(d)
+    t, ti = [0] * len(d), [0] * len(d)
     for k in range(start, len(x)):
         xbar, wy = x[k].conjugate(), y[k]
         if w is not None:
             wy = _mag_sq(w[k]) * wy
         for j, dj in enumerate(d):
-            t[j] = t[j] + scalar_pow(xbar, dj) * wy
+            if lifted.kind is _Gaussian:
+                (p, q), c, e = _pair_pow(xbar.real, xbar.imag, dj), wy.real, wy.imag
+                t[j], ti[j] = t[j] + p * c - q * e, ti[j] + p * e + q * c
+            else:
+                t[j] = t[j] + scalar_pow(xbar, dj) * wy
+    if lifted.kind is _Gaussian:
+        t = map(_Gaussian, t, ti)
     scale = lifted.yscale * lifted.wscale**2
     return [_wrap(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)]
+
+
+def _pair_pow(a, b, e):
+    """(a + b i)^e for ints a, b and e >= 0 as an int pair, by the repeated
+    squaring of `scalar_pow` without a `_Gaussian` per step."""
+    re, im = 1, 0
+    while e:
+        if e & 1:
+            re, im = re * a - im * b, re * b + im * a
+        a, b, e = a * a - b * b, 2 * a * b, e >> 1
+    return re, im
 
 
 def _mag_sq(v):
@@ -522,8 +540,15 @@ def _residual_sum(d, lifted, a):
     for k, (xk, rk) in enumerate(zip(lifted.x, lifted.y)):
         if exact:
             rk = rk * scale
-        for cj, dj in zip(c, d):
-            rk = rk - cj * scalar_pow(xk, dj)
+        if lifted.kind is _Gaussian:  # on int pairs (`_pair_pow`)
+            re, im = rk.real, rk.imag
+            for cj, dj in zip(c, d):
+                p, q = _pair_pow(xk.real, xk.imag, dj)
+                re, im = re - cj.real * p + cj.imag * q, im - cj.real * q - cj.imag * p
+            rk = _Gaussian(re, im)
+        else:
+            for cj, dj in zip(c, d):
+                rk = rk - cj * scalar_pow(xk, dj)
         r.append(rk)
         sq = _mag_sq(rk)
         total = total + (sq if w is None else sq * _mag_sq(w[k]))

@@ -21,10 +21,12 @@ with the e_k expanded one linear factor at a time.  Its entries vanish for
 k > r, the number of variables, so the matrix is banded, and the elimination
 of a wide band reads only the rows and columns that the band and its fill
 can reach: O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Each
-step finds its pivot in one walk down the band's part of the column, and the
-rows are slices of one zero-padded list of the e_k.  Narrow and wide bands
-read their entries off one per-key table, the row offsets c_i = lam'_i - i,
-without a lam1 x lam1 index matrix.
+step finds its pivot in one walk down the band's part of the column.  On at
+most UNROLL_MAX_POINTS float or complex points that elimination is generated
+code on a window of locals that slides down the band (`_sliding_window`);
+otherwise the rows are slices of one zero-padded list of the e_k.  Narrow
+and wide bands read their entries off one per-key table, the row offsets
+c_i = lam'_i - i, without a lam1 x lam1 index matrix.
 
 Exact points take the h-form determinant (h_{lam_i - i + j}) instead when it
 is the smaller, l(lam) < lam1 on a wide band: exact values do not depend on
@@ -47,15 +49,18 @@ compiled once into straight-line code that takes the same steps as
 operands, so values are bit-identical to theirs and only the loops, index
 rows and calls are gone.  A 3 x 3 band writes out `_det3`, the cofactor
 expansion that `det` uses at order 3 in both modes.  Wider bands, such as
-the 38- and 39-wide ones of (40, 20, 0), take `_wide_band`.  One writer,
-`_assign`, writes every statement of this code and of the subset walker in
-`regress`, in one of three code kinds that only the point type sets (see
-"The statement writer" below), each compiled into tables of its own: real
-code for float, int and Fraction points drops the factors 1 and the
-conjugates, exact identities on real numbers; complex code writes every
-step as the loops do; pair code, for `_Gaussian` points, the kernel's
+the 38- and 39-wide ones of (40, 20, 0), take `_wide_band`, or on float and
+complex points `_sliding_window`'s code: `_eliminate`'s steps written out,
+one loop per window height, compiled once for every band that the window
+covers.  One writer, `_assign`, writes every statement of the narrow-band,
+V and subset walker code, in one of three code kinds that only the point
+type sets (see "The statement writer" below), each compiled into tables of
+its own: real code for float, int and Fraction points drops the factors 1
+and the conjugates, exact identities on real numbers; complex code writes
+every step as the loops do; pair code, for `_Gaussian` points, the kernel's
 numbers for exact complex data, takes the same steps on int pairs and
-returns one `_Gaussian`.
+returns one `_Gaussian`.  The window code comes in the real and complex
+kinds, which differ in the pivot key only.
 
 The bialternant ratio and the semistandard tableaux sum, independent
 cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
@@ -65,6 +70,7 @@ not import.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import FunctionType
 
 from .numeric import Scalar, ScalarModeError, _Gaussian
 from .partitions import Partition, conjugate
@@ -248,9 +254,10 @@ def _det3(a, b, c, d, e, f, g, h, i):
 
 # Straight-line code (see the module docstring).  Beyond UNROLL_MAX_POINTS
 # points the C(r, 2) or O(r * l(lam)) statements would cost more to compile
-# and keep than they save.  Bands wider than 3 stay on `det`: a cofactor
-# expansion of order n has n! terms, and elimination skips the zeros outside
-# the band.
+# and keep than they save.  Bands wider than 3 are no cofactor expansion, as
+# one of order n has n! terms, but an elimination that skips the zeros
+# outside the band, on float and complex points written out on a window of
+# O(r * l(lam)) locals (`_sliding_window`).
 # Every statement holds at most three operations: one nested expression of
 # all of them overflows the compiler's recursion on a hundred points.
 UNROLL_MAX_POINTS = 16
@@ -431,13 +438,18 @@ def _schur_function(parts, r, kind):
     cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; "pairs" code skips
     the cofactor of a zero lead entry.  Wider bands, and bands on
     more points, take `_wide_band`: the h-form for exact points when
-    l(lam) < lam1, else the e-form under a band-limited elimination.
+    l(lam) < lam1, else the e-form under a band-limited elimination.  On at
+    most UNROLL_MAX_POINTS float or complex points a wider band takes
+    `_sliding_window`'s code instead, the same elimination written out.
     """
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z: 0 if parts else 1
     offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
     if parts[0] > 3 or r > UNROLL_MAX_POINTS:
-        return _wide_band(parts, r, offsets)
+        wide = _wide_band(parts, r, offsets)
+        if r > UNROLL_MAX_POINTS or kind == "pairs":
+            return wide
+        return _sliding_window(parts, r, offsets, kind, wide)
     body = []
     entries = _band(offsets, r, body, kind)
     if len(entries) == 1:
@@ -456,10 +468,23 @@ def _schur_function(parts, r, kind):
     return _compiled("schur", f"{parts} r={r} {kind}", lines)
 
 
+def _below(first):
+    """below[k] for each step k of the e-form elimination: the number of rows
+    i whose first nonzero column first_i is at most k, counted by one running
+    pointer, as first_i rises with i."""
+    below, b, n = [], 0, len(first)
+    for k in range(n):
+        while b < n and first[b] <= k:
+            b += 1
+        below.append(b)
+    return below
+
+
 def _wide_band(parts, r, offsets):
     """s_lam on r points for a band wider than 3 or on more than
     UNROLL_MAX_POINTS points, as a function of the point, from lam's row
-    offsets c_i = lam'_i - i.
+    offsets c_i = lam'_i - i.  On at most UNROLL_MAX_POINTS points only exact
+    points reach it: float and complex ones take `_sliding_window`.
 
     Exact points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it
     is the smaller one, l(lam) < lam1, with h_k expanded one point at a time,
@@ -472,21 +497,16 @@ def _wide_band(parts, r, offsets):
     call, the same for every point type.  The nonzero columns
     first_i = max(0, -c_i) to last_i = min(lam1 - 1, r - c_i) of row i rise
     with i, so at step k of the elimination only rows i with first_i <= k
-    hold column k (below[k], counted by one running pointer), and no fill
-    reaches past the last column of the last of them (reach[k]):
-    `_eliminate` takes the pivots, operands and order of `det`'s full scan,
-    and float bits are those of `det` on the same rows.  These per-key
-    tables cost O(lam1 * l(lam)) steps, where a lam1 x lam1 index matrix
-    would cost O(lam1^2).
+    hold column k (below[k]), and no fill reaches past the last column of
+    the last of them (reach[k]): `_eliminate` takes the pivots, operands and
+    order of `det`'s full scan, and float bits are those of `det` on the same
+    rows.  These per-key tables cost O(lam1 * l(lam)) steps, where a
+    lam1 x lam1 index matrix would cost O(lam1^2).
     """
     n = parts[0]
     first = [max(0, -c) for c in offsets]
     last = [min(n - 1, r - c) for c in offsets]
-    below, b = [], 0
-    for k in range(n):
-        while b < n and first[b] <= k:
-            b += 1
-        below.append(b)
+    below = _below(first)
     reach = [1 + last[b - 1] for b in below]
     lead, trail = first[-1], max(0, offsets[0] + n - r - 1)
     starts = [lead + c for c in offsets]
@@ -506,6 +526,110 @@ def _wide_band(parts, r, offsets):
         return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
 
     return schur
+
+
+def _sliding_window(parts, r, offsets, kind, wide):
+    """s_lam on 1 <= r <= UNROLL_MAX_POINTS float or complex points for a band
+    wider than 3: `_eliminate`'s e-form elimination as generated code, with
+    exact points sent to `wide`.
+
+    Step k reads rows k to below[k] - 1 (see `_wide_band`) and no column past
+    k + C - 1, C = min(r + 1, lam1), so a window of locals holds them: w{s}_{j}
+    is row k + s, column k + j, in R_k = below[k] - k slots.  After a step the
+    window moves down and right by one: the other rows move up a slot and take
+    the int 0 in the new column, and the bottom slot takes the fresh row
+    (1, e_1, ..., e_r), the only row that can enter at k >= 1.  R_k never
+    rises, so the steps of each R_k make one loop; a step with fewer rows
+    reads the top slots only.  Extra columns and rows past the band's reach or
+    past lam1 feed no pivot, so a taller window serves as well, and one
+    column wider (`_window_code`): lam's function runs its code on lam's own
+    head rows and loop counts, its defaults, under the file name
+    "<schurfit band parts r=r kind>"."""
+    sizes = [b - k for k, b in enumerate(_below([max(0, -c) for c in offsets]))]
+    window = _window_code(kind, min(r + 1, parts[0]), sizes[0])
+    width, rows = window.shape
+    head = (*offsets[: sizes[0]], *[0] * (rows - sizes[0]))  # extra rows are never read
+    steps = tuple(sizes.count(size) for size in range(rows, 1, -1))
+    zeros = [0] * max(0, offsets[0] + width - r - 1)
+
+    def mixed(z):  # a float-first point with a complex entry: the complex code
+        return _schur_of(Partition(parts), complex, r)(z)
+
+    code = window.__code__.replace(co_filename="<schurfit band %s r=%d %s>" % (parts, r, kind))
+    return FunctionType(code, window.__globals__, "schur", (wide, mixed, zeros, head, steps))
+
+
+class _One:
+    """The empty product: one * x is x itself, the bits of the first pivot."""
+
+    __slots__ = ()
+
+    def __mul__(self, x):
+        return x
+
+
+# `_sliding_window`'s code by kind, each function with its window's shape
+_WINDOWS = {"real": [], "complex": []}
+
+
+def _window_code(kind, width, rows):
+    """`_sliding_window`'s code in `kind` for a window of `width` columns and
+    `rows` rows, its `shape`, or one compiled before that is taller or one
+    column wider: an extra row costs a slice per call, an extra column a few
+    operations per step, and so the bands of a fit's minor sums, on one point
+    fewer, run on the code of its denominator's.
+
+    schur(z, wide, mixed, zeros, head, steps) takes z to `wide` unless its
+    first entry is a float, or a complex in complex code.  With
+    e = elem_sym_all(z) + zeros, real code takes z to `mixed` unless e_1 is a
+    float: a complex entry makes every e_k complex, whose key is the complex
+    code's.  Else it reads window
+    row s off e[head[s]:], runs steps[i] steps of rows - i rows, then the last
+    step, of one row.  Each step is `_eliminate`'s on the same operands in the
+    same order: the pivot is the first live row of largest key, x * x in real
+    code and x.real^2 + x.imag^2 in complex code, `_eliminate`'s keys,
+    replaced only by a strictly greater key, so NaN keys never replace; no
+    live row gives the int 0; the pivot row is swapped into the top slot,
+    which flips the sign; each other live row takes f = a / pivot, then
+    a - f * b where the pivot row is nonzero; and d = d * pivot, from
+    d = `_One()`."""
+    for code in _WINDOWS[kind]:
+        if width <= code.shape[0] <= width + 1 and code.shape[1] >= rows:
+            return code
+    row = [", ".join("w%d_%d" % (s, j) for j in range(width)) for s in range(rows)]
+    key = "{0} * {0}" if kind == "real" else "{0}.real * {0}.real + {0}.imag * {0}.imag"
+    fresh = ", ".join("e%d" % j for j in range(1, width))
+    test = "type(z[0]) is not float" if kind == "real" else "not isinstance(z[0], (float, complex))"
+    lines = ["def schur(z, wide, mixed, zeros, head, steps):", "    if %s:" % test, "        return wide(z)"]
+    lines.append("    e = elem_sym_all(z) + zeros")
+    if kind == "real":
+        lines += ["    if type(e[1]) is not float:", "        return mixed(z)"]
+    lines.append("    _, %s = e[:%d]" % (fresh, width))
+    lines += ["    %s = e[head[%d]:head[%d] + %d]" % (row[s], s, s, width) for s in range(rows)]
+    lines.append("    d, neg, (%s,) = one, False, steps" % ", ".join("n%d" % i for i in range(rows - 1)))
+    for size in range(rows, 1, -1):
+        step = ["p = 0 if w0_0 else -1", "b = " + key.format("w0_0")]
+        for s in range(1, size):
+            step += ["if w%d_0:" % s, "    t = " + key.format("w%d_0" % s)]
+            step += ["    if p < 0 or t > b:", "        p, b = %d, t" % s]
+        step += ["if p < 0:", "    return 0"]
+        for s in range(1, size):
+            swap = "%s, %s = %s, %s" % (row[0], row[s], row[s], row[0])
+            step += ["if p == %d:" % s, "    " + swap, "    neg = not neg"]
+        step.append("d = d * w0_0")
+        for s in range(1, size):
+            step += ["if w%d_0:" % s, "    f = w%d_0 / w0_0" % s]
+            for j in range(1, width):
+                step += ["    if w0_%d:" % j, "        w%d_%d = w%d_%d - f * w0_%d" % (s, j, s, j, j)]
+        step += ["%s = %s, 0" % (row[s], row[s + 1].split(", ", 1)[1]) for s in range(size - 1)]
+        step.append("%s = 1, %s" % (row[size - 1], fresh))
+        lines += ["    for _ in range(n%d):" % (rows - size), *("        " + line for line in step)]
+    lines += ["    if not w0_0:", "        return 0", "    d = d * w0_0", "    return -d if neg else d"]
+    scope = {"one": _One(), "elem_sym_all": elem_sym_all}
+    code = _compiled("schur", "window C=%d R=%d %s" % (width, rows, kind), lines, **scope)
+    code.shape = width, rows
+    _WINDOWS[kind].append(code)
+    return code
 
 
 # The code kind of each point type (see "The statement writer"); a type not

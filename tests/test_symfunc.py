@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
-from schurfit.partitions import Partition, staircase
+from schurfit.partitions import Partition, conjugate, staircase
 from schurfit.reference import alternating, schur_bialternant, schur_tableaux
 from schurfit.regress import _walker
 from schurfit import regress, symfunc
@@ -1086,3 +1086,101 @@ def test_wide_band_tables_come_from_the_conjugate(parts, r):
     rng = random.Random(sum(parts))
     for z in (tuple(rng.uniform(0.5, 1.5) for _ in range(r)), tuple(Fraction(v, 3) for v in rng.sample(range(-9, 9), r))):
         assert _fingerprint(code(z)) == _fingerprint(rows_and_det(Partition(parts), z)), z
+
+
+# Float and complex points on bands wider than 3 and on at most
+# UNROLL_MAX_POINTS points take `_sliding_window`'s generated elimination;
+# exact points keep `_wide_band`.  The shapes of the window code's sizing,
+# lam = (3000,) on two points among them:
+WINDOW_SHAPES = [((38, 19), 3), ((39, 20), 2), ((39,), 2), ((19,), 2), ((5, 4, 3, 2), 4), ((6, 6, 1), 3),
+                 ((7,), 5), ((200, 100, 3), 3), ((3000,), 2)]
+
+
+def _wide_route(parts, r):
+    # `_wide_band`'s function, the band-limited `_eliminate` on sliced rows
+    # for float and complex points, as before the window code
+    return symfunc._wide_band(parts, r, [c - i for i, c in enumerate(conjugate(Partition(parts)))])
+
+
+def _window_outcomes(lam, z):
+    # the window code's outcome, then the band-limited and the full-scan ones
+    rows = jacobi_trudi_rows(lam, z) if lam.normalized()[0] <= 40 else None
+    full = _outcome(_full_scan_det, rows, False) if rows else None
+    return _outcome(schur, lam, z), _outcome(_wide_route(lam.normalized(), len(z)), z), full
+
+
+def test_window_code_pivots_as_the_full_scan_does():
+    # points drawn from the pivot pool, so that the bands hold ties, squares
+    # that underflow, signed zeros, inf and NaN; a float-first point with a
+    # complex entry takes the complex code
+    rng = random.Random(28)
+    inexact = [v for v in _PIVOT_POOL if isinstance(v, (float, complex))]
+    shapes = [(4,), (5, 2), (6, 3, 1), (4, 4, 4), (9, 4), (7, 3, 1), (5, 4, 3, 2), (4, 4, 4, 4), (6, 6, 1)]
+    checked = 0
+    for _ in range(1000):
+        r = rng.randint(1, 5)
+        z = (rng.choice(inexact), *(rng.choice(_PIVOT_POOL) for _ in range(r - 1)))
+        for parts in shapes:
+            if len(parts) <= r:
+                got, banded, full = _window_outcomes(Partition(parts), z)
+                assert got == banded == full, (parts, z)
+                checked += 1
+    assert checked > 3000
+
+
+@pytest.mark.parametrize("parts, r", WINDOW_SHAPES, ids=str)
+def test_window_code_keeps_the_bits_of_the_band_limited_elimination(parts, r):
+    # random float, complex and signed-zero points and the special floats
+    # (+-inf, NaN, subnormals, +-0.0); the full scan too where lam1 <= 40
+    rng = random.Random(sum(parts) + r)
+    lam = Partition(parts)
+    for _ in range(2 if parts[0] > 1000 else 30):
+        kinds = _point_kinds(rng, r)
+        for label in ("float", "complex", "signed_zero", "float_special"):
+            got, banded, full = _window_outcomes(lam, kinds[label])
+            assert got == banded, (label, kinds[label])
+            assert full in (None, got), (label, kinds[label])
+    z = tuple(rng.uniform(0.5, 3) for _ in range(r))
+    assert _fingerprint(schur(lam, tuple(map(_as_scalar, z)))) == ("Scalar", False, _fingerprint(schur(lam, z)))
+
+
+@pytest.mark.parametrize("parts, r", WINDOW_SHAPES[:-1] + [((4, 4, 4, 4), 4), ((9, 4), 3)], ids=str)
+def test_exact_points_keep_the_wide_band_route(parts, r):
+    # int, Fraction, Gaussian and exact Scalar points get the value and type
+    # that `_wide_band` gives them, the h-form or the exact e-form: the
+    # real code tables, which float, int and Fraction points share, send
+    # them on before any window step
+    rng = random.Random(sum(parts) - r)
+    lam, wide = Partition(parts), _wide_route(parts, r)
+    for label, z in _exact_kinds(rng, r).items():
+        mode, values = symfunc._unwrap(z)
+        want = symfunc._wrap(mode, wide(values))
+        assert _fingerprint(schur(lam, z)) == _fingerprint(want), (label, z)
+
+
+def test_each_band_function_has_its_own_source_name():
+    # lam's function shares its window code with other bands but carries its
+    # own file name, so that a profile reports each band on its own line
+    names = {}
+    for parts, r in WINDOW_SHAPES[:4]:
+        for t, z in ((float, tuple(0.5 + k for k in range(r))), (complex, tuple(0.5j + k for k in range(r)))):
+            schur(Partition(parts), z)
+            names[parts, r, t] = _schur_code[t][parts][r].__code__.co_filename
+    assert len(set(names.values())) == len(names), names
+    assert names[(38, 19), 3, float] == "<schurfit band (38, 19) r=3 real>"
+    assert names[(39,), 2, complex] == "<schurfit band (39,) r=2 complex>"
+    profile = cProfile.Profile()
+    profile.runcall(schur, Partition((19,)), (0.5, 1.5))
+    assert "<schurfit band (19,) r=2 real>" in {key[0] for key in pstats.Stats(profile).stats}
+
+
+def test_one_window_code_serves_the_bands_of_a_fit(monkeypatch):
+    # the denominator band of (40, 20, 0) on three points compiles a window
+    # of 4 columns and 3 rows; the minor-sum bands on two points, one column
+    # narrower and no taller, run on the same code, with their own bits
+    monkeypatch.setattr(symfunc, "_WINDOWS", {"real": [], "complex": []})
+    monkeypatch.setattr(symfunc, "_schur_code", symfunc._tables())
+    x = (1.0078125, 2.01953125, 3.05859375)
+    for parts, z in (((38, 19), x), ((19,), x[::2]), ((39,), x[1:]), ((39, 20), x[:2])):
+        assert _fingerprint(schur(Partition(parts), z)) == _fingerprint(_wide_route(parts, len(z))(z)), parts
+    assert [code.shape for code in symfunc._WINDOWS["real"]] == [(4, 3)]
