@@ -63,13 +63,16 @@ def _read_rows(path, weighted):
     may be double-quoted, and a space after a delimiter is skipped, so a
     padded quoted field reads as a quoted one.  Only the header raises: a data
     row's faults are left to `_point`, so a caller can skip that row and read
-    on.
+    on.  Text that does not decode raises ValueError naming `path`.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, newline="") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, newline="") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"input {path}: {exc}") from None
     lines = text.removeprefix("\ufeff").splitlines()
     if not lines:
         raise ValueError("missing header row")
@@ -164,12 +167,15 @@ def cmd_fit(args):
 def _read_snapshot(path, degrees, exact, weighted):
     """The state saved at `path`, or None if there is none yet; a state saved
     under other degrees or another mode is refused, and so is one whose points
-    are weighted when the run reads no w column, or the reverse."""
+    are weighted when the run reads no w column, or the reverse.  A file that
+    does not decode or is not JSON raises ValueError naming `path`."""
     try:
         with open(path) as handle:
             state = incremental.RegressionState.from_dict(json.load(handle))
     except FileNotFoundError:
         return None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"snapshot {path}: {exc}") from None
     saved = (list(state.d), "exact" if state.exact else "float")
     asked = (list(degrees), "exact" if exact else "float")
     if saved != asked:
@@ -185,8 +191,12 @@ def _read_snapshot(path, degrees, exact, weighted):
 
 def _write_snapshot(path, state):
     """Write the state through a temporary file in the same directory, so a
-    failed write never leaves a truncated snapshot behind."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    failed write never leaves a truncated snapshot behind; a temporary file
+    that cannot be made raises OSError naming `path`, not that file."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:
+        raise OSError(f"cannot write snapshot {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
             json.dump(state.to_dict(), handle, sort_keys=True)

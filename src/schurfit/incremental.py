@@ -31,8 +31,8 @@ from .regress import (
     _aggregates,
     _append_b_columns,
     _checked_numerators,
-    _denominator_sum,
     _finite,
+    _hermitian_sum,
     _lift,
     _quotients,
 )
@@ -232,7 +232,7 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
         raise ValueError("prior B matrix was built from other points than the state's")
 
     lifted = _lift(_appended(state, x_new, None, w_new), 1)
-    new_d = state.denom + _denominator_sum(d, lifted)[0]
+    new_d = state.denom + _hermitian_sum(d, lifted, n)[0][0][0]
     _finite("the denominator D", [new_d])
     entries = [list(row) for row in prior_b.entries]
     if not state.exact:

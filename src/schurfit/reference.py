@@ -23,10 +23,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numeric import Scalar, scalar_pow
-from .symfunc import _exact, _unwrap, _wrap, det, vandermonde
+from .symfunc import _unwrap, _wrap, det, vandermonde
 
 SSYT_MAX_WEIGHT = 12
 SSYT_MAX_VARS = 6
+
+
+def _exact(z):
+    """The mode of a native point: exact unless its first entry is a float
+    or complex; the empty point is exact."""
+    return not (z and isinstance(z[0], (float, complex)))
 
 
 def alternating(mu, z):

@@ -15,9 +15,11 @@ matrix -- runs through one generated walker, `_walker`, compiled once per
 (number kind, number of partitions, subset size, fixed points, weighted):
 straight-line code that walks the subsets in lexicographic order, forms the
 vector u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps
-the upper triangle of the sum of u u* in locals (`_hermitian_sum`) or lists
-the u vectors with their labels, which `_append_b_columns` turns into B's
-signed columns.  Its one body is written by `symfunc._assign` in the code
+the upper triangle of the sum of u u* in locals (`_hermitian_sum`, which
+sums D on the n-subsets with lam and S on the (n-1)-subsets with the drops'
+partitions, both read off the exponents) or lists the u vectors with their
+labels, which `_append_b_columns` turns into B's signed columns.  Its one
+body is written by `symfunc._assign` in the code
 kind that the number kind sets.  Real data takes no conjugates.  For exact
 Gaussian data, the slow kind when every step makes a `_Gaussian`, the same
 statements run on int pairs, each Schur value, V and weight unpacked into
@@ -33,7 +35,10 @@ the residual norm are summed on the same lifted numbers and wrapped once
 each; D, S, T, the numerators and the coefficients are Scalars.  The walker
 calls `schur` and `vandermonde` once per subset and partition, as the
 callers pass them from the names bound here, read at call time, where a
-tracer can wrap them.
+tracer can wrap them.  The lifted points of one walk share one type, float,
+complex, int or `_Gaussian`, and `symfunc` keeps code tables per point type,
+built for the type's mode, so a walk's Schur calls never re-decide a band's
+route.
 """
 
 from __future__ import annotations
@@ -154,17 +159,13 @@ def _require_points(n, data):
         )
 
 
-def _partitions(d):
-    """lam of the exponents d and the n partitions lam[i] of its drops, made
-    once per exponent tuple: each partition keeps its own table of generated
-    Schur code (`Partition._codes`), which a new one would fill again on
-    every fit."""
-    return _partitions_of(tuple(d))
-
-
 @lru_cache(maxsize=None)
 def _partitions_of(d):
-    return lambda_from_degrees(d), tuple(lambda_from_degrees(d[:i] + d[i + 1 :]) for i in range(len(d)))
+    """The walks' partitions of the exponent tuple d, made once per tuple:
+    (lam,) for D and the n partitions lam[i] of its drops for S.  Each
+    partition keeps its own table of generated Schur code
+    (`Partition._codes`), which a new one would fill again on every fit."""
+    return (lambda_from_degrees(d),), tuple(lambda_from_degrees(d[:i] + d[i + 1 :]) for i in range(len(d)))
 
 
 # points, weights and targets in the kernel's number type, and the factors by
@@ -320,10 +321,14 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
     return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
 
 
-def _hermitian_sum(lifted, lams, size):
-    """Sum of u u* over the `size`-point subsets of the lifted points (see
-    `_walker`) as an n x n Scalar matrix, n = len(lams), and the count
-    n^2 * #subsets.
+def _hermitian_sum(d, lifted, size):
+    """The sum of u u* over the `size`-point subsets of the lifted points
+    (see `_walker`) for the exponents d, as an n x n Scalar matrix, and the
+    count n^2 * #subsets.  On the len(d)-point subsets u = w_l s_lam(x_l)
+    V(x_l), and the 1 x 1 sum is D; on the (len(d) - 1)-point subsets
+    u_i = w_l s_{lam[i]}(x_l) V(x_l) for the n partitions of d's drops, and
+    the sums are the minor sums S_{i,j}.  The partitions come from
+    `_partitions_of`, made once per exponent tuple.
 
     The walk, the one compiled for the lifted kind, reads `schur` and
     `vandermonde` here, at call time, where a tracer can wrap them.  The sum
@@ -331,6 +336,7 @@ def _hermitian_sum(lifted, lams, size):
     (i, j) is wrapped once, divided by the lift's scaling of u_i conj(u_j).
     Only the upper triangle is summed; the lower one is its conjugate.
     """
+    lams = _partitions_of(tuple(d))[size < len(d)]
     n = len(lams)
     walk = _walker(lifted.kind, n, size, lifted.fixed, lifted.w is not None)
     upper, count = walk(lifted.x, lifted.w, lams, schur, vandermonde)
@@ -343,21 +349,6 @@ def _hermitian_sum(lifted, lams, size):
             if j > i:
                 out[j][i] = out[i][j].conj()
     return out, count * n * n
-
-
-def _denominator_sum(d, lifted):
-    """D = sum over n-subsets of |w_l s_lam(x_l) V(x_l)|^2 and its term count."""
-    total, count = _hermitian_sum(lifted, _partitions(d)[:1], len(d))
-    return total[0][0], count
-
-
-def _minor_matrix(d, lifted):
-    """All minor sums S_{i,j} at once, plus the number of summand evaluations.
-
-    Each (n-1)-subset contributes the n^2 products
-    s_{lam[i]}(x_l) * conj(s_{lam[j]}(x_l)) * |V(x_l)|^2 (weighted by |w_l|^2).
-    """
-    return _hermitian_sum(lifted, _partitions(d)[1], len(d) - 1)
 
 
 def _moment_sums(d, lifted, start):
@@ -436,8 +427,8 @@ def _aggregates(d, lifted):
     instead: D and S summed over the subsets that hold it, and T of that
     point alone.
     """
-    dvalue, evals_d = _denominator_sum(d, lifted)
-    s, evals_s = _minor_matrix(d, lifted)
+    [[dvalue]], evals_d = _hermitian_sum(d, lifted, len(d))
+    s, evals_s = _hermitian_sum(d, lifted, len(d) - 1)
     t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0)
     return dvalue, s, t, evals_d + evals_s
 
@@ -456,9 +447,8 @@ def _zero_denominator(dvalue, d, x):
     if dvalue.exact or not dvalue:
         return not dvalue
     scale = max((abs(xk) for xk in x), default=1.0)
-    n = len(d)
-    try:
-        floor = 1e-12 * scale ** (2 * _partitions(d)[0].weight + n * (n - 1))
+    try:  # D has degree 2 |lam| + n (n - 1) = 2 sum(d) in x
+        floor = 1e-12 * scale ** (2 * sum(d))
     except OverflowError:
         raise OverflowError("the degeneracy floor of D is not finite in float arithmetic") from None
     return abs(float(dvalue.re)) <= floor
@@ -467,7 +457,7 @@ def _zero_denominator(dvalue, d, x):
 def denominator(d, data):
     """The real non-negative denominator D = det((WA)*WA) as a subset sum."""
     _require_points(len(d), data)
-    total, _ = _denominator_sum(d, _lift(data))
+    [[total]], _ = _hermitian_sum(d, _lift(data), len(d))
     return total
 
 
@@ -481,7 +471,7 @@ def minor_sum(d, data, i, j):
         raise InsufficientDataError(
             f"need at least {n - 1} points for the minor sums, got {data.m}"
         )
-    s, _ = _minor_matrix(d, _lift(data))
+    s, _ = _hermitian_sum(d, _lift(data), n - 1)
     return s[i - 1][j - 1]
 
 
@@ -586,7 +576,7 @@ def _checked_denominator(d, data):
     float mode, is not finite."""
     _require_points(len(d), data)
     lifted = _lift(data)
-    dvalue, _ = _denominator_sum(d, lifted)
+    [[dvalue]], _ = _hermitian_sum(d, lifted, len(d))
     _finite("the denominator D", [dvalue])
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError("denominator vanishes: B is undefined")
@@ -600,7 +590,7 @@ def _append_b_columns(b, d, lifted):
     scaling of u_i.  Like `_hermitian_sum`, it passes the walker `schur` and
     `vandermonde` as bound here at call time."""
     root = b.denominator_root if b.normalized else None
-    lams, size = _partitions(d)[1], len(d) - 1
+    lams, size = _partitions_of(tuple(d))[1], len(d) - 1
     scales = [_lift_factor(lifted, lam, size) for lam in lams]
     walk = _walker(lifted.kind, len(lams), size, lifted.fixed, lifted.w is not None, columns=True)
     for label, *u in walk(lifted.x, lifted.w, lams, schur, vandermonde):
@@ -633,7 +623,7 @@ def pseudoinverse(d, data):
     space is `design_matrix(d, data.x)` times this operator.
     """
     dvalue, lifted = _checked_denominator(d, data)
-    s, _ = _minor_matrix(d, lifted)
+    s, _ = _hermitian_sum(d, lifted, len(d) - 1)
     out = [[None] * data.m for _ in range(len(d))]
     for k, row in enumerate(design_matrix(d, data.x)):
         col = _signed_numerators(s, [v.conj() for v in row])

@@ -42,25 +42,29 @@ The subset walker in `regress` calls `schur` and `vandermonde` once per
 subset and partition, mostly on bands of width lam1 <= 3, whose whole
 arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
 kept cheap: one type test on the first entry and two plain-dict lookups per
-call, the Schur code read off a table that each partition keeps.  For narrow
-bands, and for V, each (lam, r) on at most UNROLL_MAX_POINTS points is
-compiled once into straight-line code that takes the same steps as
-`elem_sym_all`, `det` and the V loop, in the same order on the same
-operands, so values are bit-identical to theirs and only the loops, index
-rows and calls are gone.  A 3 x 3 band writes out `_det3`, the cofactor
-expansion that `det` uses at order 3 in both modes.  Wider bands, such as
-the 38- and 39-wide ones of (40, 20, 0), take `_wide_band`, or on float and
-complex points `_sliding_window`'s code: `_eliminate`'s steps written out,
-one loop per window height, compiled once for every band that the window
-covers.  One writer, `_assign`, writes every statement of the narrow-band,
-V and subset walker code, in one of three code kinds that only the point
-type sets (see "The statement writer" below), each compiled into tables of
-its own: real code for float, int and Fraction points drops the factors 1
-and the conjugates, exact identities on real numbers; complex code writes
-every step as the loops do; pair code, for `_Gaussian` points, the kernel's
-numbers for exact complex data, takes the same steps on int pairs and
-returns one `_Gaussian`.  The window code comes in the real and complex
-kinds, which differ in the pivot key only.
+call, the Schur code read off a table that each partition keeps.  Every
+point type has code tables of its own, and each function in them is built
+for that type's mode and code kind, so the route of a band is chosen once,
+when its code is built, and no call tests its point.  For narrow bands, and
+for V, each (lam, r) on at most UNROLL_MAX_POINTS points is compiled once
+into straight-line code that takes the same steps as `elem_sym_all`, `det`
+and the V loop, in the same order on the same operands, so values are
+bit-identical to theirs and only the loops, index rows and calls are gone.
+A 3 x 3 band writes out `_det3`, the cofactor expansion that `det` uses at
+order 3 in both modes.  Wider bands, such as the 38- and 39-wide ones of
+(40, 20, 0), take on float and complex points `_sliding_window`'s code:
+`_eliminate`'s steps written out, one loop per window height, compiled once
+for every band that the window covers.  Exact points on wider bands, and
+float points on more than UNROLL_MAX_POINTS points, take `_wide_band`'s
+function of their mode, the h-form or the e-form one.  One writer,
+`_assign`, writes every statement of the narrow-band, V and subset walker
+code, in one of three code kinds that only the point type sets (see "The
+statement writer" below): real code for float, int and Fraction points
+drops the factors 1 and the conjugates, exact identities on real numbers;
+complex code writes every step as the loops do; pair code, for `_Gaussian`
+points, the kernel's numbers for exact complex data, takes the same steps on
+int pairs and returns one `_Gaussian`.  The window code comes in the real
+and complex kinds, which differ in the pivot key only.
 
 The bialternant ratio and the semistandard tableaux sum, independent
 cross-checks of `schur`, live in `schurfit.reference`, which the runtime does
@@ -103,12 +107,6 @@ def _wrap(mode, v):
     if mode is None:
         return v
     return Scalar.from_int(v, mode) if type(v) is int else Scalar(v, mode)
-
-
-def _exact(z):
-    """The mode of a native point: exact unless its first entry is a float
-    or complex; the empty point is exact."""
-    return not (z and isinstance(z[0], (float, complex)))
 
 
 def elem_sym_all(z):
@@ -191,10 +189,11 @@ def _eliminate(a, exact, below, reach):
     x * x for any other, a float or the int e_0 = 1 of a Jacobi-Trudi row,
     the bits of |x|^2 taken through `complex(x)`.  Each other row reads only
     itself and the pivot row, so the order of their updates does not
-    matter."""
-    n = len(a)
-    sign = 1
-    for k in range(n):
+    matter.  The determinant is the product of the pivots as each step takes
+    it, d = d * pivot from d = `_One()`, the order of the diagonal's product,
+    with the sign of the swaps."""
+    d, sign = _One(), 1
+    for k in range(len(a)):
         p, others = -1, []
         for i in range(k, below[k]):
             x = a[i][k]
@@ -220,6 +219,7 @@ def _eliminate(a, exact, below, reach):
             sign = -sign
         pivot_row = a[k]
         pivot = pivot_row[k]
+        d = d * pivot
         unit = exact and pivot == 1
         if exact and not unit and type(pivot) is int:  # int / int would round to a float
             pivot = Fraction(pivot)
@@ -228,9 +228,6 @@ def _eliminate(a, exact, below, reach):
             f = row[k] if unit else row[k] / pivot
             for j in cols:
                 row[j] = row[j] - f * pivot_row[j]
-    d = a[0][0]
-    for k in range(1, n):
-        d = d * a[k][k]
     return -d if sign < 0 else d
 
 
@@ -426,30 +423,30 @@ def _band(offsets, r, lines, kind):
     return [[name[c + j] if 0 <= c + j <= r else "zero" for j in range(n)] for c in offsets]
 
 
-def _schur_function(parts, r, kind):
+def _schur_function(parts, r, exact, kind):
     """s_lam on r points as a function of the point, for the normalized
-    parts of lam, in the code `kind` of the point type.
+    parts of lam, built for the points of one type: their mode (`exact`) and
+    code `kind` pick the route here, once, so no call tests its point.
 
-    Both routes read the dual Jacobi-Trudi band off the row offsets
+    Every route reads the dual Jacobi-Trudi band off the row offsets
     c_i = lam'_i - i.  A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS
-    points is straight-line code: `elem_sym_all` unrolled up to the highest
-    e_k the matrix reads, then `det`'s formula on the same entries, with the
-    int 0 outside the band.  Order 3 is `_det3`'s expansion written out: the
-    cofactors c0, c1 and c2, then a * c0 - b * c1 + c * c2; "pairs" code skips
-    the cofactor of a zero lead entry.  Wider bands, and bands on
-    more points, take `_wide_band`: the h-form for exact points when
-    l(lam) < lam1, else the e-form under a band-limited elimination.  On at
-    most UNROLL_MAX_POINTS float or complex points a wider band takes
-    `_sliding_window`'s code instead, the same elimination written out.
+    points is straight-line code in both modes: `elem_sym_all` unrolled up
+    to the highest e_k the matrix reads, then `det`'s formula on the same
+    entries, with the int 0 outside the band.  Order 3 is `_det3`'s
+    expansion written out: the cofactors c0, c1 and c2, then
+    a * c0 - b * c1 + c * c2; "pairs" code skips the cofactor of a zero lead
+    entry.  A wider band on at most UNROLL_MAX_POINTS float or complex points
+    is `_sliding_window`'s code; exact points on a wider band, and every
+    point beyond UNROLL_MAX_POINTS, take `_wide_band`'s function of their
+    mode.
     """
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z: 0 if parts else 1
     offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
-    if parts[0] > 3 or r > UNROLL_MAX_POINTS:
-        wide = _wide_band(parts, r, offsets)
-        if r > UNROLL_MAX_POINTS or kind == "pairs":
-            return wide
-        return _sliding_window(parts, r, offsets, kind, wide)
+    if r > UNROLL_MAX_POINTS or exact and parts[0] > 3:
+        return _wide_band(parts, r, offsets, exact)
+    if parts[0] > 3:
+        return _sliding_window(parts, r, offsets, kind)
     body = []
     entries = _band(offsets, r, body, kind)
     if len(entries) == 1:
@@ -480,47 +477,52 @@ def _below(first):
     return below
 
 
-def _wide_band(parts, r, offsets):
-    """s_lam on r points for a band wider than 3 or on more than
-    UNROLL_MAX_POINTS points, as a function of the point, from lam's row
-    offsets c_i = lam'_i - i.  On at most UNROLL_MAX_POINTS points only exact
-    points reach it: float and complex ones take `_sliding_window`.
+def _wide_band(parts, r, offsets, exact):
+    """s_lam on r points of one mode, `exact` or not, for a band wider than 3
+    or on more than UNROLL_MAX_POINTS points, as a function of the point,
+    from lam's row offsets c_i = lam'_i - i.  On at most UNROLL_MAX_POINTS
+    points only exact points reach it: float and complex ones take
+    `_sliding_window`.
 
-    Exact points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it
-    is the smaller one, l(lam) < lam1, with h_k expanded one point at a time,
+    The function is the h-form one or the e-form one, chosen here.  Exact
+    points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it is the
+    smaller one, l(lam) < lam1, with h_k expanded one point at a time,
     h_k <- h_k + z_j h_{k-1}: its value equals the e-form's by the
     Jacobi-Trudi identity, int points keep int entries, and a zero value is
     the int 0, as the e-form's elimination returns it.  Other points take
     the e-form.  Its row i holds e_{c_i + j} in column j, where
     0 <= c_i + j <= r, and zero elsewhere, so each row is one slice of the
     e_k padded with zeros on both sides: one padded list and lam1 slices per
-    call, the same for every point type.  The nonzero columns
-    first_i = max(0, -c_i) to last_i = min(lam1 - 1, r - c_i) of row i rise
-    with i, so at step k of the elimination only rows i with first_i <= k
-    hold column k (below[k]), and no fill reaches past the last column of
-    the last of them (reach[k]): `_eliminate` takes the pivots, operands and
-    order of `det`'s full scan, and float bits are those of `det` on the same
-    rows.  These per-key tables cost O(lam1 * l(lam)) steps, where a
-    lam1 x lam1 index matrix would cost O(lam1^2).
+    call.  The nonzero columns first_i = max(0, -c_i) to
+    last_i = min(lam1 - 1, r - c_i) of row i rise with i, so at step k of
+    the elimination only rows i with first_i <= k hold column k (below[k]),
+    and no fill reaches past the last column of the last of them (reach[k]):
+    `_eliminate` takes the pivots, operands and order of `det`'s full scan,
+    and float bits are those of `det` on the same rows.  These per-key
+    tables cost O(lam1 * l(lam)) steps, where a lam1 x lam1 index matrix
+    would cost O(lam1^2).
     """
     n = parts[0]
+    if exact and len(parts) < n:
+        h_idx = [[p - i + j if p - i + j >= 0 else None for j in range(len(parts))] for i, p in enumerate(parts)]
+        top = n + len(parts) - 1
+
+        def schur(z):
+            h = [1] + [0] * top
+            for zj in z:
+                for k in range(1, top + 1):
+                    h[k] = h[k] + zj * h[k - 1]
+            return det([[h[k] if k is not None else 0 for k in row] for row in h_idx], True) or 0
+
+        return schur
     first = [max(0, -c) for c in offsets]
     last = [min(n - 1, r - c) for c in offsets]
     below = _below(first)
     reach = [1 + last[b - 1] for b in below]
     lead, trail = first[-1], max(0, offsets[0] + n - r - 1)
     starts = [lead + c for c in offsets]
-    h_idx = [[p - i + j if p - i + j >= 0 else None for j in range(len(parts))] for i, p in enumerate(parts)]
-    top = parts[0] + len(parts) - 1
 
     def schur(z):
-        exact = _exact(z)
-        if exact and len(parts) < n:
-            h = [1] + [0] * top
-            for zj in z:
-                for k in range(1, top + 1):
-                    h[k] = h[k] + zj * h[k - 1]
-            return det([[h[k] if k is not None else 0 for k in row] for row in h_idx], True) or 0
         band = [0] * lead + elem_sym_all(z) + [0] * trail
         rows = [band[s : s + n] for s in starts]
         return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
@@ -528,10 +530,9 @@ def _wide_band(parts, r, offsets):
     return schur
 
 
-def _sliding_window(parts, r, offsets, kind, wide):
+def _sliding_window(parts, r, offsets, kind):
     """s_lam on 1 <= r <= UNROLL_MAX_POINTS float or complex points for a band
-    wider than 3: `_eliminate`'s e-form elimination as generated code, with
-    exact points sent to `wide`.
+    wider than 3: `_eliminate`'s e-form elimination as generated code.
 
     Step k reads rows k to below[k] - 1 (see `_wide_band`) and no column past
     k + C - 1, C = min(r + 1, lam1), so a window of locals holds them: w{s}_{j}
@@ -556,7 +557,7 @@ def _sliding_window(parts, r, offsets, kind, wide):
         return _schur_of(Partition(parts), complex, r)(z)
 
     code = window.__code__.replace(co_filename="<schurfit band %s r=%d %s>" % (parts, r, kind))
-    return FunctionType(code, window.__globals__, "schur", (wide, mixed, zeros, head, steps))
+    return FunctionType(code, window.__globals__, "schur", (mixed, zeros, head, steps))
 
 
 class _One:
@@ -579,12 +580,12 @@ def _window_code(kind, width, rows):
     operations per step, and so the bands of a fit's minor sums, on one point
     fewer, run on the code of its denominator's.
 
-    schur(z, wide, mixed, zeros, head, steps) takes z to `wide` unless its
-    first entry is a float, or a complex in complex code.  With
-    e = elem_sym_all(z) + zeros, real code takes z to `mixed` unless e_1 is a
-    float: a complex entry makes every e_k complex, whose key is the complex
-    code's.  Else it reads window
-    row s off e[head[s]:], runs steps[i] steps of rows - i rows, then the last
+    schur(z, mixed, zeros, head, steps) serves the points of one table,
+    float in real code and complex in complex code, and tests none of them.
+    With e = elem_sym_all(z) + zeros, real code takes z to `mixed` unless
+    e_1 is a float: a complex entry after a float first one makes every e_k
+    complex, whose key is the complex code's.  Else it reads window row s
+    off e[head[s]:], runs steps[i] steps of rows - i rows, then the last
     step, of one row.  Each step is `_eliminate`'s on the same operands in the
     same order: the pivot is the first live row of largest key, x * x in real
     code and x.real^2 + x.imag^2 in complex code, `_eliminate`'s keys,
@@ -599,9 +600,7 @@ def _window_code(kind, width, rows):
     row = [", ".join("w%d_%d" % (s, j) for j in range(width)) for s in range(rows)]
     key = "{0} * {0}" if kind == "real" else "{0}.real * {0}.real + {0}.imag * {0}.imag"
     fresh = ", ".join("e%d" % j for j in range(1, width))
-    test = "type(z[0]) is not float" if kind == "real" else "not isinstance(z[0], (float, complex))"
-    lines = ["def schur(z, wide, mixed, zeros, head, steps):", "    if %s:" % test, "        return wide(z)"]
-    lines.append("    e = elem_sym_all(z) + zeros")
+    lines = ["def schur(z, mixed, zeros, head, steps):", "    e = elem_sym_all(z) + zeros"]
     if kind == "real":
         lines += ["    if type(e[1]) is not float:", "        return mixed(z)"]
     lines.append("    _, %s = e[:%d]" % (fresh, width))
@@ -633,54 +632,54 @@ def _window_code(kind, width, rows):
 
 
 # The code kind of each point type (see "The statement writer"); a type not
-# named here takes the complex code, which writes the terms verbatim.  A
-# native point takes the kind of its first entry, so one that mixes real and
-# complex numbers, whose signed zeros the factors 1 decide, should lead with
-# a complex one; the walker's points share one type.
+# named here takes the complex code, which writes the terms verbatim.  The
+# mode goes with the type too: float and complex types, subclasses included,
+# are float mode, every other type exact (`_schur_of`).  A native point takes
+# the code of its first entry's type, so one that mixes real and complex
+# numbers, whose signed zeros the factors 1 decide, should lead with a
+# complex one; the walker's points share one type.
 _KINDS = {float: "real", int: "real", Fraction: "real", complex: "complex", _Gaussian: "pairs"}
 
-
-def _tables():
-    """Empty code tables by point type, one per code kind, shared by the
-    types of that kind."""
-    by_kind = {kind: {} for kind in _KINDS.values()}
-    return {t: by_kind[kind] for t, kind in _KINDS.items()}
-
-
 # V code by point type, then r; Schur code by point type, then the normalized
-# parts of lam, then r.  `schur` reads the latter through each partition's own
-# table (`Partition._codes`), by point type and then r, so that no call hashes
-# a tuple.  All are plain dicts, as a subscript of a dict subclass, such as
+# parts of lam, then r.  Each type has tables of its own, so every function
+# in them is built for one mode and one code kind, and no call re-decides its
+# route.  `schur` reads the Schur code through each partition's own table
+# (`Partition._codes`), by point type and then r, so that no call hashes a
+# tuple.  All are plain dicts, as a subscript of a dict subclass, such as
 # one with `__missing__`, costs more: a miss raises KeyError, on which
 # `_vandermonde_of` or `_schur_of` fills the entry.
-_vandermonde_code, _schur_code = _tables(), _tables()
+_vandermonde_code, _schur_code = {}, {}
 
 
 def _vandermonde_of(t, r):
-    """V's code on r points of type t, built on the first call; a type that
-    `_KINDS` does not name shares the complex type's table."""
-    table = _vandermonde_code.setdefault(t, _vandermonde_code[complex])
+    """V's code on r points of type t, built on the first call in the code
+    kind of t; V takes the same steps in both modes."""
+    table = _vandermonde_code.setdefault(t, {})
     if r not in table:
         table[r] = _vandermonde_function(r, _KINDS.get(t, "complex"))
     return table[r]
 
 
 def _schur_of(lam, t, r):
-    """s_lam's code on r points of type t, built on the first call, as
-    `_vandermonde_of` builds V's; lam's own table then maps t to the table
-    of t and lam's parts."""
-    table = _schur_code.setdefault(t, _schur_code[complex]).setdefault(lam._normalized, {})
+    """s_lam's code on r points of type t, built on the first call for the
+    mode of t, exact unless t is a float or complex type, and its code kind;
+    lam's own table then maps t to the table of t and lam's parts."""
+    table = _schur_code.setdefault(t, {}).setdefault(lam._normalized, {})
     if r not in table:
-        table[r] = _schur_function(lam._normalized, r, _KINDS.get(t, "complex"))
+        exact = not issubclass(t, (float, complex))
+        table[r] = _schur_function(lam._normalized, r, exact, _KINDS.get(t, "complex"))
     lam._codes[t] = table
     return table[r]
 
 
-def _scalar_type(values):
-    """The point type whose code the values of a Scalar point take: complex,
-    whose code writes the terms verbatim, if a value is complex or
-    `_Gaussian`, else the type of the first, float or Fraction."""
-    return complex if any(type(v) in (complex, _Gaussian) for v in values) else type(values[0])
+def _scalar_type(mode, values):
+    """The point type whose code the values of a Scalar point of `mode` take:
+    Fraction for exact values, whose real code drops factors 1 that are exact
+    on `_Gaussian` values too; for float values complex, whose code writes
+    the terms verbatim, if a value is complex, else float."""
+    if mode:
+        return Fraction
+    return complex if any(type(v) is complex for v in values) else float
 
 
 def vandermonde(z):
@@ -689,7 +688,7 @@ def vandermonde(z):
     t = type(z[0]) if z else int
     if t is Scalar:
         mode, z = _unwrap(z)
-        return _wrap(mode, _vandermonde_of(_scalar_type(z), len(z))(z))
+        return _wrap(mode, _vandermonde_of(_scalar_type(mode, z), len(z))(z))
     try:
         code = _vandermonde_code[t][len(z)]
     except KeyError:
@@ -701,15 +700,16 @@ def schur(lam, z):
     """Schur value s_lam(z) via the dual Jacobi-Trudi determinant.
 
     Empty lam gives 1; lam with more nonzero parts than variables gives 0.
-    One type test on the first entry picks the code of the point type's kind
-    (see `_KINDS`); a Scalar point's values take the code of `_scalar_type`
+    One type test on the first entry picks the code table of the point's
+    type, whose functions were built for that type's mode and code kind (see
+    `_schur_of`); a Scalar point's values take the code of `_scalar_type`
     between `_unwrap` and `_wrap`.  The code for (lam, len(z)) is compiled
-    once; see `_schur_function`.
+    once per type; see `_schur_function`.
     """
     t = type(z[0]) if z else int
     if t is Scalar:
         mode, z = _unwrap(z)
-        return _wrap(mode, _schur_of(lam, _scalar_type(z), len(z))(z))
+        return _wrap(mode, _schur_of(lam, _scalar_type(mode, z), len(z))(z))
     try:
         code = lam._codes[t][len(z)]
     except KeyError:

@@ -330,6 +330,52 @@ def test_failed_snapshot_write_keeps_the_old_snapshot(tmp_path, capsys, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "more.csv", "state.json"]
 
 
+def test_a_snapshot_that_cannot_be_written_is_named(tmp_path, capsys):
+    # the temporary file beside the snapshot cannot be made in a missing
+    # directory; the error names the snapshot, not that file
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,4\n")
+    snap = tmp_path / "missing" / "state.json"
+    code, _, err = run(capsys, "stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: cannot write snapshot {snap}: ") and err.count("\n") == 1
+    assert ".tmp" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"not json", "Expecting value"), (b"\xff{}", "'utf-8' codec can't decode byte 0xff")],
+    ids=["not-json", "not-utf8"],
+)
+def test_an_unreadable_snapshot_is_named(tmp_path, capsys, content, reason):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n1,1\n2,4\n")
+    snap = tmp_path / "state.json"
+    snap.write_bytes(content)
+    code, out, err = run(capsys, "stream", "--degrees", "1,0", "--exact", "--snapshot", str(snap), str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: snapshot {snap}: {reason}") and err.count("\n") == 1
+    assert snap.read_bytes() == content
+
+
+@pytest.mark.parametrize("command", ["fit", "stream", "compare"])
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_an_undecodable_data_file_is_named(tmp_path, capsys, monkeypatch, command, source):
+    raw = b"x,y\n1,2\n2,\xff\n"
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        target = "-"
+    else:
+        target = tmp_path / "d.csv"
+        target.write_bytes(raw)
+    code, out, err = run(capsys, command, "--degrees", "1,0", "--exact", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: input {target}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
 def test_stream_underdetermined_exit_2_persists_state(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n1,1\n2,2\n")

@@ -4,9 +4,14 @@ A change that is meant to leave results alone, such as a faster route to the
 same Schur values, must not move one float bit or one exact value.  Each
 (input, operation) pair keeps its own SHA-256 over the reprs of its outputs,
 so a failure names what changed.  The inputs cover bands of width 1 to 3
-((4,2,0) and (5,3,1,0)), the banded elimination of wider ones ((9,4,0)), and
-real, complex, weighted and unweighted data, each fitted in exact mode and,
-converted to binary64, in float mode.  The digests are the same under
+((4,2,0) and (5,3,1,0)), the banded elimination of wider ones ((9,4,0)), the
+exact eliminations of order 4 on Gaussian entries, the e-form of the square
+band (4,4,4,4) and the 4 x 4 h-forms ((7,6,5,4) and (9,7,5,3,0)), with the
+complex window code of their float twins, and real, complex, weighted and
+unweighted data, each fitted in exact mode and, converted to binary64, in
+float mode.  All inputs draw from one seeded stream, so a new one goes last.
+Real-data inputs of the last two shapes are often refused in float by the
+degeneracy floor of D (ROADMAP item 14), so they are complex.  The digests are the same under
 Python 3.10 to 3.13.
 
 A float digest pins bits, not accuracy, so the float outputs of each input
@@ -28,6 +33,8 @@ INPUTS = {
     "cubic_four_terms_weighted": ((5, 3, 1, 0), 7, False, True),
     "wide_real_weighted": ((9, 4, 0), 6, False, True),
     "wide_complex": ((9, 4, 0), 5, True, False),
+    "square_band_complex_weighted": ((7, 6, 5, 4), 7, True, True),
+    "five_terms_complex_weighted": ((9, 7, 5, 3, 0), 7, True, True),
 }
 
 DIGESTS = {
@@ -91,6 +98,30 @@ DIGESTS = {
         "stream_exact": "0d46301aadd482e6a259493ebf4aa0c60bec596538c42d33ddf69a66c716c9bf",
         "stream_float": "f316566294f96a77e8f5542db5b8c648cdc3b49a64a219a8495db3679526216c",
     },
+    "square_band_complex_weighted": {
+        "fit_exact": "aca39004608b6ef696d69d52abdac4812273023cfeffa1b05fda4766e5b86487",
+        "fit_float": "a8453c9fe5c38e4a2155392d96d62418ac9423485a0373cef93ec824bfcc7344",
+        "pseudoinverse_exact": "6cf848988f75e9e2029efb90fd3df85ceb722fad3a3fd2d7be4bbfe460106f40",
+        "pseudoinverse_float": "39a46b4b5cdc573a01fa3990a37973e8e642dd5ff2db4f077fb5df6612e53522",
+        "b_matrix_exact": "530a6acaaf0b98e9a248418517419c313263c13bdd3bb8a3c4a17937ea6af452",
+        "b_matrix_float": "d48e2f3d9c2ff8973634a1f6bcf5fca2365eacfd4638ef8223027a537b42f82b",
+        "extend_b_exact": "b4299038c9a76cf35cf7d223d9c7b38e4ea2259d78b3bc86762799a442601290",
+        "extend_b_float": "b56be328a64fcdde977342c4d5d82d92cadd47df7ac72a1b8db9b2922322298c",
+        "stream_exact": "4ac3137872a122eb8a7115983e4d98fe7b9d91ab4cc536a48ff2b0a7db692582",
+        "stream_float": "2faedb46497229a655ecdb9e8eca1713a73ab58ecc04f11b5ee32e6cb8b41f3a",
+    },
+    "five_terms_complex_weighted": {
+        "fit_exact": "81289290beb5a5253a5bbe2341c9217972087b55a7675b4caf9f7fb764f69975",
+        "fit_float": "051c278a2ed0e5a951fe443b33c1ba92989ff3963e6ab159a474f8814647b805",
+        "pseudoinverse_exact": "12734a586d42e518cec29dc7174a158c8b2947c3094aa5113593a7e09c274d37",
+        "pseudoinverse_float": "5487280ee19ca5fe6c3e10293637748f20b90901a9854f555cd56ce3d9f61590",
+        "b_matrix_exact": "a9e18c1e1cd4af95ab30d88c0f7c6250e67235b031f99a37e0cfa703c241cf9a",
+        "b_matrix_float": "0ff795033e6ba3cb96357100f5ff475fca27f786d357830afe7e8bcb5a007b8d",
+        "extend_b_exact": "14a9a3423f8e7dc0c29ccf0894b9db26623febca676735d8c9a33fa5e1a05cf5",
+        "extend_b_float": "5ab9c16abe93a998bd1a9a111319ad56a4837a591576bc0929a5bcf154807802",
+        "stream_exact": "973ed40fafa0188a46a28ec11b33e8ecbb3247ea6177841edb4b6c9e826cf441",
+        "stream_float": "59ee424691cbb0ccef1417ef0449bcd2711eabcdd3d05c399142ba2afbf27767",
+    },
 }
 
 
@@ -104,6 +135,8 @@ DIGIT_FLOORS = {
     "cubic_four_terms_weighted": 14.33,
     "wide_real_weighted": 14.08,
     "wide_complex": 13.72,
+    "square_band_complex_weighted": 13.53,
+    "five_terms_complex_weighted": 13.36,
 }
 DIGIT_SLACK = 0.3
 

@@ -430,46 +430,52 @@ def test_exact_det_pivots_on_a_gaussian_unit():
 
 
 def _record_kinds(monkeypatch):
-    # fresh code tables whose every function records its name and code kind
+    # fresh code tables whose every function records its name and code kind,
+    # and for Schur code the mode it was built for
     taken = []
-    for name in ("schur", "vandermonde"):
-        monkeypatch.setattr(symfunc, f"_{name}_code", symfunc._tables())
-        monkeypatch.setattr(symfunc, f"_{name}_function", lambda *key, name=name: lambda z: taken.append((name, key[-1])))
+    monkeypatch.setattr(symfunc, "_schur_code", {})
+    monkeypatch.setattr(symfunc, "_vandermonde_code", {})
+    monkeypatch.setattr(symfunc, "_schur_function", lambda parts, r, exact, kind: lambda z: taken.append(("schur", kind, exact)))
+    monkeypatch.setattr(symfunc, "_vandermonde_function", lambda r, kind: lambda z: taken.append(("vandermonde", kind)))
     return taken
 
 
 @pytest.mark.parametrize("point_kind", NATIVE_POINTS)
 def test_gaussian_points_take_the_pair_tables(monkeypatch, point_kind):
     # `schur` and `vandermonde` pick the code tables by one type test on the
-    # first entry: the pair tables for `_Gaussian` points, the complex ones
-    # for complex points and the real ones for float, int and Fraction
-    # points, whose mode is exact unless that entry is a float or complex
+    # first entry: the tables of the point's type, whose code is pair code
+    # for `_Gaussian` points, complex code for complex points and real code
+    # for float, int and Fraction points, and whose Schur code was built for
+    # the type's mode, exact unless the type is float or complex
     z = NATIVE_POINTS[point_kind]
     taken = _record_kinds(monkeypatch)
     schur(Partition((2, 1)), z)
     vandermonde(z)
     want = {"gaussian": "pairs", "complex": "complex"}.get(point_kind, "real")
-    assert taken == [("schur", want), ("vandermonde", want)]
-    assert symfunc._exact(z) is (point_kind not in ("float", "complex"))
+    exact = point_kind not in ("float", "complex")
+    assert kind(z)[0] is exact
+    assert taken == [("schur", want, exact), ("vandermonde", want)]
 
 
 def test_scalar_points_and_other_types_take_the_code_of_their_values(monkeypatch):
-    # a Scalar point takes the real code only if every value is real, as one
-    # complex value among floats would meet the dropped one factors; a point
-    # of another type, such as bool, takes the complex code, which writes the
-    # terms verbatim
+    # a float Scalar point takes the real code only if every value is real,
+    # as one complex value among floats would meet the dropped one factors,
+    # whose signed zeros they decide; an exact Scalar point takes the real
+    # code of Fraction, as a factor 1 is exact on `_Gaussian` values too; a
+    # point of another type, such as bool, takes the complex code, which
+    # writes the terms verbatim, in exact mode
     cases = [
-        (ex(1, 2, 3), "real"),
-        (tuple(Scalar.from_float(v) for v in (1.0, -0.0, 2.5)), "real"),
-        ((Scalar.from_exact(1), Scalar.from_exact(2, 1), Scalar.from_exact(3)), "complex"),
-        ((Scalar.from_float(1.0), Scalar.from_float(-0.0, 1.0), Scalar.from_float(2.0)), "complex"),
-        ((True, False, True), "complex"),
+        (ex(1, 2, 3), "real", True),
+        (tuple(Scalar.from_float(v) for v in (1.0, -0.0, 2.5)), "real", False),
+        ((Scalar.from_exact(1), Scalar.from_exact(2, 1), Scalar.from_exact(3)), "real", True),
+        ((Scalar.from_float(1.0), Scalar.from_float(-0.0, 1.0), Scalar.from_float(2.0)), "complex", False),
+        ((True, False, True), "complex", True),
     ]
-    for z, want in cases:
+    for z, want, exact in cases:
         taken = _record_kinds(monkeypatch)
         schur(Partition((2, 1)), z)
         vandermonde(z)
-        assert taken == [("schur", want), ("vandermonde", want)], z
+        assert taken == [("schur", want, exact), ("vandermonde", want)], z
 
 
 def test_points_that_mix_scalars_with_native_numbers_are_refused():
@@ -841,7 +847,7 @@ def test_real_code_drops_unit_factors_and_conjugates(monkeypatch):
     monkeypatch.setattr(regress, "_compiled", keep)
     for code_kind in ("real", "complex"):
         for parts in [(1,), (2, 1), (2, 2), (3,), (3, 2), (3, 3, 1)]:
-            _schur_function(parts, 3, code_kind)
+            _schur_function(parts, 3, False, code_kind)
         for r in (2, 3, 5):
             _vandermonde_function(r, code_kind)
     for number in (float, int, complex):
@@ -1081,10 +1087,13 @@ def test_wide_band_tables_come_from_the_conjugate(parts, r):
     # a wide band's per-key tables are built from lam', in O(lam1 * l(lam))
     # steps, without a lam1 x lam1 index matrix; on float points its rows,
     # slices of the zero-padded e_k, still give the bits of `det` on the full
-    # e-form rows, and on Fraction points the h-form gives their value
-    code = _schur_function(parts, r, "real")
+    # e-form rows, and on Fraction points the h-form gives their value; each
+    # mode's code is built for that mode
     rng = random.Random(sum(parts))
-    for z in (tuple(rng.uniform(0.5, 1.5) for _ in range(r)), tuple(Fraction(v, 3) for v in rng.sample(range(-9, 9), r))):
+    floats = tuple(rng.uniform(0.5, 1.5) for _ in range(r))
+    fractions = tuple(Fraction(v, 3) for v in rng.sample(range(-9, 9), r))
+    for z, exact in ((floats, False), (fractions, True)):
+        code = _schur_function(parts, r, exact, "real")
         assert _fingerprint(code(z)) == _fingerprint(rows_and_det(Partition(parts), z)), z
 
 
@@ -1096,17 +1105,18 @@ WINDOW_SHAPES = [((38, 19), 3), ((39, 20), 2), ((39,), 2), ((19,), 2), ((5, 4, 3
                  ((7,), 5), ((200, 100, 3), 3), ((3000,), 2)]
 
 
-def _wide_route(parts, r):
-    # `_wide_band`'s function, the band-limited `_eliminate` on sliced rows
-    # for float and complex points, as before the window code
-    return symfunc._wide_band(parts, r, [c - i for i, c in enumerate(conjugate(Partition(parts)))])
+def _wide_route(parts, r, exact):
+    # `_wide_band`'s function of the mode `exact`, for float and complex
+    # points the band-limited `_eliminate` on sliced rows, as before the
+    # window code
+    return symfunc._wide_band(parts, r, [c - i for i, c in enumerate(conjugate(Partition(parts)))], exact)
 
 
 def _window_outcomes(lam, z):
     # the window code's outcome, then the band-limited and the full-scan ones
     rows = jacobi_trudi_rows(lam, z) if lam.normalized()[0] <= 40 else None
     full = _outcome(_full_scan_det, rows, False) if rows else None
-    return _outcome(schur, lam, z), _outcome(_wide_route(lam.normalized(), len(z)), z), full
+    return _outcome(schur, lam, z), _outcome(_wide_route(lam.normalized(), len(z), False), z), full
 
 
 def test_window_code_pivots_as_the_full_scan_does():
@@ -1147,11 +1157,11 @@ def test_window_code_keeps_the_bits_of_the_band_limited_elimination(parts, r):
 @pytest.mark.parametrize("parts, r", WINDOW_SHAPES[:-1] + [((4, 4, 4, 4), 4), ((9, 4), 3)], ids=str)
 def test_exact_points_keep_the_wide_band_route(parts, r):
     # int, Fraction, Gaussian and exact Scalar points get the value and type
-    # that `_wide_band` gives them, the h-form or the exact e-form: the
-    # real code tables, which float, int and Fraction points share, send
-    # them on before any window step
+    # that `_wide_band` gives exact points, the h-form or the exact e-form:
+    # the code tables of exact types hold its exact function, and never the
+    # window code
     rng = random.Random(sum(parts) - r)
-    lam, wide = Partition(parts), _wide_route(parts, r)
+    lam, wide = Partition(parts), _wide_route(parts, r, True)
     for label, z in _exact_kinds(rng, r).items():
         mode, values = symfunc._unwrap(z)
         want = symfunc._wrap(mode, wide(values))
@@ -1179,8 +1189,8 @@ def test_one_window_code_serves_the_bands_of_a_fit(monkeypatch):
     # of 4 columns and 3 rows; the minor-sum bands on two points, one column
     # narrower and no taller, run on the same code, with their own bits
     monkeypatch.setattr(symfunc, "_WINDOWS", {"real": [], "complex": []})
-    monkeypatch.setattr(symfunc, "_schur_code", symfunc._tables())
+    monkeypatch.setattr(symfunc, "_schur_code", {})
     x = (1.0078125, 2.01953125, 3.05859375)
     for parts, z in (((38, 19), x), ((19,), x[::2]), ((39,), x[1:]), ((39, 20), x[:2])):
-        assert _fingerprint(schur(Partition(parts), z)) == _fingerprint(_wide_route(parts, len(z))(z)), parts
+        assert _fingerprint(schur(Partition(parts), z)) == _fingerprint(_wide_route(parts, len(z), False)(z)), parts
     assert [code.shape for code in symfunc._WINDOWS["real"]] == [(4, 3)]
