@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import pairwise
 
 
 class ScalarModeError(TypeError):
@@ -219,12 +220,18 @@ def scalar_pow(s, e):
 # Float parsing refuses a part that is not finite ("nan", "inf", "1e999").
 
 def parse_scalar(text, exact):
-    """Parse a real or complex literal into a Scalar of the given mode."""
+    """Parse a real or complex literal into a Scalar of the given mode.
+
+    Spaces may stand only next to a sign, as in "2 + 3i" or "- 3": a space
+    between two other characters splits a number, as in "1 2" or "1e 3", and
+    is refused rather than read as one number."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")
     conv = Fraction if exact else _to_float
     try:
+        if " " in text and any(a[-1] not in "+-" and b[0] not in "+-" for a, b in pairwise(text.split())):
+            raise ValueError("a space splits a number")
         if not s.endswith(("i", "I")):
             return Scalar(conv(s), exact)
         body = s[:-1]

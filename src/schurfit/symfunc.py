@@ -18,13 +18,14 @@ gives the ints 0 and 1, exact identities in every type.
 The production route for Schur values is the dual Jacobi-Trudi determinant in
 elementary symmetric polynomials, the lam1 x lam1 matrix (e_{lam'_i - i + j})
 with the e_k expanded one linear factor at a time.  Its entries vanish for
-k > r, the number of variables, so the matrix is banded, and the elimination
-of a wide band reads only the rows and columns that the band and its fill
-can reach: O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Each
-step finds its pivot in one walk down the band's part of the column.  On at
+k > r, the number of variables, so the matrix is banded.  `det`'s
+elimination walks each column once to find its pivot and updates only where
+the pivot row is nonzero, so the band's zeros cost a zero test each.  On at
 most UNROLL_MAX_POINTS float or complex points that elimination is generated
-code on a window of locals that slides down the band (`_sliding_window`);
-otherwise the rows are slices of one zero-padded list of the e_k.  Narrow
+code on a window of locals that slides down the band (`_sliding_window`),
+which reads only the rows and columns that the band and its fill can reach:
+O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Otherwise `det`
+takes the rows as slices of one zero-padded list of the e_k.  Narrow
 and wide bands read their entries off one per-key table, the row offsets
 c_i = lam'_i - i, without a lam1 x lam1 index matrix.
 
@@ -53,7 +54,7 @@ bit-identical to theirs and only the loops, index rows and calls are gone.
 A 3 x 3 band writes out `_det3`, the cofactor expansion that `det` uses at
 order 3 in both modes.  Wider bands, such as the 38- and 39-wide ones of
 (40, 20, 0), take on float and complex points `_sliding_window`'s code:
-`_eliminate`'s steps written out, one loop per window height, compiled once
+`det`'s steps written out, one loop per window height, compiled once
 for every band that the window covers.  Exact points on wider bands, and
 float points on more than UNROLL_MAX_POINTS points, take `_wide_band`'s
 function of their mode, the h-form or the e-form one.  One writer,
@@ -73,6 +74,7 @@ not import.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from types import FunctionType
 
@@ -143,18 +145,26 @@ def det(rows, exact):
     entry tells the mode, and `exact` selects the pivot rule from order 4 on;
     the empty matrix gives the int 1.
 
-    Step k of the elimination touches only the rows below the pivot with a
-    nonzero entry in column k and only the columns where the pivot row is
-    nonzero, so a banded matrix such as the dual Jacobi-Trudi one, whose
-    entries e_k vanish for k > r, costs O(width * band^2) instead of
-    O(width^3).  Float mode pivots on the first row of largest |a_ik|^2
-    (partial pivoting), found in one walk down the column (see
-    `_eliminate`); a skipped update is a - 0*b, so finite results are
-    bit-identical to dense LU.  Exact mode pivots on the first row holding
-    the unit 1, which needs no division and so keeps int entries ints, else on
-    the first nonzero row, and lifts an int pivot to Fraction, so that int
-    entries divide exactly; Fractions are canonical, so the value equals any
-    other exact method's.
+    From order 4 on, step k of the elimination walks column k once, rows k
+    to n - 1, to pick the pivot and list the other live rows, and updates
+    those rows only in the columns k + 1 to n - 1 where the pivot row is
+    nonzero: a skipped update is a - 0*b, so finite results are bit-identical
+    to dense LU, and the rows and columns of a band that hold only zeros cost
+    a zero test each.  A later row takes the pivot from the current one only
+    if its key is strictly greater, so the pivot is the first live row of
+    largest key, the row that `max` picks, ties and NaN keys included.  Float
+    mode pivots on |x|^2 (partial pivoting): re^2 + im^2 for a complex entry
+    and x * x for any other, a float or the int e_0 = 1 of a Jacobi-Trudi
+    row, the bits of |x|^2 taken through `complex(x)`.  Exact mode pivots on
+    the first row holding the unit 1 (key `x == 1`), which needs no division
+    and so keeps int entries ints, else on the first nonzero row, and lifts an
+    int pivot to Fraction, so that int entries divide exactly; Fractions are
+    canonical, so the value equals any other exact method's.  Each other row
+    reads only itself and the pivot row, so the order of their updates does
+    not matter.  The determinant is the product of the pivots as each step
+    takes it, d = d * pivot from d = `_One()`, the order of the diagonal's
+    product, with the sign of the swaps; a column with no live row gives the
+    int 0.
     """
     n = len(rows)
     if n and isinstance(rows[0][0], Scalar):
@@ -168,34 +178,11 @@ def det(rows, exact):
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         return _det3(*rows[0], *rows[1], *rows[2])
-    full = [n] * n
-    return _eliminate([list(r) for r in rows], exact, full, full)
-
-
-def _eliminate(a, exact, below, reach):
-    """`det` of the n x n list of row lists `a`, n >= 4, of native numbers,
-    by elimination in place.  Step k reads column k in rows k to
-    below[k] - 1 only and the pivot row in columns up to reach[k] - 1 only:
-    all other entries there must be zero, whatever the pivots, as in a dense
-    matrix with below = reach = (n, ..., n) or in the dual Jacobi-Trudi band
-    (see `_wide_band`).  The rows and columns skipped hold no nonzero, so the
-    pivots, operands and order are those of the full scan.
-
-    One walk down column k picks the pivot and lists the other live rows.  A
-    later row takes the pivot from the current one only if its key is
-    strictly greater, so the pivot is the first live row of largest key, the
-    row that `max` picks, ties and NaN keys included.  The key is `x == 1` in
-    exact mode and |x|^2 in float mode: re^2 + im^2 for a complex entry and
-    x * x for any other, a float or the int e_0 = 1 of a Jacobi-Trudi row,
-    the bits of |x|^2 taken through `complex(x)`.  Each other row reads only
-    itself and the pivot row, so the order of their updates does not
-    matter.  The determinant is the product of the pivots as each step takes
-    it, d = d * pivot from d = `_One()`, the order of the diagonal's product,
-    with the sign of the swaps."""
+    a = [list(row) for row in rows]
     d, sign = _One(), 1
-    for k in range(len(a)):
+    for k in range(n):
         p, others = -1, []
-        for i in range(k, below[k]):
+        for i in range(k, n):
             x = a[i][k]
             if not x:
                 continue
@@ -223,7 +210,7 @@ def _eliminate(a, exact, below, reach):
         unit = exact and pivot == 1
         if exact and not unit and type(pivot) is int:  # int / int would round to a float
             pivot = Fraction(pivot)
-        cols = [j for j in range(k + 1, reach[k]) if pivot_row[j]]
+        cols = [j for j in range(k + 1, n) if pivot_row[j]]
         for row in others:
             f = row[k] if unit else row[k] / pivot
             for j in cols:
@@ -465,18 +452,6 @@ def _schur_function(parts, r, exact, kind):
     return _compiled("schur", f"{parts} r={r} {kind}", lines)
 
 
-def _below(first):
-    """below[k] for each step k of the e-form elimination: the number of rows
-    i whose first nonzero column first_i is at most k, counted by one running
-    pointer, as first_i rises with i."""
-    below, b, n = [], 0, len(first)
-    for k in range(n):
-        while b < n and first[b] <= k:
-            b += 1
-        below.append(b)
-    return below
-
-
 def _wide_band(parts, r, offsets, exact):
     """s_lam on r points of one mode, `exact` or not, for a band wider than 3
     or on more than UNROLL_MAX_POINTS points, as a function of the point,
@@ -493,14 +468,10 @@ def _wide_band(parts, r, offsets, exact):
     the e-form.  Its row i holds e_{c_i + j} in column j, where
     0 <= c_i + j <= r, and zero elsewhere, so each row is one slice of the
     e_k padded with zeros on both sides: one padded list and lam1 slices per
-    call.  The nonzero columns first_i = max(0, -c_i) to
-    last_i = min(lam1 - 1, r - c_i) of row i rise with i, so at step k of
-    the elimination only rows i with first_i <= k hold column k (below[k]),
-    and no fill reaches past the last column of the last of them (reach[k]):
-    `_eliminate` takes the pivots, operands and order of `det`'s full scan,
-    and float bits are those of `det` on the same rows.  These per-key
-    tables cost O(lam1 * l(lam)) steps, where a lam1 x lam1 index matrix
-    would cost O(lam1^2).
+    call, whose starts come from the row offsets in O(lam1) steps, where a
+    lam1 x lam1 index matrix would cost O(lam1^2).  `det` eliminates them
+    over whole columns: the band's zeros cost a zero test each, O(lam1^2) in
+    all, and its updates O(lam1 * l(lam) * (r + l(lam))).
     """
     n = parts[0]
     if exact and len(parts) < n:
@@ -515,38 +486,38 @@ def _wide_band(parts, r, offsets, exact):
             return det([[h[k] if k is not None else 0 for k in row] for row in h_idx], True) or 0
 
         return schur
-    first = [max(0, -c) for c in offsets]
-    last = [min(n - 1, r - c) for c in offsets]
-    below = _below(first)
-    reach = [1 + last[b - 1] for b in below]
-    lead, trail = first[-1], max(0, offsets[0] + n - r - 1)
+    lead, trail = max(0, -offsets[-1]), max(0, offsets[0] + n - r - 1)
     starts = [lead + c for c in offsets]
 
     def schur(z):
         band = [0] * lead + elem_sym_all(z) + [0] * trail
-        rows = [band[s : s + n] for s in starts]
-        return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
+        return det([band[s : s + n] for s in starts], exact)
 
     return schur
 
 
 def _sliding_window(parts, r, offsets, kind):
     """s_lam on 1 <= r <= UNROLL_MAX_POINTS float or complex points for a band
-    wider than 3: `_eliminate`'s e-form elimination as generated code.
+    wider than 3: `det`'s elimination of `_wide_band`'s e-form rows as
+    generated code.
 
-    Step k reads rows k to below[k] - 1 (see `_wide_band`) and no column past
-    k + C - 1, C = min(r + 1, lam1), so a window of locals holds them: w{s}_{j}
-    is row k + s, column k + j, in R_k = below[k] - k slots.  After a step the
-    window moves down and right by one: the other rows move up a slot and take
-    the int 0 in the new column, and the bottom slot takes the fresh row
-    (1, e_1, ..., e_r), the only row that can enter at k >= 1.  R_k never
-    rises, so the steps of each R_k make one loop; a step with fewer rows
-    reads the top slots only.  Extra columns and rows past the band's reach or
-    past lam1 feed no pivot, so a taller window serves as well, and one
-    column wider (`_window_code`): lam's function runs its code on lam's own
-    head rows and loop counts, its defaults, under the file name
+    Row i is nonzero in columns first_i = max(0, -c_i) to at most
+    first_i + r only, and first_i rises with i, so step k finds column k
+    nonzero in rows k to k + R_k - 1 at most, R_k = bisect_right(first, k) - k,
+    and no fill reaches past column k + C - 1, C = min(r + 1, lam1): all else
+    that `det` reads there is zero, which it skips, so a window of locals
+    holds the step: w{s}_{j} is row k + s, column k + j, in R_k slots.  After
+    a step the window moves down and right by one: the other rows move up a
+    slot and take the int 0 in the new column, and the bottom slot takes the
+    fresh row (1, e_1, ..., e_r), the only row that can enter at k >= 1.  R_k
+    never rises, so the steps of each R_k make one loop; a step with fewer
+    rows reads the top slots only.  Extra columns and rows past the band's
+    reach or past lam1 feed no pivot, so a taller window serves as well, and
+    one column wider (`_window_code`): lam's function runs its code on lam's
+    own head rows and loop counts, its defaults, under the file name
     "<schurfit band parts r=r kind>"."""
-    sizes = [b - k for k, b in enumerate(_below([max(0, -c) for c in offsets]))]
+    first = [max(0, -c) for c in offsets]
+    sizes = [bisect_right(first, k) - k for k in range(parts[0])]
     window = _window_code(kind, min(r + 1, parts[0]), sizes[0])
     width, rows = window.shape
     head = (*offsets[: sizes[0]], *[0] * (rows - sizes[0]))  # extra rows are never read
@@ -586,9 +557,9 @@ def _window_code(kind, width, rows):
     e_1 is a float: a complex entry after a float first one makes every e_k
     complex, whose key is the complex code's.  Else it reads window row s
     off e[head[s]:], runs steps[i] steps of rows - i rows, then the last
-    step, of one row.  Each step is `_eliminate`'s on the same operands in the
-    same order: the pivot is the first live row of largest key, x * x in real
-    code and x.real^2 + x.imag^2 in complex code, `_eliminate`'s keys,
+    step, of one row.  Each step is `det`'s on the same operands in the same
+    order: the pivot is the first live row of largest key, x * x in real code
+    and x.real^2 + x.imag^2 in complex code, `det`'s float keys,
     replaced only by a strictly greater key, so NaN keys never replace; no
     live row gives the int 0; the pivot row is swapped into the top slot,
     which flips the sign; each other live row takes f = a / pivot, then

@@ -813,6 +813,13 @@ def test_short_row_is_named_under_every_delimiter(tmp_path, capsys, delimiter, c
         ),
         (
             "fit",
+            ("--exact",),
+            "x,y\n1,2\n3 5,4\n3,7\n",
+            EXIT_USAGE,
+            "error: row 3: malformed scalar literal: '3 5'",
+        ),
+        (
+            "fit",
             ("--weights",),
             "x,y,w\n1,2,1\n2,4,0\n3,7,1\n",
             EXIT_USAGE,
@@ -826,7 +833,7 @@ def test_short_row_is_named_under_every_delimiter(tmp_path, capsys, delimiter, c
             "warning: skipping malformed row: row 4: weight is zero; weights must be nonzero",
         ),
     ],
-    ids=["fit-malformed", "fit-zero-weight", "stream-zero-weight"],
+    ids=["fit-malformed", "fit-split-number", "fit-zero-weight", "stream-zero-weight"],
 )
 def test_a_refused_row_is_named_by_its_line(tmp_path, capsys, command, options, text, code, message):
     # line numbers count the header and blank lines, as an editor does

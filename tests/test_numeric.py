@@ -174,12 +174,25 @@ def test_parse_specific_values():
     # a zero imaginary part gives a real value, not a complex one
     assert type(parse_scalar("3+0i", True).value) is Fraction
     assert type(parse_scalar("3+0i", False).value) is float
+    # spaces may stand next to a sign
+    assert parse_scalar("2 + 3i", False) == Scalar.from_float(2.0, 3.0)
+    assert parse_scalar("1/2 -  1/3i", True) == Scalar.from_exact(Fraction(1, 2), Fraction(-1, 3))
+    assert parse_scalar("- 3", True) == Scalar.from_exact(-3)
 
 
 @pytest.mark.parametrize("text", ["", "abc", "1+2j", "++3", "1//2"])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_scalar(text, exact=True)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("text", ["1 2", "1.5 5", "1e 3", "3  5", "1 /2", "2+3 i"])
+def test_parse_refuses_a_number_split_by_spaces(text, exact):
+    # a space between two characters that are not signs splits a number;
+    # dropping it would read "1 2" as 12, "1.5 5" as 1.55 and "1e 3" as 1000
+    with pytest.raises(ValueError, match="malformed scalar literal"):
+        parse_scalar(text, exact)
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,10 @@ from schurfit.symfunc import (
     _det3,
     _schur_code,
     _schur_function,
+    _schur_of,
     _vandermonde_function,
-    _vandermonde_code,
     _vandermonde_loop,
+    _vandermonde_of,
     det,
     elem_sym_all,
     schur,
@@ -804,19 +805,21 @@ def test_exact_det3_matches_the_bordered_elimination():
 
 def test_each_generated_function_has_its_own_source_name():
     # a profile keys a function by (file name, line, name), so generated
-    # functions that shared one file name would be reported on one line
+    # functions that shared one file name would be reported on one line;
+    # each is built here, so the test does not rely on tables that other
+    # tests fill
     codes = [
-        _schur_code[float][(2, 1)][3],
-        _schur_code[float][(3, 2)][3],
-        _vandermonde_code[float][3],
-        _vandermonde_code[float][4],
+        _schur_of(Partition((2, 1)), float, 3),
+        _schur_of(Partition((3, 2)), float, 3),
+        _vandermonde_of(float, 3),
+        _vandermonde_of(float, 4),
         _walker(float, 3, 3, 0, False),
         _walker(float, 3, 2, 1, True),
-        _schur_code[_Gaussian][(2, 1)][3],
-        _vandermonde_code[_Gaussian][3],
+        _schur_of(Partition((2, 1)), _Gaussian, 3),
+        _vandermonde_of(_Gaussian, 3),
         _walker(_Gaussian, 3, 2, 1, True),
-        _schur_code[complex][(2, 1)][3],
-        _vandermonde_code[complex][3],
+        _schur_of(Partition((2, 1)), complex, 3),
+        _vandermonde_of(complex, 3),
         _walker(complex, 3, 2, 1, True),
     ]
     names = [code.__code__.co_filename for code in codes]
@@ -915,7 +918,7 @@ def test_assign_writes_plain_terms_verbatim_and_folds_pairs():
 
 # Bands wider than 3, or on more than UNROLL_MAX_POINTS points: exact points
 # take the l(lam) x l(lam) h-form when l(lam) < lam1, other points the e-form
-# rows of `jacobi_trudi_rows` under a band-limited elimination
+# rows of `jacobi_trudi_rows` under `det`'s elimination
 H_FORM_SHAPES = [(38, 19), (39, 20), (9, 4), (7, 3, 1)]
 E_FORM_SHAPES = [(4, 4, 4, 4), (2,) * 17]
 
@@ -962,13 +965,14 @@ def test_wide_band_exact_zero_is_the_mode_zero(parts):
 
 
 def _wide_float_points(rng):
-    # random float, complex, signed-zero and float Scalar points, the pivot
-    # edge cases and e1 = 0 on (1, -1), an exact zero inside the band
+    # random float, complex, signed-zero, special-float (+-inf, NaN, +-0.0,
+    # subnormals) and float Scalar points, the pivot edge cases and e1 = 0 on
+    # (1, -1), an exact zero inside the band
     out = [(1.0, -1.0), (1.0, -1.0, 0.5), tuple(map(_as_scalar, (1.0, -1.0)))]
     out += [z for z in _pivot_edge_points() if not kind(z)[0]]
     for r in (1, 2, 3, 4, 17):
         kinds = _point_kinds(rng, r)
-        out += [kinds[k] for k in ("float", "complex", "signed_zero", "float_scalar")]
+        out += [kinds[k] for k in ("float", "complex", "signed_zero", "float_special", "float_scalar")]
     out.append(tuple(rng.uniform(0.5, 3) for _ in range(3)))
     return out
 
@@ -1062,9 +1066,10 @@ def test_exact_det_pivots_as_the_full_scan_does():
 
 
 def test_wide_band_float_bits_are_those_of_the_full_width_det():
-    # same pivots, operands and order: the band-limited elimination gives
-    # the bits, signed zeros included, of `det` over the whole e-form rows,
-    # and of `_full_scan_det`, which shares no code with `det`, from order 4 on
+    # same pivots, operands and order: the wide-band code, window or
+    # `_wide_band`'s, gives the bits, signed zeros included, of `det` over
+    # the whole e-form rows, and of `_full_scan_det`, which shares no code
+    # with `det`, from order 4 on
     rng = random.Random(23)
     shapes = [(4,), (5, 2), (6, 3, 1), (4, 4, 4), (9, 4), (38, 19), (39, 20), (3, 1), (2,) * 17]
     checked = 0
@@ -1084,11 +1089,11 @@ def test_wide_band_float_bits_are_those_of_the_full_width_det():
 
 @pytest.mark.parametrize("parts, r", [((300,), 2), ((120, 7, 7), 3), ((6, 5, 5, 2), 4), ((3, 1), 17)], ids=str)
 def test_wide_band_tables_come_from_the_conjugate(parts, r):
-    # a wide band's per-key tables are built from lam', in O(lam1 * l(lam))
-    # steps, without a lam1 x lam1 index matrix; on float points its rows,
-    # slices of the zero-padded e_k, still give the bits of `det` on the full
-    # e-form rows, and on Fraction points the h-form gives their value; each
-    # mode's code is built for that mode
+    # a wide band's row slices start at offsets read off lam', without a
+    # lam1 x lam1 index matrix; on float points its rows, slices of the
+    # zero-padded e_k, still give the bits of `det` on the full e-form rows,
+    # and on Fraction points the h-form gives their value; each mode's code
+    # is built for that mode
     rng = random.Random(sum(parts))
     floats = tuple(rng.uniform(0.5, 1.5) for _ in range(r))
     fractions = tuple(Fraction(v, 3) for v in rng.sample(range(-9, 9), r))
@@ -1106,14 +1111,13 @@ WINDOW_SHAPES = [((38, 19), 3), ((39, 20), 2), ((39,), 2), ((19,), 2), ((5, 4, 3
 
 
 def _wide_route(parts, r, exact):
-    # `_wide_band`'s function of the mode `exact`, for float and complex
-    # points the band-limited `_eliminate` on sliced rows, as before the
-    # window code
+    # `_wide_band`'s function of the mode `exact`: for float and complex
+    # points `det` on sliced rows, their route beyond UNROLL_MAX_POINTS
     return symfunc._wide_band(parts, r, [c - i for i, c in enumerate(conjugate(Partition(parts)))], exact)
 
 
 def _window_outcomes(lam, z):
-    # the window code's outcome, then the band-limited and the full-scan ones
+    # the window code's outcome, then `_wide_band`'s and the full-scan ones
     rows = jacobi_trudi_rows(lam, z) if lam.normalized()[0] <= 40 else None
     full = _outcome(_full_scan_det, rows, False) if rows else None
     return _outcome(schur, lam, z), _outcome(_wide_route(lam.normalized(), len(z), False), z), full
