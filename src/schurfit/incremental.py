@@ -5,8 +5,8 @@ minor-sum matrix S, the moment sums T, the signed numerators N, and the
 denominator D.  The coefficients a_i = N_i / D are not stored but divided out
 when read, so neither a state nor a restored snapshot can hold coefficients
 that disagree with its N and D.  Appending a point adds to D and S only the
-subset terms that contain it -- C(m, n-2) Schur products for the S increment
-R and C(m, n-1) terms for the D increment -- dropping the per-point cost from
+subset terms that contain it -- C(m, n-2) terms for the S increment R and
+C(m, n-1) for the D increment -- dropping the per-point cost from
 O(m^n) to O(m^(n-1)).  An append is a batch: the state's points with the new
 one last, which `regress._aggregates` sums over the subsets that hold that
 last point, giving the increments and the point's own moments; N is then
@@ -32,15 +32,17 @@ from .regress import (
     _append_b_columns,
     _checked_numerators,
     _finite,
-    _hermitian_sum,
     _lift,
     _quotients,
+    _sums,
 )
 
-# Unused here: every subset sum runs through the walker in regress, which
-# calls regress.schur and regress.vandermonde.  These names stay bound
-# because perfbench/tracing.py wraps incremental.schur and
-# incremental.vandermonde by name.
+# Unused here: every subset sum runs in regress, where only float points,
+# and exact ones of more than MINORS_MAX_TERMS terms, take the walker that
+# calls regress.schur and regress.vandermonde; exact appends take the minors
+# walk, which calls neither.  These names stay bound because
+# perfbench/tracing.py wraps incremental.schur and incremental.vandermonde
+# by name.
 from .symfunc import schur, vandermonde  # noqa: F401
 
 
@@ -232,7 +234,7 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
         raise ValueError("prior B matrix was built from other points than the state's")
 
     lifted = _lift(_appended(state, x_new, None, w_new), 1)
-    new_d = state.denom + _hermitian_sum(d, lifted, n)[0][0][0]
+    new_d = state.denom + _sums(d, lifted, with_s=False)[0]
     _finite("the denominator D", [new_d])
     entries = [list(row) for row in prior_b.entries]
     if not state.exact:

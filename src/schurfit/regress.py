@@ -11,34 +11,40 @@ weighted normal equation.
 `incremental` is a batch too: the stream's points with the new one last, of
 which every subset must hold that last point, so the same call gives the
 increments.  Every subset sum -- D, S, the stream increments and the B
-matrix -- runs through one generated walker, `_walker`, compiled once per
-(number kind, number of partitions, subset size, fixed points, weighted):
-straight-line code that walks the subsets in lexicographic order, forms the
-vector u_i = w_l s_{lam_i}(x_l) V(x_l) for each subset l, and either keeps
-the upper triangle of the sum of u u* in locals (`_hermitian_sum`, which
-sums D on the n-subsets with lam and S on the (n-1)-subsets with the drops'
-partitions, both read off the exponents) or lists the u vectors with their
-labels, which `_append_b_columns` turns into B's signed columns.  Its one
-body is written by `symfunc._assign` in the code
-kind that the number kind sets.  Real data takes no conjugates.  For exact
-Gaussian data, the slow kind when every step makes a `_Gaussian`, the same
-statements run on int pairs, each Schur value, V and weight unpacked into
-int locals, and make one `_Gaussian` of each sum or B entry.  The
-pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never
+matrix -- sums over subsets l the vector u_i = w_l s_{lam_i}(x_l) V(x_l),
+with lam from the exponents d on the n-point subsets (D = sum |u|^2) and
+the partitions of d's drops on the (n-1)-point subsets (S_{i,j} = sum
+u_i conj(u_j)).  Each u_i is a minor of the weighted design matrix WA:
+w_l s_lam(x_l) V(x_l) = det(w_k x_k^{d_j}) over the points k of l, the
+paper's identity.  So exact points take `_minors_walk`, generated code that
+walks the subsets in lexicographic order as nested loops over the lifted
+rows w_k X_k^{d_j} and builds the minors of each prefix from those of the
+prefix one row shorter, by Laplace expansion along the new row: one walk
+gives D and S, or B's columns, with no Schur or Vandermonde call and no
+division.  Float and complex points take `_walker`, generated code that
+calls `schur` and `vandermonde` once per subset and partition, since the
+expansion cancels in binary64; so do exact points of more than
+MINORS_MAX_TERMS terms, for which the walk's code of 2^n statements would
+take seconds to compile.  Either walk keeps the upper triangle of its sums
+in locals (`_sums`) or lists the u vectors with their subsets' labels, which
+`_append_b_columns` turns into B's signed columns.  Their statements are
+written by `symfunc._assign` in the code kind that the number kind sets:
+real data takes no conjugates, and the minors of exact Gaussian data are
+pairs of int locals, which make one `_Gaussian` of each sum or B entry.
+The pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never
 builds B.
 
-The walker computes on plain numbers: `_lift` converts points, weights and
+The walks compute on plain numbers: `_lift` converts points, weights and
 targets once per public call to float or complex, or scales exact ones to
 int or Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a
 Scalar, undoing that scaling with one exact division.  The moment sums T and
 the residual norm are summed on the same lifted numbers and wrapped once
-each; D, S, T, the numerators and the coefficients are Scalars.  The walker
-calls `schur` and `vandermonde` once per subset and partition, as the
-callers pass them from the names bound here, read at call time, where a
-tracer can wrap them.  The lifted points of one walk share one type, float,
-complex, int or `_Gaussian`, and `symfunc` keeps code tables per point type,
-built for the type's mode, so a walk's Schur calls never re-decide a band's
-route.
+each; D, S, T, the numerators and the coefficients are Scalars.  `_walker`
+calls `schur` and `vandermonde` as the names bound here, read at call time,
+where a tracer can wrap them.  The lifted points of one walk share one type,
+float, complex, int or `_Gaussian`, and `symfunc` keeps code tables per
+point type, built for the type's mode, so a walk's Schur calls never
+re-decide a band's route.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from sys import float_info
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_from_degrees
-from .symfunc import _assign, _compiled, _split, _value, schur, vandermonde
+from .symfunc import _assign, _compiled, _value, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -161,7 +167,7 @@ def _require_points(n, data):
 
 @lru_cache(maxsize=None)
 def _partitions_of(d):
-    """The walks' partitions of the exponent tuple d, made once per tuple:
+    """`_walker`'s partitions of the exponent tuple d, made once per tuple:
     (lam,) for D and the n partitions lam[i] of its drops for S.  Each
     partition keeps its own table of generated Schur code
     (`Partition._codes`), which a new one would fill again on every fit."""
@@ -218,11 +224,12 @@ def _native(values, gaussian, exact):
     return [up(v.re) for v in values], scale
 
 
-def _lift_factor(lifted, lam, size):
-    """The factor by which the lift scales u = w_l s_lam(x_l) V(x_l) on
-    `size`-point subsets: u is homogeneous of degree |lam| + C(size, 2) in x
-    and of degree size in w."""
-    return lifted.xscale ** (lam.weight + size * (size - 1) // 2) * lifted.wscale**size
+def _lift_factor(lifted, degrees):
+    """The factor by which the lift scales a minor det(w_k x_k^{d_j}) of the
+    weighted design matrix over the columns of `degrees` (a u of `_sums` or
+    `_append_b_columns`): each of its len(degrees) rows carries one weight,
+    and each column j the power d_j of x."""
+    return lifted.xscale ** sum(degrees) * lifted.wscale ** len(degrees)
 
 
 def _wrap(v, exact, scale=1):
@@ -251,26 +258,21 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
     With `columns` it returns instead one (label, u_0, ..., u_{n-1}) per
     subset, the label being the subset's 1-based point numbers.
 
-    Every statement is written by `symfunc._assign`, in the code kind of
-    the points.  For float and int points it is "real", which writes
-    u_i conj(u_j) as u_i * u_j: their Schur values, V and weights are real.
-    For `_Gaussian` points, whose u are `_Gaussian`s whenever a subset holds
-    two points or a weight, it is "pairs": the walk unpacks each Schur
-    value, V and weight into its int parts and keeps u and the sums as pairs
-    of int locals; each sum becomes one `_Gaussian` at the end, or stays the
-    int 0 if no subset was walked.  Other walks are "complex", with
-    .conjugate() calls.
+    Every statement is written by `symfunc._assign`: in the "real" code kind
+    for float and int points, which writes u_i conj(u_j) as u_i * u_j, their
+    Schur values, V and weights being real, and in the "complex" kind, with
+    .conjugate() calls, for complex and `_Gaussian` points.  Exact points
+    reach it only with more than MINORS_MAX_TERMS terms (see `_sums`).
     """
     k = size - fixed  # points chosen besides the fixed ones
-    pairs = kind is _Gaussian and k >= 0 and (size > 1 or weighted and size > 0)
-    code = "pairs" if pairs else "real" if kind in (float, int) else "complex"
+    code = "real" if kind in (float, int) else "complex"
     ij = [(i, j) for i in range(n) for j in range(i, n)]
     sums, weights = [f"s{i}_{j}" for i, j in ij], [f"q{i}" for i in range(size if weighted else 0)]
     lines = [
         "def walk(x, w, lams, schur, vandermonde):",
         "    " + "".join(f"lam{i}, " for i in range(n)) + "= lams",
         f"    m = len(x) - {fixed}",
-        "    out = []" if columns else f"    {' = '.join(f'{s}r = {s}i' if pairs else s for s in sums)} = 0",
+        "    out = []" if columns else f"    {' = '.join(sums)} = 0",
     ]
     body = "        "
     if k >= 0:
@@ -284,71 +286,184 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
         if fixed:
             lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
         if fixed and weights:
-            lines += ["    " + "".join(f"{q}, " for q in weights[k:]) + "= w[m:]", *_split(weights[k:], code)]
+            lines.append("    " + "".join(f"{q}, " for q in weights[k:]) + "= w[m:]")
         if len(sources) == 1:
             lines.append(f"    for {targets[0]} in {sources[0]}:")
         else:
             lines.append(f"    for {', '.join(targets)} in zip({', '.join(sources)}):")
-        if weights and k:
-            lines += _split(weights[:k], code, body)
         if fixed:
             lines.append(f"{body}pts = head + tail")
-        lines += [f"{body}v = vandermonde(pts)", *_split(["v"], code, body)]
+        lines.append(f"{body}v = vandermonde(pts)")
         for q in weights:
             _assign(lines, "v", [(1, "v", q)], code, body)
         for i in range(n):
-            lines += [f"{body}t{i} = schur(lam{i}, pts)", *_split([f"t{i}"], code, body)]
+            lines.append(f"{body}t{i} = schur(lam{i}, pts)")
             _assign(lines, f"u{i}", [(1, f"t{i}", "v")], code, body)
         if columns:
             label = "label + tail_label" if fixed else "label"
-            u = "".join(_value(f"u{i}", code) + ", " for i in range(n))
-            lines.append(f"{body}out.append(({label}, {u}))")
+            lines.append(f"{body}out.append(({label}, {''.join(f'u{i}, ' for i in range(n))}))")
         else:
             for i, j in ij:
                 _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], code, body)
     if columns:
         lines.append("    return out")
     else:
-        # u_i conj(u_i) is real, so `_assign` never sets the imaginary part
-        # of a diagonal pair sum; it is 0 in the type of the real part: int,
-        # or Fraction after a division in `det` (an elimination of order 4 or
-        # more on the e-form or the h-form).  An empty walk's sums stay 0.
-        lines += [f"    s{i}_{i}i = 0 * s{i}_{i}r" for i in range(n) if pairs]
-        values = "".join(f"{_value(s, code)}, " for s in sums)
-        count = f"comb(m, {k})" if k >= 0 else "0"
-        lines.append(f"    return (({values}) if m >= {k} else ({'0, ' * len(sums)})), {count}")
+        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), {f'comb(m, {k})' if k >= 0 else '0'}")
     signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns} {kind.__name__}"
     return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
 
 
-def _hermitian_sum(d, lifted, size):
-    """The sum of u u* over the `size`-point subsets of the lifted points
-    (see `_walker`) for the exponents d, as an n x n Scalar matrix, and the
-    count n^2 * #subsets.  On the len(d)-point subsets u = w_l s_lam(x_l)
-    V(x_l), and the 1 x 1 sum is D; on the (len(d) - 1)-point subsets
-    u_i = w_l s_{lam[i]}(x_l) V(x_l) for the n partitions of d's drops, and
-    the sums are the minor sums S_{i,j}.  The partitions come from
-    `_partitions_of`, made once per exponent tuple.
-
-    The walk, the one compiled for the lifted kind, reads `schur` and
-    `vandermonde` here, at call time, where a tracer can wrap them.  The sum
-    runs in the lifted type, on int pairs for Gaussian data, and each entry
-    (i, j) is wrapped once, divided by the lift's scaling of u_i conj(u_j).
-    Only the upper triangle is summed; the lower one is its conjugate.
-    """
+def _walked(d, lifted, size, columns=False):
+    """`_walker`'s walk over the `size`-point subsets of the lifted points
+    for the partitions of d (`_partitions_of`), passed `schur` and
+    `vandermonde` as bound here, read at call time, where a tracer can wrap
+    them."""
     lams = _partitions_of(tuple(d))[size < len(d)]
-    n = len(lams)
-    walk = _walker(lifted.kind, n, size, lifted.fixed, lifted.w is not None)
-    upper, count = walk(lifted.x, lifted.w, lams, schur, vandermonde)
-    scales = [_lift_factor(lifted, lam, size) for lam in lams]
-    out = [[None] * n for _ in range(n)]
+    walk = _walker(lifted.kind, len(lams), size, lifted.fixed, lifted.w is not None, columns)
+    return walk(lifted.x, lifted.w, lams, schur, vandermonde)
+
+
+# The most terms for which exact sums take `_minors_walk`.  Its code holds
+# one statement per column set of each prefix, 2^n in all, so its compile
+# time doubles with each term: 0.05 s at n = 10 (0.15 s as Gaussian pairs),
+# 0.8 s as pairs at n = 12, and 4 s and 0.5 GB at n = 14.  At n = 10, D and
+# S on 10 exact points take 2.4 ms against 28 ms through Schur calls
+# (Python 3.11, one process on a 2-core host).
+MINORS_MAX_TERMS = 10
+
+
+def _rows(d, lifted):
+    """The rows w_k (X_k^{d_0}, ..., X_k^{d_(n-1)}) of the weighted design
+    matrix on the exact lifted points, a weight of 1 where there is none:
+    tuples of ints, or for Gaussian points flat tuples of the int parts,
+    (re, im) per entry, that `_minors_walk` unpacks into pairs of locals."""
+    w = lifted.w or [1] * len(lifted.x)
+    rows = [[wk * scalar_pow(xk, dj) for dj in d] for xk, wk in zip(lifted.x, w)]
+    if lifted.kind is _Gaussian:
+        return [tuple(part for v in row for part in (v.real, v.imag)) for row in rows]
+    return [tuple(row) for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _minors_walk(n, fixed, kind, columns=False):
+    """D and S of n terms, or B's columns, from the minors of the exact lifted
+    rows (`_rows`), compiled once per signature into code that takes the
+    rows; the weights are in the rows, so the code does not depend on them.
+
+    The walk visits the subsets that hold the last `fixed` rows in
+    lexicographic order, as nested loops over the other rows, and at depth r
+    keeps the C(n, r) minors of the current prefix of r rows, one local per
+    column set, each built from the minors of the prefix one row shorter by
+    Laplace expansion along the new row: sum_t (-1)^(r+t) p[c_t]
+    M(C - c_t), one multiply-add per term.  A row's entries are the depth-1
+    minors.  A fixed row is the first of every prefix, unpacked once; as
+    det(tail, head) = (-1)^(n-2) det(head, tail) on the n - 1 rows of S,
+    that depth's terms take that sign.  So the minor without column i at
+    depth n - 1 is u_i = w_l s_{lam[i]}(x_l) V(x_l), signs included, and
+    the one minor at depth n is D's u.  A loop stops where too few rows are
+    left to complete an (n-1)-subset, so no prefix is built that no subset
+    extends.
+
+    The walk returns D, the n(n+1)/2 upper-triangle sums of u_i conj(u_j)
+    row by row, and the count C(m, n) + n^2 C(m, n - 1) of the terms
+    summed, for m rows besides the fixed one, each sum an int or, for
+    `_Gaussian` points, whose code is "pairs", a `_Gaussian`; a sum over no
+    subset stays the int 0, and S over the empty subset of a one-term model
+    is the int 1.  With `columns` it stops at depth n - 1 and returns one
+    (label, u_0, ..., u_{n-1}) per (n-1)-subset, the label being its 1-based
+    row numbers.
+    """
+    code = "pairs" if kind is _Gaussian else "real"
+    parts = lambda names: [p + q for p in names for q in "ri"] if code == "pairs" else names
+    ij = [(i, j) for i in range(n) for j in range(i, n)]
+    sums = ["d"] + [f"s{i}_{j}" for i, j in ij]
+    lines = ["def walk(rows):", f"    m = len(rows) - {fixed}", "    out = []" if columns else f"    {' = '.join(parts(sums))} = 0"]
+    indent, start, labels = "    ", "0", []
+    for depth in range(max(fixed, 1), n if columns else n + 1):
+        row = [f"r{depth}_{c}" for c in range(n)]
+        unpack = "".join(f"{p}, " for p in parts(row))
+        if depth == fixed:
+            lines.append(f"    {unpack}= rows[m]")
+        elif depth == n:  # D's loop, which needs no label
+            lines.append(f"{indent}for {unpack}in rows[{start}:m]:")
+        else:  # a loop that leaves rows for the rest of an (n-1)-subset
+            lines += [f"{indent}for i{depth} in range({start}, m - {n - 1 - depth}):", f"{indent}    {unpack}= rows[i{depth}]"]
+            start = f"i{depth} + 1"
+            labels.append(start)
+        indent += "    " if depth > fixed else ""
+        if depth == 1:
+            minors = {(c,): p for c, p in enumerate(row)}
+        else:
+            sign = -1 if fixed and depth == n - 1 and n % 2 else 1
+            built = {cols: "m" + "_".join(map(str, cols)) for cols in combinations(range(n), depth)}
+            for cols, name in built.items():
+                terms = [(sign * (-1) ** (depth + t), row[c], minors[cols[: t - 1] + cols[t:]]) for t, c in enumerate(cols, 1)]
+                _assign(lines, name, sorted(terms, key=lambda term: -term[0]), code, indent)
+            minors = built
+        if depth == n - 1:
+            u = [minors[tuple(c for c in range(n) if c != i)] for i in range(n)]
+            if columns:
+                label = "(" + "".join(f"{i}, " for i in labels) + ("m + 1, " if fixed else "") + ")"
+                lines.append(f"{indent}out.append(({label}, {''.join(f'{_value(v, code)}, ' for v in u)}))")
+            else:
+                for s, (i, j) in zip(sums[1:], ij):
+                    _assign(lines, s, [(1, s), (1, u[i], "~" + u[j])], code, indent)
+        if depth == n:
+            u = minors[tuple(range(n))]
+            _assign(lines, "d", [(1, "d"), (1, u, "~" + u)], code, indent)
+    if columns:
+        lines.append("    return out" if n + fixed > 1 else "    return [((), 1)]")
+    else:
+        # rows besides the fixed one in each D and S subset; as pairs, a sum
+        # over no subset would be _Gaussian(0, 0), and S over the empty
+        # subset of a one-term model is the int 1
+        kd, ks = n - fixed, n - 1 - fixed
+        value = lambda s, k: f"({_value(s, code)} if m >= {k} else 0)" if code == "pairs" and k else _value(s, code)
+        values = [value("d", kd)] + ["1" if n + fixed == 1 else "0" if ks < 0 else value(s, ks) for s in sums[1:]]
+        count = f"comb(m, {kd})" + (f" + {n * n} * comb(m, {ks})" if ks >= 0 else "")
+        lines.append(f"    return ({''.join(f'{v}, ' for v in values)}), {count}")
+    signature = f"n={n} fixed={fixed} columns={columns} {kind.__name__}"
+    return _compiled("walk", signature, lines, comb=comb)
+
+
+def _sums(d, lifted, with_d=True, with_s=True):
+    """D and the minor sums S of the exponents d over the lifted points (see
+    `_lift`), as a Scalar and an n x n Scalar matrix, and the number of terms
+    summed, C(m, n) for D and n^2 C(m, n - 1) for S; with lifted.fixed = 1,
+    those of the subsets that hold the last point.
+
+    D sums |u|^2 over the n-point subsets, u = w_l s_lam(x_l) V(x_l), and
+    S_{i,j} sums u_i conj(u_j) over the (n-1)-point subsets, u_i = w_l
+    s_{lam[i]}(x_l) V(x_l) for the partitions of d's drops.  Exact points of
+    at most MINORS_MAX_TERMS terms take one `_minors_walk`, which gives both;
+    other points take `_walker` once for each sum asked for, and a sum not
+    asked for is None.  The sums run in the lifted type, on int pairs for
+    Gaussian data, and each entry is wrapped once, divided by the lift's
+    scaling (`_lift_factor`).  Only the upper triangle of S is summed; the
+    lower one is its conjugate.
+    """
+    d, n = tuple(d), len(d)
+    if lifted.exact and n <= MINORS_MAX_TERMS:
+        (dsum, *upper), count = _minors_walk(n, lifted.fixed, lifted.kind)(_rows(d, lifted))
+    else:
+        dsum, upper, count = None, None, 0
+        if with_d:
+            (dsum,), count = _walked(d, lifted, n)
+        if with_s:
+            upper, subsets = _walked(d, lifted, n - 1)
+            count += n * n * subsets
+    dvalue = None if dsum is None else _wrap(dsum, lifted.exact, _lift_factor(lifted, d) ** 2)
+    if upper is None:
+        return dvalue, None, count
+    scales = [_lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
+    s = [[None] * n for _ in range(n)]
     sums = iter(upper)
     for i in range(n):
         for j in range(i, n):
-            out[i][j] = _wrap(next(sums), lifted.exact, scales[i] * scales[j])
+            s[i][j] = _wrap(next(sums), lifted.exact, scales[i] * scales[j])
             if j > i:
-                out[j][i] = out[i][j].conj()
-    return out, count * n * n
+                s[j][i] = s[i][j].conj()
+    return dvalue, s, count
 
 
 def _moment_sums(d, lifted, start):
@@ -427,10 +542,9 @@ def _aggregates(d, lifted):
     instead: D and S summed over the subsets that hold it, and T of that
     point alone.
     """
-    [[dvalue]], evals_d = _hermitian_sum(d, lifted, len(d))
-    s, evals_s = _hermitian_sum(d, lifted, len(d) - 1)
+    dvalue, s, evaluations = _sums(d, lifted)
     t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0)
-    return dvalue, s, t, evals_d + evals_s
+    return dvalue, s, t, evaluations
 
 
 def _quotients(d, x, numerators, dvalue):
@@ -457,8 +571,7 @@ def _zero_denominator(dvalue, d, x):
 def denominator(d, data):
     """The real non-negative denominator D = det((WA)*WA) as a subset sum."""
     _require_points(len(d), data)
-    [[total]], _ = _hermitian_sum(d, _lift(data), len(d))
-    return total
+    return _sums(d, _lift(data), with_s=False)[0]
 
 
 def minor_sum(d, data, i, j):
@@ -471,8 +584,7 @@ def minor_sum(d, data, i, j):
         raise InsufficientDataError(
             f"need at least {n - 1} points for the minor sums, got {data.m}"
         )
-    s, _ = _hermitian_sum(d, _lift(data), n - 1)
-    return s[i - 1][j - 1]
+    return _sums(d, _lift(data), with_d=False)[1][i - 1][j - 1]
 
 
 def fit(d, data):
@@ -571,29 +683,33 @@ def _residual_root(w, r, residual_sq):
     return hypot(*(abs(rk) * (1.0 if w is None else abs(w[k])) for k, rk in enumerate(r)))
 
 
-def _checked_denominator(d, data):
-    """D of a batch and its lifted points; raises when D vanishes or, in
-    float mode, is not finite."""
+def _checked_denominator(d, data, with_s):
+    """D of a batch, its S (see `_sums`; None without `with_s`) and its
+    lifted points; raises when D vanishes or, in float mode, is not
+    finite."""
     _require_points(len(d), data)
     lifted = _lift(data)
-    [[dvalue]], _ = _hermitian_sum(d, lifted, len(d))
+    dvalue, s, _ = _sums(d, lifted, with_s=with_s)
     _finite("the denominator D", [dvalue])
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError("denominator vanishes: B is undefined")
-    return dvalue, lifted
+    return dvalue, s, lifted
 
 
 def _append_b_columns(b, d, lifted):
-    """Append the column (-1)^(i+1) u_i (1-based i) for each (n-1)-subset
-    that the walker lists (see `_walker`), labelled by its 1-based points;
-    float mode divides by sqrt(D) before wrapping, exact mode by the lift's
-    scaling of u_i.  Like `_hermitian_sum`, it passes the walker `schur` and
-    `vandermonde` as bound here at call time."""
+    """Append the column (-1)^(i+1) u_i (1-based i) for each (n-1)-subset,
+    labelled by its 1-based points, as the walk of `_sums` lists them: the
+    minors walk (`_minors_walk`) for exact points of at most
+    MINORS_MAX_TERMS terms, else `_walker`.  Float mode divides by sqrt(D)
+    before wrapping, exact mode by the lift's scaling of u_i."""
+    d, n = tuple(d), len(d)
+    if lifted.exact and n <= MINORS_MAX_TERMS:
+        columns = _minors_walk(n, lifted.fixed, lifted.kind, columns=True)(_rows(d, lifted))
+    else:
+        columns = _walked(d, lifted, n - 1, columns=True)
     root = b.denominator_root if b.normalized else None
-    lams, size = _partitions_of(tuple(d))[1], len(d) - 1
-    scales = [_lift_factor(lifted, lam, size) for lam in lams]
-    walk = _walker(lifted.kind, len(lams), size, lifted.fixed, lifted.w is not None, columns=True)
-    for label, *u in walk(lifted.x, lifted.w, lams, schur, vandermonde):
+    scales = [_lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
+    for label, *u in columns:
         b.columns.append(label)
         for i, row in enumerate(b.entries):
             e = -u[i] if i % 2 == 0 else u[i]
@@ -607,7 +723,7 @@ def b_matrix(d, data):
     numerator entries (the square root of D is irrational in general);
     float mode divides through by sqrt(D).
     """
-    dvalue, lifted = _checked_denominator(d, data)
+    dvalue, _, lifted = _checked_denominator(d, data, with_s=False)
     b = BMatrix(entries=[[] for _ in d], columns=[], denominator_root_sq=dvalue)
     _append_b_columns(b, d, lifted)
     return b
@@ -622,8 +738,7 @@ def pseudoinverse(d, data):
     raises OverflowError (`_finite`).  The projection onto the model's column
     space is `design_matrix(d, data.x)` times this operator.
     """
-    dvalue, lifted = _checked_denominator(d, data)
-    s, _ = _hermitian_sum(d, lifted, len(d) - 1)
+    dvalue, s, lifted = _checked_denominator(d, data, with_s=True)
     out = [[None] * data.m for _ in range(len(d))]
     for k, row in enumerate(design_matrix(d, data.x)):
         col = _signed_numerators(s, [v.conj() for v in row])

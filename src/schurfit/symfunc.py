@@ -39,14 +39,16 @@ mixed-sign points, where the e-form elimination stayed below 4e-15 (see
 Demmel and Koev, "Accurate and efficient evaluation of Schur and Jack
 functions", Math. Comp. 2006).
 
-The subset walker in `regress` calls `schur` and `vandermonde` once per
-subset and partition, mostly on bands of width lam1 <= 3, whose whole
-arithmetic is a few multiply-adds, so the dispatch around that arithmetic is
-kept cheap: one type test on the first entry and two plain-dict lookups per
-call, the Schur code read off a table that each partition keeps.  Every
-point type has code tables of its own, and each function in them is built
-for that type's mode and code kind, so the route of a band is chosen once,
-when its code is built, and no call tests its point.  For narrow bands, and
+The float subset walker in `regress` calls `schur` and `vandermonde` once
+per subset and partition (its exact subset sums are minors of the design
+matrix and call neither, up to `regress.MINORS_MAX_TERMS` terms), mostly on
+bands of width lam1 <= 3, whose whole arithmetic is a few multiply-adds, so
+the dispatch around that arithmetic is kept cheap: one type test on the
+first entry and two plain-dict lookups per call, the Schur code read off a
+table that each partition keeps.  Every point type has code tables of its
+own, and each function in them is built for that type's mode and code kind,
+so the route of a band is chosen once, when its code is built, and no call
+tests its point.  For narrow bands, and
 for V, each (lam, r) on at most UNROLL_MAX_POINTS points is compiled once
 into straight-line code that takes the same steps as `elem_sym_all`, `det`
 and the V loop, in the same order on the same operands, so values are

@@ -6,25 +6,26 @@ pytest, so it also runs on its own against an installed package, from a
 directory outside the checkout (the packaging step of CI does so).
 
 What the cases reach:
-- the weighted Gaussian fits run the subset kernel, the moment sums and the
+- the weighted Gaussian fits run the minors walk, the moment sums and the
   residual norm on Gaussian-int pairs, with x, w and y scaled by different
-  denominators; the residual is the root of the exact residual norm;
-- the generated Schur and V code comes in three kinds, one per point type:
-  pair code for `_Gaussian` points, complex code for complex points and real
-  code, without the factors 1 and the walker's conjugates, for real ones.
-  The exact weighted Gaussian (4,2,0) fit on five rows runs the pair Schur
-  code of the width-3 bands (3,) and (3,2) on two points, and its float fit
-  the complex Schur code of those bands, the 3 x 3 cofactor expansion in the
-  order of `_det3`; the float (4,2,0) fit on six real rows runs the real
-  code, whose digits were recorded before the factors 1 were dropped;
+  denominators; the residual is the root of the exact residual norm.  Every
+  exact fit and stream here sums D and S as minors of the lifted design
+  matrix, with no Schur or V call;
+- the generated Schur and V code of the float walker comes in two kinds,
+  one per point type: complex code for complex points and real code,
+  without the factors 1 and the walker's conjugates, for real ones.  The
+  float weighted Gaussian (4,2,0) fit on five rows runs the complex Schur
+  code of the width-3 bands (3,) and (3,2) on two points, the 3 x 3
+  cofactor expansion in the order of `_det3`; the float (4,2,0) fit on six
+  real rows runs the real code, whose digits were recorded before the
+  factors 1 were dropped;
 - the (40,20,0) fits on three rational rows run the wide bands.  Exact, on
-  the points scaled to ints, they take the 2 x 2 and 1 x 1 h-forms
-  (l(lam) < lam1), whose values equal the e-form's.  Float takes the e-form
-  bands, 19 to 39 wide, as the generated sliding-window code, with the
-  pivots, operands and order of the full-width elimination.  The float
-  stream of the same rows runs the S and D increments on the 2- and 3-point
-  wide bands; its last row was recorded before the one-scan pivot and the
-  sliced rows;
+  the points scaled to ints, they are minors of the rows (X^40, X^20, 1).
+  Float takes the e-form bands, 19 to 39 wide, as the generated
+  sliding-window code, with the pivots, operands and order of the
+  full-width elimination.  The float stream of the same rows runs the S
+  and D increments on the 2- and 3-point wide bands; its last row was
+  recorded before the one-scan pivot and the sliced rows;
 - the float (9,7,5,3,0) fit on eight real rows runs the window code on 4- to
   6-wide bands of four and five points, (5,4,3,2) among them; its
   coefficients were recorded before the window code;

@@ -378,7 +378,8 @@ def test_removal_and_mode_errors():
 
 def test_a_point_of_another_mode_is_refused_before_any_subset_sum(monkeypatch):
     # the appended point is checked where it enters, so a float y on an exact
-    # stream is refused before the kernel evaluates a Schur value or a V
+    # stream is refused before the kernel builds a lifted row of the minors
+    # walk, or evaluates a Schur value or a V
     calls = []
 
     def counting(fn):
@@ -390,6 +391,7 @@ def test_a_point_of_another_mode_is_refused_before_any_subset_sum(monkeypatch):
 
     monkeypatch.setattr(regress, "schur", counting(regress.schur))
     monkeypatch.setattr(regress, "vandermonde", counting(regress.vandermonde))
+    monkeypatch.setattr(regress, "_rows", counting(regress._rows))
     d = Exponents((2, 1, 0))
     data = DataSet(ex(1, 2, 3), ex(1, 4, 9), ex(1, 2, 1))
     state, prior = init_state(d, data), b_matrix(d, data)

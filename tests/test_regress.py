@@ -579,9 +579,10 @@ def test_extend_b_matrix_beyond_the_float_range_raises_overflow_error():
 
 def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
     # a traced benchmark run counts subsets by wrapping regress.schur and
-    # regress.vandermonde, so the kernel must call exactly those names, once
-    # per subset and partition and once per subset, in fits and appends,
-    # also where it sums exact Gaussian data on int pairs
+    # regress.vandermonde, so the float kernel must call exactly those names,
+    # once per subset and partition and once per subset, in fits and
+    # appends; exact Gaussian data, whose sums are minors of the lifted
+    # design matrix (regress._minors_walk), calls neither
     calls = Counter()
 
     def counting(name, fn, point_arg):
@@ -594,28 +595,33 @@ def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
     monkeypatch.setattr(regress, "schur", counting("schur", regress.schur, 1))
     monkeypatch.setattr(regress, "vandermonde", counting("vandermonde", regress.vandermonde, 0))
     d = Exponents((4, 2, 0))
+    data = well_conditioned_dataset(random.Random(43), 12)
+    m, w = data.m, data.w or [None] * data.m
+    calls.clear()
+    fit(d, data)
+    assert calls == {
+        ("vandermonde", 3): comb(m, 3),
+        ("vandermonde", 2): comb(m, 2),
+        ("schur", 3): comb(m, 3),
+        ("schur", 2): 3 * comb(m, 2),
+    }
+    state = init_state(d, DataSet(data.x[:-1], data.y[:-1], data.w and data.w[:-1]))
+    calls.clear()
+    update(state, data.x[-1], data.y[-1], w[-1])
+    assert calls == {
+        ("vandermonde", 3): comb(m - 1, 2),
+        ("vandermonde", 2): m - 1,
+        ("schur", 3): comb(m - 1, 2),
+        ("schur", 2): 3 * (m - 1),
+    }
+
     exact_gaussian = random_dataset(random.Random(43), 15, complex_=True, weighted=True)
     assert regress._lift(exact_gaussian).kind is _Gaussian
-    for data in (well_conditioned_dataset(random.Random(43), 12), exact_gaussian):
-        m, w = data.m, data.w or [None] * data.m
-        calls.clear()
-        fit(d, data)
-        # 770 schur and 560 vandermonde calls on the 15 exact Gaussian points
-        assert calls == {
-            ("vandermonde", 3): comb(m, 3),
-            ("vandermonde", 2): comb(m, 2),
-            ("schur", 3): comb(m, 3),
-            ("schur", 2): 3 * comb(m, 2),
-        }
-        state = init_state(d, DataSet(data.x[:-1], data.y[:-1], data.w and data.w[:-1]))
-        calls.clear()
-        update(state, data.x[-1], data.y[-1], w[-1])
-        assert calls == {
-            ("vandermonde", 3): comb(m - 1, 2),
-            ("vandermonde", 2): m - 1,
-            ("schur", 3): comb(m - 1, 2),
-            ("schur", 2): 3 * (m - 1),
-        }
+    calls.clear()
+    fit(d, exact_gaussian)
+    state = init_state(d, DataSet(exact_gaussian.x[:-1], exact_gaussian.y[:-1], exact_gaussian.w[:-1]))
+    update(state, exact_gaussian.x[-1], exact_gaussian.y[-1], exact_gaussian.w[-1])
+    assert calls == {}
 
 
 def _reference_schur_case(weighted):
@@ -825,10 +831,10 @@ def _parts(values):
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("fixed", [0, 1])
 def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
-    # the generated walk of each lifted kind, on int pairs for `_Gaussian`
-    # points, sums and lists what the per-subset loop in `_helpers` does,
-    # value for value and bit for bit, with the same count, column labels
-    # and column order; an empty walk's sums stay the int 0
+    # the generated walk of each lifted kind (exact ones take it past
+    # MINORS_MAX_TERMS terms) sums and lists what the per-subset loop in
+    # `_helpers` does, value for value and bit for bit, with the same count,
+    # column labels and column order; an empty walk's sums stay the int 0
     rng = random.Random(f"{kind.__name__}-{weighted}-{fixed}")
     for lams, size, counts in _WALKS:
         for m in counts:
@@ -843,6 +849,65 @@ def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
             want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
             assert columns == want, (lams, size, m)
             assert len(columns) == count
+
+
+# (exponents, point counts) of the minors walk: one term, whose S sums over
+# the empty subset; two terms; (4,2,0), with bands of width 1 to 3; the 7-wide
+# band of (9,4,0); five terms; and the 38- and 39-wide bands of (40,20,0) on 3
+# points; each also on fewer points than a subset takes
+_MINOR_WALKS = [
+    ((0,), (0, 1, 3)),
+    ((3, 1), (0, 1, 4)),
+    ((4, 2, 0), (1, 2, 3, 7)),
+    ((9, 4, 0), (2, 6)),
+    ((9, 7, 5, 3, 0), (3, 4, 7)),
+    ((40, 20, 0), (1, 3)),
+]
+
+
+@pytest.mark.parametrize("kind", [int, _Gaussian], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("fixed", [0, 1])
+def test_minors_walk_matches_the_reference_subset_loop(kind, weighted, fixed):
+    # D, every S sum and every column of the minors walk, on int pairs for
+    # `_Gaussian` points, equal those of the per-subset Schur and V loop in
+    # `_helpers`, signs included, with the same count, column labels and
+    # column order; a sum over no subset stays the int 0
+    rng = random.Random(f"minors-{kind.__name__}-{weighted}-{fixed}")
+    for d, counts in _MINOR_WALKS:
+        n, lams = len(d), [lambda_drop(Exponents(d), i + 1) for i in range(len(d))]
+        for m in counts:
+            x, w = _walker_points(kind, m + fixed, rng)
+            w = w if weighted else None
+            rows = regress._rows(d, regress._Lifted(x, w, None, fixed, True, kind, 1, 1, 1))
+            (dsum, *upper), count = regress._minors_walk(n, fixed, kind)(rows)
+            want_d, count_d = hermitian_sums(x, w, fixed, [lambda_from_degrees(Exponents(d))], n)
+            want_s, count_s = hermitian_sums(x, w, fixed, lams, n - 1)
+            assert [dsum] == want_d and upper == want_s, (d, m)
+            assert count == count_d + n * n * count_s, (d, m)
+            if not count_d:
+                assert type(dsum) is int, (d, m)
+            if not count_s:
+                assert all(type(v) is int for v in upper), (d, m)
+            columns = [(label, u) for label, *u in regress._minors_walk(n, fixed, kind, columns=True)(rows)]
+            assert columns == subset_columns(x, w, fixed, lams, n - 1), (d, m)
+            assert len(columns) == count_s
+
+
+def test_exact_fits_past_the_minors_limit_take_the_walker(monkeypatch):
+    # the minors walk is code of 2^n statements, so exact models of more
+    # than MINORS_MAX_TERMS terms sum through the walker's Schur and V calls,
+    # to the same exact solution as the normal equations
+    calls = Counter()
+    monkeypatch.setattr(regress, "schur", lambda lam, z: calls.update(["schur"]) or schur(lam, z))
+    for n in (regress.MINORS_MAX_TERMS, regress.MINORS_MAX_TERMS + 1):
+        d = Exponents(range(n, -1, -1)[:n])
+        data = DataSet(ex(*(Fraction(k, 2) for k in range(1, n + 2))), ex(*(k * k % 7 for k in range(n + 1))))
+        calls.clear()
+        result = fit(d, data)
+        assert result.coefficients == oracle.solve_normal(d, data)
+        assert result.evaluations == comb(n + 1, n) + n * n * comb(n + 1, n - 1)
+        assert calls["schur"] == (0 if n <= regress.MINORS_MAX_TERMS else comb(n + 1, n) + n * comb(n + 1, n - 1))
 
 
 def _scalar_moments(d, data):

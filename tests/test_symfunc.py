@@ -10,7 +10,7 @@ import pytest
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, conjugate, staircase
 from schurfit.reference import alternating, schur_bialternant, schur_tableaux
-from schurfit.regress import _walker
+from schurfit.regress import _minors_walk, _walker
 from schurfit import regress, symfunc
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
@@ -817,7 +817,7 @@ def test_each_generated_function_has_its_own_source_name():
         _walker(float, 3, 2, 1, True),
         _schur_of(Partition((2, 1)), _Gaussian, 3),
         _vandermonde_of(_Gaussian, 3),
-        _walker(_Gaussian, 3, 2, 1, True),
+        _minors_walk(3, 1, _Gaussian),
         _schur_of(Partition((2, 1)), complex, 3),
         _vandermonde_of(complex, 3),
         _walker(complex, 3, 2, 1, True),
@@ -836,9 +836,9 @@ def test_each_generated_function_has_its_own_source_name():
 
 def test_real_code_drops_unit_factors_and_conjugates(monkeypatch):
     # real Schur and V code, for float, int and Fraction points, neither
-    # multiplies by one nor binds it, and the walkers of float and int points
-    # call no .conjugate(); complex code keeps both, as do the walkers of
-    # complex points and of `_Gaussian` points outside the pair code
+    # multiplies by one nor binds it, and the walkers of float points call no
+    # .conjugate(); complex code keeps both, as does the walker of complex
+    # points.  The minors walks of int and `_Gaussian` points do neither
     sources = {}
     compiled = symfunc._compiled
 
@@ -853,15 +853,19 @@ def test_real_code_drops_unit_factors_and_conjugates(monkeypatch):
             _schur_function(parts, 3, False, code_kind)
         for r in (2, 3, 5):
             _vandermonde_function(r, code_kind)
-    for number in (float, int, complex):
+    for number in (float, complex):
         _walker.__wrapped__(number, 3, 3, 0, False)
         _walker.__wrapped__(number, 3, 2, 1, True)
-    _walker.__wrapped__(_Gaussian, 3, 1, 0, False)  # one point: no pair code
+    _minors_walk.__wrapped__(3, 0, int)
+    _minors_walk.__wrapped__(3, 1, int, True)
+    _minors_walk.__wrapped__(3, 1, _Gaussian)
     assert len(sources) == 25
     for name, source in sources.items():
         unit = "one * " in source or " * one" in source or "one = 1" in source
         if name.startswith("walk"):
-            assert (".conjugate()" in source) is not name.endswith(("float", "int")), (name, source)
+            walker = "size=" in name
+            assert (".conjugate()" in source) is (walker and name.endswith("complex")), (name, source)
+            assert walker or not unit and " one" not in source, (name, source)
         else:
             assert unit is name.endswith("complex"), (name, source)
             assert ".conjugate()" not in source, (name, source)
