@@ -59,7 +59,13 @@ class Scalar:
     def one(exact):
         return Scalar.from_int(1, exact)
 
-    re = property(lambda self: self.value.real)
+    @property
+    def re(self):
+        """The real part: an exact real value itself, not the new Fraction
+        that `Fraction.real` builds on every read."""
+        v = self.value
+        return v if type(v) is Fraction else v.real
+
     im = property(lambda self: self.value.imag)
 
     # -- mode handling ------------------------------------------------
@@ -100,6 +106,8 @@ class Scalar:
 
     def conj(self):
         return Scalar(self.value.conjugate(), self.exact)
+
+    conjugate = conj  # the name of native numbers, for code that takes either
 
     def mag_sq(self):
         """conj(self) * self, always real and non-negative."""

@@ -38,10 +38,15 @@ The walks compute on plain numbers: `_lift` converts points, weights and
 targets once per public call to float or complex, or scales exact ones to
 int or Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a
 Scalar, undoing that scaling with one exact division.  The moment sums T and
-the residual norm are summed on the same lifted numbers and wrapped once
-each; D, S, T, the numerators and the coefficients are Scalars.  `_walker`
-calls `schur` and `vandermonde` as the names bound here, read at call time,
-where a tracer can wrap them.  The lifted points of one walk share one type,
+the residual norm are summed on the same lifted numbers.  A float fit wraps
+D, S and T once each and forms the numerators and coefficients as Scalars.
+An exact fit (`_exact_fit`) never wraps S or T: the lift scales every term
+of a numerator N_i alike, so N_i, a_i = N_i / D and the residuals are formed
+on the lifted ints, and each value it reports is wrapped once, one Fraction
+per nonzero part.  Exact powers X_k^{d_j} are raised once per call
+(`_powers`) and shared by the rows, T and the residuals.  `_walker` calls
+`schur` and `vandermonde` as the names bound here, read at call time, where
+a tracer can wrap them.  The lifted points of one walk share one type,
 float, complex, int or `_Gaussian`, and `symfunc` keeps code tables per
 point type, built for the type's mode, so a walk's Schur calls never
 re-decide a band's route.
@@ -212,16 +217,18 @@ def _native(values, gaussian, exact):
     which they were scaled: float values become float or, if `gaussian`,
     complex, with the factor 1; exact values are multiplied by the lcm of the
     denominators of their parts, to ints or, if `gaussian`, `_Gaussian`s
-    with int parts."""
+    with int parts.  The parts are read off each Scalar's value, a Fraction
+    being its own real part."""
     if not exact:
         if gaussian:
             return [complex(v.value) for v in values], 1
         return [v.value.real for v in values], 1
-    scale = lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    parts = [(v, 0) if type(v) is Fraction else (v.real, v.imag) for v in (s.value for s in values)]
+    scale = lcm(*(part.denominator for pair in parts for part in pair))
     up = lambda part: part.numerator * (scale // part.denominator)
     if gaussian:
-        return [_Gaussian(up(v.re), up(v.im)) for v in values], scale
-    return [up(v.re) for v in values], scale
+        return [_Gaussian(up(re), up(im)) for re, im in parts], scale
+    return [up(re) for re, _ in parts], scale
 
 
 def _lift_factor(lifted, degrees):
@@ -234,9 +241,11 @@ def _lift_factor(lifted, degrees):
 
 def _wrap(v, exact, scale=1):
     """A kernel value as a Scalar of the data's mode; exact values are
-    divided by `scale` to undo the lift."""
+    divided by `scale` to undo the lift, one Fraction per nonzero part, and
+    a real one stays a Fraction."""
     if exact:
-        return Scalar.from_exact(Fraction(v.real, scale), Fraction(v.imag, scale))
+        re = Fraction(v.real, scale)
+        return Scalar(_Gaussian(re, Fraction(v.imag, scale)) if v.imag else re, True)
     return Scalar.from_float(v.real, v.imag)
 
 
@@ -332,16 +341,26 @@ def _walked(d, lifted, size, columns=False):
 MINORS_MAX_TERMS = 10
 
 
-def _rows(d, lifted):
-    """The rows w_k (X_k^{d_0}, ..., X_k^{d_(n-1)}) of the weighted design
-    matrix on the exact lifted points, a weight of 1 where there is none:
-    tuples of ints, or for Gaussian points flat tuples of the int parts,
-    (re, im) per entry, that `_minors_walk` unpacks into pairs of locals."""
-    w = lifted.w or [1] * len(lifted.x)
-    rows = [[wk * scalar_pow(xk, dj) for dj in d] for xk, wk in zip(lifted.x, w)]
+def _powers(d, lifted):
+    """X_k^{d_j} of each exact lifted point k and exponent j, raised once per
+    call and shared by the rows (`_rows`), the moment sums and the exact
+    fit's residuals: ints, or int pairs for `_Gaussian` points
+    (`_pair_pow`)."""
     if lifted.kind is _Gaussian:
-        return [tuple(part for v in row for part in (v.real, v.imag)) for row in rows]
-    return [tuple(row) for row in rows]
+        return [[_pair_pow(xk.real, xk.imag, dj) for dj in d] for xk in lifted.x]
+    return [[xk**dj for dj in d] for xk in lifted.x]
+
+
+def _rows(d, lifted, powers=None):
+    """The rows w_k (X_k^{d_0}, ..., X_k^{d_(n-1)}) of the weighted design
+    matrix on the exact lifted points, from their `_powers`, a weight of 1
+    where there is none: tuples of ints, or for Gaussian points flat tuples
+    of the int parts, (re, im) per entry, that `_minors_walk` unpacks into
+    pairs of locals."""
+    powers, w = powers or _powers(d, lifted), lifted.w or [1] * len(lifted.x)
+    if lifted.kind is _Gaussian:
+        return [tuple(part for p, q in row for part in (wk.real * p - wk.imag * q, wk.real * q + wk.imag * p)) for row, wk in zip(powers, w)]
+    return [tuple(wk * p for p in row) for row, wk in zip(powers, w)]
 
 
 @lru_cache(maxsize=None)
@@ -426,67 +445,77 @@ def _minors_walk(n, fixed, kind, columns=False):
     return _compiled("walk", signature, lines, comb=comb)
 
 
-def _sums(d, lifted, with_d=True, with_s=True):
-    """D and the minor sums S of the exponents d over the lifted points (see
-    `_lift`), as a Scalar and an n x n Scalar matrix, and the number of terms
-    summed, C(m, n) for D and n^2 C(m, n - 1) for S; with lifted.fixed = 1,
-    those of the subsets that hold the last point.
+def _raw_sums(d, lifted, with_d=True, with_s=True, powers=None):
+    """D and the upper triangle of the minor sums S, row by row, of the
+    exponents d over the lifted points (see `_lift`), as the walk sums them
+    in the lifted type, and the number of terms summed, C(m, n) for D and
+    n^2 C(m, n - 1) for S; with lifted.fixed = 1, those of the subsets that
+    hold the last point.
 
     D sums |u|^2 over the n-point subsets, u = w_l s_lam(x_l) V(x_l), and
     S_{i,j} sums u_i conj(u_j) over the (n-1)-point subsets, u_i = w_l
     s_{lam[i]}(x_l) V(x_l) for the partitions of d's drops.  Exact points of
-    at most MINORS_MAX_TERMS terms take one `_minors_walk`, which gives both;
-    other points take `_walker` once for each sum asked for, and a sum not
-    asked for is None.  The sums run in the lifted type, on int pairs for
-    Gaussian data, and each entry is wrapped once, divided by the lift's
-    scaling (`_lift_factor`).  Only the upper triangle of S is summed; the
-    lower one is its conjugate.
+    at most MINORS_MAX_TERMS terms take one `_minors_walk` on their rows,
+    from `powers` if given, which gives both; other points take `_walker`
+    once for each sum asked for, and a sum not asked for is None.  Each sum
+    carries the lift's scaling (`_lift_factor`) of its u.
     """
     d, n = tuple(d), len(d)
     if lifted.exact and n <= MINORS_MAX_TERMS:
-        (dsum, *upper), count = _minors_walk(n, lifted.fixed, lifted.kind)(_rows(d, lifted))
-    else:
-        dsum, upper, count = None, None, 0
-        if with_d:
-            (dsum,), count = _walked(d, lifted, n)
-        if with_s:
-            upper, subsets = _walked(d, lifted, n - 1)
-            count += n * n * subsets
+        (dsum, *upper), count = _minors_walk(n, lifted.fixed, lifted.kind)(_rows(d, lifted, powers))
+        return dsum, upper, count
+    dsum, upper, count = None, None, 0
+    if with_d:
+        (dsum,), count = _walked(d, lifted, n)
+    if with_s:
+        upper, subsets = _walked(d, lifted, n - 1)
+        count += n * n * subsets
+    return dsum, upper, count
+
+
+def _hermitian(upper, n):
+    """The n x n matrix whose upper triangle holds `upper`, row by row, and
+    whose lower one its conjugates."""
+    s, values = [[None] * n for _ in range(n)], iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = next(values)
+            s[j][i] = s[i][j].conjugate() if j > i else s[i][j]
+    return s
+
+
+def _sums(d, lifted, with_d=True, with_s=True, powers=None):
+    """D and S of `_raw_sums` as a Scalar and an n x n Scalar matrix, each
+    entry of D and of S's upper triangle wrapped once, divided by the lift's
+    scaling, and the number of terms summed."""
+    d, n = tuple(d), len(d)
+    dsum, upper, count = _raw_sums(d, lifted, with_d, with_s, powers)
     dvalue = None if dsum is None else _wrap(dsum, lifted.exact, _lift_factor(lifted, d) ** 2)
     if upper is None:
         return dvalue, None, count
     scales = [_lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
-    s = [[None] * n for _ in range(n)]
-    sums = iter(upper)
-    for i in range(n):
-        for j in range(i, n):
-            s[i][j] = _wrap(next(sums), lifted.exact, scales[i] * scales[j])
-            if j > i:
-                s[j][i] = s[i][j].conj()
-    return dvalue, s, count
+    ij = [(i, j) for i in range(n) for j in range(i, n)]
+    return dvalue, _hermitian([_wrap(v, lifted.exact, scales[i] * scales[j]) for v, (i, j) in zip(upper, ij)], n), count
 
 
-def _moment_sums(d, lifted, start):
+def _moment_sums(d, lifted, start, powers):
     """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the lifted points from the
-    0-based index `start` on, each summed in the lifted type, or on int pairs
-    for Gaussian data (`_pair_pow`), and wrapped once, divided by the lift's
-    scaling xscale^{d_j} yscale wscale^2."""
+    0-based index `start` on, each summed in the lifted type, exact points
+    on their `powers`, as int pairs for Gaussian data, so each T_j carries
+    the lift's scaling xscale^{d_j} yscale wscale^2."""
     x, w, y = lifted.x, lifted.w, lifted.y
     t, ti = [0] * len(d), [0] * len(d)
     for k in range(start, len(x)):
-        xbar, wy = x[k].conjugate(), y[k]
-        if w is not None:
-            wy = _mag_sq(w[k]) * wy
-        for j, dj in enumerate(d):
-            if lifted.kind is _Gaussian:
-                (p, q), c, e = _pair_pow(xbar.real, xbar.imag, dj), wy.real, wy.imag
-                t[j], ti[j] = t[j] + p * c - q * e, ti[j] + p * e + q * c
-            else:
-                t[j] = t[j] + scalar_pow(xbar, dj) * wy
-    if lifted.kind is _Gaussian:
-        t = map(_Gaussian, t, ti)
-    scale = lifted.yscale * lifted.wscale**2
-    return [_wrap(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)]
+        wy = y[k] if w is None else _mag_sq(w[k]) * y[k]
+        if lifted.kind is _Gaussian:  # conj(p + q i) (c + e i)
+            c, e = wy.real, wy.imag
+            for j, (p, q) in enumerate(powers[k]):
+                t[j], ti[j] = t[j] + p * c + q * e, ti[j] + p * e - q * c
+        else:  # float points, or real exact ones, whose powers are real
+            xbar = x[k].conjugate()
+            for j, dj in enumerate(d):
+                t[j] = t[j] + (scalar_pow(xbar, dj) if powers is None else powers[k][j]) * wy
+    return list(map(_Gaussian, t, ti)) if lifted.kind is _Gaussian else t
 
 
 def _pair_pow(a, b, e):
@@ -505,12 +534,14 @@ def _mag_sq(v):
     return v.real * v.real + v.imag * v.imag
 
 
-def _signed_numerators(s, t):
-    """N_i = sum_j (-1)^(i+j) S_{i,j} T_j (1-based signs)."""
+def _signed_numerators(s, t, zero):
+    """N_i = sum_j (-1)^(i+j) S_{i,j} T_j (1-based signs), each summed from
+    `zero`: Scalars from a Scalar zero, or the native numbers of an exact
+    fit, which are never Scalars, from the int 0."""
     n = len(t)
     out = []
     for i in range(n):
-        acc = Scalar.zero(t[0].exact)
+        acc = zero
         for j in range(n):
             term = s[i][j] * t[j]
             acc = acc + term if (i + j) % 2 == 0 else acc - term
@@ -533,7 +564,7 @@ def _checked_numerators(dvalue, s, t):
     _finite("the denominator D", [dvalue])
     _finite("a minor sum S", [v for row in s for v in row])
     _finite("a moment sum T", t)
-    return _finite("a numerator N", _signed_numerators(s, t))
+    return _finite("a numerator N", _signed_numerators(s, t, Scalar.zero(dvalue.exact)))
 
 
 def _aggregates(d, lifted):
@@ -542,9 +573,11 @@ def _aggregates(d, lifted):
     instead: D and S summed over the subsets that hold it, and T of that
     point alone.
     """
-    dvalue, s, evaluations = _sums(d, lifted)
-    t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0)
-    return dvalue, s, t, evaluations
+    powers = _powers(d, lifted) if lifted.exact else None
+    dvalue, s, evaluations = _sums(d, lifted, powers=powers)
+    t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0, powers)
+    scale = lifted.yscale * lifted.wscale**2
+    return dvalue, s, [_wrap(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)], evaluations
 
 
 def _quotients(d, x, numerators, dvalue):
@@ -590,22 +623,21 @@ def minor_sum(d, data, i, j):
 def fit(d, data):
     """Least-squares coefficients of the model sum_i a_i x^{d_i}.
 
-    Exact mode returns the exact rational solution.  Uses weights from the
-    data set when present.  In float mode, a D, S, T, N, coefficient or
-    degeneracy floor of D beyond the float range raises OverflowError.
+    Exact mode returns the exact rational solution (`_exact_fit`): its S, T
+    and N stay on the lifted ints, and each reported value is one Fraction,
+    or one per part of a complex one.  Uses weights from the data set when
+    present.  In float mode, a D, S, T, N, coefficient or degeneracy floor
+    of D beyond the float range raises OverflowError.
     """
-    n = len(d)
-    _require_points(n, data)
+    _require_points(len(d), data)
     lifted = _lift(data)
+    if lifted.exact:
+        return _exact_fit(d, lifted)
     dvalue, s, t, evaluations = _aggregates(d, lifted)
     numerators = _checked_numerators(dvalue, s, t)
     a = _quotients(d, data.x, numerators, dvalue)
     if a is None:
-        raise NonUniqueSolutionError(
-            "denominator vanishes: the model matrix is rank deficient "
-            f"(need at least {n} distinct positive real x values, or more "
-            "generally an injective design matrix)"
-        )
+        raise _rank_deficient(len(d))
     residual_sq, r = _residual_sum(d, lifted, a)
     return FitResult(
         coefficients=a,
@@ -617,44 +649,72 @@ def fit(d, data):
     )
 
 
-def _residual_sum(d, lifted, a):
-    """The squared minimal distance ||y - A a||_W^2 of the coefficients `a`
-    as a Scalar, summed directly as sum_k |w_k|^2 |r_k|^2 on the lifted
-    points, and the lifted residuals R_k.
+def _rank_deficient(n):
+    return NonUniqueSolutionError(
+        "denominator vanishes: the model matrix is rank deficient "
+        f"(need at least {n} distinct positive real x values, or more "
+        "generally an injective design matrix)"
+    )
 
-    With a_j = A_j / q over one common denominator q (q = 1 in float mode),
-    R_k = r_k yscale q xscale^{d_1} = Y_k q xscale^{d_1} - sum_j yscale
-    xscale^{d_1 - d_j} A_j X_k^{d_j} is an int or Gaussian int in exact mode,
-    and the sum is wrapped once, divided by (wscale yscale q xscale^{d_1})^2.
-    Float mode multiplies by no scale: every scale is 1 there, and a product
-    of a complex number with the int 1 can flip the sign of a zero part.
+
+def _exact_fit(d, lifted):
+    """The fit of exact lifted points, on the ints or int pairs that the
+    walk and the moment sums give: S and T are never Scalars.
+
+    The lift scales every term S_{i,j} T_j of N_i by xscale^{2 sum(d) - d_i}
+    wscale^{2n} yscale, whatever j, so the N_i are summed on the raw sums
+    (`_signed_numerators`), and a_i = N_i xscale^{d_i} / (yscale D) on the
+    raw N_i and D, in which the weight scale cancels.  The residuals R_k =
+    Y_k D - sum_j N_j X_k^{d_j} are then ints or Gaussian ints, with r_k =
+    R_k / (yscale D), on the same `_powers` as the rows and T.  Each
+    reported value -- D, each N_i and a_i, the residual norm -- is wrapped
+    once, one Fraction per nonzero part.
+    """
+    n, xscale, yscale = len(d), lifted.xscale, lifted.yscale
+    powers = _powers(d, lifted)
+    dsum, upper, evaluations = _raw_sums(d, lifted, powers=powers)
+    nums = _signed_numerators(_hermitian(upper, n), _moment_sums(d, lifted, 0, powers), 0)
+    dsum = dsum.real  # a sum of |u|^2, whose Gaussian form has no imaginary part
+    if not dsum:
+        raise _rank_deficient(n)
+    gaussian, total = lifted.kind is _Gaussian, 0
+    for yk, wk, row in zip(lifted.y, lifted.w or [1] * len(powers), powers):
+        re, im = yk.real * dsum, yk.imag * dsum
+        for nj, p in zip(nums, row):
+            p, q = p if gaussian else (p, 0)
+            re, im = re - nj.real * p + nj.imag * q, im - nj.real * q - nj.imag * p
+        total += (re * re + im * im) * _mag_sq(wk)
+    lift = _lift_factor(lifted, d) ** 2
+    residual_sq = _wrap(total, True, (lifted.wscale * yscale * dsum) ** 2)
+    return FitResult(
+        coefficients=[_wrap(nj * xscale**dj, True, yscale * dsum) for nj, dj in zip(nums, d)],
+        denominator=_wrap(dsum, True, lift),
+        numerators=[_wrap(nj, True, yscale * lift // xscale**dj) for nj, dj in zip(nums, d)],
+        residual_sq=residual_sq,
+        residual=_residual_root(lifted.w, None, residual_sq),
+        evaluations=evaluations,
+    )
+
+
+def _residual_sum(d, lifted, a):
+    """The squared minimal distance ||y - A a||_W^2 of the float coefficients
+    `a` as a Scalar, summed directly as sum_k |w_k|^2 |r_k|^2, and the
+    residuals r_k.
 
     The shorter identity ||y||_W^2 - Re<(WA)* W y | a> is a difference of two
     nearly equal numbers; in binary64 it can leave pure rounding noise, even a
     negative value, where the fit is exact.
     """
-    exact, w = lifted.exact, lifted.w
-    c, q = _native(a, any(aj.im for aj in a), exact)
-    scale = q * lifted.xscale ** d[0]
-    if exact:
-        c = [lifted.yscale * lifted.xscale ** (d[0] - dj) * cj for cj, dj in zip(c, d)]
+    w = lifted.w
+    c, _ = _native(a, any(aj.im for aj in a), False)
     r, total = [], 0
     for k, (xk, rk) in enumerate(zip(lifted.x, lifted.y)):
-        if exact:
-            rk = rk * scale
-        if lifted.kind is _Gaussian:  # on int pairs (`_pair_pow`)
-            re, im = rk.real, rk.imag
-            for cj, dj in zip(c, d):
-                p, q = _pair_pow(xk.real, xk.imag, dj)
-                re, im = re - cj.real * p + cj.imag * q, im - cj.real * q - cj.imag * p
-            rk = _Gaussian(re, im)
-        else:
-            for cj, dj in zip(c, d):
-                rk = rk - cj * scalar_pow(xk, dj)
+        for cj, dj in zip(c, d):
+            rk = rk - cj * scalar_pow(xk, dj)
         r.append(rk)
         sq = _mag_sq(rk)
         total = total + (sq if w is None else sq * _mag_sq(w[k]))
-    return _wrap(total, exact, (lifted.wscale * lifted.yscale * scale) ** 2), r
+    return _wrap(total, False), r
 
 
 def _residual_root(w, r, residual_sq):
@@ -741,7 +801,7 @@ def pseudoinverse(d, data):
     dvalue, s, lifted = _checked_denominator(d, data, with_s=True)
     out = [[None] * data.m for _ in range(len(d))]
     for k, row in enumerate(design_matrix(d, data.x)):
-        col = _signed_numerators(s, [v.conj() for v in row])
+        col = _signed_numerators(s, [v.conj() for v in row], Scalar.zero(dvalue.exact))
         wsq = data.weight_sq(k)
         for i, ci in enumerate(col):
             out[i][k] = ci * wsq / dvalue

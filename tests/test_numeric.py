@@ -310,6 +310,16 @@ def test_scalar_values_are_native_numbers():
         assert type(v.value) is Fraction
 
 
+def test_the_real_part_of_an_exact_real_scalar_is_its_stored_value():
+    # Fraction.real builds a new Fraction on every read; re hands back the
+    # stored one, and the parts of other values as their own attributes
+    s = Scalar.from_exact(Fraction(-7, 3))
+    assert s.re is s.value and s.im == 0
+    z = Scalar.from_exact(Fraction(1, 2), Fraction(-3, 4))
+    assert z.re is z.value.real and z.im is z.value.imag
+    assert Scalar.from_float(2.5).re == 2.5 and Scalar.from_float(1, -2).re == 1.0
+
+
 def test_cancelled_gaussian_equals_hashes_and_prints_like_the_real_value():
     two = Scalar.from_exact(1, 1) * Scalar.from_exact(1, -1)
     assert type(two.value) is _Gaussian

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -894,6 +895,20 @@ def test_minors_walk_matches_the_reference_subset_loop(kind, weighted, fixed):
             assert len(columns) == count_s
 
 
+def _assert_exact_fit_invariants(d, data):
+    """The exact fit of `data` solves the normal equations, reports the D of
+    `denominator`, and a_i = N_i / D; a real coefficient is a Fraction,
+    never a `_Gaussian` with a zero imaginary part."""
+    result = fit(d, data)
+    assert result.coefficients == oracle.solve_normal(d, data)
+    assert result.denominator == denominator(d, data)
+    assert [ni / result.denominator for ni in result.numerators] == result.coefficients
+    assert type(result.denominator.value) is Fraction
+    for a in result.coefficients:
+        assert type(a.value) is (_Gaussian if a.im else Fraction)
+    return result
+
+
 def test_exact_fits_past_the_minors_limit_take_the_walker(monkeypatch):
     # the minors walk is code of 2^n statements, so exact models of more
     # than MINORS_MAX_TERMS terms sum through the walker's Schur and V calls,
@@ -905,9 +920,89 @@ def test_exact_fits_past_the_minors_limit_take_the_walker(monkeypatch):
         data = DataSet(ex(*(Fraction(k, 2) for k in range(1, n + 2))), ex(*(k * k % 7 for k in range(n + 1))))
         calls.clear()
         result = fit(d, data)
-        assert result.coefficients == oracle.solve_normal(d, data)
-        assert result.evaluations == comb(n + 1, n) + n * n * comb(n + 1, n - 1)
         assert calls["schur"] == (0 if n <= regress.MINORS_MAX_TERMS else comb(n + 1, n) + n * comb(n + 1, n - 1))
+        result = _assert_exact_fit_invariants(d, data)
+        assert result.evaluations == comb(n + 1, n) + n * n * comb(n + 1, n - 1)
+
+
+# pairwise coprime denominators below 1000, so the lift's scale is their
+# product and no two parts share a factor of it
+_UNSHARED = (997, 991, 983, 977, 971, 967, 953, 947, 941, 937, 929, 919)
+
+
+def _invariant_cases():
+    """(degrees, data) of exact fits: int, rational and Gaussian data,
+    weighted and not, and the term counts of the minors walk's edges."""
+    q, rng, cases = Fraction, random.Random(41), []
+    ints = lambda m: DataSet(ex(*(k - 3 for k in range(m))), ex(*(rng.randint(-50, 50) for _ in range(m))))
+    for weighted in (False, True):
+        w = lambda m: ex(*(rng.randint(1, 9) for _ in range(m))) if weighted else None
+        tag = "weighted" if weighted else "unweighted"
+        x = [Scalar.from_exact(q((-1) ** k * (k + 2), den)) for k, den in enumerate(_UNSHARED[:7])]
+        y = [Scalar.from_exact(q(rng.randint(-99, 99), den)) for den in _UNSHARED[5:12]]
+        cases.append(pytest.param(Exponents((4, 2, 0)), DataSet(x, y, w(7)), id=f"unshared-{tag}"))
+        g = [Scalar.from_exact(q(k - 2, 3), q(k % 3, den)) for k, den in enumerate(_UNSHARED[:6])]
+        gy = [Scalar.from_exact(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)]
+        gw = [Scalar.from_exact(rng.randint(1, 9), rng.randint(-2, 2)) for _ in range(6)] if weighted else None
+        cases.append(pytest.param(Exponents((3, 1, 0)), DataSet(g, gy, gw), id=f"gaussian-{tag}"))
+        cases.append(pytest.param(Exponents((5, 2)), DataSet(ints(6).x, ints(6).y, w(6)), id=f"int-{tag}"))
+        data = ints(4)
+        cases.append(pytest.param(Exponents((2,)), DataSet(data.x, data.y, w(4)), id=f"one-term-{tag}"))
+    # Gaussian x on which the model is exact: every coefficient is real
+    g = [Scalar.from_exact(q(k - 2, 3), q(k % 3, den)) for k, den in enumerate(_UNSHARED[:5])]
+    cases.append(pytest.param(Exponents((3, 1, 0)), DataSet(g, [v * v * v - v - v for v in g]), id="gaussian-real-solution"))
+    one = DataSet(ex(q(3, 7)), ex(q(-5, 11)))
+    cases.append(pytest.param(Exponents((3,)), one, id="one-term-one-point"))
+    return cases
+
+
+@pytest.mark.parametrize("d,data", _invariant_cases())
+def test_exact_fit_invariants(d, data):
+    # one-term models sum S over the empty subset, the int 1
+    _assert_exact_fit_invariants(d, data)
+
+
+@pytest.mark.parametrize(
+    "d,x",
+    [
+        pytest.param(Exponents((2, 1, 0)), ex(2, Fraction(1, 3), 2), id="repeated-x"),
+        pytest.param(Exponents((2, 0)), ex(Fraction(5, 7), Fraction(-5, 7)), id="2-0-on-plus-minus-c"),
+        pytest.param(Exponents((2, 0)), [Scalar.from_exact(1, 1), Scalar.from_exact(-1, -1)], id="2-0-on-plus-minus-gaussian"),
+    ],
+)
+def test_exact_fit_of_a_rank_deficient_model_raises(d, x):
+    with pytest.raises(NonUniqueSolutionError, match="denominator vanishes"):
+        fit(d, DataSet(x, ex(*range(1, len(x) + 1))))
+
+
+def _fractions_built(call):
+    """The number of Fraction objects that call() builds, counted as calls of
+    `Fraction.__new__` seen by a profile hook."""
+    count, code, previous = 0, Fraction.__new__.__code__, sys.getprofile()
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real-x", "gaussian-x"])
+def test_an_exact_fit_builds_as_many_fractions_at_any_size(gaussian):
+    # S, T, N and the residuals stay on the lifted ints, so a fit builds a
+    # Fraction only for each value it reports, however many points it has
+    rng, d, built = random.Random(42), Exponents((4, 2, 0)), []
+    for m in (10, 30):
+        x = [Scalar.from_exact(Fraction(k + 1, 3), Fraction(k % 5, 7) if gaussian else 0) for k in range(m)]
+        y = [Scalar.from_exact(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(m)]
+        data = DataSet(x, y)
+        built.append(_fractions_built(lambda: fit(d, data)))
+    assert built[0] == built[1] > 0
 
 
 def _scalar_moments(d, data):
@@ -981,9 +1076,10 @@ def test_exact_stream_moments_match_scalar_arithmetic():
 
 
 def test_exact_fit_makes_as_many_scalar_operations_at_any_size(monkeypatch):
-    # the O(m) moment sums and residuals run on lifted numbers, so the
-    # Scalar operations of a fit (counted as the benchmark's tracer counts
-    # them) are those of the numerators and the division alone
+    # the O(m) moment sums and residuals, and the numerators and quotients
+    # too, run on lifted numbers, so an exact fit makes no Scalar operation
+    # (counted as the benchmark's tracer counts them) at any size, while a
+    # float fit, whose N and a are Scalars, shows that the count works
     counts = Counter()
 
     def counted(name, method):
@@ -1001,5 +1097,6 @@ def test_exact_fit_makes_as_many_scalar_operations_at_any_size(monkeypatch):
         counts.clear()
         fit(d, data)
         per_size.append(dict(counts))
-    assert per_size[0] == per_size[1]
-    assert sum(per_size[0].values()) > 0
+    assert per_size[0] == per_size[1] == {}
+    fit(d, random_dataset(random.Random(8), 8, exact=False))
+    assert sum(counts.values()) > 0
