@@ -10,7 +10,12 @@ C(m, n-1) for the D increment -- dropping the per-point cost from
 O(m^n) to O(m^(n-1)).  An append is a batch: the state's points with the new
 one last, which `regress._aggregates` sums over the subsets that hold that
 last point, giving the increments and the point's own moments; N is then
-re-derived from the updated S and T.  `update` and `extend_b_matrix` build
+re-derived from the updated S and T.  Float points, and exact ones of more
+than `regress.MINORS_MAX_TERMS` terms, sum those subsets in one generated
+loop nest (`regress._appended_walker`) that inlines the Schur and V
+statements, and exact ones of fewer terms in the minors walk, so an append
+makes no `schur` or `vandermonde` call; its subsets show in the evaluation
+count.  `update` and `extend_b_matrix` build
 that point set through one helper, which refuses a zero weight, a mix of
 weighted and unweighted points and a value of another mode than the stream's:
 the point is checked there, where it enters, and the kernel's lift trusts it.
@@ -37,10 +42,9 @@ from .regress import (
     _sums,
 )
 
-# Unused here: every subset sum runs in regress, where only float points,
-# and exact ones of more than MINORS_MAX_TERMS terms, take the walker that
-# calls regress.schur and regress.vandermonde; exact appends take the minors
-# walk, which calls neither.  These names stay bound because
+# Unused here: every subset sum runs in regress, and an append's loop nest
+# and minors walk call neither name; only a batch's walker calls
+# regress.schur and regress.vandermonde.  These names stay bound because
 # perfbench/tracing.py wraps incremental.schur and incremental.vandermonde
 # by name.
 from .symfunc import schur, vandermonde  # noqa: F401

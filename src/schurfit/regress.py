@@ -21,13 +21,17 @@ walks the subsets in lexicographic order as nested loops over the lifted
 rows w_k X_k^{d_j} and builds the minors of each prefix from those of the
 prefix one row shorter, by Laplace expansion along the new row: one walk
 gives D and S, or B's columns, with no Schur or Vandermonde call and no
-division.  Float and complex points take `_walker`, generated code that
-calls `schur` and `vandermonde` once per subset and partition, since the
-expansion cancels in binary64; so do exact points of more than
+division.  Float and complex points take the subset walkers instead, since
+the expansion cancels in binary64; so do exact points of more than
 MINORS_MAX_TERMS terms, for which the walk's code of 2^n statements would
-take seconds to compile.  Either walk keeps the upper triangle of its sums
-in locals (`_sums`) or lists the u vectors with their subsets' labels, which
-`_append_b_columns` turns into B's signed columns.  Their statements are
+take seconds to compile.  A batch takes `_walker`, generated code that calls
+`schur` and `vandermonde` once per subset and partition; the subsets of an
+appended point take `_appended_walker`, one generated loop nest that inlines
+the straight-line Schur and V statements of `symfunc`, each in the outermost
+loop that binds the points it reads, to the same bits, and calls neither
+name.  Each walk keeps the upper triangle of its sums in locals (`_sums`) or
+lists the u vectors with their subsets' labels, which `_append_b_columns`
+turns into B's signed columns.  Their statements are
 written by `symfunc._assign` in the code kind that the number kind sets:
 real data takes no conjugates, and the minors of exact Gaussian data are
 pairs of int locals, which make one `_Gaussian` of each sum or B entry.
@@ -46,10 +50,12 @@ on the lifted ints, and each value it reports is wrapped once, one Fraction
 per nonzero part.  Exact powers X_k^{d_j} are raised once per call
 (`_powers`) and shared by the rows, T and the residuals.  `_walker` calls
 `schur` and `vandermonde` as the names bound here, read at call time, where
-a tracer can wrap them.  The lifted points of one walk share one type,
-float, complex, int or `_Gaussian`, and `symfunc` keeps code tables per
-point type, built for the type's mode, so a walk's Schur calls never
-re-decide a band's route.
+a tracer can wrap them, so a traced batch fit counts its subsets from those
+calls; an append's subsets are counted by its loop nest's trip counts, in
+the evaluation count.  The lifted points of one walk share one type, float,
+complex, int or `_Gaussian`, and `symfunc` keeps code tables per point type,
+built for the type's mode, so a walk's Schur calls never re-decide a band's
+route.
 """
 
 from __future__ import annotations
@@ -61,11 +67,13 @@ from itertools import combinations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, hypot, inf, isqrt, lcm, sqrt
+from operator import attrgetter
 from sys import float_info
 
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_from_degrees
-from .symfunc import _assign, _compiled, _value, schur, vandermonde
+from .symfunc import UNROLL_MAX_POINTS, _assign, _band, _compiled, _determinant, _elementary, _offsets, _schur_of, _top
+from .symfunc import _value, _vandermonde_of, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -194,8 +202,9 @@ def _lift(points, fixed=0):
     snapshot, by parsing in one mode.  The lift reads the mode off
     `points.exact` and checks nothing.
 
-    x and w share one number kind, complex if any x or w is, since the walker
-    multiplies them; y takes its own, as it meets them only in products.
+    x and w share one number kind, complex if the value of any x or w has a
+    nonzero imaginary part (`_complex`), since the walker multiplies them; y
+    takes its own, as it meets them only in products.
     Exact x is scaled by xscale, the lcm of the denominators of its real and
     imaginary parts, w by wscale and y by yscale, the same lcm over the
     weights and over the targets; float data keeps the scales 1 (see
@@ -204,31 +213,37 @@ def _lift(points, fixed=0):
     float, complex, int or `_Gaussian`.
     """
     exact = points.exact
-    gaussian = any(s.im for s in (*points.x, *(points.w or ())))
-    x, xscale = _native(points.x, gaussian, exact)
-    w, wscale = (None, 1) if points.w is None else _native(points.w, gaussian, exact)
-    y, yscale = (None, 1) if points.y is None else _native(points.y, any(s.im for s in points.y), exact)
+    x, w, y = ([s.value for s in v] if v is not None else None for v in (points.x, points.w, points.y))
+    gaussian = _complex(x) or w is not None and _complex(w)
+    x, xscale = _native(x, gaussian, exact)
+    w, wscale = (None, 1) if w is None else _native(w, gaussian, exact)
+    y, yscale = (None, 1) if y is None else _native(y, _complex(y), exact)
     kind = (_Gaussian if exact else complex) if gaussian else (int if exact else float)
     return _Lifted(x, w, y, fixed, exact, kind, xscale, wscale, yscale)
 
 
+def _complex(values):
+    """Whether a native value has a nonzero imaginary part."""
+    return any(map(attrgetter("imag"), values))
+
+
 def _native(values, gaussian, exact):
-    """Scalar `values` as native numbers of one type, and the factor by
-    which they were scaled: float values become float or, if `gaussian`,
-    complex, with the factor 1; exact values are multiplied by the lcm of the
-    denominators of their parts, to ints or, if `gaussian`, `_Gaussian`s
-    with int parts.  The parts are read off each Scalar's value, a Fraction
-    being its own real part."""
+    """Native `values` as numbers of one type, and the factor by which they
+    were scaled: float values become float or, if `gaussian`, complex, with
+    the factor 1; exact values, Fractions or `_Gaussian`s of Fractions, are
+    multiplied by the lcm of the denominators of their parts, to ints or, if
+    `gaussian`, `_Gaussian`s with int parts.  One pass reads each part's
+    numerator and denominator together, a Fraction being its own real
+    part."""
     if not exact:
-        if gaussian:
-            return [complex(v.value) for v in values], 1
-        return [v.value.real for v in values], 1
-    parts = [(v, 0) if type(v) is Fraction else (v.real, v.imag) for v in (s.value for s in values)]
-    scale = lcm(*(part.denominator for pair in parts for part in pair))
-    up = lambda part: part.numerator * (scale // part.denominator)
+        return ([complex(v) for v in values] if gaussian else [v.real for v in values]), 1
     if gaussian:
-        return [_Gaussian(up(re), up(im)) for re, im in parts], scale
-    return [up(re) for re, _ in parts], scale
+        ratios = [(v.as_integer_ratio(), (0, 1)) if type(v) is Fraction else (v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for v in values]
+        scale = lcm(*(q for pair in ratios for _, q in pair))
+        return [_Gaussian(a * (scale // b), c * (scale // e)) for (a, b), (c, e) in ratios], scale
+    ratios = [(v if type(v) is Fraction else v.real).as_integer_ratio() for v in values]
+    scale = lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _lift_factor(lifted, degrees):
@@ -249,23 +264,31 @@ def _wrap(v, exact, scale=1):
     return Scalar.from_float(v.real, v.imag)
 
 
-@lru_cache(maxsize=None)
-def _walker(kind, n, size, fixed, weighted, columns=False):
-    """The subset walk of n partitions over `size`-point subsets of lifted
-    points of the number type `kind`, compiled once per signature into
-    straight-line code, as a function of (x, w, lams, schur, vandermonde):
-    the lifted points and weights, the n partitions, and the Schur and
-    Vandermonde functions to call.
+def _for(targets, sources):
+    """The head of a loop that binds each of `targets` to the items of its
+    source, zipped if there is more than one."""
+    loop = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
+    return f"for {', '.join(targets)} in {loop}:"
 
-    It walks the subsets that hold the last `fixed` points in lexicographic
-    order, with `combinations` over the other points, and the weights beside
-    them, so points and weights come without indexing.  Each subset x_l costs
-    one `vandermonde` call, times the subset's weights in subset order, and one
-    `schur` call per partition: u_i = schur(lams[i], x_l) * v.  The walk
-    returns the n(n+1)/2 upper-triangle sums of u_i conj(u_j), row by row,
-    each kept in its own local from the int 0 on, and the number of subsets.
-    With `columns` it returns instead one (label, u_0, ..., u_{n-1}) per
-    subset, the label being the subset's 1-based point numbers.
+
+@lru_cache(maxsize=None)
+def _walker(kind, n, size, weighted, columns=False):
+    """The subset walk of n partitions over all `size`-point subsets of
+    lifted points of the number type `kind`, compiled once per signature
+    into straight-line code, as a function of (x, w, lams, schur,
+    vandermonde): the lifted points and weights, the n partitions, and the
+    Schur and Vandermonde functions to call.  A batch takes it; the subsets
+    of an appended point take `_appended_walker`.
+
+    It walks the subsets in lexicographic order, with `combinations` over
+    the points, and the weights beside them, so points and weights come
+    without indexing.  Each subset x_l costs one `vandermonde` call, times
+    the subset's weights in subset order, and one `schur` call per
+    partition: u_i = schur(lams[i], x_l) * v.  The walk returns the
+    n(n+1)/2 upper-triangle sums of u_i conj(u_j), row by row, each kept in
+    its own local from the int 0 on, and the number of subsets.  With
+    `columns` it returns instead one (label, u_0, ..., u_{n-1}) per subset,
+    the label being the subset's 1-based point numbers.
 
     Every statement is written by `symfunc._assign`: in the "real" code kind
     for float and int points, which writes u_i conj(u_j) as u_i * u_j, their
@@ -273,63 +296,185 @@ def _walker(kind, n, size, fixed, weighted, columns=False):
     .conjugate() calls, for complex and `_Gaussian` points.  Exact points
     reach it only with more than MINORS_MAX_TERMS terms (see `_sums`).
     """
-    k = size - fixed  # points chosen besides the fixed ones
     code = "real" if kind in (float, int) else "complex"
     ij = [(i, j) for i in range(n) for j in range(i, n)]
     sums, weights = [f"s{i}_{j}" for i, j in ij], [f"q{i}" for i in range(size if weighted else 0)]
     lines = [
         "def walk(x, w, lams, schur, vandermonde):",
         "    " + "".join(f"lam{i}, " for i in range(n)) + "= lams",
-        f"    m = len(x) - {fixed}",
+        "    m = len(x)",
         "    out = []" if columns else f"    {' = '.join(sums)} = 0",
     ]
     body = "        "
-    if k >= 0:
-        targets, sources = ["head" if fixed else "pts"], [f"combinations(x[:m], {k})"]
-        if weights and k:
-            targets.append("(" + "".join(f"{q}, " for q in weights[:k]) + ")")
-            sources.append(f"combinations(w[:m], {k})")
-        if columns:
-            targets.append("label")
-            sources.append(f"combinations(range(1, m + 1), {k})")
-        if fixed:
-            lines.append("    tail, tail_label = tuple(x[m:]), tuple(range(m + 1, len(x) + 1))")
-        if fixed and weights:
-            lines.append("    " + "".join(f"{q}, " for q in weights[k:]) + "= w[m:]")
-        if len(sources) == 1:
-            lines.append(f"    for {targets[0]} in {sources[0]}:")
-        else:
-            lines.append(f"    for {', '.join(targets)} in zip({', '.join(sources)}):")
-        if fixed:
-            lines.append(f"{body}pts = head + tail")
-        lines.append(f"{body}v = vandermonde(pts)")
-        for q in weights:
-            _assign(lines, "v", [(1, "v", q)], code, body)
-        for i in range(n):
-            lines.append(f"{body}t{i} = schur(lam{i}, pts)")
-            _assign(lines, f"u{i}", [(1, f"t{i}", "v")], code, body)
-        if columns:
-            label = "label + tail_label" if fixed else "label"
-            lines.append(f"{body}out.append(({label}, {''.join(f'u{i}, ' for i in range(n))}))")
-        else:
-            for i, j in ij:
-                _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], code, body)
+    targets, sources = ["pts"], [f"combinations(x, {size})"]
+    if weights:
+        targets.append("(" + "".join(f"{q}, " for q in weights) + ")")
+        sources.append(f"combinations(w, {size})")
     if columns:
+        targets.append("label")
+        sources.append(f"combinations(range(1, m + 1), {size})")
+    lines += ["    " + _for(targets, sources), f"{body}v = vandermonde(pts)"]
+    for q in weights:
+        _assign(lines, "v", [(1, "v", q)], code, body)
+    for i in range(n):
+        lines.append(f"{body}t{i} = schur(lam{i}, pts)")
+        _assign(lines, f"u{i}", [(1, f"t{i}", "v")], code, body)
+    if columns:
+        lines.append(f"{body}out.append((label, {''.join(f'u{i}, ' for i in range(n))}))")
         lines.append("    return out")
     else:
-        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), {f'comb(m, {k})' if k >= 0 else '0'}")
-    signature = f"n={n} size={size} fixed={fixed} weighted={weighted} columns={columns} {kind.__name__}"
+        for i, j in ij:
+            _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], code, body)
+        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), comb(m, {size})")
+    signature = f"n={n} size={size} weighted={weighted} columns={columns} {kind.__name__}"
     return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
 
 
+@lru_cache(maxsize=None)
+def _appended_walker(kind, lams, size, weighted, columns=False):
+    """The walk of the partitions `lams` over the `size`-point subsets that
+    hold the last of the lifted points, the appended one, of the number type
+    `kind`: what `_walker` sums or lists over all subsets, here as one loop
+    nest, compiled once per signature into a function of (x, w), the lifted
+    points and weights.
+
+    The appended point is the last of each subset, as in the subsets'
+    lexicographic order, and is bound before the loops; the loops bind the
+    other points of the subset in order, from the first m points,
+    m = len(x) - 1, each stopping where too few points are left to complete
+    a subset.  The statements of a
+    subset are those that `symfunc` writes into the straight-line V and
+    Schur code and `_walker` around its calls: V's factors, one e_k
+    recursion for all partitions (`symfunc._elementary`), each band's
+    cofactors (`symfunc._determinant`), the weight products, u_i and the
+    sums.  Every local is assigned once, and each statement goes in the
+    outermost loop that binds every point it reads, so e.g. the e_k of a
+    prefix are formed once for all subsets that extend it.  A statement
+    that only copies a local is not written; its readers read that local.
+    So each statement is the operation it is in `_walker`'s calls, on the
+    same operands, and every sum, u and float bit is theirs.
+
+    A band with no straight-line code -- wider than 3, on more than
+    UNROLL_MAX_POINTS points, or on `_Gaussian` points -- calls its compiled
+    function from `symfunc`'s tables on the subset, and so does V on such
+    points.  Subsets of more than UNROLL_MAX_POINTS points, with nothing to
+    inline, take one `combinations` loop, as Python nests at most 20 blocks.
+    The walk returns the sums and the number of subsets, counted from the
+    loops' trip counts, or with `columns` the (label, u_0, ..., u_{n-1}) of
+    each subset, as `_walker` does.
+    """
+    n, k = len(lams), size - 1  # k points besides the appended one
+    code = "real" if kind in (float, int) else "complex"
+    ij = [(i, j) for i in range(n) for j in range(i, n)]
+    sums = [f"s{i}_{j}" for i, j in ij]
+    signature = f"append {' '.join(str(lam._normalized) for lam in lams)} size={size} weighted={weighted} columns={columns} {kind.__name__}"
+    if k < 0:  # no subset holds the appended point
+        empty = "[]" if columns else "(" + "0, " * len(sums) + "), 0"
+        return _compiled("walk", signature, ["def walk(x, w):", f"    return {empty}"])
+    nested = size <= UNROLL_MAX_POINTS
+    inline = nested and kind is not _Gaussian
+    deep = k if nested else min(k, 1)  # the innermost loop, 0 if there is none
+    z, q = [f"z{j}" for j in range(size)], [f"q{j}" for j in range(size if weighted else 0)]
+    level = {"one": 0, "zero": 0, **dict.fromkeys(sums, 0)}  # the loop that binds each local
+    for j in range(size):
+        level[z[j]] = level[f"q{j}"] = 0 if j == k else j + 1 if nested else 1
+    alias, steps, scope = {}, [], {}
+    ref = lambda f: "~" + alias.get(f[1:], f[1:]) if f[0] == "~" else alias.get(f, f)
+
+    def put(target, terms):
+        terms = [(c, *map(ref, fs)) for c, *fs in terms]
+        level[target] = max((level[f.lstrip("~")] for _, *fs in terms for f in fs), default=0)
+        line = []
+        _assign(line, target, terms, code, "")
+        source = line[0].split(" = ", 1)[1]
+        if source.isidentifier():
+            alias[target] = source
+        else:
+            steps.append((level[target], line[0]))
+
+    def call(target, function, value):  # the subset's points as a tuple, pts, first
+        if not scope:
+            steps.append((deep, f"pts = ({''.join(f'{p}, ' for p in z)})" if nested else f"pts = head + ({z[k]},)"))
+        scope[function] = value
+        level[target] = deep
+        steps.append((deep, f"{target} = {function}(pts)"))
+
+    if inline:
+        v = "one"
+        for t, (i, j) in enumerate([(i, j) for i in range(size) for j in range(i + 1, size)]):
+            put(f"d{i}_{j}", [(1, z[i]), (-1, z[j])])
+            put(f"v{t}", [(1, v, f"d{i}_{j}")])
+            v = f"v{t}"
+        narrow = [_offsets(lam._normalized) for lam in lams if 0 < len(lam._normalized) <= size and lam._normalized[0] <= 3]
+        names = _elementary(size, max((_top(c, size) for c in narrow), default=0), put)
+    else:
+        call("v", "vandermonde", _vandermonde_of(kind, size))
+        v = "v"
+    for j, qj in enumerate(q):
+        put(f"w{j}", [(1, v, qj)])
+        v = f"w{j}"
+    u = []
+    for i, lam in enumerate(lams):
+        parts, t = lam._normalized, f"t{i}"
+        if not parts or len(parts) > size:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
+            t = "zero" if parts else "one"
+        elif inline and parts[0] <= 3:
+            _determinant(_band(_offsets(parts), size, names), t, put, code, f"c{i}_")
+        else:
+            call(t, f"band{i}", _schur_of(lam, kind, size))
+        put(f"u{i}", [(1, t, v)])
+        u.append(ref(f"u{i}"))
+    if columns:
+        labels = [f"i{j} + 1" for j in range(1, k)] + ["j"] * (k > 0) + ["m + 1"] if nested else ["*label", "m + 1"]
+        steps.append((deep, f"out.append((({''.join(f'{a}, ' for a in labels)}), {''.join(f'{a}, ' for a in u)}))"))
+    else:
+        for s, (i, j) in zip(sums, ij):
+            put(s, [(1, s), (1, f"u{i}", f"~u{j}")])
+    lines = ["def walk(x, w):", "    m = len(x) - 1", f"    {', '.join([z[k], *q[k:]])} = {', '.join(['x[m]', 'w[m]'][: 1 + weighted])}"]
+    lines += ["    out = []" if columns else f"    {' = '.join(sums)} = 0", f"    count = {int(k == 0)}"]
+    read = {word.strip("(),~*-") for _, line in steps for word in line.split()}
+    lines += [f"    {name} = {value}" for name, value in (("one", 1), ("zero", 0)) if name in read]
+    indent, start, first = "    ", "0", "1"  # the loop's first index, and its 1-based label
+    for depth in range(deep + 1):
+        if depth and not nested:  # one loop over the subsets of the other points
+            targets, sources = ["head"], [f"combinations(x[:m], {k})"]
+            if weighted:
+                targets.append("(" + "".join(f"{p}, " for p in q[:k]) + ")")
+                sources.append(f"combinations(w[:m], {k})")
+            if columns:
+                targets.append("label")
+                sources.append(f"combinations(range(1, m + 1), {k})")
+            lines += [indent + _for(targets, sources), f"{indent}    count += 1"]
+        elif depth and depth < k:
+            bound, values = [z[depth - 1], *q[depth - 1 : depth]], [f"x[i{depth}]", f"w[i{depth}]"][: 1 + weighted]
+            lines += [f"{indent}for i{depth} in range({start}, m - {k - depth}):", f"{indent}    {', '.join(bound)} = {', '.join(values)}"]
+            start, first = f"i{depth} + 1", f"i{depth} + 2"
+        elif depth:  # the innermost loop, whose trip count is the count of its subsets
+            targets, sources = [z[k - 1]], ["rest"]
+            if weighted:
+                targets.append(q[k - 1])
+                sources.append(f"w[{start}:m]")
+            if columns:
+                targets.insert(0, "j")
+                sources.insert(0, f"range({first}, m + 1)")
+            lines += [f"{indent}rest = x[{start}:m]", f"{indent}count += len(rest)", indent + _for(targets, sources)]
+        indent += "    " * (depth > 0)
+        lines += [indent + line for at, line in steps if at == depth]
+    lines.append("    return out" if columns else f"    return ({''.join(f'{s}, ' for s in sums)}), count")
+    return _compiled("walk", signature, lines, combinations=combinations, **scope)
+
+
 def _walked(d, lifted, size, columns=False):
-    """`_walker`'s walk over the `size`-point subsets of the lifted points
-    for the partitions of d (`_partitions_of`), passed `schur` and
+    """The walk over the `size`-point subsets of the lifted points for the
+    partitions of d (`_partitions_of`): `_appended_walker`'s for the subsets
+    that hold an appended point, else `_walker`'s, passed `schur` and
     `vandermonde` as bound here, read at call time, where a tracer can wrap
     them."""
     lams = _partitions_of(tuple(d))[size < len(d)]
-    walk = _walker(lifted.kind, len(lams), size, lifted.fixed, lifted.w is not None, columns)
-    return walk(lifted.x, lifted.w, lams, schur, vandermonde)
+    weighted = lifted.w is not None
+    if lifted.fixed:
+        return _appended_walker(lifted.kind, lams, size, weighted, columns)(lifted.x, lifted.w)
+    return _walker(lifted.kind, len(lams), size, weighted, columns)(lifted.x, lifted.w, lams, schur, vandermonde)
 
 
 # The most terms for which exact sums take `_minors_walk`.  Its code holds
@@ -706,7 +851,8 @@ def _residual_sum(d, lifted, a):
     negative value, where the fit is exact.
     """
     w = lifted.w
-    c, _ = _native(a, any(aj.im for aj in a), False)
+    c = [aj.value for aj in a]
+    c, _ = _native(c, _complex(c), False)
     r, total = [], 0
     for k, (xk, rk) in enumerate(zip(lifted.x, lifted.y)):
         for cj, dj in zip(c, d):

@@ -39,13 +39,15 @@ mixed-sign points, where the e-form elimination stayed below 4e-15 (see
 Demmel and Koev, "Accurate and efficient evaluation of Schur and Jack
 functions", Math. Comp. 2006).
 
-The float subset walker in `regress` calls `schur` and `vandermonde` once
+The batch subset walker in `regress` calls `schur` and `vandermonde` once
 per subset and partition (its exact subset sums are minors of the design
-matrix and call neither, up to `regress.MINORS_MAX_TERMS` terms), mostly on
-bands of width lam1 <= 3, whose whole arithmetic is a few multiply-adds, so
-the dispatch around that arithmetic is kept cheap: one type test on the
-first entry and two plain-dict lookups per call, the Schur code read off a
-table that each partition keeps.  Every point type has code tables of its
+matrix and call neither, up to `regress.MINORS_MAX_TERMS` terms; the loop
+nest of an appended point writes the narrow-band and V statements below
+inline, through the same writers, and calls a wider band's function from
+the tables), mostly on bands of width lam1 <= 3, whose whole arithmetic is a
+few multiply-adds, so the dispatch around that arithmetic is kept cheap: one
+type test on the first entry and two plain-dict lookups per call, the Schur
+code read off a table that each partition keeps.  Every point type has code tables of its
 own, and each function in them is built for that type's mode and code kind,
 so the route of a band is chosen once, when its code is built, and no call
 tests its point.  For narrow bands, and
@@ -395,21 +397,64 @@ def _vandermonde_function(r, kind):
     return _compiled("vandermonde", f"r={r} {kind}", lines)
 
 
-def _band(offsets, r, lines, kind):
-    """The entry names of the narrow band with the row offsets `offsets` on r
-    points, e_{c_i + j} in row i and column j where 0 <= c_i + j <= r and
-    "zero" elsewhere, once the steps of `elem_sym_all` up to the highest e_k
-    the band reads, the last of row 0, are written to `lines`; e_0 is
-    "one"."""
-    n = len(offsets)
-    top = min(offsets[0] + n - 1, r)
-    name = ["one", *(f"e{k}" for k in range(1, top + 1))]
+def _offsets(parts):
+    """The row offsets c_i = lam'_i - i of the dual Jacobi-Trudi band of the
+    normalized parts of lam: row i holds e_{c_i + j} in column j."""
+    return [c - i for i, c in enumerate(conjugate(Partition(parts)))]
+
+
+def _top(offsets, r):
+    """The highest e_k that the narrow band with the row offsets `offsets`
+    reads on r points: the last entry of row 0, or e_r."""
+    return min(offsets[0] + len(offsets) - 1, r)
+
+
+def _elementary(r, top, assign):
+    """The names of e_0, ..., e_top on r points, e_0 being "one", once the
+    steps of `elem_sym_all` up to e_top are written through
+    `assign(target, terms)`.  Step j folds in z_j, and each e_k it sets gets
+    a local of its own, e{k}_{j}, so every local is assigned once.  The
+    steps that e_k reads do not depend on top, so a larger top leaves the
+    bits of each e_k as they are."""
+    name = ["one"]
     for j in range(r):
+        new = name + [f"e{j + 1}_{j}"] * (j < top)
         if j < top:
-            _assign(lines, name[j + 1], [(1, name[j], f"z{j}")], kind)
+            assign(new[j + 1], [(1, name[j], f"z{j}")])
         for k in range(min(j, top), 0, -1):
-            _assign(lines, name[k], [(1, name[k]), (1, name[k - 1], f"z{j}")], kind)
-    return [[name[c + j] if 0 <= c + j <= r else "zero" for j in range(n)] for c in offsets]
+            new[k] = f"e{k}_{j}"
+            assign(new[k], [(1, name[k]), (1, name[k - 1], f"z{j}")])
+        name = new
+    return name
+
+
+def _band(offsets, r, names):
+    """The entry names of the narrow band with the row offsets `offsets` on r
+    points: e_{c_i + j}, from `names` (see `_elementary`), in row i and
+    column j where 0 <= c_i + j <= r, and "zero" elsewhere."""
+    n = len(offsets)
+    return [[names[c + j] if 0 <= c + j <= r else "zero" for j in range(n)] for c in offsets]
+
+
+def _determinant(entries, target, assign, kind, cofactor="c"):
+    """Write through `assign(target, terms)` the determinant of the band
+    `entries` of order 1 to 3 into `target`: `det`'s formula on the same
+    entries.  Order 3 is `_det3`'s expansion written out: the cofactors
+    {cofactor}0, {cofactor}1 and {cofactor}2, then a * c0 - b * c1 + c * c2;
+    "pairs" code skips the cofactor of a zero lead entry."""
+    if len(entries) == 1:
+        terms = [(1, entries[0][0])]
+    elif len(entries) == 2:
+        (a, b), (c, d) = entries
+        terms = [(1, a, d), (-1, b, c)]
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = entries
+        names = [f"{cofactor}{t}" for t in range(3)]
+        for lead, name, (p, q, s, t) in zip((a, b, c), names, [(e, i, f, h), (d, i, f, g), (d, h, e, g)]):
+            if lead != "zero" or kind != "pairs":
+                assign(name, [(1, p, q), (-1, s, t)])
+        terms = [(1, a, names[0]), (-1, b, names[1]), (1, c, names[2])]
+    assign(target, terms)
 
 
 def _schur_function(parts, r, exact, kind):
@@ -420,36 +465,23 @@ def _schur_function(parts, r, exact, kind):
     Every route reads the dual Jacobi-Trudi band off the row offsets
     c_i = lam'_i - i.  A band of width lam1 <= 3 on at most UNROLL_MAX_POINTS
     points is straight-line code in both modes: `elem_sym_all` unrolled up
-    to the highest e_k the matrix reads, then `det`'s formula on the same
-    entries, with the int 0 outside the band.  Order 3 is `_det3`'s
-    expansion written out: the cofactors c0, c1 and c2, then
-    a * c0 - b * c1 + c * c2; "pairs" code skips the cofactor of a zero lead
-    entry.  A wider band on at most UNROLL_MAX_POINTS float or complex points
+    to the highest e_k the matrix reads (`_elementary`), then `det`'s
+    formula on the same entries (`_determinant`), with the int 0 outside the
+    band.  A wider band on at most UNROLL_MAX_POINTS float or complex points
     is `_sliding_window`'s code; exact points on a wider band, and every
     point beyond UNROLL_MAX_POINTS, take `_wide_band`'s function of their
     mode.
     """
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z: 0 if parts else 1
-    offsets = [c - i for i, c in enumerate(conjugate(Partition(parts)))]
+    offsets = _offsets(parts)
     if r > UNROLL_MAX_POINTS or exact and parts[0] > 3:
         return _wide_band(parts, r, offsets, exact)
     if parts[0] > 3:
         return _sliding_window(parts, r, offsets, kind)
     body = []
-    entries = _band(offsets, r, body, kind)
-    if len(entries) == 1:
-        terms = [(1, entries[0][0])]
-    elif len(entries) == 2:
-        (a, b), (c, d) = entries
-        terms = [(1, a, d), (-1, b, c)]
-    else:
-        (a, b, c), (d, e, f), (g, h, i) = entries
-        for lead, cofactor, (p, q, s, t) in zip((a, b, c), ("c0", "c1", "c2"), [(e, i, f, h), (d, i, f, g), (d, h, e, g)]):
-            if lead != "zero" or kind != "pairs":
-                _assign(body, cofactor, [(1, p, q), (-1, s, t)], kind)
-        terms = [(1, a, "c0"), (-1, b, "c1"), (1, c, "c2")]
-    _assign(body, "s", terms, kind)
+    assign = lambda target, terms: _assign(body, target, terms, kind)
+    _determinant(_band(offsets, r, _elementary(r, _top(offsets, r), assign)), "s", assign, kind)
     lines = ["def schur(z):", *_unpack(r, kind, body), *body, f"    return {_value('s', kind)}"]
     return _compiled("schur", f"{parts} r={r} {kind}", lines)
 

@@ -580,10 +580,12 @@ def test_extend_b_matrix_beyond_the_float_range_raises_overflow_error():
 
 def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
     # a traced benchmark run counts subsets by wrapping regress.schur and
-    # regress.vandermonde, so the float kernel must call exactly those names,
-    # once per subset and partition and once per subset, in fits and
-    # appends; exact Gaussian data, whose sums are minors of the lifted
-    # design matrix (regress._minors_walk), calls neither
+    # regress.vandermonde, so the float fit must call exactly those names,
+    # once per subset and partition and once per subset.  An append's loop
+    # nest (regress._appended_walker) inlines its Schur and V statements and
+    # calls neither; its subsets show in the evaluation count instead.  Exact
+    # Gaussian data, whose sums are minors of the lifted design matrix
+    # (regress._minors_walk), calls neither
     calls = Counter()
 
     def counting(name, fn, point_arg):
@@ -608,13 +610,9 @@ def test_kernel_calls_the_regress_bound_symfunc_names(monkeypatch):
     }
     state = init_state(d, DataSet(data.x[:-1], data.y[:-1], data.w and data.w[:-1]))
     calls.clear()
-    update(state, data.x[-1], data.y[-1], w[-1])
-    assert calls == {
-        ("vandermonde", 3): comb(m - 1, 2),
-        ("vandermonde", 2): m - 1,
-        ("schur", 3): comb(m - 1, 2),
-        ("schur", 2): 3 * (m - 1),
-    }
+    appended = update(state, data.x[-1], data.y[-1], w[-1])
+    assert calls == {}
+    assert appended.evaluations - state.evaluations == comb(m - 1, 2) + 9 * (m - 1)
 
     exact_gaussian = random_dataset(random.Random(43), 15, complex_=True, weighted=True)
     assert regress._lift(exact_gaussian).kind is _Gaussian
@@ -828,6 +826,25 @@ def _parts(values):
     return [(type(v), repr(v.real), repr(v.imag)) for v in values]
 
 
+def _assert_walk_matches_the_reference(kind, lams, size, fixed, x, w):
+    # the sums and the columns of the generated walk over the `size`-point
+    # subsets that hold the last `fixed` points, `_walker`'s over all subsets
+    # or `_appended_walker`'s over those of an appended point, against the
+    # per-subset loop in `_helpers`
+    if fixed:
+        walk = lambda columns: regress._appended_walker(kind, tuple(lams), size, w is not None, columns)(x, w)
+    else:
+        walk = lambda columns: regress._walker(kind, len(lams), size, w is not None, columns)(x, w, lams, schur, vandermonde)
+    (sums, count), columns = walk(False), walk(True)
+    want_sums, want_count = hermitian_sums(x, w, fixed, lams, size)
+    assert count == want_count, (lams, size, len(x))
+    assert _parts(sums) == _parts(want_sums), (lams, size, len(x))
+    columns = [(label, _parts(u)) for label, *u in columns]
+    want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
+    assert columns == want, (lams, size, len(x))
+    assert len(columns) == count
+
+
 @pytest.mark.parametrize("kind", [float, complex, int, _Gaussian], ids=lambda t: t.__name__)
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("fixed", [0, 1])
@@ -835,21 +852,30 @@ def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
     # the generated walk of each lifted kind (exact ones take it past
     # MINORS_MAX_TERMS terms) sums and lists what the per-subset loop in
     # `_helpers` does, value for value and bit for bit, with the same count,
-    # column labels and column order; an empty walk's sums stay the int 0
+    # column labels and column order; an empty walk's sums stay the int 0.
+    # With fixed = 1 that is the loop nest of an append, whose Schur and V
+    # statements are inlined and hoisted, or on `_Gaussian` points and wide
+    # bands calls of `symfunc`'s compiled functions
     rng = random.Random(f"{kind.__name__}-{weighted}-{fixed}")
     for lams, size, counts in _WALKS:
         for m in counts:
             x, w = _walker_points(kind, m, rng)
-            w = w if weighted else None
-            sums, count = regress._walker(kind, len(lams), size, fixed, weighted)(x, w, lams, schur, vandermonde)
-            want_sums, want_count = hermitian_sums(x, w, fixed, lams, size)
-            assert count == want_count, (lams, size, m)
-            assert _parts(sums) == _parts(want_sums), (lams, size, m)
-            walk = regress._walker(kind, len(lams), size, fixed, weighted, columns=True)
-            columns = [(label, _parts(u)) for label, *u in walk(x, w, lams, schur, vandermonde)]
-            want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
-            assert columns == want, (lams, size, m)
-            assert len(columns) == count
+            _assert_walk_matches_the_reference(kind, lams, size, fixed, x, w if weighted else None)
+
+
+@pytest.mark.parametrize("kind", [float, complex, int, _Gaussian], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_an_appended_walk_past_the_nesting_limit_matches_the_reference(kind, weighted):
+    # Python nests at most 20 blocks, so the appended walk over subsets of
+    # more than UNROLL_MAX_POINTS points is one `combinations` loop: here 21
+    # and 22 points, bands of width 1 to 3 and a 7-wide one, bit for bit
+    # against the reference loop, with its count, labels and order
+    rng = random.Random(f"nesting-{kind.__name__}-{weighted}")
+    lams = [Partition(()), Partition((1,)), Partition((2, 1)), Partition((3, 3, 1)), Partition((7, 2))]
+    for m in (21, 22):
+        x, w = _walker_points(kind, m, rng)
+        for size in (21, 22):
+            _assert_walk_matches_the_reference(kind, lams, size, 1, x, w if weighted else None)
 
 
 # (exponents, point counts) of the minors walk: one term, whose S sums over

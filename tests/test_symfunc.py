@@ -10,7 +10,7 @@ import pytest
 from schurfit.numeric import Scalar, ScalarModeError, _Gaussian
 from schurfit.partitions import Partition, conjugate, staircase
 from schurfit.reference import alternating, schur_bialternant, schur_tableaux
-from schurfit.regress import _minors_walk, _walker
+from schurfit.regress import _appended_walker, _minors_walk, _walker
 from schurfit import regress, symfunc
 from schurfit.symfunc import (
     UNROLL_MAX_POINTS,
@@ -803,6 +803,10 @@ def test_exact_det3_matches_the_bordered_elimination():
             assert got == want, rows
 
 
+# the partitions of the drops of (4,2,0), the S pass of an append
+_DROPS = (Partition((1,)), Partition((3,)), Partition((3, 2)))
+
+
 def test_each_generated_function_has_its_own_source_name():
     # a profile keys a function by (file name, line, name), so generated
     # functions that shared one file name would be reported on one line;
@@ -813,14 +817,14 @@ def test_each_generated_function_has_its_own_source_name():
         _schur_of(Partition((3, 2)), float, 3),
         _vandermonde_of(float, 3),
         _vandermonde_of(float, 4),
-        _walker(float, 3, 3, 0, False),
-        _walker(float, 3, 2, 1, True),
+        _walker(float, 3, 3, False),
+        _appended_walker(float, _DROPS, 2, True),
         _schur_of(Partition((2, 1)), _Gaussian, 3),
         _vandermonde_of(_Gaussian, 3),
         _minors_walk(3, 1, _Gaussian),
         _schur_of(Partition((2, 1)), complex, 3),
         _vandermonde_of(complex, 3),
-        _walker(complex, 3, 2, 1, True),
+        _appended_walker(complex, _DROPS, 2, True),
     ]
     names = [code.__code__.co_filename for code in codes]
     assert len(set(names)) == len(names), names
@@ -836,9 +840,12 @@ def test_each_generated_function_has_its_own_source_name():
 
 def test_real_code_drops_unit_factors_and_conjugates(monkeypatch):
     # real Schur and V code, for float, int and Fraction points, neither
-    # multiplies by one nor binds it, and the walkers of float points call no
-    # .conjugate(); complex code keeps both, as does the walker of complex
-    # points.  The minors walks of int and `_Gaussian` points do neither
+    # multiplies by one nor binds it, and the walkers of float points, the
+    # appended walk's loop nest included, call no .conjugate(); complex code
+    # keeps both, as do the walkers of complex points.  The minors walks of
+    # int and `_Gaussian` points do neither.  Each builder compiles one
+    # source: the nest inlines the narrow bands of (4,2,0) and builds no
+    # Schur or V code of its own
     sources = {}
     compiled = symfunc._compiled
 
@@ -854,8 +861,8 @@ def test_real_code_drops_unit_factors_and_conjugates(monkeypatch):
         for r in (2, 3, 5):
             _vandermonde_function(r, code_kind)
     for number in (float, complex):
-        _walker.__wrapped__(number, 3, 3, 0, False)
-        _walker.__wrapped__(number, 3, 2, 1, True)
+        _walker.__wrapped__(number, 3, 3, False)
+        _appended_walker.__wrapped__(number, _DROPS, 2, True)
     _minors_walk.__wrapped__(3, 0, int)
     _minors_walk.__wrapped__(3, 1, int, True)
     _minors_walk.__wrapped__(3, 1, _Gaussian)
