@@ -9,13 +9,16 @@ subset terms that contain it -- C(m, n-2) terms for the S increment R and
 C(m, n-1) for the D increment -- dropping the per-point cost from
 O(m^n) to O(m^(n-1)).  An append is a batch: the state's points with the new
 one last, which `regress._aggregates` sums over the subsets that hold that
-last point, giving the increments and the point's own moments; N is then
-re-derived from the updated S and T.  Float points, and exact ones of more
-than `regress.MINORS_MAX_TERMS` terms, sum those subsets in one generated
-loop nest (`regress._appended_walker`) that inlines the Schur and V
-statements, and exact ones of fewer terms in the minors walk, so an append
-makes no `schur` or `vandermonde` call; its subsets show in the evaluation
-count.  `update` and `extend_b_matrix` build
+last point, giving the increments and the point's own moments as native
+numbers.  They are added to the values of the stored Scalars, N is
+re-derived on the sums, and each stored value is made a Scalar once, in
+`_state`; the only Scalar operation is the division a_i = N_i / D on each
+read of the coefficients.  Exact and float appends take the same code.
+Float points, and exact ones of more than `regress.MINORS_MAX_TERMS` terms,
+sum those subsets in one generated loop nest (`regress._appended_walker`)
+that inlines the Schur and V statements, and exact ones of fewer terms in
+the minors walk, so an append makes no `schur` or `vandermonde` call; its
+subsets show in the evaluation count.  `update` and `extend_b_matrix` build
 that point set through one helper, which refuses a zero weight, a mix of
 weighted and unweighted points and a value of another mode than the stream's:
 the point is checked there, where it enters, and the kernel's lift trusts it.
@@ -160,12 +163,15 @@ class RegressionState:
 
 
 def _state(d, points, denom, s, t, evaluations):
-    """The state of these points and aggregates, with N derived; float
-    aggregates beyond the float range raise OverflowError before any state
-    holds them."""
-    n_vec = _checked_numerators(denom, s, t)
+    """The state of these points and native aggregates, with N derived on
+    them and each stored value made a Scalar once; float aggregates beyond
+    the float range raise OverflowError before any state holds them."""
+    exact = points.exact
+    n_vec = _checked_numerators(denom, s, t, exact)
+    s = [[Scalar(v, exact) for v in row] for row in s]
+    t, n_vec = [Scalar(v, exact) for v in t], [Scalar(v, exact) for v in n_vec]
     w = list(points.w) if points.w is not None else None
-    return RegressionState(d, list(points.x), list(points.y), w, s, t, n_vec, denom, evaluations)
+    return RegressionState(d, list(points.x), list(points.y), w, s, t, n_vec, Scalar(denom, exact), evaluations)
 
 
 def init_state(d, data=None, *, exact=True):
@@ -203,16 +209,16 @@ def update(state, x_new, y_new, w_new=None):
     """Append one data point and return the refreshed state.
 
     D, S and T each grow by the new point's increments from
-    `regress._aggregates`; N' is re-derived from S' and T', and the
-    coefficients are N'_i / D'.  In float mode, a D', S', T' or N' beyond
-    the float range raises OverflowError, and so does reading a coefficient
-    that is.
+    `regress._aggregates`, added to the stored values; N' is re-derived
+    from S' and T', and the coefficients are N'_i / D'.  In float mode, a
+    D', S', T' or N' beyond the float range raises OverflowError, and so
+    does reading a coefficient that is.
     """
     points = _appended(state, x_new, y_new, w_new)
     d_inc, r, dt, evals = _aggregates(state.d, _lift(points, 1))
-    s = [[sij + rij for sij, rij in zip(srow, rrow)] for srow, rrow in zip(state.s, r)]
-    t = [tj + dtj for tj, dtj in zip(state.t, dt)]
-    return _state(state.d, points, state.denom + d_inc, s, t, state.evaluations + evals)
+    s = [[sij.value + rij for sij, rij in zip(srow, rrow)] for srow, rrow in zip(state.s, r)]
+    t = [tj.value + dtj for tj, dtj in zip(state.t, dt)]
+    return _state(state.d, points, state.denom.value + d_inc, s, t, state.evaluations + evals)
 
 
 def extend_b_matrix(state, prior_b, x_new, w_new=None):
@@ -238,12 +244,12 @@ def extend_b_matrix(state, prior_b, x_new, w_new=None):
         raise ValueError("prior B matrix was built from other points than the state's")
 
     lifted = _lift(_appended(state, x_new, None, w_new), 1)
-    new_d = state.denom + _sums(d, lifted, with_s=False)[0]
-    _finite("the denominator D", [new_d])
+    new_d = state.denom.value + _sums(d, lifted, with_s=False)[0]
+    new_d = Scalar(_finite("the denominator D", [new_d], state.exact)[0], state.exact)
     entries = [list(row) for row in prior_b.entries]
     if not state.exact:
-        rescale = Scalar.from_float(prior_b.denominator_root / sqrt(float(new_d.re)))
-        entries = [[v * rescale for v in row] for row in entries]
+        rescale = prior_b.denominator_root / sqrt(float(new_d.re))
+        entries = [[Scalar(v.value * rescale, False) for v in row] for row in entries]
     b = BMatrix(entries=entries, columns=list(prior_b.columns), denominator_root_sq=new_d)
     _append_b_columns(b, d, lifted)
     return b

@@ -107,7 +107,6 @@ class Scalar:
     def conj(self):
         return Scalar(self.value.conjugate(), self.exact)
 
-    conjugate = conj  # the name of native numbers, for code that takes either
 
     def mag_sq(self):
         """conj(self) * self, always real and non-negative."""

@@ -38,16 +38,21 @@ pairs of int locals, which make one `_Gaussian` of each sum or B entry.
 The pseudoinverse B B* A* uses B B* = (-1)^(i+j) S_{i,j} / D and so never
 builds B.
 
-The walks compute on plain numbers: `_lift` converts points, weights and
-targets once per public call to float or complex, or scales exact ones to
-int or Gaussian-int pairs, and `_wrap` turns each sum or B entry back into a
-Scalar, undoing that scaling with one exact division.  The moment sums T and
-the residual norm are summed on the same lifted numbers.  A float fit wraps
-D, S and T once each and forms the numerators and coefficients as Scalars.
-An exact fit (`_exact_fit`) never wraps S or T: the lift scales every term
-of a numerator N_i alike, so N_i, a_i = N_i / D and the residuals are formed
-on the lifted ints, and each value it reports is wrapped once, one Fraction
-per nonzero part.  Exact powers X_k^{d_j} are raised once per call
+The walks compute on plain numbers, and a value becomes a Scalar only where
+it is stored or reported.  `_lift` converts points, weights and targets once
+per public call to float or complex, or scales exact ones to int or
+Gaussian-int pairs; `_normal` brings each sum back to the native value of a
+Scalar, undoing that scaling with one exact division, and `_wrap` makes it a
+Scalar.  The moment sums T and the residual norm are summed on the same
+lifted numbers.  `_aggregates` gives D, S and T as such native values, on
+which an append adds its increments and derives N (`incremental`), a float
+fit derives N and wraps only the D and N it reports, and `pseudoinverse`
+forms each entry, wrapped once; the one Scalar operation per coefficient is
+a_i = N_i / D (`_quotients`).  An exact fit (`_exact_fit`) goes further: the
+lift scales every term of a numerator N_i alike, so N_i, a_i = N_i / D and
+the residuals are formed on the lifted ints, and each value it reports is
+wrapped once, one Fraction per nonzero part.  Exact powers X_k^{d_j} are
+raised once per call
 (`_powers`) and shared by the rows, T and the residuals.  `_walker` calls
 `schur` and `vandermonde` as the names bound here, read at call time, where
 a tracer can wrap them, so a traced batch fit counts its subsets from those
@@ -254,14 +259,21 @@ def _lift_factor(lifted, degrees):
     return lifted.xscale ** sum(degrees) * lifted.wscale ** len(degrees)
 
 
-def _wrap(v, exact, scale=1):
-    """A kernel value as a Scalar of the data's mode; exact values are
-    divided by `scale` to undo the lift, one Fraction per nonzero part, and
-    a real one stays a Fraction."""
+def _normal(v, exact, scale=1):
+    """A kernel value as the native value of a Scalar of the data's mode:
+    exact values are divided by `scale` to undo the lift, one Fraction per
+    nonzero part, and a real one stays a Fraction; float values keep float
+    parts, complex only when the imaginary part is nonzero, as
+    `Scalar.from_float` forms them."""
     if exact:
         re = Fraction(v.real, scale)
-        return Scalar(_Gaussian(re, Fraction(v.imag, scale)) if v.imag else re, True)
-    return Scalar.from_float(v.real, v.imag)
+        return _Gaussian(re, Fraction(v.imag, scale)) if v.imag else re
+    return v if v.imag else float(v.real)
+
+
+def _wrap(v, exact, scale=1):
+    """A kernel value as a Scalar of the data's mode (`_normal`)."""
+    return Scalar(_normal(v, exact, scale), exact)
 
 
 def _for(targets, sources):
@@ -464,16 +476,24 @@ def _appended_walker(kind, lams, size, weighted, columns=False):
     return _compiled("walk", signature, lines, combinations=combinations, **scope)
 
 
+@lru_cache(maxsize=None)
+def _appended_walk(kind, d, size, weighted, columns):
+    """`_appended_walker` of the partitions of the exponent tuple d, found by
+    d: the key of `_appended_walker` holds Partitions, each hashed by a
+    Python call on every lookup, where d's ints hash in C."""
+    return _appended_walker(kind, _partitions_of(d)[size < len(d)], size, weighted, columns)
+
+
 def _walked(d, lifted, size, columns=False):
     """The walk over the `size`-point subsets of the lifted points for the
-    partitions of d (`_partitions_of`): `_appended_walker`'s for the subsets
-    that hold an appended point, else `_walker`'s, passed `schur` and
-    `vandermonde` as bound here, read at call time, where a tracer can wrap
-    them."""
-    lams = _partitions_of(tuple(d))[size < len(d)]
+    partitions of the exponent tuple d (`_partitions_of`): `_appended_walker`'s
+    for the subsets that hold an appended point, else `_walker`'s, passed
+    `schur` and `vandermonde` as bound here, read at call time, where a
+    tracer can wrap them."""
     weighted = lifted.w is not None
     if lifted.fixed:
-        return _appended_walker(lifted.kind, lams, size, weighted, columns)(lifted.x, lifted.w)
+        return _appended_walk(lifted.kind, d, size, weighted, columns)(lifted.x, lifted.w)
+    lams = _partitions_of(d)[size < len(d)]
     return _walker(lifted.kind, len(lams), size, weighted, columns)(lifted.x, lifted.w, lams, schur, vandermonde)
 
 
@@ -621,26 +641,30 @@ def _raw_sums(d, lifted, with_d=True, with_s=True, powers=None):
 def _hermitian(upper, n):
     """The n x n matrix whose upper triangle holds `upper`, row by row, and
     whose lower one its conjugates."""
-    s, values = [[None] * n for _ in range(n)], iter(upper)
+    s, k = [], 0
     for i in range(n):
-        for j in range(i, n):
-            s[i][j] = next(values)
-            s[j][i] = s[i][j].conjugate() if j > i else s[i][j]
+        s.append([s[j][i].conjugate() for j in range(i)] + list(upper[k : k + n - i]))
+        k += n - i
     return s
 
 
 def _sums(d, lifted, with_d=True, with_s=True, powers=None):
-    """D and S of `_raw_sums` as a Scalar and an n x n Scalar matrix, each
-    entry of D and of S's upper triangle wrapped once, divided by the lift's
-    scaling, and the number of terms summed."""
-    d, n = tuple(d), len(d)
+    """D and S of `_raw_sums` as native values and an n x n matrix of them,
+    each entry of D and of S's upper triangle divided by the lift's scaling
+    and brought to a Scalar's form once (`_normal`), and the number of terms
+    summed."""
+    d, n, exact = tuple(d), len(d), lifted.exact
     dsum, upper, count = _raw_sums(d, lifted, with_d, with_s, powers)
-    dvalue = None if dsum is None else _wrap(dsum, lifted.exact, _lift_factor(lifted, d) ** 2)
+    dvalue = None if dsum is None else _normal(dsum, exact, _lift_factor(lifted, d) ** 2)
     if upper is None:
         return dvalue, None, count
-    scales = [_lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
-    ij = [(i, j) for i in range(n) for j in range(i, n)]
-    return dvalue, _hermitian([_wrap(v, lifted.exact, scales[i] * scales[j]) for v, (i, j) in zip(upper, ij)], n), count
+    if exact:  # float values carry no scaling
+        scales = [_lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
+        ij = [(i, j) for i in range(n) for j in range(i, n)]
+        upper = [_normal(v, True, scales[i] * scales[j]) for v, (i, j) in zip(upper, ij)]
+    else:
+        upper = [_normal(v, False) for v in upper]
+    return dvalue, _hermitian(upper, n), count
 
 
 def _moment_sums(d, lifted, start, powers):
@@ -680,9 +704,9 @@ def _mag_sq(v):
 
 
 def _signed_numerators(s, t, zero):
-    """N_i = sum_j (-1)^(i+j) S_{i,j} T_j (1-based signs), each summed from
-    `zero`: Scalars from a Scalar zero, or the native numbers of an exact
-    fit, which are never Scalars, from the int 0."""
+    """N_i = sum_j (-1)^(i+j) S_{i,j} T_j (1-based signs) of native numbers,
+    each summed from `zero`: 0.0 in float mode, as `Scalar.zero` is, and the
+    int 0 for exact values."""
     n = len(t)
     out = []
     for i in range(n):
@@ -694,35 +718,36 @@ def _signed_numerators(s, t, zero):
     return out
 
 
-def _finite(what, values):
-    """`values`, or OverflowError naming `what` if one is a float inf or nan:
-    the fit has left the float range, and neither a report nor a snapshot
-    could carry it."""
-    if any(not v.exact and not isfinite(v.value) for v in values):
+def _finite(what, values, exact):
+    """`values`, or in float mode (not `exact`) OverflowError naming `what`
+    if one is an inf or nan: the fit has left the float range, and neither a
+    report nor a snapshot could carry it.  The values are native numbers or
+    float Scalars, which `isfinite` reads as complex."""
+    if not exact and not all(map(isfinite, values)):
         raise OverflowError(f"{what} is not finite in float arithmetic")
     return values
 
 
-def _checked_numerators(dvalue, s, t):
-    """N from S and T (`_signed_numerators`), once D, S, T and then N are
-    found finite (`_finite`)."""
-    _finite("the denominator D", [dvalue])
-    _finite("a minor sum S", [v for row in s for v in row])
-    _finite("a moment sum T", t)
-    return _finite("a numerator N", _signed_numerators(s, t, Scalar.zero(dvalue.exact)))
+def _checked_numerators(dvalue, s, t, exact):
+    """N from the native S and T (`_signed_numerators`), once D, S, T and
+    then N are found finite (`_finite`)."""
+    _finite("the denominator D", [dvalue], exact)
+    _finite("a minor sum S", [v for row in s for v in row], exact)
+    _finite("a moment sum T", t, exact)
+    return _finite("a numerator N", _signed_numerators(s, t, 0 if exact else 0.0), exact)
 
 
 def _aggregates(d, lifted):
-    """D, S, T and the evaluation count of the lifted points (see `_lift`).
-    With lifted.fixed = 1, the increments from appending the last point
-    instead: D and S summed over the subsets that hold it, and T of that
-    point alone.
+    """D, S, T and the evaluation count of the lifted points (see `_lift`),
+    D, S and T as native values in a Scalar's form (`_normal`).  With
+    lifted.fixed = 1, the increments from appending the last point instead:
+    D and S summed over the subsets that hold it, and T of that point alone.
     """
     powers = _powers(d, lifted) if lifted.exact else None
     dvalue, s, evaluations = _sums(d, lifted, powers=powers)
     t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0, powers)
     scale = lifted.yscale * lifted.wscale**2
-    return dvalue, s, [_wrap(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)], evaluations
+    return dvalue, s, [_normal(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)], evaluations
 
 
 def _quotients(d, x, numerators, dvalue):
@@ -730,7 +755,7 @@ def _quotients(d, x, numerators, dvalue):
     OverflowError if a float a_i, or the degeneracy floor, is not finite."""
     if _zero_denominator(dvalue, d, x):
         return None
-    return _finite("a coefficient", [ni / dvalue for ni in numerators])
+    return _finite("a coefficient", [ni / dvalue for ni in numerators], dvalue.exact)
 
 
 def _zero_denominator(dvalue, d, x):
@@ -749,7 +774,7 @@ def _zero_denominator(dvalue, d, x):
 def denominator(d, data):
     """The real non-negative denominator D = det((WA)*WA) as a subset sum."""
     _require_points(len(d), data)
-    return _sums(d, _lift(data), with_s=False)[0]
+    return Scalar(_sums(d, _lift(data), with_s=False)[0], data.exact)
 
 
 def minor_sum(d, data, i, j):
@@ -762,7 +787,7 @@ def minor_sum(d, data, i, j):
         raise InsufficientDataError(
             f"need at least {n - 1} points for the minor sums, got {data.m}"
         )
-    return _sums(d, _lift(data), with_d=False)[1][i - 1][j - 1]
+    return Scalar(_sums(d, _lift(data), with_d=False)[1][i - 1][j - 1], data.exact)
 
 
 def fit(d, data):
@@ -770,16 +795,19 @@ def fit(d, data):
 
     Exact mode returns the exact rational solution (`_exact_fit`): its S, T
     and N stay on the lifted ints, and each reported value is one Fraction,
-    or one per part of a complex one.  Uses weights from the data set when
-    present.  In float mode, a D, S, T, N, coefficient or degeneracy floor
-    of D beyond the float range raises OverflowError.
+    or one per part of a complex one.  Float mode forms D, S, T and N on
+    native numbers and makes Scalars of the reported D and N only.  Uses
+    weights from the data set when present.  In float mode, a D, S, T, N,
+    coefficient or degeneracy floor of D beyond the float range raises
+    OverflowError.
     """
     _require_points(len(d), data)
     lifted = _lift(data)
     if lifted.exact:
         return _exact_fit(d, lifted)
     dvalue, s, t, evaluations = _aggregates(d, lifted)
-    numerators = _checked_numerators(dvalue, s, t)
+    numerators = [Scalar(v, False) for v in _checked_numerators(dvalue, s, t, False)]
+    dvalue = Scalar(dvalue, False)
     a = _quotients(d, data.x, numerators, dvalue)
     if a is None:
         raise _rank_deficient(len(d))
@@ -890,13 +918,13 @@ def _residual_root(w, r, residual_sq):
 
 
 def _checked_denominator(d, data, with_s):
-    """D of a batch, its S (see `_sums`; None without `with_s`) and its
-    lifted points; raises when D vanishes or, in float mode, is not
-    finite."""
+    """D of a batch as a Scalar, its native S (see `_sums`; None without
+    `with_s`) and its lifted points; raises when D vanishes or, in float
+    mode, is not finite."""
     _require_points(len(d), data)
     lifted = _lift(data)
     dvalue, s, _ = _sums(d, lifted, with_s=with_s)
-    _finite("the denominator D", [dvalue])
+    dvalue = Scalar(_finite("the denominator D", [dvalue], lifted.exact)[0], lifted.exact)
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError("denominator vanishes: B is undefined")
     return dvalue, s, lifted
@@ -938,17 +966,20 @@ def b_matrix(d, data):
 def pseudoinverse(d, data):
     """The solution operator B B* A* (times W*W when weighted) as n x m.
 
-    B B* = (-1)^(i+j) S_{i,j} / D, so B itself is never built: each entry is
-    a signed minor-sum combination with one final division by D, and no
-    square root ever appears.  In float mode an entry beyond the float range
-    raises OverflowError (`_finite`).  The projection onto the model's column
-    space is `design_matrix(d, data.x)` times this operator.
+    B B* = (-1)^(i+j) S_{i,j} / D, so B itself is never built: each entry,
+    sum_j (-1)^(i+j) S_{i,j} conj(x_k^{d_j}) |w_k|^2 / D, is a signed
+    minor-sum combination with one final division by D, and no square root
+    ever appears.  The entries are formed on the native values of S and of
+    the points and made Scalars once.  In float mode an entry beyond the
+    float range raises OverflowError (`_finite`).  The projection onto the
+    model's column space is `design_matrix(d, data.x)` times this operator.
     """
     dvalue, s, lifted = _checked_denominator(d, data, with_s=True)
+    exact, dvalue, w = lifted.exact, dvalue.value, data.w
     out = [[None] * data.m for _ in range(len(d))]
-    for k, row in enumerate(design_matrix(d, data.x)):
-        col = _signed_numerators(s, [v.conj() for v in row], Scalar.zero(dvalue.exact))
-        wsq = data.weight_sq(k)
+    for k, xk in enumerate(data.x):
+        col = _signed_numerators(s, [scalar_pow(xk.value, dj).conjugate() for dj in d], 0 if exact else 0.0)
+        wsq = 1 if w is None else _mag_sq(w[k].value)
         for i, ci in enumerate(col):
             out[i][k] = ci * wsq / dvalue
-    return [_finite("an entry of the pseudoinverse", row) for row in out]
+    return [[Scalar(v, exact) for v in _finite("an entry of the pseudoinverse", row, exact)] for row in out]

@@ -651,8 +651,10 @@ _KINDS = {float: "real", int: "real", Fraction: "real", complex: "complex", _Gau
 # route.  `schur` reads the Schur code through each partition's own table
 # (`Partition._codes`), by point type and then r, so that no call hashes a
 # tuple.  All are plain dicts, as a subscript of a dict subclass, such as
-# one with `__missing__`, costs more: a miss raises KeyError, on which
-# `_vandermonde_of` or `_schur_of` fills the entry.
+# one with `__missing__`, costs more.  A call makes one lookup, by the type of
+# its first entry and its length: a miss raises KeyError, or IndexError for
+# an empty point, on which `_vandermonde_of` or `_schur_of` fills the entry,
+# or for Scalar points `_scalar_code`, whose entries sit under Scalar.
 _vandermonde_code, _schur_code = {}, {}
 
 
@@ -687,17 +689,28 @@ def _scalar_type(mode, values):
     return complex if any(type(v) is complex for v in values) else float
 
 
+def _scalar_code(lam, r):
+    """s_lam's code, or V's if lam is None, on r Scalar points, kept under
+    Scalar in lam's table or V's: the code of the values' type
+    (`_scalar_type`) between `_unwrap` and `_wrap`."""
+
+    def code(z):
+        mode, z = _unwrap(z)
+        t = _scalar_type(mode, z)
+        return _wrap(mode, (_vandermonde_of(t, r) if lam is None else _schur_of(lam, t, r))(z))
+
+    (_vandermonde_code if lam is None else lam._codes).setdefault(Scalar, {})[r] = code
+    return code
+
+
 def vandermonde(z):
     """prod_{i<j} (z_i - z_j); empty and singleton points give 1.  The code
     is picked as `schur`'s."""
-    t = type(z[0]) if z else int
-    if t is Scalar:
-        mode, z = _unwrap(z)
-        return _wrap(mode, _vandermonde_of(_scalar_type(mode, z), len(z))(z))
     try:
-        code = _vandermonde_code[t][len(z)]
-    except KeyError:
-        code = _vandermonde_of(t, len(z))
+        code = _vandermonde_code[type(z[0])][len(z)]
+    except LookupError:  # an empty point, or code not built yet
+        t = type(z[0]) if z else int
+        code = _scalar_code(None, len(z)) if t is Scalar else _vandermonde_of(t, len(z))
     return code(z)
 
 
@@ -711,12 +724,9 @@ def schur(lam, z):
     between `_unwrap` and `_wrap`.  The code for (lam, len(z)) is compiled
     once per type; see `_schur_function`.
     """
-    t = type(z[0]) if z else int
-    if t is Scalar:
-        mode, z = _unwrap(z)
-        return _wrap(mode, _schur_of(lam, _scalar_type(mode, z), len(z))(z))
     try:
-        code = lam._codes[t][len(z)]
-    except KeyError:
-        code = _schur_of(lam, t, len(z))
+        code = lam._codes[type(z[0])][len(z)]
+    except LookupError:  # an empty point, or code not built yet
+        t = type(z[0]) if z else int
+        code = _scalar_code(lam, len(z)) if t is Scalar else _schur_of(lam, t, len(z))
     return code(z)

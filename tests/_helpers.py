@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
-from schurfit import DataSet, Exponents
+from schurfit import DataSet, Exponents, incremental, regress
 from schurfit.numeric import Scalar, format_scalar
 from schurfit.partitions import conjugate
 from schurfit.symfunc import det, elem_sym_all, schur, vandermonde
@@ -161,3 +161,42 @@ def hermitian_sums(x, w, fixed, lams, size):
             for j in range(i, n):
                 acc[i][j] = acc[i][j] + u[i] * u_conj[j]
     return [acc[i][j] for i in range(n) for j in range(i, n)], len(columns)
+
+
+def scalar_bookkeeping(state, x_new, y_new, w_new=None):
+    """(D, S, T, N) of `state` after appending (x_new, y_new, w_new), kept as
+    the Scalar bookkeeping that `incremental.update` once did around the
+    kernel's native sums: each increment made a Scalar (float ones by
+    `Scalar.from_float`, exact ones as Fractions of the lift), S's lower
+    triangle by `Scalar.conj`, each added to the stored Scalar with Scalar
+    `+`, and N summed as Scalars from `Scalar.zero`.  The reference for the
+    native bookkeeping, which must store the same values of the same
+    types."""
+    lifted = regress._lift(incremental._appended(state, x_new, y_new, w_new), 1)
+    d, n, exact = tuple(state.d), len(state.d), state.exact
+    powers = regress._powers(d, lifted) if exact else None
+    dsum, upper, _ = regress._raw_sums(d, lifted, powers=powers)
+    t = regress._moment_sums(d, lifted, len(lifted.x) - 1, powers)
+
+    def wrap(v, scale):
+        if not exact:
+            return Scalar.from_float(v.real, v.imag)
+        return Scalar.from_exact(Fraction(v.real, scale), Fraction(v.imag, scale))
+
+    scales = [regress._lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
+    r, upper = [[None] * n for _ in range(n)], iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            r[i][j] = wrap(next(upper), scales[i] * scales[j])
+            r[j][i] = r[i][j].conj()
+    dt = [wrap(tj, lifted.xscale**dj * lifted.yscale * lifted.wscale**2) for tj, dj in zip(t, d)]
+    denom = state.denom + wrap(dsum, regress._lift_factor(lifted, d) ** 2)
+    s = [[sij + rij for sij, rij in zip(srow, rrow)] for srow, rrow in zip(state.s, r)]
+    t = [tj + dtj for tj, dtj in zip(state.t, dt)]
+    n_vec = []
+    for i in range(n):
+        acc = Scalar.zero(exact)
+        for j in range(n):
+            acc = acc + s[i][j] * t[j] if (i + j) % 2 == 0 else acc - s[i][j] * t[j]
+        n_vec.append(acc)
+    return denom, s, t, n_vec

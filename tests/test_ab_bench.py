@@ -70,3 +70,21 @@ def test_a_run_without_a_result_leaves_its_pair_out(tool):
     }
     rows = tool.table(summary).splitlines()
     assert len(rows) == 2 + 4 and "| a | `t` | 2 [2–2] | 1 [1–1] | -50.0 % | 3/3 |" in rows
+
+
+def test_per_layer_reads_each_sides_traced_line(tool):
+    # one traced run per side, as perfbench/run.py --trace 1 prints its last
+    # line; a metric the change's run did not print is None on that side
+    runs = [
+        {"workload": "w", "side": "parent", "seed": 101, "last_line": _line(**{"incremental.update_self_s": 0.5, "numeric.scalar_ops": 40})},
+        {"workload": "w", "side": "change", "seed": 101, "last_line": _line(**{"incremental.update_self_s": 0.25})},
+    ]
+    layers = tool.per_layer(runs, ["incremental.update_self_s", "numeric.scalar_ops"])
+    assert layers == {
+        "w": {
+            "incremental.update_self_s": {"parent": 0.5, "change": 0.25},
+            "numeric.scalar_ops": {"parent": 40, "change": None},
+        }
+    }
+    rows = tool.layer_table(layers).splitlines()
+    assert rows[2:] == ["| w | `incremental.update_self_s` | 0.5 | 0.25 |", "| w | `numeric.scalar_ops` | 40 | n/a |"]

@@ -23,7 +23,7 @@ from schurfit.regress import (
     minor_sum,
 )
 
-from _helpers import exact_scalar, random_dataset, random_exponents, scalars_equal
+from _helpers import exact_scalar, random_dataset, random_exponents, scalar_bookkeeping, scalars_equal
 
 
 def ex(*vals):
@@ -468,3 +468,53 @@ def test_degenerate_stream_recovers():
         state.coefficients,
         fit(d, DataSet(ex(2, 2, 5), ex(1, 1, 4))).coefficients,
     )
+
+
+def _signed_zero_stream(rng, m, complex_, weighted):
+    # float points whose parts include -0.0 and +0.0: x and y with -0.0 real
+    # or imaginary parts, and complex values whose imaginary part is a zero
+    def part():
+        return rng.choice((-0.0, 0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)))
+
+    def value(lo=None):
+        re = part() if lo is None else rng.choice((-1, 1)) * rng.uniform(lo, 2)
+        return Scalar(complex(re, part()) if complex_ else re, False)
+
+    x = [value(0.5) for _ in range(m)]
+    x[0] = Scalar(complex(-0.0, -0.0) if complex_ else -0.0, False)
+    y = [value() for _ in range(m)]
+    w = [Scalar(complex(rng.uniform(0.5, 2), part()) if complex_ else rng.uniform(0.5, 2), False) for _ in range(m)]
+    return DataSet(x, y, w if weighted else None)
+
+
+def _stored(values):
+    # each value's type and repr, down to the sign of a zero part
+    return [(type(v.value), repr(v.value)) for v in values]
+
+
+@pytest.mark.parametrize(
+    "complex_, weighted, exact",
+    [(False, False, False), (True, False, False), (True, True, False), (False, True, False), (True, True, True)],
+    ids=["float", "complex", "complex-weighted", "weighted", "exact-gaussian-weighted"],
+)
+def test_update_stores_what_the_scalar_bookkeeping_stored(complex_, weighted, exact):
+    # the native bookkeeping of `update` against the Scalar one it replaced
+    # (`_helpers.scalar_bookkeeping`): every stored D, S, T and N value has
+    # the same type and repr after each append
+    rng, d = random.Random(34), Exponents((4, 2, 0))
+    if exact:
+        data = random_dataset(rng, 9, complex_=True, weighted=True)
+    else:
+        data = _signed_zero_stream(rng, 9, complex_, weighted)
+    state = init_state(d, exact=exact)
+    for k in range(data.m):
+        point = (data.x[k], data.y[k], data.w[k] if data.w else None)
+        denom, s, t, n_vec = scalar_bookkeeping(state, *point)
+        state = update(state, *point)
+        assert _stored([state.denom]) == _stored([denom])
+        assert [_stored(row) for row in state.s] == [_stored(row) for row in s]
+        assert _stored(state.t) == _stored(t)
+        assert _stored(state.n_vec) == _stored(n_vec)
+    if not exact:
+        parts = [repr(p) for v in data.x + data.y for p in (v.value.real, v.value.imag)]
+        assert "-0.0" in parts

@@ -1080,10 +1080,11 @@ def _moment_cases():
 @pytest.mark.parametrize("d,data,scales", _moment_cases())
 def test_exact_moments_and_residual_match_scalar_arithmetic(d, data, scales):
     # T and the residual norm are summed on the lifted ints; summed again
-    # here on Scalars, without a lift, they must come out equal
+    # here on Scalars, without a lift, they must come out equal (T comes
+    # back as native values, the Scalars' values)
     lifted = regress._lift(data)
     assert (lifted.xscale, lifted.wscale, lifted.yscale) == scales
-    assert regress._aggregates(d, lifted)[2] == _scalar_moments(d, data)
+    assert [Scalar(v, True) for v in regress._aggregates(d, lifted)[2]] == _scalar_moments(d, data)
     result = fit(d, data)
     want = _scalar_residual_sq(d, data, result.coefficients)
     assert result.residual_sq == want
@@ -1105,7 +1106,8 @@ def test_exact_fit_makes_as_many_scalar_operations_at_any_size(monkeypatch):
     # the O(m) moment sums and residuals, and the numerators and quotients
     # too, run on lifted numbers, so an exact fit makes no Scalar operation
     # (counted as the benchmark's tracer counts them) at any size, while a
-    # float fit, whose N and a are Scalars, shows that the count works
+    # float fit, whose coefficients a = N / D are Scalar divisions, shows
+    # that the count works
     counts = Counter()
 
     def counted(name, method):
@@ -1126,3 +1128,37 @@ def test_exact_fit_makes_as_many_scalar_operations_at_any_size(monkeypatch):
     assert per_size[0] == per_size[1] == {}
     fit(d, random_dataset(random.Random(8), 8, exact=False))
     assert sum(counts.values()) > 0
+
+
+def _count_scalar_operations(monkeypatch):
+    # Scalar add, sub, mul and div calls, as the benchmark's tracer counts them
+    counts = Counter()
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        method = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda a, b, name=name, method=method: counts.update([name]) or method(a, b))
+    return counts
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_appends_and_the_pseudoinverse_make_no_scalar_operation(monkeypatch, m):
+    # D, S, T and N are summed on native numbers and each stored value is
+    # made a Scalar once, so a stream of float, complex, weighted or exact
+    # points and a float pseudoinverse make no Scalar operation at any size;
+    # a float fit's only ones are its n divisions a = N / D
+    d, rng = Exponents((4, 2, 0)), random.Random(m)
+    streams = [
+        random_dataset(rng, m, exact=False),
+        random_dataset(rng, m, exact=False, complex_=True),
+        random_dataset(rng, m, exact=False, complex_=True, weighted=True),
+        random_dataset(rng, m, complex_=True, weighted=True),
+    ]
+    counts = _count_scalar_operations(monkeypatch)
+    for data in streams:
+        state = init_state(d, exact=data.exact)
+        for k in range(m):
+            state = update(state, data.x[k], data.y[k], data.w[k] if data.w else None)
+        assert state.m == m
+    pseudoinverse(d, streams[2])
+    assert counts == {}
+    fit(d, streams[2])
+    assert counts == {"__truediv__": len(d)}

@@ -13,11 +13,13 @@ the host's speed weighs on both sides alike.  Each run is
 `PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S
 --seconds R --trace 0`, R being BENCHMARK.json's run_seconds, with every
 `__pycache__` removed from both copies before it, so that no run reuses
-bytecode that another one compiled.
+bytecode that another one compiled.  Then each side runs every workload once
+more with `--trace 1` on seed 101, which prints the per-layer metrics.
 
 The file holds the label, the Python version, the host, the parent commit,
-the protocol, every run with the raw JSON line it printed last, and a summary
-(`summarize`) of each end-to-end metric that BENCHMARK.json declares.
+the protocol, every run with the raw JSON line it printed last, a summary
+(`summarize`) of each end-to-end metric that BENCHMARK.json declares, and
+each side's per-layer values from the traced runs (`per_layer`).
 Standard library only.
 """
 
@@ -34,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(101, 111)
+TRACE_SEED = 101
 SIDES = ("parent", "change")
 
 PROTOCOL = (
@@ -41,13 +44,15 @@ PROTOCOL = (
     "first when k is odd; each run is PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W "
     "--seed S --seconds {seconds:g} --trace 0 in its own copy of the tree (the parent from git archive, "
     "the change a copy of the working tree's src/ and perfbench/), with every __pycache__ removed from "
-    "both copies before each run"
+    "both copies before each run; then one run per side and workload with --trace 1 on seed {trace_seed}, "
+    "in the same way"
 )
 METRICS = (
     "runs[].last_line is the raw JSON line each run printed last; summary gives, per workload and "
     "end-to-end metric, the quartiles [q1, median, q3] over the runs of each side (statistics.quantiles, "
     "exclusive method), the ratio of medians (change / parent) and the pairs in which each side was "
-    "better, by the metric's direction in BENCHMARK.json; a tie counts for neither side"
+    "better, by the metric's direction in BENCHMARK.json; a tie counts for neither side; traced_runs are "
+    "the traced runs, and per_layer gives, per workload and per-layer metric, each side's value in them"
 )
 
 
@@ -93,6 +98,18 @@ def summarize(runs, metrics):
     return out
 
 
+def per_layer(runs, metrics):
+    """{workload: {metric: {"parent": value, "change": value}}} of the traced
+    `runs` (dicts with workload, side and last_line) for the per-layer
+    `metrics` (names); a value that a run did not print is None."""
+    out = {}
+    for run in runs:
+        values = out.setdefault(run["workload"], {})
+        for metric in metrics:
+            values.setdefault(metric, dict.fromkeys(SIDES))[run["side"]] = _value(run, metric)
+    return out
+
+
 def _quartiles(values):
     """[q1, median, q3] of `values` by the exclusive method, or the value
     itself three times for a single value, or Nones for none."""
@@ -116,6 +133,16 @@ def table(summary):
             lines.append(
                 f"| {workload} | `{metric}` | {pm} [{p1}–{p3}] | {cm} [{c1}–{c3}] | {change} | {s['change_wins']}/{s['pairs']} |"
             )
+    return "\n".join(lines)
+
+
+def layer_table(layers):
+    """The per-layer values as Markdown table rows, one per workload and
+    metric."""
+    lines = ["| workload | per-layer metric | parent | change |", "|---|---|---|---|"]
+    for workload, metrics in layers.items():
+        for metric, values in metrics.items():
+            lines.append(f"| {workload} | `{metric}` | {_g(values['parent'])} | {_g(values['change'])} |")
     return "\n".join(lines)
 
 
@@ -146,12 +173,12 @@ def _copies(parent, workdir):
     return trees, commit
 
 
-def _run(tree, workload, seed, seconds, trees):
+def _run(tree, workload, seed, seconds, trees, trace=0):
     """One benchmark run in `tree`: its exit status and last output line."""
     for other in trees.values():
         _clear_bytecode(other)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", f"{seconds:g}", "--trace", "0"]
+    cmd += ["--seconds", f"{seconds:g}", "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=seconds * 10 + 300)
     lines = done.stdout.strip().splitlines()
@@ -169,33 +196,44 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="ab_bench-"))
     try:
         trees, commit = _copies(args.parent, workdir)
-        runs = []
-        for workload in (w["name"] for w in bench["workloads"]):
+        runs, traced = [], []
+        for workload in workloads:
             for pair, seed in enumerate(SEEDS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     status, last = _run(trees[side], workload, seed, seconds, trees)
                     run = {"workload": workload, "pair": pair, "side": side, "seed": seed, "exit": status}
                     runs.append(dict(run, last_line=last))
                     print(f"{workload} pair {pair} {side}: exit {status}", file=sys.stderr, flush=True)
+        for workload in workloads:
+            for side in SIDES:
+                status, last = _run(trees[side], workload, TRACE_SEED, seconds, trees, trace=1)
+                traced.append({"workload": workload, "side": side, "seed": TRACE_SEED, "exit": status, "last_line": last})
+                print(f"{workload} traced {side}: exit {status}", file=sys.stderr, flush=True)
     finally:
         if args.workdir is None:  # a temp dir of this run's own
             shutil.rmtree(workdir, ignore_errors=True)
     summary = summarize(runs, metrics)
+    layers = per_layer(traced, [m["name"] for m in bench["per_layer"]])
     result = {
         "label": args.label,
         "python": platform.python_version(),
         "host": args.host,
         "parent": commit,
-        "protocol": PROTOCOL.format(seconds=seconds),
+        "protocol": PROTOCOL.format(seconds=seconds, trace_seed=TRACE_SEED),
         "metrics": METRICS,
         "runs": runs,
         "summary": summary,
+        "traced_runs": traced,
+        "per_layer": layers,
     }
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(result, indent=1) + "\n")
     print(table(summary))
+    print()
+    print(layer_table(layers))
     return 0
 
 
