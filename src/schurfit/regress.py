@@ -51,9 +51,9 @@ forms each entry, wrapped once; the one Scalar operation per coefficient is
 a_i = N_i / D (`_quotients`).  An exact fit (`_exact_fit`) goes further: the
 lift scales every term of a numerator N_i alike, so N_i, a_i = N_i / D and
 the residuals are formed on the lifted ints, and each value it reports is
-wrapped once, one Fraction per nonzero part.  Exact powers X_k^{d_j} are
-raised once per call
-(`_powers`) and shared by the rows, T and the residuals.  `_walker` calls
+wrapped once, one Fraction per nonzero part.  Exact powers X_k^{d_j}, and
+those of a float fit's real points, are raised once per call (`_powers`)
+and shared by the rows, T and the residuals.  `_walker` calls
 `schur` and `vandermonde` as the names bound here, read at call time, where
 a tracer can wrap them, so a traced batch fit counts its subsets from those
 calls; an append's subsets are counted by its loop nest's trip counts, in
@@ -507,12 +507,19 @@ MINORS_MAX_TERMS = 10
 
 
 def _powers(d, lifted):
-    """X_k^{d_j} of each exact lifted point k and exponent j, raised once per
-    call and shared by the rows (`_rows`), the moment sums and the exact
-    fit's residuals: ints, or int pairs for `_Gaussian` points
-    (`_pair_pow`)."""
+    """X_k^{d_j} of each lifted point k and exponent j, raised once per call
+    and shared by the rows (`_rows`), the moment sums and the residuals:
+    ints, or int pairs for `_Gaussian` points (`_pair_pow`); for float
+    points `scalar_pow`'s repeated squaring, the bits that the moment sums,
+    on conj(x) = x, and the residuals each got raising them on their own;
+    None for complex points, whose moment sums raise conj(x) and whose
+    residuals raise x."""
+    if lifted.kind is complex:
+        return None
     if lifted.kind is _Gaussian:
         return [[_pair_pow(xk.real, xk.imag, dj) for dj in d] for xk in lifted.x]
+    if lifted.kind is float:
+        return [[scalar_pow(xk, dj) for dj in d] for xk in lifted.x]
     return [[xk**dj for dj in d] for xk in lifted.x]
 
 
@@ -669,8 +676,8 @@ def _sums(d, lifted, with_d=True, with_s=True, powers=None):
 
 def _moment_sums(d, lifted, start, powers):
     """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the lifted points from the
-    0-based index `start` on, each summed in the lifted type, exact points
-    on their `powers`, as int pairs for Gaussian data, so each T_j carries
+    0-based index `start` on, each summed in the lifted type, on the points'
+    `powers` if given, as int pairs for Gaussian data, so each T_j carries
     the lift's scaling xscale^{d_j} yscale wscale^2."""
     x, w, y = lifted.x, lifted.w, lifted.y
     t, ti = [0] * len(d), [0] * len(d)
@@ -737,13 +744,15 @@ def _checked_numerators(dvalue, s, t, exact):
     return _finite("a numerator N", _signed_numerators(s, t, 0 if exact else 0.0), exact)
 
 
-def _aggregates(d, lifted):
+def _aggregates(d, lifted, powers=None):
     """D, S, T and the evaluation count of the lifted points (see `_lift`),
     D, S and T as native values in a Scalar's form (`_normal`).  With
     lifted.fixed = 1, the increments from appending the last point instead:
     D and S summed over the subsets that hold it, and T of that point alone.
+    Exact points raise their `_powers` here; float points use `powers` if
+    given, else T raises each power it reads.
     """
-    powers = _powers(d, lifted) if lifted.exact else None
+    powers = _powers(d, lifted) if lifted.exact else powers
     dvalue, s, evaluations = _sums(d, lifted, powers=powers)
     t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0, powers)
     scale = lifted.yscale * lifted.wscale**2
@@ -805,13 +814,14 @@ def fit(d, data):
     lifted = _lift(data)
     if lifted.exact:
         return _exact_fit(d, lifted)
-    dvalue, s, t, evaluations = _aggregates(d, lifted)
+    powers = _powers(d, lifted)
+    dvalue, s, t, evaluations = _aggregates(d, lifted, powers)
     numerators = [Scalar(v, False) for v in _checked_numerators(dvalue, s, t, False)]
     dvalue = Scalar(dvalue, False)
     a = _quotients(d, data.x, numerators, dvalue)
     if a is None:
         raise _rank_deficient(len(d))
-    residual_sq, r = _residual_sum(d, lifted, a)
+    residual_sq, r = _residual_sum(d, lifted, a, powers)
     return FitResult(
         coefficients=a,
         denominator=dvalue,
@@ -869,10 +879,10 @@ def _exact_fit(d, lifted):
     )
 
 
-def _residual_sum(d, lifted, a):
+def _residual_sum(d, lifted, a, powers):
     """The squared minimal distance ||y - A a||_W^2 of the float coefficients
     `a` as a Scalar, summed directly as sum_k |w_k|^2 |r_k|^2, and the
-    residuals r_k.
+    residuals r_k, on the points' `powers`, raised here if None.
 
     The shorter identity ||y||_W^2 - Re<(WA)* W y | a> is a difference of two
     nearly equal numbers; in binary64 it can leave pure rounding noise, even a
@@ -881,10 +891,11 @@ def _residual_sum(d, lifted, a):
     w = lifted.w
     c = [aj.value for aj in a]
     c, _ = _native(c, _complex(c), False)
+    powers = powers or [[scalar_pow(xk, dj) for dj in d] for xk in lifted.x]
     r, total = [], 0
-    for k, (xk, rk) in enumerate(zip(lifted.x, lifted.y)):
-        for cj, dj in zip(c, d):
-            rk = rk - cj * scalar_pow(xk, dj)
+    for k, (row, rk) in enumerate(zip(powers, lifted.y)):
+        for cj, p in zip(c, row):
+            rk = rk - cj * p
         r.append(rk)
         sq = _mag_sq(rk)
         total = total + (sq if w is None else sq * _mag_sq(w[k]))

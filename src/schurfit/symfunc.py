@@ -24,8 +24,10 @@ the pivot row is nonzero, so the band's zeros cost a zero test each.  On at
 most UNROLL_MAX_POINTS float or complex points that elimination is generated
 code on a window of locals that slides down the band (`_sliding_window`),
 which reads only the rows and columns that the band and its fill can reach:
-O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Otherwise `det`
-takes the rows as slices of one zero-padded list of the e_k.  Narrow
+O(lam1 * l(lam) * (r + l(lam))) work instead of O(lam1^3).  Otherwise, and
+where the window would be the whole matrix, the rows are slices of one
+zero-padded list of the e_k, which `det`'s elimination (`_eliminate`) takes
+within the same rows and columns, told by the band's row offsets.  Narrow
 and wide bands read their entries off one per-key table, the row offsets
 c_i = lam'_i - i, without a lam1 x lam1 index matrix.
 
@@ -59,9 +61,13 @@ A 3 x 3 band writes out `_det3`, the cofactor expansion that `det` uses at
 order 3 in both modes.  Wider bands, such as the 38- and 39-wide ones of
 (40, 20, 0), take on float and complex points `_sliding_window`'s code:
 `det`'s steps written out, one loop per window height, compiled once
-for every band that the window covers.  Exact points on wider bands, and
-float points on more than UNROLL_MAX_POINTS points, take `_wide_band`'s
-function of their mode, the h-form or the e-form one.  One writer,
+for every band that the window covers, whose steps after the first of each
+height hold the fresh row (1, e_1, ...) as the loop's constants; each band
+reads its e_k and head rows from straight-line code of its own
+(`_window_rows`).  Exact points on wider bands, float points on more than
+UNROLL_MAX_POINTS points, and float bands whose window would be the whole
+matrix take `_wide_band`'s function of their mode, the h-form or the
+e-form one.  One writer,
 `_assign`, writes every statement of the narrow-band, V and subset walker
 code, in one of three code kinds that only the point type sets (see "The
 statement writer" below): real code for float, int and Fraction points
@@ -149,14 +155,15 @@ def det(rows, exact):
     entry tells the mode, and `exact` selects the pivot rule from order 4 on;
     the empty matrix gives the int 1.
 
-    From order 4 on, step k of the elimination walks column k once, rows k
-    to n - 1, to pick the pivot and list the other live rows, and updates
-    those rows only in the columns k + 1 to n - 1 where the pivot row is
-    nonzero: a skipped update is a - 0*b, so finite results are bit-identical
-    to dense LU, and the rows and columns of a band that hold only zeros cost
-    a zero test each.  A later row takes the pivot from the current one only
-    if its key is strictly greater, so the pivot is the first live row of
-    largest key, the row that `max` picks, ties and NaN keys included.  Float
+    From order 4 on, step k of the elimination (`_eliminate`, over whole
+    columns here) walks column k once, rows k to n - 1, to pick the pivot
+    and list the other live rows, and updates those rows only in the
+    columns k + 1 to n - 1 where the pivot row is nonzero: a skipped update
+    is a - 0*b, so finite results are bit-identical to dense LU, and the rows
+    and columns of a band that hold only zeros cost a zero test each.  A
+    later row takes the pivot from the current one only if its key is
+    strictly greater, so the pivot is the first live row of largest key, the
+    row that `max` picks, ties and NaN keys included.  Float
     mode pivots on |x|^2 (partial pivoting): re^2 + im^2 for a complex entry
     and x * x for any other, a float or the int e_0 = 1 of a Jacobi-Trudi
     row, the bits of |x|^2 taken through `complex(x)`.  Exact mode pivots on
@@ -182,11 +189,22 @@ def det(rows, exact):
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         return _det3(*rows[0], *rows[1], *rows[2])
-    a = [list(row) for row in rows]
+    full = [n] * n
+    return _eliminate([list(row) for row in rows], exact, full, full)
+
+
+def _eliminate(a, exact, below, reach):
+    """`det`'s elimination of the n x n row lists `a`, n >= 4, in place.
+    Step k reads column k in rows k to below[k] - 1 only and the pivot row
+    in columns k + 1 to reach[k] - 1 only: every other entry there must be
+    zero, whatever the pivots, as in any matrix with below = reach =
+    (n, ..., n), `det`'s, or in the dual Jacobi-Trudi band (`_wide_band`).
+    The entries skipped are zeros, which `det` would skip too, so the
+    pivots, operands and order, and the bits, are those of the full scan."""
     d, sign = _One(), 1
-    for k in range(n):
+    for k in range(len(a)):
         p, others = -1, []
-        for i in range(k, n):
+        for i in range(k, below[k]):
             x = a[i][k]
             if not x:
                 continue
@@ -214,7 +232,7 @@ def det(rows, exact):
         unit = exact and pivot == 1
         if exact and not unit and type(pivot) is int:  # int / int would round to a float
             pivot = Fraction(pivot)
-        cols = [j for j in range(k + 1, n) if pivot_row[j]]
+        cols = [j for j in range(k + 1, reach[k]) if pivot_row[j]]
         for row in others:
             f = row[k] if unit else row[k] / pivot
             for j in cols:
@@ -468,9 +486,9 @@ def _schur_function(parts, r, exact, kind):
     to the highest e_k the matrix reads (`_elementary`), then `det`'s
     formula on the same entries (`_determinant`), with the int 0 outside the
     band.  A wider band on at most UNROLL_MAX_POINTS float or complex points
-    is `_sliding_window`'s code; exact points on a wider band, and every
-    point beyond UNROLL_MAX_POINTS, take `_wide_band`'s function of their
-    mode.
+    is `_sliding_window`'s code, unless its window would be the whole
+    matrix; exact points on a wider band, and every point beyond
+    UNROLL_MAX_POINTS, take `_wide_band`'s function of their mode.
     """
     if not parts or len(parts) > r:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
         return lambda z: 0 if parts else 1
@@ -490,8 +508,8 @@ def _wide_band(parts, r, offsets, exact):
     """s_lam on r points of one mode, `exact` or not, for a band wider than 3
     or on more than UNROLL_MAX_POINTS points, as a function of the point,
     from lam's row offsets c_i = lam'_i - i.  On at most UNROLL_MAX_POINTS
-    points only exact points reach it: float and complex ones take
-    `_sliding_window`.
+    points float and complex ones take `_sliding_window`, which sends here
+    only a band whose window would be the whole matrix.
 
     The function is the h-form one or the e-form one, chosen here.  Exact
     points take the l(lam) x l(lam) h-form (h_{lam_i - i + j}) when it is the
@@ -503,9 +521,14 @@ def _wide_band(parts, r, offsets, exact):
     0 <= c_i + j <= r, and zero elsewhere, so each row is one slice of the
     e_k padded with zeros on both sides: one padded list and lam1 slices per
     call, whose starts come from the row offsets in O(lam1) steps, where a
-    lam1 x lam1 index matrix would cost O(lam1^2).  `det` eliminates them
-    over whole columns: the band's zeros cost a zero test each, O(lam1^2) in
-    all, and its updates O(lam1 * l(lam) * (r + l(lam))).
+    lam1 x lam1 index matrix would cost O(lam1^2).  The offsets tell the
+    elimination where the band ends, as in `_sliding_window`: step k finds
+    column k nonzero only in the rows whose first nonzero column
+    first_i = max(0, -c_i) is at most k, the first below[k] rows, and no fill
+    reaches past the last nonzero column, min(lam1 - 1, r - c_i), of the last
+    of them (reach[k]), so `_eliminate` takes `det`'s pivots, operands and
+    order, and bits, in O(lam1 * l(lam) * (r + l(lam))) steps where `det`'s
+    whole columns would cost O(lam1^2) zero tests.
     """
     n = parts[0]
     if exact and len(parts) < n:
@@ -520,12 +543,17 @@ def _wide_band(parts, r, offsets, exact):
             return det([[h[k] if k is not None else 0 for k in row] for row in h_idx], True) or 0
 
         return schur
-    lead, trail = max(0, -offsets[-1]), max(0, offsets[0] + n - r - 1)
+    first = [max(0, -c) for c in offsets]
+    below = [bisect_right(first, k) for k in range(n)]
+    last = [min(n - 1, r - c) for c in offsets]
+    reach = [1 + last[b - 1] for b in below]
+    lead, trail = first[-1], max(0, offsets[0] + n - r - 1)
     starts = [lead + c for c in offsets]
 
     def schur(z):
         band = [0] * lead + elem_sym_all(z) + [0] * trail
-        return det([band[s : s + n] for s in starts], exact)
+        rows = [band[s : s + n] for s in starts]
+        return _eliminate(rows, exact, below, reach) if n > 3 else det(rows, exact)
 
     return schur
 
@@ -548,21 +576,43 @@ def _sliding_window(parts, r, offsets, kind):
     rows reads the top slots only.  Extra columns and rows past the band's
     reach or past lam1 feed no pivot, so a taller window serves as well, and
     one column wider (`_window_code`): lam's function runs its code on lam's
-    own head rows and loop counts, its defaults, under the file name
-    "<schurfit band parts r=r kind>"."""
+    own head rows (`_window_rows`) and loop counts, its defaults, under the
+    file name "<schurfit band parts r=r kind>".  A band whose window would
+    be the whole matrix, R_0 = lam1, gains nothing from it and takes
+    `_wide_band`'s e-form, `det`'s elimination, instead."""
     first = [max(0, -c) for c in offsets]
     sizes = [bisect_right(first, k) - k for k in range(parts[0])]
+    if sizes[0] == parts[0]:
+        return _wide_band(parts, r, offsets, False)
     window = _window_code(kind, min(r + 1, parts[0]), sizes[0])
     width, rows = window.shape
-    head = (*offsets[: sizes[0]], *[0] * (rows - sizes[0]))  # extra rows are never read
     steps = tuple(sizes.count(size) for size in range(rows, 1, -1))
-    zeros = [0] * max(0, offsets[0] + width - r - 1)
 
     def mixed(z):  # a float-first point with a complex entry: the complex code
         return _schur_of(Partition(parts), complex, r)(z)
 
-    code = window.__code__.replace(co_filename="<schurfit band %s r=%d %s>" % (parts, r, kind))
-    return FunctionType(code, window.__globals__, "schur", (mixed, zeros, head, steps))
+    signature = "%s r=%d %s" % (parts, r, kind)
+    head = _window_rows(r, offsets[: sizes[0]], width, rows, kind, signature)
+    code = window.__code__.replace(co_filename="<schurfit band %s>" % signature)
+    return FunctionType(code, window.__globals__, "schur", (mixed, head, steps))
+
+
+def _window_rows(r, offsets, width, rows, kind, signature):
+    """The function of the point that opens `_window_code`'s code on a band
+    on r points with the head row offsets `offsets`: it returns e_1, ...,
+    e_{width - 1}, then window row s, e_{c_s + j} for j < width, for each
+    of the `rows` slots, with the int 0 past e_r and in the slots past the
+    head, which are never read.  The e_k are `elem_sym_all`'s steps written
+    out (`_elementary`) in `kind`, so they keep its bits, without its loop,
+    a padded list or a slice per row."""
+    body = []
+    names = _elementary(r, min(offsets[0] + width - 1, r), lambda target, terms: _assign(body, target, terms, kind))
+    entry = lambda k: "0" if k > r else "1" if k == 0 else names[k]
+    heads = [offsets[s] if s < len(offsets) else None for s in range(rows)]
+    values = [entry(j) for j in range(1, width)]
+    values += [entry(c + j) if c is not None else "0" for c in heads for j in range(width)]
+    lines = ["def rows(z):", *_unpack(r, kind, body), *body, "    return " + ", ".join(values)]
+    return _compiled("rows", signature, lines)
 
 
 class _One:
@@ -581,56 +631,101 @@ _WINDOWS = {"real": [], "complex": []}
 def _window_code(kind, width, rows):
     """`_sliding_window`'s code in `kind` for a window of `width` columns and
     `rows` rows, its `shape`, or one compiled before that is taller or one
-    column wider: an extra row costs a slice per call, an extra column a few
-    operations per step, and so the bands of a fit's minor sums, on one point
-    fewer, run on the code of its denominator's.
+    column wider: an extra row costs a few locals per call, an extra column
+    a few operations per step, and so the bands of a fit's minor sums, on
+    one point fewer, run on the code of its denominator's.
 
-    schur(z, mixed, zeros, head, steps) serves the points of one table,
-    float in real code and complex in complex code, and tests none of them.
-    With e = elem_sym_all(z) + zeros, real code takes z to `mixed` unless
-    e_1 is a float: a complex entry after a float first one makes every e_k
-    complex, whose key is the complex code's.  Else it reads window row s
-    off e[head[s]:], runs steps[i] steps of rows - i rows, then the last
-    step, of one row.  Each step is `det`'s on the same operands in the same
-    order: the pivot is the first live row of largest key, x * x in real code
-    and x.real^2 + x.imag^2 in complex code, `det`'s float keys,
-    replaced only by a strictly greater key, so NaN keys never replace; no
-    live row gives the int 0; the pivot row is swapped into the top slot,
-    which flips the sign; each other live row takes f = a / pivot, then
-    a - f * b where the pivot row is nonzero; and d = d * pivot, from
-    d = `_One()`."""
+    schur(z, mixed, head, steps) serves the points of one table, float in
+    real code and complex in complex code, and tests none of them.  It
+    takes e_1, ..., e_{width - 1} and the window's head rows from head(z)
+    (`_window_rows`); real code takes z to `mixed` unless e_1 is a float: a
+    complex entry after a float first one makes every e_k complex, whose key
+    is the complex code's.  Then it runs steps[i] steps of rows - i rows,
+    then the last step, of one row.  Each step is `det`'s on the same
+    operands in the same order: the pivot is the first live row of largest
+    key, x * x in real code and x.real^2 + x.imag^2 in complex code, `det`'s
+    float keys, replaced only by a strictly greater key, so NaN keys never
+    replace; no live row gives the int 0; the pivot row is swapped into the
+    top slot, which flips the sign; each other live row takes f = a / pivot,
+    then a - f * b where the pivot row is nonzero; and d = d * pivot, from
+    d = `_One()`.
+
+    Every step of a height but its first holds the fresh row
+    (1, e_1, ...) in its bottom slot, so those steps take it as the loop's
+    constants, not as locals: its key is the int 1, it is always live, and
+    the step ends in one of two ways.  If the fresh row is not the pivot,
+    eliminating it gives e_j - (1 / pivot) * w0_j where w0_j is nonzero,
+    written straight into the slot it moves up to.  If it is, it swaps in as
+    (1, e_1, ...), which leaves d * 1 and a / 1 to the other rows, and the
+    row it displaces moves up with them.  Every other row of such a step
+    holds the int 0 in the window's last column, which it took as it moved
+    up and which only a fresh pivot's e_{width - 1} updates, so when the
+    fresh row is not the pivot no step reads that column but to hand the
+    fresh row's e_{width - 1} on."""
     for code in _WINDOWS[kind]:
         if width <= code.shape[0] <= width + 1 and code.shape[1] >= rows:
             return code
-    row = [", ".join("w%d_%d" % (s, j) for j in range(width)) for s in range(rows)]
     key = "{0} * {0}" if kind == "real" else "{0}.real * {0}.real + {0}.imag * {0}.imag"
-    fresh = ", ".join("e%d" % j for j in range(1, width))
-    lines = ["def schur(z, mixed, zeros, head, steps):", "    e = elem_sym_all(z) + zeros"]
+    w = [["w%d_%d" % (s, j) for j in range(width)] for s in range(rows)]
+    e = ["1", *("e%d" % j for j in range(1, width))]
+
+    def search(size):  # the first live row of largest key among the top `size` slots
+        out = ["p = 0 if w0_0 else -1", "b = " + key.format("w0_0")]
+        for s in range(1, size):
+            out += ["if w%d_0:" % s, "    t = " + key.format("w%d_0" % s)]
+            out += ["    if p < 0 or t > b:", "        p, b = %d, t" % s]
+        return out
+
+    def swaps(size, cols=width):  # the pivot slot's first `cols` entries into the top slot's
+        out = []
+        for s in range(1, size):
+            pair = ", ".join(w[0][:cols] + w[s][:cols]), ", ".join(w[s][:cols] + w[0][:cols])
+            out += ["if p == %d:" % s, "    %s = %s" % pair, "    neg = not neg"]
+        return out
+
+    def eliminate(s, pivot):  # slot s against the pivot row's entries
+        out = ["if w%d_0:" % s, "    f = w%d_0 / %s" % (s, pivot[0])]
+        for j in range(1, len(pivot)):
+            out += ["    if %s:" % pivot[j], "        w%d_%d = w%d_%d - f * %s" % (s, j, s, j, pivot[j])]
+        return out
+
+    def moved(sources, top=0):  # the rows `sources` one column on, into the slots from `top` down
+        targets = [name for s in range(top, top + len(sources)) for name in w[s]]
+        return "%s = %s" % (", ".join(targets), ", ".join(v for row in sources for v in (*row[1:], "0")))
+
+    def step(size):  # a step whose bottom slot holds a row of locals
+        out = [*search(size), "if p < 0:", "    return 0", *swaps(size), "d = d * w0_0"]
+        for s in range(1, size):
+            out += eliminate(s, w[0])
+        return out + [moved([w[s + 1]], s) for s in range(size - 1)]
+
+    def fresh(size):  # a step whose bottom slot holds the fresh row
+        top = size - 1
+        if top == 1:
+            out = ["if not w0_0 or 1 > %s:" % key.format("w0_0")]
+        else:
+            out = [*search(top), "if p < 0 or 1 > b:"]
+        taken = ["neg = not neg", "d = d * 1"]  # the fresh row takes the pivot
+        for s in range(top):
+            taken += eliminate(s, e)
+        taken.append(moved(w[1:top] + [w[0]]))
+        kept = [*swaps(top, width - 1), "d = d * w0_0"]  # a carried row keeps it
+        for s in range(1, top):
+            kept += eliminate(s, w[0][:-1])
+        fold = ["(%s - f * w0_%d if w0_%d else %s)" % (e[j], j, j, e[j]) for j in range(1, width - 1)]
+        kept += ["f = 1 / w0_0", moved(w[1:top] + [["1", *fold, e[-1]]])]
+        return out + ["    " + line for line in taken] + ["else:"] + ["    " + line for line in kept]
+
+    lines = ["def schur(z, mixed, head, steps):", "    %s = head(z)" % ", ".join(e[1:] + [v for row in w for v in row])]
     if kind == "real":
-        lines += ["    if type(e[1]) is not float:", "        return mixed(z)"]
-    lines.append("    _, %s = e[:%d]" % (fresh, width))
-    lines += ["    %s = e[head[%d]:head[%d] + %d]" % (row[s], s, s, width) for s in range(rows)]
+        lines += ["    if type(e1) is not float:", "        return mixed(z)"]
     lines.append("    d, neg, (%s,) = one, False, steps" % ", ".join("n%d" % i for i in range(rows - 1)))
     for size in range(rows, 1, -1):
-        step = ["p = 0 if w0_0 else -1", "b = " + key.format("w0_0")]
-        for s in range(1, size):
-            step += ["if w%d_0:" % s, "    t = " + key.format("w%d_0" % s)]
-            step += ["    if p < 0 or t > b:", "        p, b = %d, t" % s]
-        step += ["if p < 0:", "    return 0"]
-        for s in range(1, size):
-            swap = "%s, %s = %s, %s" % (row[0], row[s], row[s], row[0])
-            step += ["if p == %d:" % s, "    " + swap, "    neg = not neg"]
-        step.append("d = d * w0_0")
-        for s in range(1, size):
-            step += ["if w%d_0:" % s, "    f = w%d_0 / w0_0" % s]
-            for j in range(1, width):
-                step += ["    if w0_%d:" % j, "        w%d_%d = w%d_%d - f * w0_%d" % (s, j, s, j, j)]
-        step += ["%s = %s, 0" % (row[s], row[s + 1].split(", ", 1)[1]) for s in range(size - 1)]
-        step.append("%s = 1, %s" % (row[size - 1], fresh))
-        lines += ["    for _ in range(n%d):" % (rows - size), *("        " + line for line in step)]
+        n = "n%d" % (rows - size)
+        lines += ["    if %s:" % n, *("        " + line for line in step(size))]
+        lines += ["        for _ in range(%s - 1):" % n, *("            " + line for line in fresh(size))]
     lines += ["    if not w0_0:", "        return 0", "    d = d * w0_0", "    return -d if neg else d"]
-    scope = {"one": _One(), "elem_sym_all": elem_sym_all}
-    code = _compiled("schur", "window C=%d R=%d %s" % (width, rows, kind), lines, **scope)
+    code = _compiled("schur", "window C=%d R=%d %s" % (width, rows, kind), lines, one=_One())
     code.shape = width, rows
     _WINDOWS[kind].append(code)
     return code

@@ -2,6 +2,7 @@ import cProfile
 import math
 import pstats
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -1134,39 +1135,138 @@ def _window_outcomes(lam, z):
     return _outcome(schur, lam, z), _outcome(_wide_route(lam.normalized(), len(z), False), z), full
 
 
-def test_window_code_pivots_as_the_full_scan_does():
+def _fresh_step_lines(lines):
+    # the line numbers of the window code's steps that hold the fresh row
+    # as constants: the bodies of its `for _ in range(n - 1):` loops
+    out, loop = set(), None
+    for number, line in enumerate(lines, 1):
+        indent = len(line) - len(line.lstrip())
+        if loop is not None and indent > loop:
+            out.add(number)
+        else:
+            loop = indent if line.lstrip().startswith("for _ in range(") else None
+    return out
+
+
+def test_window_code_pivots_as_the_full_scan_does(monkeypatch):
     # points drawn from the pivot pool, so that the bands hold ties, squares
-    # that underflow, signed zeros, inf and NaN; a float-first point with a
-    # complex entry takes the complex code
+    # that underflow, signed zeros, inf and NaN, and entries below 1 in
+    # modulus, on which the fresh row (1, e_1, ...) takes the pivot; points
+    # (c, -c, ...), whose e_1 is 0; each point in both orders, so that a
+    # carried pivot of 0 and each branch of the steps meet both.  A
+    # float-first point with a complex entry takes the complex code.  Every
+    # line of the steps that hold the fresh row as constants runs, in real
+    # and complex code, so each of their branches gives the full scan's bits
+    monkeypatch.setattr(symfunc, "_WINDOWS", {"real": [], "complex": []})
+    monkeypatch.setattr(symfunc, "_schur_code", {})
+    sources, ran = {}, {}
+    compiled = symfunc._compiled
+
+    def keep(name, signature, lines, **scope):
+        code = compiled(name, signature, lines, **scope)
+        if signature.startswith("window"):
+            sources[code.__code__.co_code] = signature, lines, {number for *_, number in code.__code__.co_lines()}
+        return code
+
+    def trace(frame, event, arg):  # the lines that run in band functions
+        if not frame.f_code.co_filename.startswith("<schurfit band"):
+            return None
+        lines = ran.setdefault(frame.f_code.co_code, set())
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+
+        return line
+
+    monkeypatch.setattr(symfunc, "_compiled", keep)
     rng = random.Random(28)
-    inexact = [v for v in _PIVOT_POOL if isinstance(v, (float, complex))]
+    pool = _PIVOT_POOL + [0.25, -0.75, complex(0.25, -0.5)]
+    inexact = [v for v in pool if isinstance(v, (float, complex))]
     shapes = [(4,), (5, 2), (6, 3, 1), (4, 4, 4), (9, 4), (7, 3, 1), (5, 4, 3, 2), (4, 4, 4, 4), (6, 6, 1)]
-    checked = 0
-    for _ in range(1000):
-        r = rng.randint(1, 5)
-        z = (rng.choice(inexact), *(rng.choice(_PIVOT_POOL) for _ in range(r - 1)))
-        for parts in shapes:
-            if len(parts) <= r:
-                got, banded, full = _window_outcomes(Partition(parts), z)
-                assert got == banded == full, (parts, z)
-                checked += 1
-    assert checked > 3000
+    checked, tracing = 0, sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for _ in range(1000):
+            r = rng.randint(1, 5)
+            z = [rng.choice(inexact), *(rng.choice(pool) for _ in range(r - 1))]
+            if r > 1 and rng.random() < 0.3:
+                z[1] = -z[0]
+            for point in (tuple(z), tuple(z[::-1])):
+                if not isinstance(point[0], (float, complex)):
+                    continue
+                for parts in shapes:
+                    if len(parts) <= r:
+                        got, banded, full = _window_outcomes(Partition(parts), point)
+                        assert got == banded == full, (parts, point)
+                        checked += 1
+    finally:
+        sys.settrace(tracing)
+    assert checked > 5000
+    assert {signature.split()[-1] for signature, *_ in sources.values()} == {"real", "complex"}
+    for code, (signature, lines, numbered) in sources.items():  # an `else:` holds no instruction
+        missed = _fresh_step_lines(lines) & numbered - ran.get(code, set())
+        assert not missed, (signature, [lines[number - 1] for number in sorted(missed)])
 
 
 @pytest.mark.parametrize("parts, r", WINDOW_SHAPES, ids=str)
 def test_window_code_keeps_the_bits_of_the_band_limited_elimination(parts, r):
-    # random float, complex and signed-zero points and the special floats
-    # (+-inf, NaN, subnormals, +-0.0); the full scan too where lam1 <= 40
+    # random float, complex and signed-zero points, the special floats
+    # (+-inf, NaN, subnormals, +-0.0), points below 1 in modulus, whose
+    # fresh rows take pivots, and pairs (c, -c), whose e_k vanish, each in
+    # both orders; the full scan too where lam1 <= 40
     rng = random.Random(sum(parts) + r)
     lam = Partition(parts)
     for _ in range(2 if parts[0] > 1000 else 30):
         kinds = _point_kinds(rng, r)
-        for label in ("float", "complex", "signed_zero", "float_special"):
-            got, banded, full = _window_outcomes(lam, kinds[label])
-            assert got == banded, (label, kinds[label])
-            assert full in (None, got), (label, kinds[label])
+        kinds["small"] = tuple(rng.uniform(-0.7, 0.7) for _ in range(r))
+        pairs = [rng.choice([rng.uniform(0.2, 2), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]) for _ in range(r)]
+        kinds["plus_minus"] = tuple(c if k % 2 == 0 else -pairs[k - 1] for k, c in enumerate(pairs))
+        for label in ("float", "complex", "signed_zero", "float_special", "small", "plus_minus"):
+            for z in (kinds[label], kinds[label][::-1]):
+                got, banded, full = _window_outcomes(lam, z)
+                assert got == banded, (label, z)
+                assert full in (None, got), (label, z)
     z = tuple(rng.uniform(0.5, 3) for _ in range(r))
     assert _fingerprint(schur(lam, tuple(map(_as_scalar, z)))) == ("Scalar", False, _fingerprint(schur(lam, z)))
+
+
+def test_a_band_whose_window_is_the_whole_matrix_takes_det(monkeypatch):
+    # R_0 = lam1 rows hold column 0, so the window would be the whole
+    # lam1 x lam1 matrix: such a band, (17,)^16 on 16 points among them,
+    # compiles no window code and gives the bits of `det` on its rows
+    monkeypatch.setattr(symfunc, "_WINDOWS", {"real": [], "complex": []})
+    monkeypatch.setattr(symfunc, "_schur_code", {})
+    cases = [((17,) * 16, tuple(0.5 + k / 16 for k in range(16))), ((4, 4, 4), (0.5, -1.5, 2.0)),
+             ((5, 5, 5, 5), (0.5j, 1.5, -0.0, 0.25)), ((4, 4, 4), (-0.0, 0.0, float("nan")))]
+    for parts, z in cases:
+        lam = Partition(parts)
+        assert _fingerprint(schur(lam, z)) == _fingerprint(det(jacobi_trudi_rows(lam, z), False)), (parts, z)
+    assert symfunc._WINDOWS == {"real": [], "complex": []}
+
+
+def test_wide_bands_beyond_the_point_limit_read_only_the_band(monkeypatch):
+    # on more than UNROLL_MAX_POINTS float points, `_wide_band`'s e-form
+    # eliminates within the band's rows and columns: the entries it reads
+    # about double, where a full scan's nearly quadruple, when lam1 doubles,
+    # and the bits are those of `det` on the whole rows
+    reads = []
+
+    class Row(list):
+        def __getitem__(self, j):
+            reads[-1] += 1
+            return list.__getitem__(self, j)
+
+    z = tuple(0.5 + k / 17 for k in range(UNROLL_MAX_POINTS + 1))
+    lams = [Partition((n, 2)) for n in (150, 300)]
+    want = [_fingerprint(det(jacobi_trudi_rows(lam, z), False)) for lam in lams]
+    eliminate = symfunc._eliminate
+    monkeypatch.setattr(symfunc, "_eliminate", lambda a, *limits: eliminate([Row(row) for row in a], *limits))
+    for lam, bits in zip(lams, want):
+        reads.append(0)
+        assert _fingerprint(schur(lam, z)) == bits, lam
+    assert reads[1] < 2.5 * reads[0], reads
 
 
 @pytest.mark.parametrize("parts, r", WINDOW_SHAPES[:-1] + [((4, 4, 4, 4), 4), ((9, 4), 3)], ids=str)
