@@ -231,7 +231,22 @@ def parse_scalar(text, exact):
 
     Spaces may stand only next to a sign, as in "2 + 3i" or "- 3": a space
     between two other characters splits a number, as in "1 2" or "1e 3", and
-    is refused rather than read as one number."""
+    is refused rather than read as one number.
+
+    A float-mode str that does not end in "i" or "I" and that `float` reads
+    as a finite number is that number: the general parse below, after
+    stripping, would call `float` on the same digits.  Any other text --
+    a complex or "p/q" literal, a space inside a number, a value that is not
+    finite, or no str at all -- takes the general parse, which accepts and
+    refuses as it always has."""
+    if not exact and type(text) is str and text[-1:] not in ("i", "I"):
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return Scalar(value, False)
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")

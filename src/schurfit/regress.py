@@ -40,27 +40,32 @@ builds B.
 
 The walks compute on plain numbers, and a value becomes a Scalar only where
 it is stored or reported.  `_lift` converts points, weights and targets once
-per public call to float or complex, or scales exact ones to int or
-Gaussian-int pairs; `_normal` brings each sum back to the native value of a
-Scalar, undoing that scaling with one exact division, and `_wrap` makes it a
-Scalar.  The moment sums T and the residual norm are summed on the same
-lifted numbers.  `_aggregates` gives D, S and T as such native values, on
-which an append adds its increments and derives N (`incremental`), a float
-fit derives N and wraps only the D and N it reports, and `pseudoinverse`
-forms each entry, wrapped once; the one Scalar operation per coefficient is
-a_i = N_i / D (`_quotients`).  An exact fit (`_exact_fit`) goes further: the
-lift scales every term of a numerator N_i alike, so N_i, a_i = N_i / D and
-the residuals are formed on the lifted ints, and each value it reports is
-wrapped once, one Fraction per nonzero part.  Exact powers X_k^{d_j}, and
-those of a float fit's real points, are raised once per call (`_powers`)
-and shared by the rows, T and the residuals.  `_walker` calls
-`schur` and `vandermonde` as the names bound here, read at call time, where
-a tracer can wrap them, so a traced batch fit counts its subsets from those
-calls; an append's subsets are counted by its loop nest's trip counts, in
-the evaluation count.  The lifted points of one walk share one type, float,
-complex, int or `_Gaussian`, and `symfunc` keeps code tables per point type,
-built for the type's mode, so a walk's Schur calls never re-decide a band's
-route.
+per batch call to float or complex, or scales exact ones to int or
+Gaussian-int pairs.  A stream keeps the lift of its points, and an append
+extends it by the new point alone (`_extended`), lifted as `_lift` would
+lift it among the others; a point that would change how they lift, such as
+an exact part with a new denominator, lifts every point again.  `_normal`
+brings each sum back to the native value of a Scalar, undoing that scaling
+with one exact division, and `_wrap` makes it a Scalar.  The moment sums T
+and the residual norm are summed on the same lifted numbers.  `_aggregates`
+gives D, S and T as such native values, on which an append adds its
+increments and derives N (`incremental`), a float fit derives N and wraps
+only the D and N it reports, and `pseudoinverse` forms each entry, wrapped
+once; the one Scalar operation per coefficient is a_i = N_i / D
+(`_quotients`).  An exact fit (`_exact_fit`) goes further: the lift scales
+every term of a numerator N_i alike, so N_i, a_i = N_i / D and the residuals
+are formed on the lifted ints, and each value it reports is wrapped once,
+one Fraction per nonzero part.  Exact powers X_k^{d_j} and the rows built of
+them are raised once per lift and kept in it (`_kept`), where a stream's
+lift keeps them from one append to the next; a float fit raises the powers
+of its real points once (`_powers`).  The rows, T and the residuals share
+them.  `_walker` calls `schur` and `vandermonde` as the names bound here,
+read at call time, where a tracer can wrap them, so a traced batch fit
+counts its subsets from those calls; an append's subsets are counted by its
+loop nest's trip counts, in the evaluation count.  The lifted points of one
+walk share one type, float, complex, int or `_Gaussian`, and `symfunc` keeps
+code tables per point type, built for the type's mode, so a walk's Schur
+calls never re-decide a band's route.
 """
 
 from __future__ import annotations
@@ -192,9 +197,10 @@ def _partitions_of(d):
     return (lambda_from_degrees(d),), tuple(lambda_from_degrees(d[:i] + d[i + 1 :]) for i in range(len(d)))
 
 
-# points, weights and targets in the kernel's number type, and the factors by
-# which exact ones were scaled to integers; see `_lift`
-_Lifted = namedtuple("_Lifted", "x w y fixed exact kind xscale wscale yscale")
+# points, weights and targets in the kernel's number type, the factors by
+# which exact ones were scaled to integers (see `_lift`), and the powers and
+# rows that `_kept` raises of exact ones
+_Lifted = namedtuple("_Lifted", "x w y fixed exact kind xscale wscale yscale powers rows", defaults=(None, None))
 
 
 def _lift(points, fixed=0):
@@ -215,7 +221,8 @@ def _lift(points, fixed=0):
     weights and over the targets; float data keeps the scales 1 (see
     `_native`).  In the record, fixed (0 or 1) counts the trailing points
     that every subset must hold, and kind is the type of the lifted x and w:
-    float, complex, int or `_Gaussian`.
+    float, complex, int or `_Gaussian`.  It holds no powers or rows until
+    `_kept` raises them.
     """
     exact = points.exact
     x, w, y = ([s.value for s in v] if v is not None else None for v in (points.x, points.w, points.y))
@@ -249,6 +256,44 @@ def _native(values, gaussian, exact):
     ratios = [(v if type(v) is Fraction else v.real).as_integer_ratio() for v in values]
     scale = lcm(*(q for _, q in ratios))
     return [p * (scale // q) for p, q in ratios], scale
+
+
+def _extended(d, lifted, x, w, y):
+    """`lifted` with one more point last, of the native values x, w and y,
+    each lifted as `_lift` lifts it among the others, and with fixed = 1; a
+    y of None, as `incremental.extend_b_matrix` passes, leaves y out.  The
+    kept powers and rows (`_kept`) grow by the new point's, raised for the
+    exponents d.  Every list is a new one, so `lifted` stays as it was.
+
+    None if the point would change how the other points lift: a weight on
+    unweighted points or the reverse, a complex x or w on real ones, a
+    complex y on real targets, or an exact part whose denominator does not
+    divide the scale of its vector."""
+    exact, kind, ys = lifted.exact, lifted.kind, lifted.y
+    gaussian = kind is complex or kind is _Gaussian
+    ygaussian = bool(ys) and type(ys[0]) in (complex, _Gaussian)
+    if (w is None) != (lifted.w is None) or not gaussian and (x.imag or w is not None and w.imag):
+        return None
+    if y is not None and y.imag and not ygaussian:
+        return None
+    scales, powers, rows = (lifted.xscale, lifted.wscale, lifted.yscale), None, None
+    if exact:
+        new = []
+        for v, vgaussian, scale in zip((x, w, y), (gaussian, gaussian, ygaussian), scales):
+            if v is not None:
+                (v,), own = _native([v], vgaussian, exact)
+                if scale % own:
+                    return None
+                v = [v if own == scale else v * (scale // own)]
+            new.append(v)
+        point = _kept(d, _Lifted(*new, 1, exact, kind, *scales))
+        x, w, y = new
+        powers, rows = lifted.powers + point.powers, point.rows and lifted.rows + point.rows
+    else:  # as `_native` lifts float values, each alone, with the scale 1
+        x = [complex(x) if gaussian else x.real]
+        w = None if w is None else [complex(w) if gaussian else w.real]
+        y = None if y is None else [complex(y) if ygaussian else y.real]
+    return _Lifted(lifted.x + x, w and lifted.w + w, y and ys + y, 1, exact, kind, *scales, powers, rows)
 
 
 def _lift_factor(lifted, degrees):
@@ -507,12 +552,12 @@ MINORS_MAX_TERMS = 10
 
 
 def _powers(d, lifted):
-    """X_k^{d_j} of each lifted point k and exponent j, raised once per call
-    and shared by the rows (`_rows`), the moment sums and the residuals:
-    ints, or int pairs for `_Gaussian` points (`_pair_pow`); for float
-    points `scalar_pow`'s repeated squaring, the bits that the moment sums,
-    on conj(x) = x, and the residuals each got raising them on their own;
-    None for complex points, whose moment sums raise conj(x) and whose
+    """X_k^{d_j} of each lifted point k and exponent j, raised once (see
+    `_kept`) and shared by the rows (`_rows`), the moment sums and the
+    residuals: ints, or int pairs for `_Gaussian` points (`_pair_pow`); for
+    float points `scalar_pow`'s repeated squaring, the bits that the moment
+    sums, on conj(x) = x, and the residuals each got raising them on their
+    own; None for complex points, whose moment sums raise conj(x) and whose
     residuals raise x."""
     if lifted.kind is complex:
         return None
@@ -533,6 +578,18 @@ def _rows(d, lifted, powers=None):
     if lifted.kind is _Gaussian:
         return [tuple(part for p, q in row for part in (wk.real * p - wk.imag * q, wk.real * q + wk.imag * p)) for row, wk in zip(powers, w)]
     return [tuple(wk * p for p in row) for row, wk in zip(powers, w)]
+
+
+def _kept(d, lifted):
+    """`lifted` holding, for the exponents d, the `_powers` of its exact
+    points and, for at most MINORS_MAX_TERMS terms, their `_rows`: what the
+    minors walk, the moment sums and the exact fit read of them, raised once.
+    A lift that holds them is returned as it is, and so is a float one: the
+    subset walkers read no powers, and a float fit puts its own in."""
+    if not lifted.exact or lifted.powers is not None:
+        return lifted
+    powers = _powers(d, lifted)
+    return lifted._replace(powers=powers, rows=_rows(d, lifted, powers) if len(d) <= MINORS_MAX_TERMS else None)
 
 
 @lru_cache(maxsize=None)
@@ -617,7 +674,7 @@ def _minors_walk(n, fixed, kind, columns=False):
     return _compiled("walk", signature, lines, comb=comb)
 
 
-def _raw_sums(d, lifted, with_d=True, with_s=True, powers=None):
+def _raw_sums(d, lifted, with_d=True, with_s=True):
     """D and the upper triangle of the minor sums S, row by row, of the
     exponents d over the lifted points (see `_lift`), as the walk sums them
     in the lifted type, and the number of terms summed, C(m, n) for D and
@@ -627,14 +684,14 @@ def _raw_sums(d, lifted, with_d=True, with_s=True, powers=None):
     D sums |u|^2 over the n-point subsets, u = w_l s_lam(x_l) V(x_l), and
     S_{i,j} sums u_i conj(u_j) over the (n-1)-point subsets, u_i = w_l
     s_{lam[i]}(x_l) V(x_l) for the partitions of d's drops.  Exact points of
-    at most MINORS_MAX_TERMS terms take one `_minors_walk` on their rows,
-    from `powers` if given, which gives both; other points take `_walker`
-    once for each sum asked for, and a sum not asked for is None.  Each sum
-    carries the lift's scaling (`_lift_factor`) of its u.
+    at most MINORS_MAX_TERMS terms take one `_minors_walk` on the rows that
+    their lift keeps (`_kept`), which gives both; other points take the
+    walk of `_walked` once for each sum asked for, and a sum not asked for
+    is None.  Each sum carries the lift's scaling (`_lift_factor`) of its u.
     """
-    d, n = tuple(d), len(d)
+    n = len(d)
     if lifted.exact and n <= MINORS_MAX_TERMS:
-        (dsum, *upper), count = _minors_walk(n, lifted.fixed, lifted.kind)(_rows(d, lifted, powers))
+        (dsum, *upper), count = _minors_walk(n, lifted.fixed, lifted.kind)(lifted.rows)
         return dsum, upper, count
     dsum, upper, count = None, None, 0
     if with_d:
@@ -655,33 +712,33 @@ def _hermitian(upper, n):
     return s
 
 
-def _sums(d, lifted, with_d=True, with_s=True, powers=None):
-    """D and S of `_raw_sums` as native values and an n x n matrix of them,
-    each entry of D and of S's upper triangle divided by the lift's scaling
-    and brought to a Scalar's form once (`_normal`), and the number of terms
-    summed."""
-    d, n, exact = tuple(d), len(d), lifted.exact
-    dsum, upper, count = _raw_sums(d, lifted, with_d, with_s, powers)
-    dvalue = None if dsum is None else _normal(dsum, exact, _lift_factor(lifted, d) ** 2)
-    if upper is None:
-        return dvalue, None, count
-    if exact:  # float values carry no scaling
+def _sums(d, lifted, with_d=True, with_s=True):
+    """D and the upper triangle of S, row by row, of `_raw_sums` (None where
+    not asked for) as native values, each divided by the lift's scaling and
+    brought to a Scalar's form once (`_normal`), and the number of terms
+    summed; `_hermitian` makes the matrix S of the triangle."""
+    lifted = _kept(d, lifted)
+    dsum, upper, count = _raw_sums(d, lifted, with_d, with_s)
+    if not lifted.exact:  # float values carry no scaling
+        dvalue = None if dsum is None else _normal(dsum, False)
+        return dvalue, None if upper is None else [_normal(v, False) for v in upper], count
+    n = len(d)
+    dvalue = None if dsum is None else _normal(dsum, True, _lift_factor(lifted, d) ** 2)
+    if upper is not None:
         scales = [_lift_factor(lifted, d[:i] + d[i + 1 :]) for i in range(n)]
         ij = [(i, j) for i in range(n) for j in range(i, n)]
         upper = [_normal(v, True, scales[i] * scales[j]) for v, (i, j) in zip(upper, ij)]
-    else:
-        upper = [_normal(v, False) for v in upper]
-    return dvalue, _hermitian(upper, n), count
+    return dvalue, upper, count
 
 
-def _moment_sums(d, lifted, start, powers):
-    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the lifted points from the
-    0-based index `start` on, each summed in the lifted type, on the points'
-    `powers` if given, as int pairs for Gaussian data, so each T_j carries
-    the lift's scaling xscale^{d_j} yscale wscale^2."""
-    x, w, y = lifted.x, lifted.w, lifted.y
+def _moment_sums(d, lifted):
+    """T_j = sum_k |w_k|^2 conj(x_k)^{d_j} y_k over the lifted points, or with
+    lifted.fixed = 1 over the last alone, each summed in the lifted type, on
+    the powers that the lift holds, if any, as int pairs for Gaussian data,
+    so each T_j carries the lift's scaling xscale^{d_j} yscale wscale^2."""
+    x, w, y, powers = lifted.x, lifted.w, lifted.y, lifted.powers
     t, ti = [0] * len(d), [0] * len(d)
-    for k in range(start, len(x)):
+    for k in range(len(x) - 1 if lifted.fixed else 0, len(x)):
         wy = y[k] if w is None else _mag_sq(w[k]) * y[k]
         if lifted.kind is _Gaussian:  # conj(p + q i) (c + e i)
             c, e = wy.real, wy.imag
@@ -714,13 +771,13 @@ def _signed_numerators(s, t, zero):
     """N_i = sum_j (-1)^(i+j) S_{i,j} T_j (1-based signs) of native numbers,
     each summed from `zero`: 0.0 in float mode, as `Scalar.zero` is, and the
     int 0 for exact values."""
-    n = len(t)
     out = []
-    for i in range(n):
-        acc = zero
-        for j in range(n):
-            term = s[i][j] * t[j]
-            acc = acc + term if (i + j) % 2 == 0 else acc - term
+    for i, row in enumerate(s):
+        acc, plus = zero, i % 2 == 0
+        for sij, tj in zip(row, t):
+            term = sij * tj
+            acc = acc + term if plus else acc - term
+            plus = not plus
         out.append(acc)
     return out
 
@@ -744,19 +801,20 @@ def _checked_numerators(dvalue, s, t, exact):
     return _finite("a numerator N", _signed_numerators(s, t, 0 if exact else 0.0), exact)
 
 
-def _aggregates(d, lifted, powers=None):
-    """D, S, T and the evaluation count of the lifted points (see `_lift`),
-    D, S and T as native values in a Scalar's form (`_normal`).  With
-    lifted.fixed = 1, the increments from appending the last point instead:
-    D and S summed over the subsets that hold it, and T of that point alone.
-    Exact points raise their `_powers` here; float points use `powers` if
-    given, else T raises each power it reads.
+def _aggregates(d, lifted):
+    """D, the upper triangle of S (see `_sums`), T and the evaluation count
+    of the lifted points (see `_lift`), D, S and T as native values in a
+    Scalar's form (`_normal`).  With lifted.fixed = 1, the increments from
+    appending the last point instead: D and S summed over the subsets that
+    hold it, and T of that point alone.  Exact points read the powers that
+    their lift keeps (`_kept`); float points read those the lift holds, if
+    any, else T raises each power it reads.
     """
-    powers = _powers(d, lifted) if lifted.exact else powers
-    dvalue, s, evaluations = _sums(d, lifted, powers=powers)
-    t = _moment_sums(d, lifted, len(lifted.x) - 1 if lifted.fixed else 0, powers)
+    lifted = _kept(d, lifted)
+    dvalue, upper, evaluations = _sums(d, lifted)
     scale = lifted.yscale * lifted.wscale**2
-    return dvalue, s, [_normal(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(t, d)], evaluations
+    t = [_normal(tj, lifted.exact, lifted.xscale**dj * scale) for tj, dj in zip(_moment_sums(d, lifted), d)]
+    return dvalue, upper, t, evaluations
 
 
 def _quotients(d, x, numerators, dvalue):
@@ -796,7 +854,7 @@ def minor_sum(d, data, i, j):
         raise InsufficientDataError(
             f"need at least {n - 1} points for the minor sums, got {data.m}"
         )
-    return Scalar(_sums(d, _lift(data), with_d=False)[1][i - 1][j - 1], data.exact)
+    return Scalar(_hermitian(_sums(d, _lift(data), with_d=False)[1], n)[i - 1][j - 1], data.exact)
 
 
 def fit(d, data):
@@ -814,14 +872,14 @@ def fit(d, data):
     lifted = _lift(data)
     if lifted.exact:
         return _exact_fit(d, lifted)
-    powers = _powers(d, lifted)
-    dvalue, s, t, evaluations = _aggregates(d, lifted, powers)
-    numerators = [Scalar(v, False) for v in _checked_numerators(dvalue, s, t, False)]
+    lifted = lifted._replace(powers=_powers(d, lifted))
+    dvalue, upper, t, evaluations = _aggregates(d, lifted)
+    numerators = [Scalar(v, False) for v in _checked_numerators(dvalue, _hermitian(upper, len(d)), t, False)]
     dvalue = Scalar(dvalue, False)
     a = _quotients(d, data.x, numerators, dvalue)
     if a is None:
         raise _rank_deficient(len(d))
-    residual_sq, r = _residual_sum(d, lifted, a, powers)
+    residual_sq, r = _residual_sum(d, lifted, a)
     return FitResult(
         coefficients=a,
         denominator=dvalue,
@@ -849,14 +907,15 @@ def _exact_fit(d, lifted):
     (`_signed_numerators`), and a_i = N_i xscale^{d_i} / (yscale D) on the
     raw N_i and D, in which the weight scale cancels.  The residuals R_k =
     Y_k D - sum_j N_j X_k^{d_j} are then ints or Gaussian ints, with r_k =
-    R_k / (yscale D), on the same `_powers` as the rows and T.  Each
+    R_k / (yscale D), on the same powers as the rows and T (`_kept`).  Each
     reported value -- D, each N_i and a_i, the residual norm -- is wrapped
     once, one Fraction per nonzero part.
     """
     n, xscale, yscale = len(d), lifted.xscale, lifted.yscale
-    powers = _powers(d, lifted)
-    dsum, upper, evaluations = _raw_sums(d, lifted, powers=powers)
-    nums = _signed_numerators(_hermitian(upper, n), _moment_sums(d, lifted, 0, powers), 0)
+    lifted = _kept(d, lifted)
+    powers = lifted.powers
+    dsum, upper, evaluations = _raw_sums(d, lifted)
+    nums = _signed_numerators(_hermitian(upper, n), _moment_sums(d, lifted), 0)
     dsum = dsum.real  # a sum of |u|^2, whose Gaussian form has no imaginary part
     if not dsum:
         raise _rank_deficient(n)
@@ -879,10 +938,10 @@ def _exact_fit(d, lifted):
     )
 
 
-def _residual_sum(d, lifted, a, powers):
+def _residual_sum(d, lifted, a):
     """The squared minimal distance ||y - A a||_W^2 of the float coefficients
     `a` as a Scalar, summed directly as sum_k |w_k|^2 |r_k|^2, and the
-    residuals r_k, on the points' `powers`, raised here if None.
+    residuals r_k, on the powers that the lift holds, raised here if none.
 
     The shorter identity ||y||_W^2 - Re<(WA)* W y | a> is a difference of two
     nearly equal numbers; in binary64 it can leave pure rounding noise, even a
@@ -891,7 +950,7 @@ def _residual_sum(d, lifted, a, powers):
     w = lifted.w
     c = [aj.value for aj in a]
     c, _ = _native(c, _complex(c), False)
-    powers = powers or [[scalar_pow(xk, dj) for dj in d] for xk in lifted.x]
+    powers = lifted.powers or [[scalar_pow(xk, dj) for dj in d] for xk in lifted.x]
     r, total = [], 0
     for k, (row, rk) in enumerate(zip(powers, lifted.y)):
         for cj, p in zip(c, row):
@@ -929,12 +988,13 @@ def _residual_root(w, r, residual_sq):
 
 
 def _checked_denominator(d, data, with_s):
-    """D of a batch as a Scalar, its native S (see `_sums`; None without
-    `with_s`) and its lifted points; raises when D vanishes or, in float
-    mode, is not finite."""
+    """D of a batch as a Scalar, its native S as a matrix (see `_sums`; None
+    without `with_s`) and its lifted points (`_kept`); raises when D vanishes
+    or, in float mode, is not finite."""
     _require_points(len(d), data)
-    lifted = _lift(data)
-    dvalue, s, _ = _sums(d, lifted, with_s=with_s)
+    lifted = _kept(d, _lift(data))
+    dvalue, upper, _ = _sums(d, lifted, with_s=with_s)
+    s = None if upper is None else _hermitian(upper, len(d))
     dvalue = Scalar(_finite("the denominator D", [dvalue], lifted.exact)[0], lifted.exact)
     if _zero_denominator(dvalue, d, data.x):
         raise NonUniqueSolutionError("denominator vanishes: B is undefined")
@@ -945,11 +1005,12 @@ def _append_b_columns(b, d, lifted):
     """Append the column (-1)^(i+1) u_i (1-based i) for each (n-1)-subset,
     labelled by its 1-based points, as the walk of `_sums` lists them: the
     minors walk (`_minors_walk`) for exact points of at most
-    MINORS_MAX_TERMS terms, else `_walker`.  Float mode divides by sqrt(D)
-    before wrapping, exact mode by the lift's scaling of u_i."""
-    d, n = tuple(d), len(d)
+    MINORS_MAX_TERMS terms, on the rows that the lift keeps (`_kept`), else
+    the walk of `_walked`.  Float mode divides by sqrt(D) before wrapping,
+    exact mode by the lift's scaling of u_i."""
+    d, n, lifted = tuple(d), len(d), _kept(d, lifted)
     if lifted.exact and n <= MINORS_MAX_TERMS:
-        columns = _minors_walk(n, lifted.fixed, lifted.kind, columns=True)(_rows(d, lifted))
+        columns = _minors_walk(n, lifted.fixed, lifted.kind, columns=True)(lifted.rows)
     else:
         columns = _walked(d, lifted, n - 1, columns=True)
     root = b.denominator_root if b.normalized else None

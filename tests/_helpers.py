@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 import random
 
-from schurfit import DataSet, Exponents, incremental, regress
+from schurfit import DataSet, Exponents, regress
 from schurfit.numeric import Scalar, format_scalar
 from schurfit.partitions import conjugate
 from schurfit.symfunc import det, elem_sym_all, schur, vandermonde
@@ -172,11 +173,12 @@ def scalar_bookkeeping(state, x_new, y_new, w_new=None):
     `+`, and N summed as Scalars from `Scalar.zero`.  The reference for the
     native bookkeeping, which must store the same values of the same
     types."""
-    lifted = regress._lift(incremental._appended(state, x_new, y_new, w_new), 1)
     d, n, exact = tuple(state.d), len(state.d), state.exact
-    powers = regress._powers(d, lifted) if exact else None
-    dsum, upper, _ = regress._raw_sums(d, lifted, powers=powers)
-    t = regress._moment_sums(d, lifted, len(lifted.x) - 1, powers)
+    w = None if w_new is None else (state.w or []) + [w_new]
+    points = SimpleNamespace(x=state.x + [x_new], y=state.y + [y_new], w=w, exact=exact)
+    lifted = regress._kept(d, regress._lift(points, 1))  # every point lifted afresh
+    dsum, upper, _ = regress._raw_sums(d, lifted)
+    t = regress._moment_sums(d, lifted)
 
     def wrap(v, scale):
         if not exact:

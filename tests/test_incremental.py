@@ -1,7 +1,9 @@
+import json
 import random
 from dataclasses import fields
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -425,17 +427,23 @@ def test_snapshot_with_a_zero_weight_is_refused(exact, zero):
 
 
 def test_each_public_call_lifts_its_points_once(monkeypatch):
-    # batch fits and stream appends share one aggregate path that lifts x and
-    # w to the kernel's number type once per call
-    lift = regress._lift
-    lifts = []
+    # batch fits lift x and w to the kernel's number type once per call; an
+    # append to a state from init_state extends the state's lift by its point
+    # (`regress._extended`) and lifts no point of the stream again
+    lift, native = regress._lift, regress._native
+    lifts, lengths = [], []
 
     def counting(*args):
         lifts.append(args)
         return lift(*args)
 
+    def measuring(values, *args):
+        lengths.append(len(values))
+        return native(values, *args)
+
     monkeypatch.setattr(regress, "_lift", counting)
     monkeypatch.setattr(incremental, "_lift", counting)
+    monkeypatch.setattr(regress, "_native", measuring)
     d = Exponents((2, 1, 0))
     data = random_dataset(random.Random(60), 5, weighted=True)
     head = take(data, 4)
@@ -446,12 +454,168 @@ def test_each_public_call_lifts_its_points_once(monkeypatch):
         lambda: b_matrix(d, data),
         lambda: init_state(d, data),
         lambda: init_state(d, exact=True),
-        lambda: update(state, data.x[4], data.y[4], data.w[4]),
-        lambda: extend_b_matrix(state, prior, data.x[4], data.w[4]),
     ):
         lifts.clear()
         call()
         assert len(lifts) == 1
+    # integral, so its denominators divide the stream's scales
+    x, y, w = ex(7, -2, 3)
+    for call in (lambda: update(state, x, y, w), lambda: extend_b_matrix(state, prior, x, w)):
+        lifts.clear()
+        lengths.clear()
+        call()
+        assert lifts == [] and lengths and set(lengths) == {1}
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "gaussian"])
+def test_an_exact_append_raises_the_powers_of_its_point_only(monkeypatch, complex_):
+    # the state keeps the powers and rows of its points; an append raises
+    # those of the new point alone, where a restored state, which keeps
+    # none, raises those of every point once
+    powers, pair_pow = regress._powers, regress._pair_pow
+    raised, pairs = [], []
+
+    def counting_powers(d, lifted):
+        raised.append(len(lifted.x))
+        return powers(d, lifted)
+
+    def counting_pairs(*args):
+        pairs.append(args)
+        return pair_pow(*args)
+
+    monkeypatch.setattr(regress, "_powers", counting_powers)
+    monkeypatch.setattr(regress, "_pair_pow", counting_pairs)
+    d = Exponents((4, 2, 0))
+    data = random_dataset(random.Random(36), 7, complex_=complex_, weighted=True)
+    state, prior = init_state(d, data), b_matrix(d, data)
+    # integral, so its denominators divide the stream's scales
+    x, y, w = (Scalar.from_exact(v, 2 * v if complex_ else 0) for v in (5, -1, 2))
+    raised.clear()
+    pairs.clear()
+    appended = update(state, x, y, w)
+    extend_b_matrix(state, prior, x, w)
+    assert raised == [1, 1]
+    assert len(pairs) == (2 * len(d) if complex_ else 0)
+    raised.clear()
+    assert update(RegressionState.from_dict(state.to_dict()), x, y, w) == appended
+    assert raised == [data.m + 1]
+
+
+def _append_checked(state, x, y, w=None):
+    # update(state, x, y, w), whose every stored D, S, T and N must have the
+    # type and repr of the Scalar bookkeeping (`_helpers`) and of the same
+    # append to the state restored from its snapshot, which lifts every point
+    # afresh; the lift it keeps must be the lift of all its points
+    appended = update(state, x, y, w)
+    points = SimpleNamespace(x=appended.x, y=appended.y, w=appended.w, exact=appended.exact)
+    assert _lift_fields(appended._lifted) == _lift_fields(regress._kept(state.d, regress._lift(points, 1)))
+    restored = update(RegressionState.from_dict(state.to_dict()), x, y, w)
+    denom, s, t, n_vec = scalar_bookkeeping(state, x, y, w)
+    for other in ([denom, *t, *n_vec, *(v for row in s for v in row)], _values(restored)):
+        assert _stored(_values(appended)) == _stored(other)
+    assert appended == restored and appended.evaluations == restored.evaluations
+    return appended
+
+
+def _lift_fields(lifted):
+    # every lifted value with its type, then the scales, kind, powers and rows
+    values = [(type(v), repr(v)) for vs in (lifted.x, lifted.w or [], lifted.y) for v in vs]
+    return values, lifted[3:], lifted.w is None
+
+
+def _values(state):
+    return [state.denom, *state.t, *state.n_vec, *(v for row in state.s for v in row)]
+
+
+def test_two_appends_from_one_state_stay_independent():
+    d = Exponents((4, 2, 0))
+    data = random_dataset(random.Random(37), 8, weighted=True)
+    state = init_state(d, take(data, 6))
+    kept = state._lifted
+    lifts = [list(field) for field in kept[:3] + kept[9:]]
+    first = _append_checked(state, data.x[6], data.y[6], data.w[6])
+    second = _append_checked(state, data.x[7], data.y[7], data.w[7])
+    assert state._lifted is kept and [list(field) for field in kept[:3] + kept[9:]] == lifts
+    assert first._lifted.x[:-1] == second._lifted.x[:-1] == kept.x
+    assert first._lifted.rows[-1] != second._lifted.rows[-1]
+    _append_checked(first, data.x[7], data.y[7], data.w[7])
+
+
+def _float_points(rng, count, complex_x=(), complex_w=(), complex_y=()):
+    # real float points, weighted, but for a complex x, w or y at the given
+    # 0-based indices; no part is zero, so snapshots keep every type
+    def value(lo, hi, complex_):
+        re = rng.uniform(lo, hi) * rng.choice((-1, 1))
+        return Scalar.from_float(re, rng.uniform(lo, hi)) if complex_ else Scalar.from_float(re)
+
+    return [
+        (value(0.5, 2, k in complex_x), value(0.5, 3, k in complex_y), value(0.5, 2, k in complex_w))
+        for k in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "complex_x, complex_w, complex_y, kinds",
+    [
+        ((4,), (6,), (), [float] * 4 + [complex] * 4),
+        ((), (4,), (), [float] * 4 + [complex] * 4),
+        ((), (), (4, 6), [float] * 8),
+    ],
+    ids=["complex-x-then-w", "complex-w", "complex-y-only"],
+)
+def test_a_real_float_stream_lifts_again_where_a_complex_value_arrives(complex_x, complex_w, complex_y, kinds):
+    rng, d = random.Random(38), Exponents((4, 2, 0))
+    state = init_state(d, exact=False)
+    for point, kind in zip(_float_points(rng, 8, complex_x, complex_w, complex_y), kinds):
+        state = _append_checked(state, *point)
+        assert state._lifted.kind is kind
+    targets = {type(v) for v in state._lifted.y}
+    assert targets == ({complex} if complex_y else {float})
+
+
+@pytest.mark.parametrize("field", ["x", "w", "y"])
+def test_an_exact_stream_lifts_again_where_a_new_denominator_arrives(field):
+    d, scales = Exponents((4, 2, 0)), []
+    rng = random.Random(f"denominator-{field}")
+    state = init_state(d, exact=True)
+    for k in range(7):
+        # denominators 4 from the first point on, then 7 in the sixth
+        point = {key: Fraction(2 * rng.randint(0, 4) + 1 if k == 0 else rng.randint(1, 9), 4 if k == 0 else rng.choice((1, 2, 4))) for key in "xwy"}
+        if k == 5:
+            point[field] = Fraction(rng.randint(1, 9) * 7 + 1, 7)
+        state = _append_checked(state, *ex(point["x"], point["y"], point["w"]))
+        lifted = state._lifted
+        scales.append({"x": lifted.xscale, "w": lifted.wscale, "y": lifted.yscale}[field])
+    assert scales[4:] == [4, 28, 28]
+
+
+def test_an_exact_gaussian_stream_keeps_its_lift():
+    d = Exponents((4, 2, 0))
+    data = random_dataset(random.Random(39), 8, complex_=True, weighted=True)
+    state = init_state(d, take(data, 2))
+    for k in range(2, data.m):
+        state = _append_checked(state, data.x[k], data.y[k], data.w[k])
+    assert state._lifted.kind is regress._Gaussian and len(state._lifted.rows) == data.m
+
+
+def test_an_exact_model_of_more_terms_than_the_minors_walk_keeps_its_powers():
+    d = Exponents(range(regress.MINORS_MAX_TERMS, -1, -1))
+    data = random_dataset(random.Random(40), len(d) + 1)
+    state = init_state(d, take(data, len(d) - 1))
+    for k in range(len(d) - 1, data.m):
+        state = _append_checked(state, data.x[k], data.y[k])
+    assert state._lifted.rows is None and len(state._lifted.powers) == data.m
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_the_kept_lift_is_not_part_of_the_state(exact):
+    d = Exponents((2, 1, 0))
+    data = random_dataset(random.Random(41), 5, exact=exact, weighted=True)
+    state = update(init_state(d, take(data, 4)), data.x[4], data.y[4], data.w[4])
+    restored = RegressionState.from_dict(state.to_dict())
+    assert state._lifted is not None and restored._lifted is None
+    assert state == restored and repr(state) == repr(restored) and "_lifted" not in repr(state)
+    assert json.dumps(state.to_dict()) == json.dumps(restored.to_dict())
 
 
 def test_degenerate_stream_recovers():

@@ -204,6 +204,44 @@ def test_parse_rejects_non_finite_floats(text):
         parse_scalar(text, exact=False)
 
 
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (" 1.5 ", (float, "1.5")),
+        ("1_0", (float, "10.0")),
+        ("- 3", (float, "-3.0")),
+        ("1 2", (ValueError, "malformed scalar literal: '1 2'")),
+        ("1e 3", (ValueError, "malformed scalar literal: '1e 3'")),
+        ("3/4", (float, "0.75")),
+        ("2i", (complex, "2j")),
+        ("-0", (float, "-0.0")),
+        ("nan", (ValueError, "malformed scalar literal: 'nan'")),
+        ("inf", (ValueError, "malformed scalar literal: 'inf'")),
+        ("1e999", (ValueError, "malformed scalar literal: '1e999'")),
+        ("0x10", (ValueError, "malformed scalar literal: '0x10'")),
+        (_Text("2.5"), (float, "2.5")),
+        (3, (AttributeError, "'int' object has no attribute 'strip'")),
+    ],
+    ids=repr,
+)
+def test_float_parse_keeps_every_result(text, want):
+    # float literals that `float` reads alone take a shorter way; every value
+    # down to its type and the sign of a zero, and every refusal with its
+    # text, is what the general parse gives
+    kind, expected = want
+    if issubclass(kind, Exception):
+        with pytest.raises(kind) as caught:
+            parse_scalar(text, exact=False)
+        assert str(caught.value) == expected
+    else:
+        value = parse_scalar(text, exact=False).value
+        assert (type(value), repr(value)) == (kind, expected)
+
+
 def test_float_round_trip():
     s = Scalar.from_float(0.1, -2.5e-7)
     assert parse_scalar(format_scalar(s), exact=False) == s
