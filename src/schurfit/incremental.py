@@ -24,8 +24,11 @@ Exact and float appends take the same code.  Float points, and exact ones
 of more than `regress.MINORS_MAX_TERMS` terms, sum those subsets in one
 generated loop nest (`regress._appended_walker`) that inlines the Schur and
 V statements, and exact ones of fewer terms in the minors walk on the kept
-rows, so an append makes no `schur` or `vandermonde` call; its subsets show
-in the evaluation count.  `update` and `extend_b_matrix` build that point
+rows, so an append's subsets show in the evaluation count.  Of the points
+that take the nest, subsets of more than `symfunc.UNROLL_MAX_POINTS` points,
+past the nest's limit, and the new columns of `extend_b_matrix` take the
+batch walker instead (`regress._walker`), which calls `regress.schur` and
+`regress.vandermonde`.  `update` and `extend_b_matrix` build that point
 set through one helper, which refuses a zero weight, a mix of weighted and
 unweighted points and a value of another mode than the stream's: the point
 is checked there, where it enters, and the kernel's lift trusts it.
@@ -57,9 +60,10 @@ from .regress import (
     _sums,
 )
 
-# Unused here: every subset sum runs in regress, and an append's loop nest
-# and minors walk call neither name; only a batch's walker calls
-# regress.schur and regress.vandermonde.  These names stay bound because
+# Unused here: every subset sum runs in regress, where the batch walker
+# calls regress.schur and regress.vandermonde, for a batch and for an
+# append's B columns and subsets past the loop nest's point limit; the loop
+# nest and the minors walk call neither.  These names stay bound because
 # perfbench/tracing.py wraps incremental.schur and incremental.vandermonde
 # by name.
 from .symfunc import schur, vandermonde  # noqa: F401

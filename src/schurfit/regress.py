@@ -25,13 +25,16 @@ division.  Float and complex points take the subset walkers instead, since
 the expansion cancels in binary64; so do exact points of more than
 MINORS_MAX_TERMS terms, for which the walk's code of 2^n statements would
 take seconds to compile.  A batch takes `_walker`, generated code that calls
-`schur` and `vandermonde` once per subset and partition; the subsets of an
-appended point take `_appended_walker`, one generated loop nest that inlines
-the straight-line Schur and V statements of `symfunc`, each in the outermost
-loop that binds the points it reads, to the same bits, and calls neither
-name.  Each walk keeps the upper triangle of its sums in locals (`_sums`) or
-lists the u vectors with their subsets' labels, which `_append_b_columns`
-turns into B's signed columns.  Their statements are
+`schur` and `vandermonde` once per subset and partition.  The sums over the
+subsets of an appended point, on at most UNROLL_MAX_POINTS points, take
+`_appended_walker`, one generated loop nest that inlines the straight-line
+Schur and V statements of `symfunc`, each in the outermost loop that binds
+the points it reads, to the same bits, and calls neither name; its B
+columns, and its subsets past the nesting limit, take `_walker` with the
+appended point fixed (`_walked`).  Each walk keeps the upper triangle of
+its sums in locals (`_sums`), or `_walker` lists the u vectors with their
+subsets' labels, which `_append_b_columns` turns into B's signed columns.
+Their statements are
 written by `symfunc._assign` in the code kind that the number kind sets:
 real data takes no conjugates, and the minors of exact Gaussian data are
 pairs of int locals, which make one `_Gaussian` of each sum or B entry.
@@ -61,8 +64,8 @@ lift keeps them from one append to the next; a float fit raises the powers
 of its real points once (`_powers`).  The rows, T and the residuals share
 them.  `_walker` calls `schur` and `vandermonde` as the names bound here,
 read at call time, where a tracer can wrap them, so a traced batch fit
-counts its subsets from those calls; an append's subsets are counted by its
-loop nest's trip counts, in the evaluation count.  The lifted points of one
+counts its subsets from those calls; the subsets of an append's loop nest
+are counted by its trip counts, in the evaluation count.  The lifted points of one
 walk share one type, float, complex, int or `_Gaussian`, and `symfunc` keeps
 code tables per point type, built for the type's mode, so a walk's Schur
 calls never re-decide a band's route.
@@ -83,7 +86,7 @@ from sys import float_info
 from .numeric import Scalar, ScalarModeError, _Gaussian, scalar_pow
 from .partitions import lambda_from_degrees
 from .symfunc import UNROLL_MAX_POINTS, _assign, _band, _compiled, _determinant, _elementary, _offsets, _schur_of, _top
-from .symfunc import _value, _vandermonde_of, schur, vandermonde
+from .symfunc import _value, schur, vandermonde
 
 
 class InsufficientDataError(ValueError):
@@ -329,71 +332,82 @@ def _for(targets, sources):
 
 
 @lru_cache(maxsize=None)
-def _walker(kind, n, size, weighted, columns=False):
-    """The subset walk of n partitions over all `size`-point subsets of
-    lifted points of the number type `kind`, compiled once per signature
-    into straight-line code, as a function of (x, w, lams, schur,
-    vandermonde): the lifted points and weights, the n partitions, and the
-    Schur and Vandermonde functions to call.  A batch takes it; the subsets
-    of an appended point take `_appended_walker`.
+def _walker(kind, n, size, weighted, columns=False, fixed=0):
+    """The subset walk of n partitions over the `size`-point subsets of
+    lifted points of the number type `kind` that hold the last `fixed`
+    points, 0 or 1, compiled once per signature into straight-line code, as
+    a function of (x, w, lams, schur, vandermonde): the lifted points and
+    weights, the n partitions, and the Schur and Vandermonde functions to
+    call.  A batch takes it, and so do an appended point's B columns and its
+    subsets of more than UNROLL_MAX_POINTS points; its other sums take
+    `_appended_walker` (see `_walked`).
 
     It walks the subsets in lexicographic order, with `combinations` over
     the points, and the weights beside them, so points and weights come
-    without indexing.  Each subset x_l costs one `vandermonde` call, times
-    the subset's weights in subset order, and one `schur` call per
-    partition: u_i = schur(lams[i], x_l) * v.  The walk returns the
-    n(n+1)/2 upper-triangle sums of u_i conj(u_j), row by row, each kept in
-    its own local from the int 0 on, and the number of subsets.  With
-    `columns` it returns instead one (label, u_0, ..., u_{n-1}) per subset,
-    the label being the subset's 1-based point numbers.
+    without indexing; with fixed = 1 over the first m = len(x) - 1 points,
+    each subset taking the last point, its weight and its label m + 1 last.
+    Each subset x_l costs one `vandermonde` call, times the subset's weights
+    in subset order, and one `schur` call per partition: u_i =
+    schur(lams[i], x_l) * v.  The walk returns the n(n+1)/2 upper-triangle
+    sums of u_i conj(u_j), row by row, each kept in its own local from the
+    int 0 on, and the number of subsets.  With `columns` it returns instead
+    one (label, u_0, ..., u_{n-1}) per subset, the label being the subset's
+    1-based point numbers.
 
     Every statement is written by `symfunc._assign`: in the "real" code kind
     for float and int points, which writes u_i conj(u_j) as u_i * u_j, their
     Schur values, V and weights being real, and in the "complex" kind, with
     .conjugate() calls, for complex and `_Gaussian` points.  Exact points
-    reach it only with more than MINORS_MAX_TERMS terms (see `_sums`).
+    reach it only with more than MINORS_MAX_TERMS terms (see `_raw_sums` and
+    `_append_b_columns`).
     """
     code = "real" if kind in (float, int) else "complex"
     ij = [(i, j) for i in range(n) for j in range(i, n)]
     sums, weights = [f"s{i}_{j}" for i, j in ij], [f"q{i}" for i in range(size if weighted else 0)]
-    lines = [
-        "def walk(x, w, lams, schur, vandermonde):",
+    k = size - fixed  # the points of a subset that `combinations` binds
+    signature = "append " * fixed + f"n={n} size={size} weighted={weighted} columns={columns} {kind.__name__}"
+    lines = ["def walk(x, w, lams, schur, vandermonde):"]
+    if k < 0:  # no subset holds the last point
+        return _compiled("walk", signature, lines + ["    return []" if columns else f"    return ({'0, ' * len(sums)}), 0"])
+    lines += [
         "    " + "".join(f"lam{i}, " for i in range(n)) + "= lams",
-        "    m = len(x)",
+        "    m = len(x)" + " - 1" * fixed,
         "    out = []" if columns else f"    {' = '.join(sums)} = 0",
     ]
-    body = "        "
-    targets, sources = ["pts"], [f"combinations(x, {size})"]
-    if weights:
-        targets.append("(" + "".join(f"{q}, " for q in weights) + ")")
-        sources.append(f"combinations(w, {size})")
+    body, pool = "        ", "[:m]" * fixed
+    targets, sources = ["head" if fixed else "pts"], [f"combinations(x{pool}, {k})"]
+    if weights[:k]:
+        targets.append("(" + "".join(f"{q}, " for q in weights[:k]) + ")")
+        sources.append(f"combinations(w{pool}, {k})")
     if columns:
         targets.append("label")
-        sources.append(f"combinations(range(1, m + 1), {size})")
-    lines += ["    " + _for(targets, sources), f"{body}v = vandermonde(pts)"]
+        sources.append(f"combinations(range(1, m + 1), {k})")
+    if fixed:  # the last point and its weight, bound once and put last in each subset
+        lines.append(f"    {', '.join(['last', *weights[k:]])} = {', '.join(['x[m]', 'w[m]'][: 1 + weighted])}")
+    lines += ["    " + _for(targets, sources), *[f"{body}pts = head + (last,)"] * fixed, f"{body}v = vandermonde(pts)"]
     for q in weights:
         _assign(lines, "v", [(1, "v", q)], code, body)
     for i in range(n):
         lines.append(f"{body}t{i} = schur(lam{i}, pts)")
         _assign(lines, f"u{i}", [(1, f"t{i}", "v")], code, body)
     if columns:
-        lines.append(f"{body}out.append((label, {''.join(f'u{i}, ' for i in range(n))}))")
+        label = "label + (m + 1,)" if fixed else "label"
+        lines.append(f"{body}out.append(({label}, {''.join(f'u{i}, ' for i in range(n))}))")
         lines.append("    return out")
     else:
         for i, j in ij:
             _assign(lines, f"s{i}_{j}", [(1, f"s{i}_{j}"), (1, f"u{i}", f"~u{j}")], code, body)
-        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), comb(m, {size})")
-    signature = f"n={n} size={size} weighted={weighted} columns={columns} {kind.__name__}"
+        lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), comb(m, {k})")
     return _compiled("walk", signature, lines, combinations=combinations, comb=comb)
 
 
 @lru_cache(maxsize=None)
-def _appended_walker(kind, lams, size, weighted, columns=False):
-    """The walk of the partitions `lams` over the `size`-point subsets that
+def _appended_walker(kind, lams, size, weighted):
+    """The sums of the partitions `lams` over the `size`-point subsets that
     hold the last of the lifted points, the appended one, of the number type
-    `kind`: what `_walker` sums or lists over all subsets, here as one loop
-    nest, compiled once per signature into a function of (x, w), the lifted
-    points and weights.
+    `kind`, for at most UNROLL_MAX_POINTS points: what `_walker` sums over
+    all subsets, here as one loop nest, compiled once per signature into a
+    function of (x, w), the lifted points and weights.
 
     The appended point is the last of each subset, as in the subsets'
     lexicographic order, and is bound before the loops; the loops bind the
@@ -409,32 +423,24 @@ def _appended_walker(kind, lams, size, weighted, columns=False):
     prefix are formed once for all subsets that extend it.  A statement
     that only copies a local is not written; its readers read that local.
     So each statement is the operation it is in `_walker`'s calls, on the
-    same operands, and every sum, u and float bit is theirs.
+    same operands, and every sum, u and float bit is theirs; `_Gaussian`
+    points take the "complex" code kind, to the same exact values.
 
-    A band with no straight-line code -- wider than 3, on more than
-    UNROLL_MAX_POINTS points, or on `_Gaussian` points -- calls its compiled
-    function from `symfunc`'s tables on the subset, and so does V on such
-    points.  Subsets of more than UNROLL_MAX_POINTS points, with nothing to
-    inline, take one `combinations` loop, as Python nests at most 20 blocks.
-    The walk returns the sums and the number of subsets, counted from the
-    loops' trip counts, or with `columns` the (label, u_0, ..., u_{n-1}) of
-    each subset, as `_walker` does.
+    A band wider than 3, which has no straight-line code, calls its compiled
+    function from `symfunc`'s tables on the subset.  The walk returns the
+    sums and the number of subsets, counted from the loops' trip counts.
     """
     n, k = len(lams), size - 1  # k points besides the appended one
     code = "real" if kind in (float, int) else "complex"
     ij = [(i, j) for i in range(n) for j in range(i, n)]
     sums = [f"s{i}_{j}" for i, j in ij]
-    signature = f"append {' '.join(str(lam._normalized) for lam in lams)} size={size} weighted={weighted} columns={columns} {kind.__name__}"
+    signature = f"append {' '.join(str(lam._normalized) for lam in lams)} size={size} weighted={weighted} {kind.__name__}"
     if k < 0:  # no subset holds the appended point
-        empty = "[]" if columns else "(" + "0, " * len(sums) + "), 0"
-        return _compiled("walk", signature, ["def walk(x, w):", f"    return {empty}"])
-    nested = size <= UNROLL_MAX_POINTS
-    inline = nested and kind is not _Gaussian
-    deep = k if nested else min(k, 1)  # the innermost loop, 0 if there is none
+        return _compiled("walk", signature, ["def walk(x, w):", f"    return ({'0, ' * len(sums)}), 0"])
     z, q = [f"z{j}" for j in range(size)], [f"q{j}" for j in range(size if weighted else 0)]
     level = {"one": 0, "zero": 0, **dict.fromkeys(sums, 0)}  # the loop that binds each local
     for j in range(size):
-        level[z[j]] = level[f"q{j}"] = 0 if j == k else j + 1 if nested else 1
+        level[z[j]] = level[f"q{j}"] = 0 if j == k else j + 1
     alias, steps, scope = {}, [], {}
     ref = lambda f: "~" + alias.get(f[1:], f[1:]) if f[0] == "~" else alias.get(f, f)
 
@@ -449,97 +455,73 @@ def _appended_walker(kind, lams, size, weighted, columns=False):
         else:
             steps.append((level[target], line[0]))
 
-    def call(target, function, value):  # the subset's points as a tuple, pts, first
-        if not scope:
-            steps.append((deep, f"pts = ({''.join(f'{p}, ' for p in z)})" if nested else f"pts = head + ({z[k]},)"))
-        scope[function] = value
-        level[target] = deep
-        steps.append((deep, f"{target} = {function}(pts)"))
-
-    if inline:
-        v = "one"
-        for t, (i, j) in enumerate([(i, j) for i in range(size) for j in range(i + 1, size)]):
-            put(f"d{i}_{j}", [(1, z[i]), (-1, z[j])])
-            put(f"v{t}", [(1, v, f"d{i}_{j}")])
-            v = f"v{t}"
-        narrow = [_offsets(lam._normalized) for lam in lams if 0 < len(lam._normalized) <= size and lam._normalized[0] <= 3]
-        names = _elementary(size, max((_top(c, size) for c in narrow), default=0), put)
-    else:
-        call("v", "vandermonde", _vandermonde_of(kind, size))
-        v = "v"
+    v = "one"
+    for t, (i, j) in enumerate([(i, j) for i in range(size) for j in range(i + 1, size)]):
+        put(f"d{i}_{j}", [(1, z[i]), (-1, z[j])])
+        put(f"v{t}", [(1, v, f"d{i}_{j}")])
+        v = f"v{t}"
+    narrow = [_offsets(lam._normalized) for lam in lams if 0 < len(lam._normalized) <= size and lam._normalized[0] <= 3]
+    names = _elementary(size, max((_top(c, size) for c in narrow), default=0), put)
     for j, qj in enumerate(q):
         put(f"w{j}", [(1, v, qj)])
         v = f"w{j}"
-    u = []
     for i, lam in enumerate(lams):
         parts, t = lam._normalized, f"t{i}"
         if not parts or len(parts) > size:  # s_() = 1; s_lam = 0 on fewer than l(lam) points
             t = "zero" if parts else "one"
-        elif inline and parts[0] <= 3:
+        elif parts[0] <= 3:
             _determinant(_band(_offsets(parts), size, names), t, put, code, f"c{i}_")
-        else:
-            call(t, f"band{i}", _schur_of(lam, kind, size))
+        else:  # the subset's points as a tuple, pts, first
+            if not scope:
+                steps.append((k, f"pts = ({''.join(f'{p}, ' for p in z)})"))
+            scope[f"band{i}"], level[t] = _schur_of(lam, kind, size), k
+            steps.append((k, f"{t} = band{i}(pts)"))
         put(f"u{i}", [(1, t, v)])
-        u.append(ref(f"u{i}"))
-    if columns:
-        labels = [f"i{j} + 1" for j in range(1, k)] + ["j"] * (k > 0) + ["m + 1"] if nested else ["*label", "m + 1"]
-        steps.append((deep, f"out.append((({''.join(f'{a}, ' for a in labels)}), {''.join(f'{a}, ' for a in u)}))"))
-    else:
-        for s, (i, j) in zip(sums, ij):
-            put(s, [(1, s), (1, f"u{i}", f"~u{j}")])
+    for s, (i, j) in zip(sums, ij):
+        put(s, [(1, s), (1, f"u{i}", f"~u{j}")])
     lines = ["def walk(x, w):", "    m = len(x) - 1", f"    {', '.join([z[k], *q[k:]])} = {', '.join(['x[m]', 'w[m]'][: 1 + weighted])}"]
-    lines += ["    out = []" if columns else f"    {' = '.join(sums)} = 0", f"    count = {int(k == 0)}"]
+    lines += [f"    {' = '.join(sums)} = 0", f"    count = {int(k == 0)}"]
     read = {word.strip("(),~*-") for _, line in steps for word in line.split()}
     lines += [f"    {name} = {value}" for name, value in (("one", 1), ("zero", 0)) if name in read]
-    indent, start, first = "    ", "0", "1"  # the loop's first index, and its 1-based label
-    for depth in range(deep + 1):
-        if depth and not nested:  # one loop over the subsets of the other points
-            targets, sources = ["head"], [f"combinations(x[:m], {k})"]
-            if weighted:
-                targets.append("(" + "".join(f"{p}, " for p in q[:k]) + ")")
-                sources.append(f"combinations(w[:m], {k})")
-            if columns:
-                targets.append("label")
-                sources.append(f"combinations(range(1, m + 1), {k})")
-            lines += [indent + _for(targets, sources), f"{indent}    count += 1"]
-        elif depth and depth < k:
+    lines += ["    " + line for at, line in steps if at == 0]
+    indent, start = "    ", "0"  # the loop's first index
+    for depth in range(1, k + 1):
+        if depth < k:
             bound, values = [z[depth - 1], *q[depth - 1 : depth]], [f"x[i{depth}]", f"w[i{depth}]"][: 1 + weighted]
             lines += [f"{indent}for i{depth} in range({start}, m - {k - depth}):", f"{indent}    {', '.join(bound)} = {', '.join(values)}"]
-            start, first = f"i{depth} + 1", f"i{depth} + 2"
-        elif depth:  # the innermost loop, whose trip count is the count of its subsets
+            start = f"i{depth} + 1"
+        else:  # the innermost loop, whose trip count is the count of its subsets
             targets, sources = [z[k - 1]], ["rest"]
             if weighted:
                 targets.append(q[k - 1])
                 sources.append(f"w[{start}:m]")
-            if columns:
-                targets.insert(0, "j")
-                sources.insert(0, f"range({first}, m + 1)")
             lines += [f"{indent}rest = x[{start}:m]", f"{indent}count += len(rest)", indent + _for(targets, sources)]
-        indent += "    " * (depth > 0)
+        indent += "    "
         lines += [indent + line for at, line in steps if at == depth]
-    lines.append("    return out" if columns else f"    return ({''.join(f'{s}, ' for s in sums)}), count")
-    return _compiled("walk", signature, lines, combinations=combinations, **scope)
+    lines.append(f"    return ({''.join(f'{s}, ' for s in sums)}), count")
+    return _compiled("walk", signature, lines, **scope)
 
 
 @lru_cache(maxsize=None)
-def _appended_walk(kind, d, size, weighted, columns):
+def _appended_walk(kind, d, size, weighted):
     """`_appended_walker` of the partitions of the exponent tuple d, found by
     d: the key of `_appended_walker` holds Partitions, each hashed by a
     Python call on every lookup, where d's ints hash in C."""
-    return _appended_walker(kind, _partitions_of(d)[size < len(d)], size, weighted, columns)
+    return _appended_walker(kind, _partitions_of(d)[size < len(d)], size, weighted)
 
 
 def _walked(d, lifted, size, columns=False):
     """The walk over the `size`-point subsets of the lifted points for the
-    partitions of the exponent tuple d (`_partitions_of`): `_appended_walker`'s
-    for the subsets that hold an appended point, else `_walker`'s, passed
-    `schur` and `vandermonde` as bound here, read at call time, where a
-    tracer can wrap them."""
+    partitions of the exponent tuple d (`_partitions_of`) that hold the last
+    lifted.fixed points: `_appended_walker`'s for the sums of an appended
+    point on subsets of at most UNROLL_MAX_POINTS points, else `_walker`'s,
+    passed `schur` and `vandermonde` as bound here, read at call time, where
+    a tracer can wrap them."""
     weighted = lifted.w is not None
-    if lifted.fixed:
-        return _appended_walk(lifted.kind, d, size, weighted, columns)(lifted.x, lifted.w)
+    if lifted.fixed and not columns and size <= UNROLL_MAX_POINTS:
+        return _appended_walk(lifted.kind, d, size, weighted)(lifted.x, lifted.w)
     lams = _partitions_of(d)[size < len(d)]
-    return _walker(lifted.kind, len(lams), size, weighted, columns)(lifted.x, lifted.w, lams, schur, vandermonde)
+    return _walker(lifted.kind, len(lams), size, weighted, columns, lifted.fixed)(lifted.x, lifted.w, lams, schur, vandermonde)
 
 
 # The most terms for which exact sums take `_minors_walk`.  Its code holds

@@ -44,9 +44,10 @@ functions", Math. Comp. 2006).
 The batch subset walker in `regress` calls `schur` and `vandermonde` once
 per subset and partition (its exact subset sums are minors of the design
 matrix and call neither, up to `regress.MINORS_MAX_TERMS` terms; the loop
-nest of an appended point writes the narrow-band and V statements below
-inline, through the same writers, and calls a wider band's function from
-the tables), mostly on bands of width lam1 <= 3, whose whole arithmetic is a
+nest of an appended point's sums on at most UNROLL_MAX_POINTS points writes
+the narrow-band and V statements below inline, through the same writers,
+and calls a wider band's function from the tables), mostly on bands of
+width lam1 <= 3, whose whole arithmetic is a
 few multiply-adds, so the dispatch around that arithmetic is kept cheap: one
 type test on the first entry and two plain-dict lookups per call, the Schur
 code read off a table that each partition keeps.  Every point type has code tables of its

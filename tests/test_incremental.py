@@ -607,6 +607,29 @@ def test_an_exact_model_of_more_terms_than_the_minors_walk_keeps_its_powers():
     assert state._lifted.rows is None and len(state._lifted.powers) == data.m
 
 
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_an_exact_stream_past_the_nesting_limit_equals_its_batch(gaussian, weighted):
+    # 17 terms: an append sums S over subsets of 16 points in the loop nest,
+    # as complex code on Gaussian points, and D over subsets of 17 points,
+    # past the nesting limit, in regress._walker; extend_b_matrix lists its
+    # columns there too.  B appends its new columns after the old ones, so
+    # columns are matched by label
+    d = Exponents(range(16, -1, -1))
+    x = [Scalar.from_exact(Fraction(k, 2), k % 3 - 1) if gaussian else Scalar.from_exact(Fraction(k, 2)) for k in range(18)]
+    data = DataSet(x, ex(*(k * k % 7 for k in range(18))), ex(*(1 + k % 2 for k in range(18))) if weighted else None)
+    w = data.w or [None] * data.m
+    state = init_state(d, take(data, 16))
+    for k in (16, 17):
+        prior, state = state, update(state, data.x[k], data.y[k], w[k])
+    batch = fit(d, data)
+    assert state.denom == denominator(d, data) == batch.denominator
+    assert state.n_vec == batch.numerators and state.coefficients == batch.coefficients
+    extended, fresh = extend_b_matrix(prior, b_matrix(d, take(data, 17)), data.x[17], w[17]), b_matrix(d, data)
+    assert extended.denominator_root_sq == fresh.denominator_root_sq
+    assert dict(zip(extended.columns, zip(*extended.entries))) == dict(zip(fresh.columns, zip(*fresh.entries)))
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_the_kept_lift_is_not_part_of_the_state(exact):
     d = Exponents((2, 1, 0))

@@ -827,35 +827,36 @@ def _parts(values):
 
 
 def _assert_walk_matches_the_reference(kind, lams, size, fixed, x, w):
-    # the sums and the columns of the generated walk over the `size`-point
-    # subsets that hold the last `fixed` points, `_walker`'s over all subsets
-    # or `_appended_walker`'s over those of an appended point, against the
-    # per-subset loop in `_helpers`
-    if fixed:
-        walk = lambda columns: regress._appended_walker(kind, tuple(lams), size, w is not None, columns)(x, w)
-    else:
-        walk = lambda columns: regress._walker(kind, len(lams), size, w is not None, columns)(x, w, lams, schur, vandermonde)
-    (sums, count), columns = walk(False), walk(True)
+    # the sums and the columns of the generated walks over the `size`-point
+    # subsets that hold the last `fixed` points against the per-subset loop
+    # in `_helpers`: `_walker`'s sums and columns, and with fixed = 1 on at
+    # most UNROLL_MAX_POINTS points the sums of `_appended_walker`'s loop
+    # nest, an append's route for them (`regress._walked`)
+    walk = lambda columns: regress._walker(kind, len(lams), size, w is not None, columns, fixed)(x, w, lams, schur, vandermonde)
+    walks = [walk(False)]
+    if fixed and size <= UNROLL_MAX_POINTS:
+        walks.append(regress._appended_walker(kind, tuple(lams), size, w is not None)(x, w))
     want_sums, want_count = hermitian_sums(x, w, fixed, lams, size)
-    assert count == want_count, (lams, size, len(x))
-    assert _parts(sums) == _parts(want_sums), (lams, size, len(x))
-    columns = [(label, _parts(u)) for label, *u in columns]
+    for sums, count in walks:
+        assert count == want_count, (lams, size, len(x))
+        assert _parts(sums) == _parts(want_sums), (lams, size, len(x))
+    columns = [(label, _parts(u)) for label, *u in walk(True)]
     want = [(label, _parts(u)) for label, u in subset_columns(x, w, fixed, lams, size)]
     assert columns == want, (lams, size, len(x))
-    assert len(columns) == count
+    assert len(columns) == want_count
 
 
 @pytest.mark.parametrize("kind", [float, complex, int, _Gaussian], ids=lambda t: t.__name__)
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("fixed", [0, 1])
 def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
-    # the generated walk of each lifted kind (exact ones take it past
-    # MINORS_MAX_TERMS terms) sums and lists what the per-subset loop in
+    # the generated walks of each lifted kind (exact ones take them past
+    # MINORS_MAX_TERMS terms) sum and list what the per-subset loop in
     # `_helpers` does, value for value and bit for bit, with the same count,
     # column labels and column order; an empty walk's sums stay the int 0.
-    # With fixed = 1 that is the loop nest of an append, whose Schur and V
-    # statements are inlined and hoisted, or on `_Gaussian` points and wide
-    # bands calls of `symfunc`'s compiled functions
+    # With fixed = 1 that is also the loop nest of an append, whose Schur
+    # and V statements are inlined and hoisted, `_Gaussian` ones as complex
+    # code, and whose wide bands call `symfunc`'s compiled functions
     rng = random.Random(f"{kind.__name__}-{weighted}-{fixed}")
     for lams, size, counts in _WALKS:
         for m in counts:
@@ -866,16 +867,49 @@ def test_walker_matches_the_reference_subset_loop(kind, weighted, fixed):
 @pytest.mark.parametrize("kind", [float, complex, int, _Gaussian], ids=lambda t: t.__name__)
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_an_appended_walk_past_the_nesting_limit_matches_the_reference(kind, weighted):
-    # Python nests at most 20 blocks, so the appended walk over subsets of
-    # more than UNROLL_MAX_POINTS points is one `combinations` loop: here 21
-    # and 22 points, bands of width 1 to 3 and a 7-wide one, bit for bit
-    # against the reference loop, with its count, labels and order
+    # Python nests at most 20 blocks, so an append's subsets of more than
+    # UNROLL_MAX_POINTS points take `_walker` with fixed = 1, one
+    # `combinations` loop over the other points: here 21 and 22 points,
+    # bands of width 1 to 3 and a 7-wide one, bit for bit against the
+    # reference loop, with its count, labels and order
     rng = random.Random(f"nesting-{kind.__name__}-{weighted}")
     lams = [Partition(()), Partition((1,)), Partition((2, 1)), Partition((3, 3, 1)), Partition((7, 2))]
     for m in (21, 22):
         x, w = _walker_points(kind, m, rng)
         for size in (21, 22):
             _assert_walk_matches_the_reference(kind, lams, size, 1, x, w if weighted else None)
+
+
+def test_each_append_walk_takes_its_generator(monkeypatch):
+    # an append's sums on subsets of at most UNROLL_MAX_POINTS points take
+    # the loop nest (`_appended_walk`); its B columns and its subsets past
+    # the nesting limit take `_walker` with fixed = 1, as (size, columns,
+    # fixed), for float points of (4,2,0) and of 17 terms
+    calls = []
+
+    def counting(name):
+        original = getattr(regress, name)
+        return lambda *args: calls.append((name, *args[2:3], *args[4:])) or original(*args)
+
+    for name in ("_appended_walk", "_walker"):
+        monkeypatch.setattr(regress, name, counting(name))
+    fl = lambda *vs: [Scalar.from_float(v) for v in vs]
+    quartic = Exponents((4, 2, 0))
+    data = DataSet(fl(*range(6)), fl(*(k * k % 7 for k in range(6))))
+    head = DataSet(data.x[:5], data.y[:5])
+    state, prior = init_state(quartic, head), b_matrix(quartic, head)
+    calls.clear()
+    update(state, data.x[5], data.y[5])
+    assert calls == [("_appended_walk", 3), ("_appended_walk", 2)]
+    calls.clear()
+    extend_b_matrix(state, prior, data.x[5])
+    assert calls == [("_appended_walk", 3), ("_walker", 2, True, 1)]
+    wide = Exponents(range(UNROLL_MAX_POINTS, -1, -1))
+    x, y = fl(*(k / 2 for k in range(18))), fl(*(k * k % 7 for k in range(18)))
+    state = init_state(wide, DataSet(x[:17], y[:17]))
+    calls.clear()
+    update(state, x[17], y[17])
+    assert calls == [("_walker", 17, False, 1), ("_appended_walk", 16)]
 
 
 # (exponents, point counts) of the minors walk: one term, whose S sums over
