@@ -119,7 +119,8 @@ class RegressionState:
     # -- snapshot / restore -------------------------------------------
 
     def to_dict(self):
-        # str of a float value is what `format_scalar` prints for it
+        # str of a float value is what `format_scalar` prints for it; a
+        # complex or exact value takes `format_scalar`
         fmt = lambda values: [str(v.value) if type(v.value) is float else format_scalar(v) for v in values]
         return {
             "degrees": list(self.d),
@@ -142,9 +143,11 @@ class RegressionState:
         a value of the wrong type, a non-integral degree or an evaluation
         count that is not a non-negative integer, or has a length that
         disagrees with degrees and m, or holds a zero weight, which
-        `DataSet` and `update` refuse too.  An "a" key, which snapshots once
-        held, is ignored: the coefficients are N / D.  Parsing every value in
-        the one mode the payload names checks the restored points' mode."""
+        `DataSet` and `update` refuse too, or a D that is not a non-negative
+        real number, which no sum of |u|^2 is.  An "a" key, which snapshots
+        once held, is ignored: the coefficients are N / D.  Parsing every
+        value in the one mode the payload names checks the restored points'
+        mode."""
         if not isinstance(payload, dict):
             raise ValueError("snapshot is not a JSON object")
         missing = {"degrees", "mode", "m", "x", "y", "S", "T", "N", "D"} - payload.keys()
@@ -162,25 +165,19 @@ class RegressionState:
                 ):
                     raise ValueError(f"snapshot {key} does not fit degrees {list(d)} and m = {m}")
             exact = payload["mode"] == "exact"
-            p = lambda text: parse_scalar(text, exact)
-            w = [p(v) for v in payload["w"]] if payload.get("w") is not None else None
+            p = lambda values: [parse_scalar(v, exact) for v in values]
+            w = p(payload["w"]) if payload.get("w") is not None else None
             if not all(w or ()):
                 raise ValueError("snapshot holds a zero weight; weights must be nonzero")
             # JSON's true is no count, although int(True) is 1
             evaluations = payload.get("evaluations", 0)
             if isinstance(evaluations, bool) or as_int(evaluations) < 0:
                 raise ValueError(f"snapshot evaluation count {evaluations!r} is not a non-negative integer")
-            return RegressionState(
-                d=d,
-                x=[p(v) for v in payload["x"]],
-                y=[p(v) for v in payload["y"]],
-                w=w,
-                s=[[p(v) for v in row] for row in payload["S"]],
-                t=[p(v) for v in payload["T"]],
-                n_vec=[p(v) for v in payload["N"]],
-                denom=p(payload["D"]),
-                evaluations=int(evaluations),
-            )
+            x, y, s = p(payload["x"]), p(payload["y"]), [p(row) for row in s]
+            t, n_vec, denom = p(payload["T"]), p(payload["N"]), parse_scalar(payload["D"], exact)
+            if denom.im or denom.re < 0:
+                raise ValueError(f"snapshot D {payload['D']!r} is not a non-negative real number")
+            return RegressionState(d, x, y, w, s, t, n_vec, denom, int(evaluations))
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"snapshot holds a value of the wrong type: {exc}") from exc
 

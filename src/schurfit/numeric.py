@@ -13,6 +13,7 @@ scaled to ints or ``_Gaussian`` int pairs, and wraps its sums.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import pairwise
@@ -225,6 +226,9 @@ def scalar_pow(s, e):
 # "i", "-i", "4i".  Exact parsing keeps rationals and decimal strings
 # lossless (Fraction handles both); printing round-trips exact values.
 # Float parsing refuses a part that is not finite ("nan", "inf", "1e999").
+# In float mode a literal is one `float` call, or, without a "/", one
+# `complex` call with its "i" read as "j", when that call takes it whole and
+# finite; any other text is split into its parts.
 
 def parse_scalar(text, exact):
     """Parse a real or complex literal into a Scalar of the given mode.
@@ -233,20 +237,26 @@ def parse_scalar(text, exact):
     between two other characters splits a number, as in "1 2" or "1e 3", and
     is refused rather than read as one number.
 
-    A float-mode str that does not end in "i" or "I" and that `float` reads
-    as a finite number is that number: the general parse below, after
-    stripping, would call `float` on the same digits.  Any other text --
-    a complex or "p/q" literal, a space inside a number, a value that is not
-    finite, or no str at all -- takes the general parse, which accepts and
-    refuses as it always has."""
-    if not exact and type(text) is str and text[-1:] not in ("i", "I"):
+    A float-mode str that `float` reads as a finite number, or that ends in
+    "i" or "I", holds no "/" and that `complex` reads as a finite number with
+    that last letter made "j", is that number, real when its imaginary part
+    is zero: the general parse below would call `float` on the same digits
+    of each part.  Any other text -- a "p/q" part, a space inside a number, a
+    part that is not finite, a str subclass or no str at all -- takes the
+    general parse, which accepts and refuses as it always has; a complex
+    text with a "/" skips the `complex` call, which would only fail."""
+    if not exact and type(text) is str:
         try:
-            value = float(text)
+            if text[-1:] not in ("i", "I"):
+                value = float(text)
+                if math.isfinite(value):
+                    return Scalar(value, False)
+            elif "/" not in text:
+                value = complex(text[:-1] + "j")
+                if cmath.isfinite(value):
+                    return Scalar(value if value.imag else value.real, False)
         except ValueError:
             pass
-        else:
-            if math.isfinite(value):
-                return Scalar(value, False)
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")
@@ -300,7 +310,6 @@ def format_scalar(s):
     re, im = v.real, v.imag
     if im == 0:
         return str(re)
-    im = str(im) + "i"
     if re == 0:
-        return im
-    return str(re) + ("" if im.startswith("-") else "+") + im
+        return f"{im!s}i"
+    return f"{re!s}{'' if im < 0 else '+'}{im!s}i"

@@ -515,6 +515,26 @@ def test_stream_refuses_a_snapshot_with_a_zero_weight(tmp_path, capsys):
     assert snap.read_bytes() == saved
 
 
+@pytest.mark.parametrize("mode", [["--exact"], []], ids=["exact", "float"])
+def test_stream_refuses_a_snapshot_whose_d_is_not_a_non_negative_real_number(tmp_path, capsys, mode):
+    # D is a sum of |u|^2; loaded as it stood, "-2+3i" gave complex
+    # coefficients for real data and was saved again as "12.0+3.0i" in float
+    # mode, "12+3i" in exact mode
+    head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
+    head.write_text("x,y\n1,2\n2,4\n3,7\n")
+    tail.write_text("x,y\n4,9\n")
+    snap = tmp_path / "state.json"
+    argv = ["stream", "--degrees", "1,0", *mode, "--snapshot", str(snap)]
+    assert run(capsys, *argv, str(head))[0] == EXIT_OK
+    snap.write_text(json.dumps({**json.loads(snap.read_text()), "D": "-2+3i"}))
+    saved = snap.read_bytes()
+    code, out, err = run(capsys, *argv, str(tail))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: snapshot D '-2+3i' is not a non-negative real number\n"
+    assert snap.read_bytes() == saved
+
+
 def test_stream_skips_malformed_rows(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0,0\nbad,row\n1,1\n2,2\n")

@@ -33,7 +33,11 @@ What the cases reach:
   parsing, Gaussian Scalars and the snapshot restore; a snapshot in the
   older format, which stored the coefficients "a" beside N and D, still
   loads, its "a" (edited here to 7, 7) is ignored, and the rewritten
-  snapshot holds none.
+  snapshot holds none;
+- two float streams of the same weighted complex rows that share a
+  snapshot end at the report line of one stream of all four rows, through
+  the printing and parsing of complex floats ("1.0i", "2.0+1.0i",
+  "1.472222222222222-8.444444444444445i") in the snapshot.
 """
 
 import pytest
@@ -54,6 +58,9 @@ OLD_SNAPSHOT = (
     '"mode": "exact", "w": ["1/2", "3"], "x": ["1", "1i"], "y": ["2+1i", "1-1i"]}\n'
 )
 GAUSSIAN_LINE = '"coefficients": ["-8733/19795+23103/39590i", "28833/19795-3369/7918i"]'
+FLOAT_STREAM_LINE = (
+    '"coefficients": ["-0.4411720131346299+0.5835564536499115i", "1.4565799444304113-0.4254862338974488i"]'
+)
 
 
 def _run(capsys, *argv):
@@ -163,3 +170,17 @@ def test_an_old_format_snapshot_loads_and_loses_its_coefficients(tmp_path, capsy
     assert '"m": 4' in last
     assert GAUSSIAN_LINE in last
     assert '"a":' not in snap.read_text()
+
+
+def test_float_streams_that_share_a_snapshot_end_at_the_one_shot_stream(tmp_path, capsys):
+    head, tail, whole, snap = (tmp_path / name for name in ("head.csv", "tail.csv", "whole.csv", "state.json"))
+    head.write_text(HEAD)
+    tail.write_text(TAIL)
+    whole.write_text(GAUSSIAN)
+    argv = ("stream", "--degrees", "1,0", "--weights")
+    one_shot = _run(capsys, *argv, str(whole)).splitlines()[-1]
+    _run(capsys, *argv, "--snapshot", str(snap), str(head))
+    last = _run(capsys, *argv, "--snapshot", str(snap), str(tail)).splitlines()[-1]
+    assert last == one_shot
+    assert '"m": 4' in last
+    assert FLOAT_STREAM_LINE in last

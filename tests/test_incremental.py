@@ -14,7 +14,7 @@ from schurfit.incremental import (
     init_state,
     update,
 )
-from schurfit.numeric import Scalar, ScalarModeError
+from schurfit.numeric import Scalar, ScalarModeError, parse_scalar
 from schurfit.partitions import Exponents
 from schurfit.regress import (
     DataSet,
@@ -424,6 +424,21 @@ def test_snapshot_with_a_zero_weight_is_refused(exact, zero):
     payload["w"][1] = zero
     with pytest.raises(ValueError, match="snapshot holds a zero weight"):
         RegressionState.from_dict(payload)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("denom", ["-2+3i", "6+1i", "6-1/2i", "-6", "-1/1000", "i"])
+def test_snapshot_with_a_d_that_is_not_a_non_negative_real_number_is_refused(exact, denom):
+    # D is a sum of |u|^2, real and non-negative in both modes; a restored
+    # complex D gave complex coefficients for real data
+    make = Scalar.from_exact if exact else Scalar.from_float
+    d = Exponents((1, 0))
+    payload = init_state(d, DataSet([make(v) for v in (1, 2, 3)], [make(v) for v in (2, 4, 7)])).to_dict()
+    for kept in ("0", "-0.0", "6+0i", "1/2"):
+        assert RegressionState.from_dict({**payload, "D": kept}).denom == parse_scalar(kept, exact)
+    with pytest.raises(ValueError) as caught:
+        RegressionState.from_dict({**payload, "D": denom})
+    assert str(caught.value) == f"snapshot D {denom!r} is not a non-negative real number"
 
 
 def test_each_public_call_lifts_its_points_once(monkeypatch):

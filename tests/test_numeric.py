@@ -1,6 +1,8 @@
+import math
 import operator
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -242,9 +244,93 @@ def test_float_parse_keeps_every_result(text, want):
         assert (type(value), repr(value)) == (kind, expected)
 
 
+def _zero_signs(value):
+    """"+0" or "-0" for each zero part of a float or complex value."""
+    parts = (value,) if type(value) is float else (value.real, value.imag)
+    return tuple("-0" if math.copysign(1.0, p) < 0 else "+0" for p in parts if p == 0)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("i", (complex, "1j", ("+0",))),
+        ("-i", (complex, "-1j", ("+0",))),
+        ("+i", (complex, "1j", ("+0",))),
+        ("2i", (complex, "2j", ("+0",))),
+        ("2+0i", (float, "2.0", ())),
+        ("-0i", (float, "0.0", ("+0",))),
+        ("-0.0-0i", (float, "-0.0", ("-0",))),
+        ("-0.0+1i", (complex, "(-0+1j)", ("-0",))),
+        ("1_0+2i", (complex, "(10+2j)", ())),
+        (" 3i", (complex, "3j", ("+0",))),
+        ("3 i", (ValueError, "malformed scalar literal: '3 i'")),
+        ("1 + 2i", (complex, "(1+2j)", ())),
+        ("+1+2I", (complex, "(1+2j)", ())),
+        ("1e5-2e-3i", (complex, "(100000-0.002j)", ())),
+        ("1/2+1/3i", (complex, "(0.5+0.3333333333333333j)", ())),
+        ("1j+2i", (ValueError, "malformed scalar literal: '1j+2i'")),
+        ("(1+2)i", (ValueError, "malformed scalar literal: '(1+2)i'")),
+        ("1+2ii", (ValueError, "malformed scalar literal: '1+2ii'")),
+        ("nani", (ValueError, "malformed scalar literal: 'nani'")),
+        ("infi", (ValueError, "malformed scalar literal: 'infi'")),
+        ("1e999i", (ValueError, "malformed scalar literal: '1e999i'")),
+        ("1e-400i", (float, "0.0", ("+0",))),
+        (_Text("2+3i"), (complex, "(2+3j)", ())),
+    ],
+    ids=repr,
+)
+def test_float_complex_parse_keeps_every_result(text, want):
+    # complex literals that `complex` reads whole, their "i" read as "j",
+    # take a shorter way; every value down to its type and the sign of each
+    # zero part, and every refusal with its text, is what the general parse
+    # gives
+    if issubclass(want[0], Exception):
+        with pytest.raises(want[0]) as caught:
+            parse_scalar(text, exact=False)
+        assert str(caught.value) == want[1]
+    else:
+        value = parse_scalar(text, exact=False).value
+        assert (type(value), repr(value), _zero_signs(value)) == want
+
+
 def test_float_round_trip():
     s = Scalar.from_float(0.1, -2.5e-7)
     assert parse_scalar(format_scalar(s), exact=False) == s
+
+
+def _printed(value):
+    """The print rule of complex floats, written out: str of each part, the
+    imaginary part alone when the real part is zero, and a "+" between the
+    parts unless the imaginary part's str starts with "-"."""
+    re, im = value.real, value.imag
+    if im == 0:
+        return str(re)
+    im = str(im) + "i"
+    if re == 0:
+        return im
+    return str(re) + ("" if im.startswith("-") else "+") + im
+
+
+def test_complex_floats_print_and_parse_back_bit_for_bit():
+    rng = random.Random(38)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308, 1.7976931348623157e308]
+    edges += [-1.7976931348623157e308, 1.0, -0.5]
+    parts = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(4000)]
+    parts = [p for p in parts if math.isfinite(p)]
+    values = [complex(a, b) for a in edges for b in edges]
+    values += [complex(a, b) for a, b in zip(parts[::2], parts[1::2])]
+    values += [complex(p, e) for p, e in zip(parts, edges * len(parts))]
+    values += [complex(e, p) for p, e in zip(parts, edges * len(parts))]
+    for value in values:
+        text = format_scalar(Scalar(value, False))
+        assert text == _printed(value)
+        back = parse_scalar(text, exact=False).value
+        # a zero imaginary part is not printed, and neither is a zero real
+        # part beside a nonzero imaginary one, which comes back as +0.0
+        want = complex(value.real or 0.0, value.imag) if value.imag else value.real
+        assert type(back) is type(want), text
+        bits = lambda v: struct.pack("<2d", v.real, v.imag)
+        assert bits(back) == bits(want), text
 
 
 # -- _Gaussian against references written here ---------------------------
